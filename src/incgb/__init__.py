@@ -3,7 +3,8 @@
 Computes Groebner bases of ideals invariant under the monoid of strictly
 increasing index maps, with a direct orbit Buchberger engine, a truncated
 incremental engine, and a signature-based engine, plus a classical
-finite-variable Buchberger engine used as a subroutine and cross-check.
+finite-variable Buchberger engine (the direct engine's loop with ordinary
+S-pairs and plain divisibility) used as a subroutine and cross-check.
 """
 
 from .buchberger import (
@@ -20,7 +21,7 @@ from .incmaps import IncMap, increasing_maps, map_to_tau, standard_form, tau_to_
 from .poly import Polynomial, act, lc, lm, normal_form
 from .problems import parse, serialize
 from .rings import FamilySpec, Monomial, Ring, compare, pi_div_witnesses, pi_divides
-from .signature import SignatureOptions, egb_signature, strong_buchberger
+from .signature import SignatureOptions, egb_signature
 from .spairs import interlacings, spair_generators
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "serialize",
     "spair_generators",
     "standard_form",
-    "strong_buchberger",
     "tau_to_map",
 ]
 

@@ -1,10 +1,13 @@
 """Equivariant Buchberger engines: direct, truncated/incremental, classical.
 
-The direct engine runs the orbit version of Buchberger's loop with a
-priority queue keyed by (overlap width, overlap degree, insertion sequence).
-There is no termination theory for general inputs, so explicit budgets
-(pair count, width, basis size) bound every run; exhausting a budget returns
-the partial basis with a distinguished status instead of raising.
+The direct and classical engines share one Buchberger loop: a priority
+queue keyed by (overlap width, overlap degree, insertion sequence), one
+reduction kernel and one interreduction routine.  They differ only in their
+pair generator (orbit S-pairs via interlacings, or ordinary S-pairs) and
+their divisibility test (``pi_divides`` or ``plain_divides``).  There is no
+termination theory for general inputs, so explicit budgets (pair count,
+width, basis size) bound every run; exhausting a budget returns the partial
+basis with a distinguished status instead of raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -18,17 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .incmaps import increasing_maps
-from .poly import (
-    Polynomial,
-    act,
-    lm,
-    monic,
-    mul_term,
-    normal_form,
-    subtract,
-)
-from .rings import Ring, is_width_order, m_divides, m_lcm, m_quotient, m_coprime
-from .spairs import spair_generators
+from .poly import act, monic, mul_term, normal_form, sorted_basis, subtract
+from .rings import pi_divides, plain_divides
+from .spairs import spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
 BUDGET = "budget_exhausted"
@@ -65,8 +60,14 @@ def _spoly(gen, G):
     return subtract(h1, h2)
 
 
-def egb_buchberger(F, limits: EngineLimits = EngineLimits(), coprime_filter=True) -> EgbResult:
-    """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
+def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
+    """Buchberger's loop, shared by the direct and classical engines.
+
+    ``pairs(f, g, i, j)`` lists the critical-pair generators of basis
+    entries i <= j, and ``divides`` is the reduction's divisibility test.
+    Each limit stops the run with the partial, unreduced basis and BUDGET;
+    a drained queue returns the interreduced basis.
+    """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
     if not G:
@@ -77,7 +78,7 @@ def egb_buchberger(F, limits: EngineLimits = EngineLimits(), coprime_filter=True
 
     def push_pairs(i, j):
         nonlocal seq
-        for gen in spair_generators(G[i], G[j], i, j, coprime_filter=coprime_filter):
+        for gen in pairs(G[i], G[j], i, j):
             heapq.heappush(
                 queue,
                 (gen.overlap.width(), gen.overlap.degree(ring), seq, gen),
@@ -95,7 +96,7 @@ def egb_buchberger(F, limits: EngineLimits = EngineLimits(), coprime_filter=True
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
         stats["pairs_processed"] += 1
-        h = normal_form(_spoly(gen, G), G)
+        h = normal_form(_spoly(gen, G), G, divides=divides)
         if h.is_zero:
             stats["zero_reductions"] += 1
             continue
@@ -107,7 +108,17 @@ def egb_buchberger(F, limits: EngineLimits = EngineLimits(), coprime_filter=True
         for i in range(len(G)):
             push_pairs(i, k)
 
-    return EgbResult(autoreduce(G), stats, COMPLETE)
+    return EgbResult(autoreduce(G, divides), stats, COMPLETE)
+
+
+def egb_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
+    """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
+    return _pair_loop(F, spair_generators, pi_divides, limits)
+
+
+def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
+    """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
+    return _pair_loop(F, spair_generators_classical, plain_divides, limits)
 
 
 def orbit_truncate(F, n):
@@ -124,73 +135,19 @@ def orbit_truncate(F, n):
     return out
 
 
-def _classical_nf(f, reducers):
-    """Full reduction under plain (orbit-free) divisibility."""
-    done = []
-    work = f
-    while not work.is_zero:
-        c, m = work.terms[0]
-        for g in reducers:
-            if not g.is_zero and m_divides(lm(g), m):
-                cof = m_quotient(m, lm(g))
-                work = subtract(work, mul_term(g, c / g.terms[0][0], cof))
-                break
-        else:
-            done.append((c, m))
-            work = Polynomial(work.ring, work.terms[1:])
-    return Polynomial(f.ring, tuple(done))
+def autoreduce(G, divides=None):
+    """Make every element monic and fully reduced against the others.
 
-
-def classical_buchberger(F, limits: EngineLimits = EngineLimits()):
-    """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
-    G = _prepare(F)
-    if not G:
-        return []
-    ring = G[0].ring
-    queue = []
-    seq = 0
-
-    def push(i, j):
-        nonlocal seq
-        li, lj = lm(G[i]), lm(G[j])
-        if m_coprime(li, lj):
-            return
-        overlap = m_lcm(li, lj)
-        heapq.heappush(queue, (overlap.degree(ring), seq, i, j, overlap))
-        seq += 1
-
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            push(i, j)
-
-    processed = 0
-    while queue:
-        _d, _s, i, j, overlap = heapq.heappop(queue)
-        if limits.max_pairs is not None and processed >= limits.max_pairs:
-            raise RuntimeError("classical engine exhausted its pair budget")
-        processed += 1
-        s = subtract(
-            mul_term(G[i], Fraction(1), m_quotient(overlap, lm(G[i]))),
-            mul_term(G[j], Fraction(1), m_quotient(overlap, lm(G[j]))),
-        )
-        h = _classical_nf(s, G)
-        if h.is_zero:
-            continue
-        G.append(monic(h))
-        for i2 in range(len(G) - 1):
-            push(i2, len(G) - 1)
-
-    return _classical_autoreduce(G)
-
-
-def _classical_autoreduce(G):
+    ``divides`` is the divisibility test of the reduction, orbit
+    divisibility by default.
+    """
     basis = [monic(g) for g in G if not g.is_zero]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
-            h = _classical_nf(basis[i], others)
+            h = normal_form(basis[i], others, divides=divides)
             if h.is_zero:
                 basis.pop(i)
                 changed = True
@@ -199,91 +156,43 @@ def _classical_autoreduce(G):
             if h != basis[i]:
                 basis[i] = h
                 changed = True
-    return _sorted_basis(basis)
+    return sorted_basis(basis)
 
 
-def autoreduce(G):
-    """Make every element monic and fully orbit-reduced against the others."""
-    basis = [monic(g) for g in G if not g.is_zero]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            h = normal_form(basis[i], others)
-            if h.is_zero:
-                basis.pop(i)
-                changed = True
-                break
-            h = monic(h)
-            if h != basis[i]:
-                basis[i] = h
-                changed = True
-    return _sorted_basis(basis)
-
-
-def _sorted_basis(basis):
-    if not basis:
-        return []
-    import functools
-
-    from .rings import compare
-
-    ring = basis[0].ring
-
-    def cmp(f, g):
-        kf = (f.width(), f.degree())
-        kg = (g.width(), g.degree())
-        if kf != kg:
-            return -1 if kf < kg else 1
-        c = compare(ring, lm(f), lm(g))
-        if c != 0:
-            return c
-        return 0 if f == g else (-1 if f.terms < g.terms else 1)
-
-    return sorted(basis, key=functools.cmp_to_key(cmp))
-
-
-def is_egb(G, limits: EngineLimits = EngineLimits()) -> bool:
+def is_egb(G) -> bool:
     """Equivariant Buchberger criterion: every orbit S-polynomial reduces to 0."""
     basis = [g for g in G if not g.is_zero]
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            for gen in spair_generators(basis[i], basis[j], i, j, coprime_filter=True):
+            for gen in spair_generators(basis[i], basis[j], i, j):
                 if not normal_form(_spoly(gen, basis), basis).is_zero:
                     return False
     return True
 
 
-def egb_incremental(F, limits: EngineLimits = EngineLimits(), width_queue=False) -> EgbResult:
+def egb_incremental(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Truncate-and-certify loop: classical bases of growing truncations.
 
-    With ``width_queue`` the run is delegated to the direct engine, whose
-    queue is already ordered by width; this mode requires a width order.
+    A truncation level whose classical run exhausts the budget stops the
+    run the same way as a width beyond ``max_width``: BUDGET, with the
+    interreduced basis of the last finished level (or the generators).
     """
     G = _prepare(F)
     stats = {"levels": 0}
     if not G:
         return EgbResult([], stats, COMPLETE)
-    ring = G[0].ring
-    if width_queue:
-        if not is_width_order(ring):
-            raise ValueError("width-queued truncation requires a width order")
-        result = egb_buchberger(F, limits)
-        result.stats["levels"] = 0
-        return result
-
     n = max(g.width() for g in G)
     seed = []
-    while True:
-        if n > limits.max_width:
-            return EgbResult(autoreduce(seed) if seed else G, stats, BUDGET)
+    while n <= limits.max_width:
         stats["levels"] += 1
         level_input = orbit_truncate(G, n) + [s for s in seed if s.width() <= n]
-        basis_n = classical_buchberger(level_input, limits)
-        candidate = autoreduce(basis_n)
-        if is_egb(candidate, limits):
+        level = classical_buchberger(level_input, limits)
+        if level.status == BUDGET:
+            break
+        candidate = autoreduce(level.basis)
+        if is_egb(candidate):
             stats["final_width"] = n
             return EgbResult(candidate, stats, COMPLETE)
-        seed = basis_n
+        seed = level.basis
         n += 1
+    return EgbResult(autoreduce(seed) if seed else G, stats, BUDGET)

@@ -23,6 +23,7 @@ from .buchberger import (
 from .poly import normal_form
 from .problems import (
     ProblemSyntaxError,
+    _Parser,
     format_polynomial,
     parse,
     serialize,
@@ -65,8 +66,6 @@ def _limits(problem, args):
 
 
 def _parse_poly(problem, text):
-    from .problems import _Parser
-
     sub = _Parser(text)
     expr = sub.parse_expression(problem.ring)
     if sub.peek()[0] != "eof":
@@ -156,7 +155,7 @@ def cmd_orbit(args):
 
 def cmd_check(args):
     problem = _load(args.file)
-    ok = is_egb(problem.generators, _limits(problem, args))
+    ok = is_egb(problem.generators)
     print("EGB" if ok else "not an EGB")
     return EXIT_OK if ok else EXIT_NO
 
@@ -198,10 +197,10 @@ def build_parser():
     orbit.add_argument("--width", type=int, required=True)
     orbit.set_defaults(func=cmd_orbit)
 
-    check = sub.add_parser("check", help="test the generators with the Buchberger criterion")
+    check = sub.add_parser(
+        "check", help="test the generators with the Buchberger criterion (unbounded)"
+    )
     check.add_argument("file")
-    check.add_argument("--max-width", type=int, default=None)
-    check.add_argument("--max-pairs", type=int, default=None)
     check.set_defaults(func=cmd_check)
 
     return parser

@@ -7,11 +7,13 @@ ring's order, so the lead term is ``terms[0]``.
 Reduction uses orbit divisibility: a reducer g applies to a term t whenever
 some increasing map sends the lead monomial of g onto a divisor of t.
 ``normal_form`` performs full (tail) reduction and can emit a replayable
-trace of the steps it took, which serves as a membership certificate.
+trace of the steps it took, which serves as a membership certificate.  The
+classical engine runs the same kernel with plain divisibility.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,8 +44,6 @@ def poly(ring: Ring, term_iter) -> Polynomial:
         acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
     items = [(c, m) for m, c in acc.items() if c != 0]
     # sort descending under the ring order
-    import functools
-
     items.sort(key=functools.cmp_to_key(lambda s, t: compare(ring, s[1], t[1])), reverse=True)
     return Polynomial(ring, tuple(items))
 
@@ -156,39 +156,59 @@ class ReductionTrace:
         return out
 
 
-def normal_form(f: Polynomial, reducers, with_trace=False, max_width=None):
+def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
     """Fully reduce f (lead and tail) against orbit elements of the reducers.
 
     Reducer choice: first reducer in list order admitting a witness, then
-    the smallest witness, so results are reproducible.  With ``max_width``
-    set, steps whose outcome would exceed the width bound are skipped.
+    the witness ``divides`` returns, so results are reproducible.  The test
+    defaults to ``pi_divides``; ``plain_divides`` gives classical reduction,
+    whose only witness is the identity.  Steps are recorded only when a
+    trace is requested.
     """
+    if divides is None:  # looked up per call, so a rebound module name applies
+        divides = pi_divides
     ring = f.ring
     steps = []
     done = []  # irreducible terms, collected in descending order
     work = f
     while not work.is_zero:
         c, m = work.terms[0]
-        reduced = False
         for gi, g in enumerate(reducers):
             if g.is_zero:
                 continue
-            rho = pi_divides(lm(g), m)
+            rho = divides(lm(g), m)
             if rho is None:
                 continue
             g_img = act(rho, g)
-            if max_width is not None and g_img.width() > max_width:
-                continue
             cof = m_quotient(m, lm(g_img))
             ratio = c / lc(g_img)
             work = subtract(work, mul_term(g_img, ratio, cof))
-            steps.append(ReductionStep(gi, rho, cof, ratio))
-            reduced = True
+            if with_trace:
+                steps.append(ReductionStep(gi, rho, cof, ratio))
             break
-        if not reduced:
+        else:
             done.append((c, m))
             work = Polynomial(ring, work.terms[1:])
     result = Polynomial(ring, tuple(done))
     if with_trace:
         return result, ReductionTrace(tuple(steps))
     return result
+
+
+def sorted_basis(basis):
+    """The canonical order of a basis: width, degree, lead, then terms."""
+    if not basis:
+        return []
+    ring = basis[0].ring
+
+    def cmp(f, g):
+        kf = (f.width(), f.degree())
+        kg = (g.width(), g.degree())
+        if kf != kg:
+            return -1 if kf < kg else 1
+        c = compare(ring, lm(f), lm(g))
+        if c != 0:
+            return c
+        return 0 if f == g else (-1 if f.terms < g.terms else 1)
+
+    return sorted(basis, key=functools.cmp_to_key(cmp))

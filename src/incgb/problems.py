@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import Polynomial, add, constant, mul, poly, subtract
+from .poly import Polynomial, add, constant, mul, poly, scale, sorted_basis, subtract
 from .rings import FamilySpec, Monomial, Ring
 
 
@@ -297,8 +297,6 @@ class _Parser:
         tok = self.peek()
         if tok[1] == "-":
             self.next()
-            from .poly import scale
-
             return scale(self.parse_factor(ring), -1)
         if tok[1] == "(":
             self.next()
@@ -383,10 +381,8 @@ def serialize_ring(ring: Ring) -> str:
 
 def serialize(basis, ring: Ring, options=None) -> str:
     """Canonical problem-file text for a basis (round-trips through parse)."""
-    from .buchberger import _sorted_basis
-
     lines = [serialize_ring(ring), "generators {"]
-    for f in _sorted_basis(list(basis)):
+    for f in sorted_basis(list(basis)):
         lines.append(f"  {format_polynomial(f)};")
     lines.append("}")
     if options:

@@ -217,15 +217,6 @@ def compare(ring: Ring, a: Monomial, b: Monomial):
     return 0
 
 
-def is_width_order(ring: Ring) -> bool:
-    """Whether smaller width always implies smaller monomial.
-
-    Conservative test: true for pure lex with a single family, which is the
-    only case used by the width-queued truncation mode.
-    """
-    return ring.order_kind == "lex" and len(ring.families) == 1
-
-
 def pi_div_witnesses(a: Monomial, b: Monomial):
     """All increasing maps sending a onto a divisor of b.
 
@@ -251,3 +242,12 @@ def pi_divides(a: Monomial, b: Monomial):
     """The lexicographically smallest witness, or None."""
     ws = pi_div_witnesses(a, b)
     return ws[0] if ws else None
+
+
+def plain_divides(a: Monomial, b: Monomial):
+    """IDENTITY when a divides b, else None: divisibility without the action.
+
+    The classical counterpart of ``pi_divides``, with the same return shape,
+    so one reduction kernel serves both.
+    """
+    return IDENTITY if m_divides(a, b) else None

@@ -1,4 +1,4 @@
-"""Signature-based engines over the shift-twisted monomial algebra.
+"""Signature-based orbit engine over the shift-twisted monomial algebra.
 
 Module terms live in a free module over monomials twisted by shift words:
 a twisted monomial is a plain monomial times a weakly increasing word in the
@@ -7,23 +7,22 @@ are ordered by the Schreyer order induced by the lead monomials of the
 module generators, ties broken by position and then by a fixed total order
 on twisted monomials.
 
-``strong_buchberger`` is the classical (no index action) variant producing
-a strong basis: its labeled pairs project to a Groebner basis of the ideal
-and of the syzygy module.  ``egb_signature`` is the orbit variant: it adds
-an extra full orbit normal-form step on each new basis element; when the
-step changes the element, the module rank grows and the element re-enters
-with a fresh unit signature.  Zero reductions contribute syzygy signatures,
-and J-pairs covered by known pairs or syzygies are discarded.
+``egb_signature`` adds an extra full orbit normal-form step on each new
+basis element; when the step changes the element, the module rank grows
+and the element re-enters with a fresh unit signature.  Zero reductions
+contribute syzygy signatures, and J-pairs covered by known pairs or
+syzygies are discarded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare, autoreduce
-from .incmaps import IDENTITY, compose, extend_partial, map_to_tau, standard_form, tau_to_map
-from .poly import Polynomial, act, lc, lm, monic, mul_term, normal_form, subtract
+from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
+from .incmaps import compose, extend_partial, map_to_tau, standard_form, tau_to_map
+from .poly import Polynomial, act, lc, lm, monic, mul_term, normal_form, sorted_basis, subtract
 from .rings import (
     Monomial,
     Ring,
@@ -33,8 +32,9 @@ from .rings import (
     m_mul,
     m_quotient,
     pi_div_witnesses,
+    pi_divides,
 )
-from .spairs import spair_generators
+from .spairs import interlacings, spair_generators
 
 UNIT_MONO = Monomial()
 
@@ -106,11 +106,10 @@ class LabeledPoly:
 
 
 class SigEngine:
-    """State shared by the signature loops: module leads and the sig order."""
+    """State of the signature loop: module leads and the signature order."""
 
-    def __init__(self, ring: Ring, equivariant=True):
+    def __init__(self, ring: Ring):
         self.ring = ring
-        self.equivariant = equivariant
         self.module_leads = []  # lm of the generator attached to each unit vector
         self._images = {}
 
@@ -162,33 +161,11 @@ class SigEngine:
 
     def lead_witness_multipliers(self, divisor: Monomial, target: Monomial):
         """Twisted monomials t with t * divisor == target (as monomials)."""
-        if self.equivariant:
-            out = []
-            for rho in pi_div_witnesses(divisor, target):
-                cof = m_quotient(target, m_act(rho, divisor))
-                out.append((TwistedMonomial(cof, map_to_tau(rho)), rho))
-            return out
-        if m_divides(divisor, target):
-            return [(TwistedMonomial(m_quotient(target, divisor), ()), IDENTITY)]
-        return []
-
-    def pair_generators(self, p: LabeledPoly, q: LabeledPoly, pi, qi):
-        if self.equivariant:
-            return spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False)
-        return spair_generators_classical(p.poly, q.poly, pi, qi)
-
-
-def spair_generators_classical(f, g, fi, gi):
-    from .rings import m_lcm
-    from .spairs import SPairGen
-
-    if fi == gi:
-        return []
-    lf, lg = lm(f), lm(g)
-    overlap = m_lcm(lf, lg)
-    return [
-        SPairGen(fi, gi, IDENTITY, IDENTITY, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
-    ]
+        out = []
+        for rho in pi_div_witnesses(divisor, target):
+            cof = m_quotient(target, m_act(rho, divisor))
+            out.append((TwistedMonomial(cof, map_to_tau(rho)), rho))
+        return out
 
 
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
@@ -198,7 +175,7 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     The coprime filter stays off here: cover and syzygy logic subsume it.
     """
     out = []
-    for gen in engine.pair_generators(p, q, pi, qi):
+    for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
         mult1 = TwistedMonomial(gen.cof1, map_to_tau(gen.map1))
         mult2 = TwistedMonomial(gen.cof2, map_to_tau(gen.map2))
         sig1 = Signature(twisted_mul(mult1, p.sig.tm), p.sig.index)
@@ -289,15 +266,13 @@ class SignatureOptions:
 
 def principal_syzygies(entries, engine: SigEngine):
     """Syzygy signatures from commutation relations between distinct generators."""
-    from .spairs import interlacings
-
     out = []
     n = len(entries)
     for i in range(n):
         for jdx in range(i + 1, n):
             fi, fj = entries[i], entries[jdx]
             wi, wj = fi.poly.width(), fj.poly.width()
-            for s1, s2 in interlacings(wi, wj) if engine.equivariant else [(IDENTITY, IDENTITY)]:
+            for s1, s2 in interlacings(wi, wj):
                 lead_j = m_act(s2, lm(fj.poly))
                 lead_i = m_act(s1, lm(fi.poly))
                 cand_i = Signature(
@@ -347,14 +322,6 @@ class _QueueEntry:
 
 
 def _signature_loop(F, engine, opts, limits):
-    import heapq
-    import os
-    import sys
-    import time as _time
-
-    _trace = bool(os.environ.get("INCGB_SIG_TRACE"))
-    _t0 = _time.time()
-
     polys = _prepare(F)
     stats = {
         "pairs_processed": 0,
@@ -400,67 +367,28 @@ def _signature_loop(F, engine, opts, limits):
             continue
         done_sigs.add(key)
         stats["pairs_processed"] += 1
-
-        def _tr(msg):
-            if _trace:
-                print(
-                    "POP %d t=%.1fs sig=(%s,%s,i%d) %s"
-                    % (
-                        stats["pairs_processed"],
-                        _time.time() - _t0,
-                        p.sig.tm.mono,
-                        p.sig.tm.word,
-                        p.sig.index,
-                        msg,
-                    ),
-                    file=sys.stderr,
-                    flush=True,
-                )
-
         if opts.use_cover and is_covered(p, G, S, engine):
             stats["covered_pairs"] += 1
-            _tr("COVERED")
             continue
         h, singular, tainted = regular_top_reduce(p, G, engine)
         if singular:
             stats["singular_discards"] += 1
-            _tr("SINGULAR")
             continue
         if h.poly.is_zero:
-            _tr("ZERO")
             stats["zero_reductions"] += 1
             if tainted:
                 stats["tied_zero_reductions"] = stats.get("tied_zero_reductions", 0) + 1
             S.append(h)
             stats["syzygies"] += 1
             continue
-        if engine.equivariant:
-            basis_polys = [g.poly for g in G]
-            h2 = normal_form(h.poly, basis_polys)
-            if h2.is_zero:
-                continue
-            if h2 != h.poly:
-                idx = engine.new_index(lm(h2))
-                h = LabeledPoly(Signature(UNIT_TM, idx), h2)
+        h2 = normal_form(h.poly, [g.poly for g in G])
+        if h2.is_zero:
+            continue
+        if h2 != h.poly:
+            idx = engine.new_index(lm(h2))
+            h = LabeledPoly(Signature(UNIT_TM, idx), h2)
         G.append(LabeledPoly(h.sig, monic(h.poly)))
         stats["insertions"] += 1
-        if _trace:
-            from .problems import format_polynomial as _fp
-
-            print(
-                "INS %d t=%.1fs pop=%d sig=(%s,%s,i%d) poly=%s"
-                % (
-                    stats["insertions"],
-                    _time.time() - _t0,
-                    stats["pairs_processed"],
-                    h.sig.tm.mono,
-                    h.sig.tm.word,
-                    h.sig.index,
-                    _fp(h.poly),
-                ),
-                file=sys.stderr,
-                flush=True,
-            )
         if limits.max_basis is not None and len(G) > limits.max_basis:
             status = BUDGET
             break
@@ -478,23 +406,6 @@ def _signature_loop(F, engine, opts, limits):
     return G, S, stats, status
 
 
-def strong_buchberger(F, limits: EngineLimits = EngineLimits()):
-    """Classical strong-basis loop (trivial index action).
-
-    Returns (G, S): labeled pairs whose polynomial parts form a Groebner
-    basis of the ideal and whose syzygy signatures form the lead data of a
-    basis of the syzygy module.
-    """
-    polys = _prepare(F)
-    if not polys:
-        return [], []
-    engine = SigEngine(polys[0].ring, equivariant=False)
-    G, S, _stats, status = _signature_loop(F, engine, SignatureOptions(), limits)
-    if status != COMPLETE:
-        raise RuntimeError("strong basis run exhausted its budget")
-    return G, S
-
-
 def egb_signature(
     F,
     opts: SignatureOptions = SignatureOptions(),
@@ -510,7 +421,7 @@ def egb_signature(
     polys = _prepare(F)
     if not polys:
         return EgbResult([], {}, COMPLETE)
-    engine = SigEngine(polys[0].ring, equivariant=True)
+    engine = SigEngine(polys[0].ring)
     G, _S, stats, status = _signature_loop(F, engine, opts, limits)
     basis = _minimalize([g.poly for g in G])
     return EgbResult(basis, stats, status)
@@ -518,8 +429,6 @@ def egb_signature(
 
 def _minimalize(polys):
     """Drop duplicates and elements whose lead another lead orbit-divides."""
-    from .rings import pi_divides
-
     out = []
     for i, f in enumerate(polys):
         redundant = False
@@ -535,6 +444,4 @@ def _minimalize(polys):
                 break
         if not redundant and f not in out:
             out.append(f)
-    from .buchberger import _sorted_basis
-
-    return _sorted_basis(out)
+    return sorted_basis(out)

@@ -4,7 +4,9 @@ Classically a pair of polynomials has one S-pair.  Here the orbits of f and
 g meet in many relative positions, but every position is an index shift of
 an "interlacing": a pair of increasing maps from the index ranges of f and g
 onto a common initial segment.  Enumerating interlacings therefore yields a
-finite generating set of critical pairs, one per interlacing.
+finite generating set of critical pairs, one per interlacing.  The
+classical generator, for the finite-variable engine, has one S-pair per
+pair of polynomials, both maps the identity.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .incmaps import IncMap
+from .incmaps import IDENTITY, IncMap
 from .poly import Polynomial, lm
 from .rings import Monomial, m_act, m_coprime, m_lcm, m_quotient
 
@@ -74,3 +76,16 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
             SPairGen(fi, gi, s1, s2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
         )
     return gens
+
+
+def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):
+    """The ordinary S-pair of distinct f and g, unless their leads are coprime."""
+    if fi == gi:
+        return []
+    lf, lg = lm(f), lm(g)
+    if m_coprime(lf, lg):
+        return []
+    overlap = m_lcm(lf, lg)
+    return [
+        SPairGen(fi, gi, IDENTITY, IDENTITY, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
+    ]

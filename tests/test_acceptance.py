@@ -133,7 +133,7 @@ def test_criterion_4_classical_fibonacci_elimination():
         eliminated[0] - (25 * y**6 - 10 * y**3 * t - 9 * y**2 + t**2)
     ) == 0
 
-    basis = classical_buchberger(problem.generators)
+    basis = classical_buchberger(problem.generators).basis
     yt_ranks = {2, 3}  # family ranks of y and t in this ring
     supported = [
         f

@@ -18,7 +18,7 @@ from incgb.buchberger import (
 )
 from incgb.poly import lm, monic, normal_form, poly
 from incgb.problems import format_polynomial, parse
-from incgb.rings import FamilySpec, Monomial, Ring, pi_divides
+from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
 
 from conftest import MEMBER_TEXT, TORIC_TEXT, expr, ideal_equal, xmono
 
@@ -27,6 +27,11 @@ X = Ring((FamilySpec("x"),))
 
 def p(*terms):
     return poly(X, [(Fraction(c), m) for c, m in terms])
+
+
+def _cnf(f, G):
+    """Classical normal form: reduction without the index action."""
+    return normal_form(f, G, divides=plain_divides)
 
 
 TORIC_REFERENCE = [
@@ -117,11 +122,17 @@ class TestOrbitTruncate:
 class TestClassicalBuchberger:
     def test_already_a_basis(self):
         G = [p((1, xmono(0))), p((1, xmono(1)))]
-        assert classical_buchberger(G) == G
+        assert classical_buchberger(G).basis == G
 
     def test_single_polynomial_monic(self):
         f = p((2, xmono(0, 1)), (4, xmono(0)))
-        assert classical_buchberger([f]) == [monic(f)]
+        assert classical_buchberger([f]).basis == [monic(f)]
+
+    def test_budget_returns_partial(self):
+        F = [p((1, xmono(0, 1)), (1, xmono(0))), p((2, xmono(1, 1)), (-1, xmono(1)))]
+        res = classical_buchberger(F, EngineLimits(max_pairs=0))
+        assert res.status == BUDGET
+        assert res.basis == [monic(f) for f in F]
 
     def test_agrees_with_sympy_on_random_systems(self):
         import sympy
@@ -161,7 +172,8 @@ class TestClassicalBuchberger:
             sympy_polys = [f for f in sympy_polys if f != 0]
             if not polys:
                 continue
-            mine = classical_buchberger(polys)
+            mine = classical_buchberger(polys).basis
+            assert all(_cnf(f, mine).is_zero for f in polys)
             # sympy's lex order ranks s0 highest; ours ranks the highest
             # index highest, so compare against reversed symbol precedence
             theirs = sympy.groebner(sympy_polys, xs[2], xs[1], xs[0], order="lex")
@@ -226,15 +238,6 @@ class TestIncremental:
         direct = egb_buchberger(member_problem.generators)
         assert inc.status == COMPLETE
         assert ideal_equal(inc.basis, direct.basis)
-
-    def test_width_queue_mode_requires_width_order(self, toric_problem):
-        with pytest.raises(ValueError):
-            egb_incremental(toric_problem.generators, width_queue=True)
-
-    def test_width_queue_mode_on_width_order(self, member_problem):
-        res = egb_incremental(member_problem.generators, width_queue=True)
-        assert res.status == COMPLETE
-        assert ideal_equal(res.basis, egb_buchberger(member_problem.generators).basis)
 
     def test_budget_when_width_exhausted(self, toric_problem):
         res = egb_incremental(toric_problem.generators, EngineLimits(max_width=2))

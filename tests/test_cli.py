@@ -47,8 +47,10 @@ class TestSolve:
         assert report["status"] == "complete"
         assert "y[3,1]*y[2,0] - y[3,0]*y[2,1]" in report["basis"]
 
-    def test_budget_exit(self, toric_file, capsys):
-        assert main(["solve", toric_file, "--max-pairs", "1", "--json"]) == EXIT_BUDGET
+    @pytest.mark.parametrize("algorithm", ["buchberger", "incremental", "signature"])
+    def test_budget_exit(self, toric_file, capsys, algorithm):
+        argv = ["solve", toric_file, "--algorithm", algorithm, "--max-pairs", "1", "--json"]
+        assert main(argv) == EXIT_BUDGET
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["status"] == "budget_exhausted"

@@ -1,0 +1,31 @@
+"""Source layout rules checked on the syntax tree of the package."""
+
+import ast
+from pathlib import Path
+
+import incgb
+
+SRC = Path(incgb.__file__).resolve().parent
+
+
+def _function_local_imports(tree):
+    """Line numbers of the imports that sit inside a function."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
+def test_no_function_local_imports():
+    # an import inside a function hides a cycle between modules; every
+    # import of the package belongs at module level
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line}" for line in _function_local_imports(tree)]
+    assert offenders == []

@@ -181,8 +181,3 @@ class TestNormalForm:
             assert normal_form(f, basis).is_zero
             rho = random_incmap(rng)
             assert normal_form(act(rho, f), basis).is_zero
-
-    def test_width_cap_skips_wide_steps(self):
-        f = p((1, xmono(9)))
-        out = normal_form(f, [p((1, xmono(0)))], max_width=5)
-        assert out == f
