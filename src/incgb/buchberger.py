@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .incmaps import increasing_maps
-from .poly import act, monic, mul_term, normal_form, sorted_basis, subtract
+from .poly import act, lm, monic, mul_term, normal_form, sorted_basis, subtract
 from .rings import pi_divides, plain_divides
 from .spairs import spair_generators, spair_generators_classical
 
@@ -139,23 +139,28 @@ def autoreduce(G, divides=None):
     """Make every element monic and fully reduced against the others.
 
     ``divides`` is the divisibility test of the reduction, orbit
-    divisibility by default.
+    divisibility by default.  One cyclic scan, restarted after a drop,
+    skips the elements flagged as reduced: whether a normal form changes an
+    element depends only on the other leads, so a lead change clears the flags.
     """
     basis = [monic(g) for g in G if not g.is_zero]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            h = normal_form(basis[i], others, divides=divides)
-            if h.is_zero:
-                basis.pop(i)
-                changed = True
-                break
-            h = monic(h)
-            if h != basis[i]:
-                basis[i] = h
-                changed = True
+    reduced = [False] * len(basis)
+    i = 0
+    while not all(reduced):
+        i %= len(basis)
+        if reduced[i]:
+            i += 1
+            continue
+        h = normal_form(basis[i], basis[:i] + basis[i + 1 :], divides=divides)
+        if h.is_zero:
+            del basis[i], reduced[i]
+            i = 0
+            continue
+        h = monic(h)
+        if lm(h) != lm(basis[i]):
+            reduced = [False] * len(basis)
+        basis[i], reduced[i] = h, True
+        i += 1
     return sorted_basis(basis)
 
 
@@ -183,6 +188,7 @@ def egb_incremental(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
         return EgbResult([], stats, COMPLETE)
     n = max(g.width() for g in G)
     seed = []
+    candidate = G
     while n <= limits.max_width:
         stats["levels"] += 1
         level_input = orbit_truncate(G, n) + [s for s in seed if s.width() <= n]
@@ -195,4 +201,4 @@ def egb_incremental(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
             return EgbResult(candidate, stats, COMPLETE)
         seed = level.basis
         n += 1
-    return EgbResult(autoreduce(seed) if seed else G, stats, BUDGET)
+    return EgbResult(candidate, stats, BUDGET)

@@ -56,8 +56,7 @@ class SystemExit2(Exception):
 
 def _limits(problem, args):
     opts = problem.options
-    max_width = getattr(args, "max_width", None)
-    max_pairs = getattr(args, "max_pairs", None)
+    max_width, max_pairs = args.max_width, args.max_pairs
     return EngineLimits(
         max_width=max_width if max_width is not None else opts.get("max_width", 16),
         max_pairs=max_pairs if max_pairs is not None else opts.get("max_pairs", 100_000),
@@ -73,8 +72,8 @@ def _parse_poly(problem, text):
     return expr
 
 
-def cmd_solve(args):
-    problem = _load(args.file)
+def _solve(problem, args):
+    """Run the selected engine; returns (algorithm, limits, result)."""
     algorithm = args.algorithm or problem.options.get("algorithm", "buchberger")
     limits = _limits(problem, args)
     if algorithm == "buchberger":
@@ -89,7 +88,12 @@ def cmd_solve(args):
         result = egb_signature(problem.generators, opts, limits)
     else:
         raise SystemExit2(f"unknown algorithm {algorithm!r}")
+    return algorithm, limits, result
 
+
+def cmd_solve(args):
+    problem = _load(args.file)
+    algorithm, limits, result = _solve(problem, args)
     basis_lines = [format_polynomial(f) for f in result.basis]
     report = {
         "format": REPORT_FORMAT,
@@ -117,29 +121,23 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _solve_for_reduction(problem, args):
-    limits = _limits(problem, args)
-    result = egb_buchberger(problem.generators, limits)
+def _reduce(args):
+    """The orbit normal form of --poly against the problem's basis."""
+    problem = _load(args.file)
+    target = _parse_poly(problem, args.poly)
+    *_, result = _solve(problem, args)
     if result.status == BUDGET:
         raise SystemExit2("basis computation exhausted its budget")
-    return result.basis
+    return normal_form(target, result.basis)
 
 
 def cmd_reduce(args):
-    problem = _load(args.file)
-    target = _parse_poly(problem, args.poly)
-    basis = _solve_for_reduction(problem, args)
-    nf = normal_form(target, basis)
-    print(format_polynomial(nf))
+    print(format_polynomial(_reduce(args)))
     return EXIT_OK
 
 
 def cmd_member(args):
-    problem = _load(args.file)
-    target = _parse_poly(problem, args.poly)
-    basis = _solve_for_reduction(problem, args)
-    nf = normal_form(target, basis)
-    return EXIT_OK if nf.is_zero else EXIT_NO
+    return EXIT_OK if _reduce(args).is_zero else EXIT_NO
 
 
 def cmd_orbit(args):
@@ -183,14 +181,14 @@ def build_parser():
     reduce_cmd.add_argument("--poly", required=True)
     reduce_cmd.add_argument("--max-width", type=int, default=None)
     reduce_cmd.add_argument("--max-pairs", type=int, default=None)
-    reduce_cmd.set_defaults(func=cmd_reduce)
+    reduce_cmd.set_defaults(func=cmd_reduce, algorithm=None, principal_syzygies=False)
 
     member = sub.add_parser("member", help="test orbit ideal membership")
     member.add_argument("file")
     member.add_argument("--poly", required=True)
     member.add_argument("--max-width", type=int, default=None)
     member.add_argument("--max-pairs", type=int, default=None)
-    member.set_defaults(func=cmd_member)
+    member.set_defaults(func=cmd_member, algorithm=None, principal_syzygies=False)
 
     orbit = sub.add_parser("orbit", help="print the generator truncation at a width")
     orbit.add_argument("file")

@@ -13,12 +13,11 @@ classical engine runs the same kernel with plain divisibility.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .incmaps import IncMap
-from .rings import Monomial, Ring, compare, m_act, m_mul, m_quotient, pi_divides
+from .rings import Monomial, Ring, m_act, m_mul, m_quotient, order_key, pi_divides
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ def poly(ring: Ring, term_iter) -> Polynomial:
     for c, m in term_iter:
         acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
     items = [(c, m) for m, c in acc.items() if c != 0]
-    # sort descending under the ring order
-    items.sort(key=functools.cmp_to_key(lambda s, t: compare(ring, s[1], t[1])), reverse=True)
+    items.sort(key=lambda t: order_key(ring, t[1]), reverse=True)
     return Polynomial(ring, tuple(items))
 
 
@@ -197,18 +195,9 @@ def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
 
 def sorted_basis(basis):
     """The canonical order of a basis: width, degree, lead, then terms."""
-    if not basis:
-        return []
-    ring = basis[0].ring
 
-    def cmp(f, g):
-        kf = (f.width(), f.degree())
-        kg = (g.width(), g.degree())
-        if kf != kg:
-            return -1 if kf < kg else 1
-        c = compare(ring, lm(f), lm(g))
-        if c != 0:
-            return c
-        return 0 if f == g else (-1 if f.terms < g.terms else 1)
+    def key(f):
+        terms = tuple((c, order_key(f.ring, m)) for c, m in f.terms)
+        return (f.width(), f.degree(), order_key(f.ring, lm(f)), terms)
 
-    return sorted(basis, key=functools.cmp_to_key(cmp))
+    return sorted(basis, key=key)

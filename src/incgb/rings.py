@@ -7,9 +7,11 @@ which preserves every supported constraint.
 
 A variable is stored as ``(rank, indices)`` where rank is its family's
 position in the order's precedence list (rank 0 is the greatest family).
-Variable comparison is precedence first, then index tuples lexicographically
-(larger tuple means larger variable); this comparison is preserved by the
-shift action, which is what makes the induced monomial orders usable here.
+Variables are ordered by precedence first, then index tuples
+lexicographically (larger tuple means larger variable); this order is
+preserved by the shift action, which is what makes the induced monomial
+orders usable here.  ``var_key`` and ``order_key`` are the sort keys of the
+variable and monomial orders; every comparison and sort derives from them.
 """
 
 from __future__ import annotations
@@ -85,10 +87,10 @@ class Ring:
         return (rank, tuple(indices))
 
 
-def var_sort_key(var):
-    # Ascending sort under this key lists the greatest variable first.
+def var_key(var):
+    """Sort key of a variable: a larger key is a greater variable."""
     rank, indices = var
-    return (rank, tuple(-i for i in indices))
+    return (-rank, indices)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class Monomial:
         items = [(v, e) for v, e in exps.items() if e != 0]
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent")
-        items.sort(key=lambda it: var_sort_key(it[0]))
+        items.sort(key=lambda it: var_key(it[0]), reverse=True)
         return Monomial(tuple(items))
 
     @property
@@ -184,37 +186,18 @@ def m_act(rho: IncMap, m: Monomial) -> Monomial:
     return Monomial.from_dict(exps)
 
 
-def _var_cmp(va, vb):
-    ka, kb = var_sort_key(va), var_sort_key(vb)
-    if ka == kb:
-        return 0
-    return 1 if ka < kb else -1  # smaller sort key = greater variable
+def order_key(ring: Ring, m: Monomial):
+    """Sort key of m: its greatest-first factors, after the degree under grlex."""
+    key = tuple((var_key(v), e) for v, e in m.factors)
+    if ring.order_kind == "grlex":
+        return (m.degree(ring), key)
+    return key
 
 
 def compare(ring: Ring, a: Monomial, b: Monomial):
     """Total order comparison: -1, 0, or 1."""
-    if ring.order_kind == "grlex":
-        da, db = a.degree(ring), b.degree(ring)
-        if da != db:
-            return 1 if da > db else -1
-    fa, fb = a.factors, b.factors
-    ia = ib = 0
-    while ia < len(fa) and ib < len(fb):
-        (va, ea), (vb, eb) = fa[ia], fb[ib]
-        c = _var_cmp(va, vb)
-        if c > 0:
-            return 1
-        if c < 0:
-            return -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-        ia += 1
-        ib += 1
-    if ia < len(fa):
-        return 1
-    if ib < len(fb):
-        return -1
-    return 0
+    ka, kb = order_key(ring, a), order_key(ring, b)
+    return (ka > kb) - (ka < kb)
 
 
 def pi_div_witnesses(a: Monomial, b: Monomial):

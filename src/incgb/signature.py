@@ -321,11 +321,11 @@ class _QueueEntry:
         return self.seq < other.seq
 
 
-def _signature_loop(F, engine, opts, limits):
-    polys = _prepare(F)
+def _signature_loop(polys, engine, opts, limits):
     stats = {
         "pairs_processed": 0,
         "zero_reductions": 0,
+        "tied_zero_reductions": 0,
         "covered_pairs": 0,
         "singular_discards": 0,
         "duplicate_signatures": 0,
@@ -377,7 +377,7 @@ def _signature_loop(F, engine, opts, limits):
         if h.poly.is_zero:
             stats["zero_reductions"] += 1
             if tainted:
-                stats["tied_zero_reductions"] = stats.get("tied_zero_reductions", 0) + 1
+                stats["tied_zero_reductions"] += 1
             S.append(h)
             stats["syzygies"] += 1
             continue
@@ -419,10 +419,8 @@ def egb_signature(
     tail reduction, matching how the algorithm leaves its output.
     """
     polys = _prepare(F)
-    if not polys:
-        return EgbResult([], {}, COMPLETE)
-    engine = SigEngine(polys[0].ring)
-    G, _S, stats, status = _signature_loop(F, engine, opts, limits)
+    engine = SigEngine(polys[0].ring if polys else None)
+    G, _S, stats, status = _signature_loop(polys, engine, opts, limits)
     basis = _minimalize([g.poly for g in G])
     return EgbResult(basis, stats, status)
 

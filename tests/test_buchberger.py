@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgb import buchberger
 from incgb.buchberger import (
     BUDGET,
     COMPLETE,
@@ -16,11 +17,11 @@ from incgb.buchberger import (
     is_egb,
     orbit_truncate,
 )
-from incgb.poly import lm, monic, normal_form, poly
+from incgb.poly import lm, monic, normal_form, poly, sorted_basis
 from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
 
-from conftest import MEMBER_TEXT, TORIC_TEXT, expr, ideal_equal, xmono
+from conftest import MEMBER_TEXT, TORIC_TEXT, expr, ideal_equal, random_xmono, xmono
 
 X = Ring((FamilySpec("x"),))
 
@@ -220,6 +221,45 @@ class TestAutoreduce:
         basis = egb_buchberger(toric_problem.generators).basis
         assert autoreduce(basis) == basis
 
+    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    def test_agrees_with_restart_scan(self, divides):
+        rng = random.Random(21)
+        lead_changes = 0
+        for _ in range(150):
+            G = []
+            for _k in range(rng.randrange(1, 6)):
+                terms = [
+                    (rng.choice([-2, -1, 1, 3]), random_xmono(rng, max_index=3, max_degree=3))
+                    for _t in range(rng.randrange(1, 4))
+                ]
+                G.append(p(*terms))
+            expected = _restart_autoreduce(G, divides)
+            assert autoreduce(G, divides) == expected
+            leads = {lm(g) for g in G if not g.is_zero}
+            lead_changes += any(lm(h) not in leads for h in expected)
+        # the inputs exercise the flag reset: some reduce a lead away
+        assert lead_changes > 0
+
+
+def _restart_autoreduce(G, divides):
+    """Reference interreduction: restart the scan after every change."""
+    basis = [monic(g) for g in G if not g.is_zero]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1 :]
+            h = normal_form(basis[i], others, divides=divides)
+            if h.is_zero:
+                basis.pop(i)
+                changed = True
+                break
+            h = monic(h)
+            if h != basis[i]:
+                basis[i] = h
+                changed = True
+    return sorted_basis(basis)
+
 
 class TestIncremental:
     def test_single_variable(self):
@@ -242,3 +282,18 @@ class TestIncremental:
     def test_budget_when_width_exhausted(self, toric_problem):
         res = egb_incremental(toric_problem.generators, EngineLimits(max_width=2))
         assert res.status == BUDGET
+
+    def test_budget_interreduces_each_level_once(self, toric_problem, monkeypatch):
+        # the budgeted return reuses the last level's interreduced basis
+        orbit_calls = []
+        real = buchberger.autoreduce
+
+        def counting(G, divides=None):
+            if divides is None:
+                orbit_calls.append(len(G))
+            return real(G, divides)
+
+        monkeypatch.setattr(buchberger, "autoreduce", counting)
+        res = egb_incremental(toric_problem.generators, EngineLimits(max_width=3))
+        assert res.status == BUDGET
+        assert len(orbit_calls) <= res.stats["levels"]

@@ -89,6 +89,17 @@ class TestReduce:
     def test_trailing_garbage_in_poly(self, member_file, capsys):
         assert main(["reduce", member_file, "--poly", "x[0] x"]) == EXIT_USAGE
 
+    def test_honours_algorithm_option(self, member_file, tmp_path, capsys):
+        # buchberger exhausts max_width = 4 on this input; incremental completes
+        query = "x[3]*x[1]*x[0] + x[2]^3 - x[4]"
+        assert main(["reduce", member_file, "--poly", query]) == EXIT_OK
+        expected = capsys.readouterr().out
+        f = tmp_path / "member_incremental.egb"
+        f.write_text(MEMBER_TEXT + "\noptions { algorithm = incremental; max_width = 4; }\n")
+        assert main(["reduce", str(f), "--poly", query]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert main(["member", str(f), "--poly", MEMBER_H]) == EXIT_OK
+
 
 class TestMember:
     def test_positive(self, member_file):

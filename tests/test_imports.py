@@ -29,3 +29,12 @@ def test_no_function_local_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _function_local_imports(tree)]
     assert offenders == []
+
+
+def test_one_monomial_order_key():
+    # the monomial order lives in rings.order_key; a comparator wrapped in
+    # cmp_to_key would define a second copy of it
+    offenders = [
+        path.name for path in sorted(SRC.glob("*.py")) if "cmp_to_key" in path.read_text()
+    ]
+    assert offenders == []

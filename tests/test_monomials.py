@@ -32,6 +32,9 @@ XY = Ring(
 )
 
 
+XYG = Ring(XY.families, order_kind="grlex")
+
+
 def yvar(i, j):
     return (1, (i, j))
 
@@ -183,6 +186,37 @@ class TestCompare:
     def test_family_precedence(self):
         # x precedes y, so any x-variable beats any y-variable under lex
         assert compare(XY, xmono(0), ymono((5, 2))) == 1
+
+
+class TestOrderOracle:
+    """compare against a dense definition of lex and grlex."""
+
+    N = 4
+    # every variable with indices below N, greatest first: x before y,
+    # larger index tuples first within a family
+    VARIABLES = [(0, (i,)) for i in reversed(range(N))] + [
+        (1, (i, j)) for i in reversed(range(N)) for j in reversed(range(i))
+    ]
+
+    def _dense(self, ring, m):
+        vec = tuple(m.exponent(v) for v in self.VARIABLES)
+        if ring.order_kind == "lex":
+            return vec
+        weights = [ring.families[rank].weight for rank, _ in self.VARIABLES]
+        return (sum(w * e for w, e in zip(weights, vec)), vec)
+
+    def _random(self, rng):
+        return Monomial.from_dict(
+            {rng.choice(self.VARIABLES): rng.randrange(1, 4) for _ in range(rng.randrange(5))}
+        )
+
+    @pytest.mark.parametrize("ring", [XY, XYG], ids=["lex", "grlex"])
+    def test_matches_dense_exponent_vectors(self, ring):
+        rng = random.Random(9)
+        for _ in range(2000):
+            a, b = self._random(rng), self._random(rng)
+            da, db = self._dense(ring, a), self._dense(ring, b)
+            assert compare(ring, a, b) == (da > db) - (da < db)
 
 
 class TestOrderAxioms:

@@ -253,6 +253,15 @@ class TestEgbSignature:
         b = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
         assert a.stats == b.stats and a.basis == b.basis
 
+    def test_stats_schema_fixed(self, toric_problem):
+        # every counter is present whatever the input, at 0 when unused
+        toric = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
+        assert toric.stats["tied_zero_reductions"] > 0
+        empty = egb_signature([]).stats
+        assert set(empty.values()) == {0}
+        for stats in (empty, egb_signature([p((1, xmono(0)))]).stats):
+            assert stats.keys() == toric.stats.keys()
+
 
 class TestPrincipalSyzygies:
     def test_single_generator_none(self):
