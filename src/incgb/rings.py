@@ -16,7 +16,7 @@ variable and monomial orders; every comparison and sort derives from them.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .incmaps import IDENTITY, IncMap, extend_partial
@@ -200,31 +200,93 @@ def compare(ring: Ring, a: Monomial, b: Monomial):
     return (ka > kb) - (ka < kb)
 
 
+def _match_witnesses(a: Monomial, b: Monomial):
+    """Yield the witnesses of ``pi_div_witnesses`` one at a time, in its order.
+
+    A backtracking search: the indices of a get their images one at a time,
+    smallest index first, each image tried in ascending order among the
+    indices of b.  A partial assignment is dropped as soon as its gaps admit
+    no increasing map (the image t_k of the k-th index s_k needs t_0 >= s_0
+    and t_k - t_{k-1} >= s_k - s_{k-1}) or a factor of a whose indices all
+    have images is missing from b, or has a smaller exponent there.  The map
+    itself is built only for a full match.  Cheap necessary conditions come
+    first: no more factors or indices than b, room for the index gaps, and
+    no larger degree in any family.
+    """
+    if a.is_unit:
+        yield IDENTITY
+        return
+    if len(a.factors) > len(b.factors):
+        return
+    src = a.indices()
+    tgt = b.indices()
+    k = len(src)
+    n = len(tgt)
+    if k > n or tgt[-1] < src[-1] or tgt[-1] - tgt[0] < src[-1] - src[0]:
+        return
+    degree = {}
+    for (rank, _), e in b.factors:
+        degree[rank] = degree.get(rank, 0) + e
+    for (rank, _), e in a.factors:
+        left = degree.get(rank, 0) - e
+        if left < 0:
+            return
+        degree[rank] = left
+    # closing[j]: the factors of a checked once src[j] has its image, those
+    # whose largest index it is
+    closing = [[] for _ in src]
+    for (rank, idx), e in a.factors:
+        closing[bisect_left(src, max(idx))].append((rank, idx, e))
+    exponents = dict(b.factors)
+    image = {}  # source index -> its image, filled in the order of src
+    image_of = image.__getitem__
+    at = [0] * k  # at[j]: position in tgt of the image of src[j]
+    j = 0
+    s = src[0]
+    p = bisect_left(tgt, s)
+    while True:
+        if p > n - k + j:  # too few indices of b left for src[j:]
+            j -= 1
+            if j < 0:
+                return
+            s = src[j]
+            p = at[j] + 1
+            continue
+        image[s] = t = tgt[p]
+        at[j] = p
+        for rank, idx, e in closing[j]:
+            if exponents.get((rank, tuple(map(image_of, idx))), 0) < e:
+                p += 1
+                break
+        else:
+            if j == k - 1:
+                yield extend_partial(src, tuple(image.values()))
+                p += 1
+            else:
+                j += 1
+                nxt = src[j]
+                p = bisect_left(tgt, t + nxt - s, p + 1)
+                s = nxt
+
+
 def pi_div_witnesses(a: Monomial, b: Monomial):
     """All increasing maps sending a onto a divisor of b.
 
     Witnesses map the indices of a into the indices of b (divisibility
     forces the image there) and are extended minimally elsewhere; they are
     listed by ascending image sequence, so the first is the canonical one.
+    They are found by backtracking (``_match_witnesses``), not by trying
+    every choice of indices of b: images are assigned smallest index first,
+    and a partial assignment is dropped as soon as its gaps admit no
+    increasing map or a factor of a whose indices all have images has too
+    small an exponent in b.
     """
-    if a.is_unit:
-        return [IDENTITY]
-    src = a.indices()
-    tgt = b.indices()
-    if len(src) > len(tgt):
-        return []
-    found = []
-    for combo in itertools.combinations(tgt, len(src)):
-        rho = extend_partial(src, combo)
-        if rho is not None and m_divides(m_act(rho, a), b):
-            found.append(rho)
-    return found
+    return list(_match_witnesses(a, b))
 
 
 def pi_divides(a: Monomial, b: Monomial):
     """The lexicographically smallest witness, or None."""
-    ws = pi_div_witnesses(a, b)
-    return ws[0] if ws else None
+    return next(_match_witnesses(a, b), None)
 
 
 def plain_divides(a: Monomial, b: Monomial):

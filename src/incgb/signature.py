@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import compose, extend_partial, map_to_tau, standard_form, tau_to_map
@@ -26,12 +27,12 @@ from .poly import Polynomial, act, lc, lm, monic, mul_term, normal_form, sorted_
 from .rings import (
     Monomial,
     Ring,
+    _match_witnesses,
     compare,
     m_act,
     m_divides,
     m_mul,
     m_quotient,
-    pi_div_witnesses,
     pi_divides,
 )
 from .spairs import interlacings, spair_generators
@@ -68,6 +69,30 @@ def tm_apply(tm: TwistedMonomial, m: Monomial) -> Monomial:
     return m_mul(tm.mono, m_act(tm.as_map(), m))
 
 
+@lru_cache(maxsize=None)
+def _shift_quotient(target_word, base_word):
+    """The shift part of a left quotient: (st, its word) or None.
+
+    st is forced on the image of the base's map by st o sb == s_target and
+    filled minimally elsewhere; the words must also multiply back to the
+    target's word.  This depends on the two words only, which recur far
+    more often than the twisted monomials, so it is computed once per pair.
+    """
+    sb = tau_to_map(base_word)
+    st_target = tau_to_map(target_word)
+    span = max(len(sb.values), len(st_target.values)) + 2
+    st = extend_partial(
+        tuple(sb(i) for i in range(span)),
+        tuple(st_target(i) for i in range(span)),
+    )
+    if st is None or compose(st, sb) != st_target:
+        return None
+    word = map_to_tau(st)
+    if standard_form(word + base_word) != target_word:
+        return None
+    return st, word
+
+
 def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
     """Twisted monomials t with t * base == target.
 
@@ -75,22 +100,15 @@ def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
     elsewhere, so at most one candidate is produced; a miss only forgoes a
     discard in the cover test.
     """
-    sb = base.as_map()
-    st_target = target.as_map()
-    span = max(len(sb.values), len(st_target.values)) + 2
-    st = extend_partial(
-        tuple(sb(i) for i in range(span)),
-        tuple(st_target(i) for i in range(span)),
-    )
-    if st is None or compose(st, sb) != st_target:
+    shift = _shift_quotient(target.word, base.word)
+    if shift is None:
         return []
+    st, word = shift
     moved = m_act(st, base.mono)
+    # once moved divides target's monomial, t * base == target holds exactly
     if not m_divides(moved, target.mono):
         return []
-    t = TwistedMonomial(m_quotient(target.mono, moved), map_to_tau(st))
-    if twisted_mul(t, base) != target:
-        return []
-    return [t]
+    return [TwistedMonomial(m_quotient(target.mono, moved), word)]
 
 
 @dataclass(frozen=True)
@@ -160,12 +178,14 @@ class SigEngine:
         return 0
 
     def lead_witness_multipliers(self, divisor: Monomial, target: Monomial):
-        """Twisted monomials t with t * divisor == target (as monomials)."""
-        out = []
-        for rho in pi_div_witnesses(divisor, target):
+        """Twisted monomials t with t * divisor == target (as monomials).
+
+        Yields (t, witness) lazily, in the witness order of
+        ``pi_div_witnesses``, so a caller that stops early builds no more.
+        """
+        for rho in _match_witnesses(divisor, target):
             cof = m_quotient(target, m_act(rho, divisor))
-            out.append((TwistedMonomial(cof, map_to_tau(rho)), rho))
-        return out
+            yield TwistedMonomial(cof, map_to_tau(rho)), rho
 
 
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from incgb.incmaps import IDENTITY, IncMap, compose, increasing_maps
+from incgb import rings
+from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial, increasing_maps
 from incgb.rings import (
     FamilySpec,
     Monomial,
@@ -170,6 +171,69 @@ class TestPiDivides:
         assert sorted(w(0) for w in ws) == [1, 4]
         assert pi_div_witnesses(xmono(0, 0), xmono(3)) == []
         assert pi_div_witnesses(Monomial(), Monomial()) == [IDENTITY]
+
+
+class TestWitnessOracle:
+    """pi_div_witnesses against the enumeration over index combinations.
+
+    ``brute_pi_witnesses`` is the enumeration ``pi_div_witnesses`` ran before
+    the backtracking matcher: every combination of b's indices, extended
+    minimally, kept when the image of a divides b.
+    """
+
+    @pytest.mark.parametrize("constraint", ["strictly_decreasing", "all_distinct"])
+    def test_ordered_witnesses_over_two_families(self, constraint):
+        ring = Ring((FamilySpec("x"), FamilySpec("y", arity=2, constraint=constraint)))
+        rng = random.Random(23)
+
+        def variable():
+            if rng.random() < 0.4:
+                return ring.variable("x", (rng.randrange(6),))
+            i, j = rng.sample(range(6), 2)
+            if constraint == "strictly_decreasing" and i < j:
+                i, j = j, i
+            return ring.variable("y", (i, j))
+
+        def monomial(size):
+            return Monomial.from_dict(
+                {variable(): rng.randrange(1, 3) for _ in range(rng.randrange(size + 1))}
+            )
+
+        pairs = [(Monomial(), Monomial()), (Monomial(), monomial(4)), (monomial(4), Monomial())]
+        for _ in range(1200):
+            a = monomial(3)
+            roll = rng.random()
+            if roll < 0.1:
+                b = a
+            elif roll < 0.55:
+                b = m_mul(m_act(random_incmap(rng), a), monomial(3))
+            else:
+                b = monomial(5)
+            pairs.append((a, b))
+        hits = 0
+        for a, b in pairs:
+            expected = brute_pi_witnesses(a, b)
+            assert pi_div_witnesses(a, b) == expected
+            assert pi_divides(a, b) == (expected[0] if expected else None)
+            hits += bool(expected)
+        assert hits >= 0.3 * len(pairs)
+
+    def test_no_enumeration(self, monkeypatch):
+        # one map is built per witness, none per rejected combination
+        built = []
+
+        def counting(sources, targets):
+            built.append(targets)
+            return extend_partial(sources, targets)
+
+        monkeypatch.setattr(rings, "extend_partial", counting)
+        a, b = ymono((1, 0)), ymono((3, 1), (2, 0), (5, 4))
+        ws = pi_div_witnesses(a, b)
+        assert [(w(0), w(1)) for w in ws] == [(0, 2), (1, 3), (4, 5)]
+        assert len(built) == len(ws)
+        built.clear()
+        assert pi_divides(a, b) == ws[0]
+        assert len(built) <= 1
 
 
 class TestCompare:

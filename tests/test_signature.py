@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
+from incgb.incmaps import compose, extend_partial, map_to_tau
 from incgb.poly import lm, monic, poly
-from incgb.rings import FamilySpec, Monomial, Ring
+from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_divides, m_quotient
 from incgb.signature import (
     UNIT_TM,
     LabeledPoly,
@@ -93,6 +95,55 @@ class TestLeftQuotients:
     def test_unit_base(self):
         target = tm(xmono(2), 1)
         assert tm_left_quotients(target, UNIT_TM) == [target]
+
+
+def _reference_left_quotients(target, base):
+    """tm_left_quotients as it was before its shift part was memoized."""
+    sb = base.as_map()
+    st_target = target.as_map()
+    span = max(len(sb.values), len(st_target.values)) + 2
+    st = extend_partial(
+        tuple(sb(i) for i in range(span)),
+        tuple(st_target(i) for i in range(span)),
+    )
+    if st is None or compose(st, sb) != st_target:
+        return []
+    moved = m_act(st, base.mono)
+    if not m_divides(moved, target.mono):
+        return []
+    t = TwistedMonomial(m_quotient(target.mono, moved), map_to_tau(st))
+    if twisted_mul(t, base) != target:
+        return []
+    return [t]
+
+
+class TestShiftQuotientMemo:
+    def test_agrees_with_unmemoized(self):
+        rng = random.Random(29)
+        # few words, many monomials: every word pair recurs with other monomials
+        words = [(), (0,), (1,), (0, 0), (0, 2), (1, 1), (2,), (0, 1, 3), (2, 0), (3, 1, 1)]
+        signature._shift_quotient.cache_clear()
+        found = 0
+        for _ in range(1500):
+            base = tm(random_xmono(rng, 4, 3), *rng.choice(words))
+            if rng.random() < 0.5:
+                target = twisted_mul(tm(random_xmono(rng, 4, 2), *rng.choice(words)), base)
+            else:
+                target = tm(random_xmono(rng, 6, 4), *rng.choice(words))
+            expected = _reference_left_quotients(target, base)
+            assert tm_left_quotients(target, base) == expected
+            found += bool(expected)
+        assert found > 300
+        assert signature._shift_quotient.cache_info().hits > 0
+
+    def test_emptied_with_the_module_caches(self):
+        tm_left_quotients(tm(xmono(2), 1), tm(xmono(0), 0))
+        assert signature._shift_quotient.cache_info().currsize > 0
+        # as a fresh process starts: clear every functools cache the module holds
+        for obj in vars(signature).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+        assert signature._shift_quotient.cache_info().currsize == 0
 
 
 class TestSchreyerOrder:
