@@ -23,7 +23,7 @@ from fractions import Fraction
 from .incmaps import increasing_maps
 from .poly import act, lm, monic, mul_term, normal_form, sorted_basis, subtract
 from .rings import pi_divides, plain_divides
-from .spairs import spair_generators, spair_generators_classical
+from .spairs import has_spair_witness, spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
 BUDGET = "budget_exhausted"
@@ -60,13 +60,15 @@ def _spoly(gen, G):
     return subtract(h1, h2)
 
 
-def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
+def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
     """Buchberger's loop, shared by the direct and classical engines.
 
     ``pairs(f, g, i, j)`` lists the critical-pair generators of basis
-    entries i <= j, and ``divides`` is the reduction's divisibility test.
-    Each limit stops the run with the partial, unreduced basis and BUDGET;
-    a drained queue returns the interreduced basis.
+    entries i <= j, ``nonempty(f, g, i, j)`` is a cheap test that is true
+    only when that list is nonempty, and ``divides`` is the reduction's
+    divisibility test.  Each limit stops the run with the partial,
+    unreduced basis and BUDGET; a drained queue returns the interreduced
+    basis, or BUDGET if pairs past max_width were skipped.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
@@ -75,10 +77,17 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     ring = G[0].ring
     queue = []
     seq = 0
+    over_width = False
 
     def push_pairs(i, j):
-        nonlocal seq
-        for gen in pairs(G[i], G[j], i, j):
+        nonlocal seq, over_width
+        # An increasing map never lowers an index, so no overlap is narrower
+        # than a lead; pairs past max_width would only pop to return BUDGET.
+        f, g = G[i], G[j]
+        if max(lm(f).width(), lm(g).width()) > limits.max_width and nonempty(f, g, i, j):
+            over_width = True
+            return
+        for gen in pairs(f, g, i, j):
             heapq.heappush(
                 queue,
                 (gen.overlap.width(), gen.overlap.degree(ring), seq, gen),
@@ -108,17 +117,21 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
         for i in range(len(G)):
             push_pairs(i, k)
 
+    if over_width:
+        return EgbResult(G, stats, BUDGET)
     return EgbResult(autoreduce(G, divides), stats, COMPLETE)
 
 
 def egb_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
-    return _pair_loop(F, spair_generators, pi_divides, limits)
+    return _pair_loop(F, spair_generators, has_spair_witness, pi_divides, limits)
 
 
 def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
-    return _pair_loop(F, spair_generators_classical, plain_divides, limits)
+    # the classical generator is cheap enough to be its own nonempty test
+    pairs = spair_generators_classical
+    return _pair_loop(F, pairs, pairs, plain_divides, limits)
 
 
 def orbit_truncate(F, n):

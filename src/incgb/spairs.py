@@ -21,14 +21,20 @@ from .rings import Monomial, m_act, m_coprime, m_lcm, m_quotient
 
 def interlacings(wf, wg):
     """All pairs of increasing maps [wf] -> [k], [wg] -> [k] whose images
-    jointly cover an initial segment {0..k-1}."""
+    jointly cover an initial segment {0..k-1}.
+
+    g's image is what f's image ``a`` misses plus wf + wg - k shared indices
+    of ``a``.  Equal-length sorted images order by the least element of
+    their symmetric difference, which is shared, so taking the shared part
+    in ``combinations(a, .)`` order lists g's images in sorted order.
+    """
     out = []
     for k in range(max(wf, wg), wf + wg + 1):
-        full = frozenset(range(k))
         for a in itertools.combinations(range(k), wf):
-            for b in itertools.combinations(range(k), wg):
-                if frozenset(a) | frozenset(b) == full:
-                    out.append((IncMap(a), IncMap(b)))
+            fa = IncMap(a)
+            missed = tuple(i for i in range(k) if i not in a)
+            for shared in itertools.combinations(a, wf + wg - k):
+                out.append((fa, IncMap(tuple(sorted(missed + shared)))))
     return out
 
 
@@ -76,6 +82,21 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
             SPairGen(fi, gi, s1, s2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
         )
     return gens
+
+
+def has_spair_witness(f: Polynomial, g: Polynomial, fi, gi):
+    """Whether one interlacing shows that spair_generators(f, g, fi, gi) is
+    nonempty, without enumerating any; False proves nothing.
+
+    Distinct entries whose leads share a variable keep the identity
+    interlacing.  A self-pair whose non-unit lead misses an index q below
+    the width keeps the maps that skip q and q + 1: they differ only at q,
+    so they move the lead alike.
+    """
+    lead = lm(f)
+    if fi != gi:
+        return not m_coprime(lead, lm(g))
+    return not lead.is_unit and len(lead.indices()) < f.width()
 
 
 def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):

@@ -101,6 +101,63 @@ class TestEgbBuchberger:
                     assert pi_divides(lm(g), lm(f)) is None
 
 
+class TestWidthSkip:
+    """Pairs whose leads are wider than max_width are never generated."""
+
+    @pytest.mark.parametrize(
+        "lead, limits",
+        [
+            ((40, 0), EngineLimits(max_pairs=1)),
+            ((6, 0), EngineLimits(max_width=3, max_pairs=10)),
+        ],
+        ids=["x40-max_pairs1", "x6-max_width3"],
+    )
+    def test_wide_lead_returns_budget_at_once(self, lead, limits, monkeypatch):
+        calls = []
+        real = buchberger.spair_generators
+
+        def counting(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(buchberger, "spair_generators", counting)
+        f = p((1, xmono(*lead)), (-1, xmono(1)))
+        res = egb_buchberger([f], limits)
+        assert res.status == BUDGET
+        assert res.basis == [f]
+        assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
+        assert calls == []
+
+    def test_mixed_skip_pinned(self):
+        # the self-pair of the first generator is skipped, the rest are
+        # processed; status, basis and stats are those of full generation
+        F = [p((1, xmono(5, 0)), (-1, xmono(1))), p((1, xmono(1, 1)), (-1, xmono(0)))]
+        res = egb_buchberger(F, EngineLimits(max_width=3))
+        assert res.status == BUDGET
+        assert list(map(format_polynomial, res.basis)) == [
+            "x[5]*x[0] - x[1]",
+            "x[1]^2 - x[0]",
+            "x[1] - x[0]",
+            "x[0]^2 - x[0]",
+        ]
+        assert res.stats == {"pairs_processed": 7, "zero_reductions": 5, "insertions": 2}
+
+    @pytest.mark.parametrize("text, width", [("y[1,0]", 1), ("x[0]", 0)])
+    def test_wide_lead_without_pairs_completes(self, toric_problem, text, width):
+        # a self-pair set can be empty although the lead is too wide: then
+        # no pair ever reaches the width check, and the run completes
+        f = expr(toric_problem, text)
+        res = egb_buchberger([f], EngineLimits(max_width=width))
+        assert res.status == COMPLETE and res.basis == [f]
+
+    def test_classical_wide_leads_complete(self):
+        # classical self-pairs are empty and these leads are coprime
+        F = [p((1, xmono(5, 0)), (-1, xmono(1))), p((1, xmono(1, 1)), (-1, xmono(0)))]
+        res = classical_buchberger(F, EngineLimits(max_width=3))
+        assert res.status == COMPLETE
+        assert res.stats["pairs_processed"] == 0
+
+
 class TestOrbitTruncate:
     def test_single_variable(self):
         out = orbit_truncate([p((1, xmono(0)))], 3)

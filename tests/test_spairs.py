@@ -4,18 +4,31 @@ import itertools
 import random
 from fractions import Fraction
 
+from incgb import spairs
 from incgb.incmaps import IncMap, compose, increasing_maps
 from incgb.poly import lm, poly
 from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_lcm, m_mul, m_quotient
-from incgb.spairs import interlacings, spair_generators
+from incgb.spairs import has_spair_witness, interlacings, spair_generators
 
-from conftest import xmono
+from conftest import random_xmono, xmono
 
 X = Ring((FamilySpec("x"),))
 
 
 def p(*terms):
     return poly(X, [(Fraction(c), m) for c, m in terms])
+
+
+def filter_interlacings(wf, wg):
+    """Reference: every pair of images, kept when they jointly cover {0..k-1}."""
+    out = []
+    for k in range(max(wf, wg), wf + wg + 1):
+        full = frozenset(range(k))
+        for a in itertools.combinations(range(k), wf):
+            for b in itertools.combinations(range(k), wg):
+                if frozenset(a) | frozenset(b) == full:
+                    out.append((IncMap(a), IncMap(b)))
+    return out
 
 
 class TestInterlacings:
@@ -44,6 +57,52 @@ class TestInterlacings:
                     if united == set(range(len(united))):
                         brute += 1
             assert len(interlacings(wf, wg)) == brute
+
+    def test_order_matches_filter_oracle(self):
+        for wf in range(6):
+            for wg in range(6):
+                assert interlacings(wf, wg) == filter_interlacings(wf, wg), (wf, wg)
+
+    def test_no_filter(self, monkeypatch):
+        # built, not filtered: one tuple per f image plus one per result
+        drawn = [0]
+        real = itertools.combinations
+
+        def counting(*args):
+            for c in real(*args):
+                drawn[0] += 1
+                yield c
+
+        monkeypatch.setattr(spairs.itertools, "combinations", counting)
+        result = interlacings(6, 6)
+        assert len(result) == 8989
+        assert drawn[0] <= 2 * len(result)
+
+
+class TestSpairWitness:
+    def test_witness_implies_pairs(self):
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            f = p((1, random_xmono(rng, 3, 3)), (-1, random_xmono(rng, 3, 2)))
+            g = p((1, random_xmono(rng, 3, 3)), (2, Monomial()))
+            for a, b, i, j in [(f, f, 0, 0), (f, g, 0, 1), (g, g, 1, 1)]:
+                if a.is_zero or b.is_zero:
+                    continue
+                witnessed = has_spair_witness(a, b, i, j)
+                seen[witnessed] += 1
+                if witnessed:
+                    assert spair_generators(a, b, i, j)
+        assert min(seen.values()) > 50
+
+    def test_self_pair_cases(self):
+        # x[5] moves alike under the maps skipping 0 and 1; x[0] has no
+        # index to spare, and its self-pairs are in fact all coprime
+        wide = p((1, xmono(5)))
+        assert has_spair_witness(wide, wide, 0, 0)
+        narrow = p((1, xmono(0)))
+        assert not has_spair_witness(narrow, narrow, 0, 0)
+        assert spair_generators(narrow, narrow, 0, 0) == []
 
 
 class TestSpairGenerators:
