@@ -55,11 +55,11 @@ class SystemExit2(Exception):
 
 
 def _limits(problem, args):
-    opts = problem.options
+    opts, default = problem.options, EngineLimits()
     max_width, max_pairs = args.max_width, args.max_pairs
     return EngineLimits(
-        max_width=max_width if max_width is not None else opts.get("max_width", 16),
-        max_pairs=max_pairs if max_pairs is not None else opts.get("max_pairs", 100_000),
+        max_width=max_width if max_width is not None else opts.get("max_width", default.max_width),
+        max_pairs=max_pairs if max_pairs is not None else opts.get("max_pairs", default.max_pairs),
         max_basis=opts.get("max_basis"),
     )
 

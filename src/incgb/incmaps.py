@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 
 def _trim(values):
@@ -117,14 +117,9 @@ def tau(i):
     return IncMap(tuple(range(i)) + (i + 1,))
 
 
-@lru_cache(maxsize=None)
-def _tau_to_map_cached(word):
-    return reduce(compose, (tau(i) for i in word), IDENTITY)
-
-
 def tau_to_map(word) -> IncMap:
     """Evaluate a generator word (left-to-right composition) to a map."""
-    return _tau_to_map_cached(tuple(word))
+    return reduce(compose, (tau(i) for i in word), IDENTITY)
 
 
 def map_to_tau(rho: IncMap):

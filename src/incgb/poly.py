@@ -121,18 +121,6 @@ def monic(f: Polynomial) -> Polynomial:
     return scale(f, 1 / lc(f))
 
 
-def pi_reduce_step(f: Polynomial, g: Polynomial):
-    """One lead reduction of f by an orbit element of g, or None."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("reduction needs nonzero polynomials")
-    rho = pi_divides(lm(g), lm(f))
-    if rho is None:
-        return None
-    g_img = act(rho, g)
-    cof = m_quotient(lm(f), lm(g_img))
-    return subtract(f, mul_term(g_img, lc(f) / lc(g_img), cof))
-
-
 @dataclass(frozen=True)
 class ReductionStep:
     reducer: int  # index into the reducer list

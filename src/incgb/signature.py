@@ -1,11 +1,12 @@
 """Signature-based orbit engine over the shift-twisted monomial algebra.
 
-Module terms live in a free module over monomials twisted by shift words:
-a twisted monomial is a plain monomial times a weakly increasing word in the
-shift generators, in left standard form.  Signatures (lead module terms)
-are ordered by the Schreyer order induced by the lead monomials of the
-module generators, ties broken by position and then by a fixed total order
-on twisted monomials.
+Module terms live in a free module over monomials twisted by shifts: a
+twisted monomial is a plain monomial times an increasing map, and acts on a
+monomial m as mono * shift(m).  Signatures (lead module terms) are ordered
+by the Schreyer order induced by the lead monomials of the module
+generators, ties broken by position and then by a fixed total order on
+twisted monomials.  The order is one sort key, ``SigEngine.sig_key``; the
+shift's generator word appears only in its last tie-break.
 
 ``egb_signature`` adds an extra full orbit normal-form step on each new
 basis element; when the step changes the element, the module rank grows
@@ -22,64 +23,55 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
-from .incmaps import compose, extend_partial, map_to_tau, standard_form, tau_to_map
+from .incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau
 from .poly import Polynomial, act, lc, lm, monic, mul_term, normal_form, sorted_basis, subtract
 from .rings import (
+    UNIT,
     Monomial,
     Ring,
     _match_witnesses,
-    compare,
     m_act,
     m_divides,
     m_mul,
     m_quotient,
+    order_key,
     pi_divides,
 )
 from .spairs import interlacings, spair_generators
 
-UNIT_MONO = Monomial()
-
 
 @dataclass(frozen=True)
 class TwistedMonomial:
-    """mono * t_{j1}...t_{jd} in left standard form (word weakly increasing)."""
+    """mono * shift: acts on a monomial m as mono * shift(m)."""
 
-    mono: Monomial = UNIT_MONO
-    word: tuple = ()
-
-    @property
-    def is_unit(self):
-        return self.mono.is_unit and not self.word
-
-    def as_map(self):
-        return tau_to_map(self.word)
+    mono: Monomial = UNIT
+    shift: IncMap = IDENTITY
 
 
 UNIT_TM = TwistedMonomial()
 
 
 def twisted_mul(a: TwistedMonomial, b: TwistedMonomial) -> TwistedMonomial:
-    """(m, s)(n, t) = (m * s(n), s t), renormalized to left standard form."""
-    mono = m_mul(a.mono, m_act(a.as_map(), b.mono))
-    return TwistedMonomial(mono, standard_form(a.word + b.word))
+    """(m, s)(n, t) = (m * s(n), s o t)."""
+    return TwistedMonomial(m_mul(a.mono, m_act(a.shift, b.mono)), compose(a.shift, b.shift))
 
 
 def tm_apply(tm: TwistedMonomial, m: Monomial) -> Monomial:
     """Action of a twisted monomial on an ordinary monomial."""
-    return m_mul(tm.mono, m_act(tm.as_map(), m))
+    return m_mul(tm.mono, m_act(tm.shift, m))
 
 
 @lru_cache(maxsize=None)
-def _shift_quotient(target_word, base_word):
-    """The shift part of a left quotient: (st, its word) or None.
+def _shift_quotient(target_values, base_values):
+    """The shift part of a left quotient, st with st o sb == s_target, or None.
 
-    st is forced on the image of the base's map by st o sb == s_target and
-    filled minimally elsewhere; the words must also multiply back to the
-    target's word.  This depends on the two words only, which recur far
-    more often than the twisted monomials, so it is computed once per pair.
+    st is forced on the image of the base's map and filled minimally
+    elsewhere.  This depends on the two maps only, which recur far more
+    often than the twisted monomials, so it is computed once per pair; the
+    memo is keyed on the maps' value tuples, which hash faster than maps.
     """
-    sb = tau_to_map(base_word)
-    st_target = tau_to_map(target_word)
+    sb = IncMap(base_values)
+    st_target = IncMap(target_values)
     span = max(len(sb.values), len(st_target.values)) + 2
     st = extend_partial(
         tuple(sb(i) for i in range(span)),
@@ -87,10 +79,7 @@ def _shift_quotient(target_word, base_word):
     )
     if st is None or compose(st, sb) != st_target:
         return None
-    word = map_to_tau(st)
-    if standard_form(word + base_word) != target_word:
-        return None
-    return st, word
+    return st
 
 
 def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
@@ -100,15 +89,14 @@ def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
     elsewhere, so at most one candidate is produced; a miss only forgoes a
     discard in the cover test.
     """
-    shift = _shift_quotient(target.word, base.word)
-    if shift is None:
+    st = _shift_quotient(target.shift.values, base.shift.values)
+    if st is None:
         return []
-    st, word = shift
     moved = m_act(st, base.mono)
     # once moved divides target's monomial, t * base == target holds exactly
     if not m_divides(moved, target.mono):
         return []
-    return [TwistedMonomial(m_quotient(target.mono, moved), word)]
+    return [TwistedMonomial(m_quotient(target.mono, moved), st)]
 
 
 @dataclass(frozen=True)
@@ -129,63 +117,50 @@ class SigEngine:
     def __init__(self, ring: Ring):
         self.ring = ring
         self.module_leads = []  # lm of the generator attached to each unit vector
-        self._images = {}
 
     def new_index(self, lead: Monomial) -> int:
         self.module_leads.append(lead)
         return len(self.module_leads) - 1
 
-    def sig_image(self, s: Signature) -> Monomial:
-        img = self._images.get(s)
-        if img is None:
-            img = tm_apply(s.tm, self.module_leads[s.index])
-            self._images[s] = img
-        return img
+    def sig_key(self, s: Signature):
+        """Sort key of the signature order; equal keys mean equal signatures.
 
-    def sig_compare_schreyer(self, s: Signature, t: Signature):
-        """Schreyer comparison proper: ring image of the term, then position.
+        ``key[:2]`` is the Schreyer order proper: the ring image of the term,
+        then position.  Distinct twisted monomials with the same image and
+        index tie there; only that level may justify discarding work.
 
-        Distinct twisted monomials with the same image and index compare
-        equal here; only this comparison may justify discarding work.
+        The rest is a fixed tie-break.  Among equal-image signatures the
+        one whose monomial part is larger counts as smaller, so the
+        least-shifted representative of a tied class is processed first
+        and the others reduce against it.  With the image fixed, a larger
+        monomial part means a smaller moved lead (cancellation in a
+        monomial order), so the key holds the moved lead ascending.  Equal
+        moved leads leave the shifts: the longer, then lexicographically
+        larger, generator word counts as smaller.  The tie-break is
+        preserved by left multiplication, which reduction and covering
+        rely on.  Keys are not cached: holding one per signature costs
+        more memory than recomputing them costs time.
         """
-        c = compare(self.ring, self.sig_image(s), self.sig_image(t))
-        if c != 0:
-            return c
-        if s.index != t.index:
-            return -1 if s.index < t.index else 1
-        return 0
-
-    def sig_compare(self, s: Signature, t: Signature):
-        """Total order: Schreyer comparison refined by a fixed tie-break.
-
-        Among equal-image signatures the one whose monomial part is larger
-        (equivalently, whose shift part is closer to the identity) counts
-        as smaller, so the least-shifted representative of a tied class is
-        processed first and the others reduce against it.  The tie-break
-        is preserved by left multiplication, which the comparison's use in
-        reduction and covering relies on.
-        """
-        c = self.sig_compare_schreyer(s, t)
-        if c != 0:
-            return c
-        c = compare(self.ring, s.tm.mono, t.tm.mono)
-        if c != 0:
-            return -c
-        sw = (len(s.tm.word), s.tm.word)
-        tw = (len(t.tm.word), t.tm.word)
-        if sw != tw:
-            return 1 if sw < tw else -1
-        return 0
+        lead = self.module_leads[s.index]
+        moved = m_act(s.tm.shift, lead)
+        word = map_to_tau(s.tm.shift)
+        return (
+            order_key(self.ring, m_mul(s.tm.mono, moved)),
+            s.index,
+            order_key(self.ring, moved),
+            -len(word),
+            tuple(-j for j in word),
+        )
 
     def lead_witness_multipliers(self, divisor: Monomial, target: Monomial):
         """Twisted monomials t with t * divisor == target (as monomials).
 
-        Yields (t, witness) lazily, in the witness order of
-        ``pi_div_witnesses``, so a caller that stops early builds no more.
+        Yields them lazily, in the witness order of ``pi_div_witnesses``,
+        so a caller that stops early builds no more.  Each t's shift is
+        the witness.
         """
         for rho in _match_witnesses(divisor, target):
-            cof = m_quotient(target, m_act(rho, divisor))
-            yield TwistedMonomial(cof, map_to_tau(rho)), rho
+            yield TwistedMonomial(m_quotient(target, m_act(rho, divisor)), rho)
 
 
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
@@ -196,14 +171,12 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     """
     out = []
     for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
-        mult1 = TwistedMonomial(gen.cof1, map_to_tau(gen.map1))
-        mult2 = TwistedMonomial(gen.cof2, map_to_tau(gen.map2))
-        sig1 = Signature(twisted_mul(mult1, p.sig.tm), p.sig.index)
-        sig2 = Signature(twisted_mul(mult2, q.sig.tm), q.sig.index)
-        c = engine.sig_compare(sig1, sig2)
-        if c == 0:
+        sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
+        sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
+        key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
+        if key1 == key2:
             continue
-        if c > 0:
+        if key1 > key2:
             out.append(LabeledPoly(sig1, mul_term(act(gen.map1, p.poly), Fraction(1), gen.cof1)))
         else:
             out.append(LabeledPoly(sig2, mul_term(act(gen.map2, q.poly), Fraction(1), gen.cof2)))
@@ -222,12 +195,12 @@ def is_covered(j: LabeledPoly, G, S, engine: SigEngine) -> bool:
     """
     if j.poly.is_zero:
         return False
-    jl = lm(j.poly)
+    jl = order_key(engine.ring, lm(j.poly))
     for g in G:
         if g.sig.index != j.sig.index or g.poly.is_zero:
             continue
         for t in tm_left_quotients(j.sig.tm, g.sig.tm):
-            if compare(engine.ring, tm_apply(t, lm(g.poly)), jl) < 0:
+            if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
                 return True
     for s in S:
         if s.sig.index != j.sig.index:
@@ -249,6 +222,7 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
     The signature itself never changes.
     """
     work = p.poly
+    p_key = engine.sig_key(p.sig)
     tied_used = False
     while not work.is_zero:
         step = None
@@ -256,13 +230,12 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
         for g in G:
             if g.poly.is_zero:
                 continue
-            for t, rho in engine.lead_witness_multipliers(lm(g.poly), lm(work)):
-                moved = Signature(twisted_mul(t, g.sig.tm), g.sig.index)
-                c = engine.sig_compare(moved, p.sig)
-                if c == 0:
+            for t in engine.lead_witness_multipliers(lm(g.poly), lm(work)):
+                key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
+                if key == p_key:
                     singular = True
-                elif c < 0:
-                    step = (g, t, rho, engine.sig_compare_schreyer(moved, p.sig) == 0)
+                elif key < p_key:
+                    step = (g, t, key[:2] == p_key[:2])
                     break
             if step:
                 break
@@ -270,9 +243,9 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
             if singular:
                 return LabeledPoly(p.sig, work), True, tied_used
             break
-        g, t, rho, tied = step
+        g, t, tied = step
         tied_used = tied_used or tied
-        g_img = act(rho, g.poly)
+        g_img = act(t.shift, g.poly)
         ratio = lc(work) / lc(g_img)
         work = subtract(work, mul_term(g_img, ratio, t.mono))
     return LabeledPoly(p.sig, work), False, tied_used
@@ -293,52 +266,15 @@ def principal_syzygies(entries, engine: SigEngine):
             fi, fj = entries[i], entries[jdx]
             wi, wj = fi.poly.width(), fj.poly.width()
             for s1, s2 in interlacings(wi, wj):
-                lead_j = m_act(s2, lm(fj.poly))
-                lead_i = m_act(s1, lm(fi.poly))
-                cand_i = Signature(
-                    twisted_mul(TwistedMonomial(lead_j, map_to_tau(s1)), fi.sig.tm), fi.sig.index
-                )
-                cand_j = Signature(
-                    twisted_mul(TwistedMonomial(lead_i, map_to_tau(s2)), fj.sig.tm), fj.sig.index
-                )
-                larger = cand_i if engine.sig_compare(cand_i, cand_j) > 0 else cand_j
+                mult_i = TwistedMonomial(m_act(s2, lm(fj.poly)), s1)
+                mult_j = TwistedMonomial(m_act(s1, lm(fi.poly)), s2)
+                cand_i = Signature(twisted_mul(mult_i, fi.sig.tm), fi.sig.index)
+                cand_j = Signature(twisted_mul(mult_j, fj.sig.tm), fj.sig.index)
+                larger = cand_i if engine.sig_key(cand_i) > engine.sig_key(cand_j) else cand_j
                 rec = LabeledPoly(larger, Polynomial(fi.poly.ring, ()))
                 if rec not in out:
                     out.append(rec)
     return out
-
-
-class _QueueEntry:
-    """Heap adapter ordering pairs by signature degree, then signature.
-
-    The weighted degree of the Schreyer image comes first so the queue is
-    processed in finite degree bands.  Under a non-graded ring order,
-    popping by raw signature order alone can starve a pair forever: every
-    insertion spawns new pairs, and infinitely many of them can compare
-    below a fixed signature even as their degrees grow without bound.
-    Reduction and covering still use the undegreed signature order, so
-    discards stay justified independently of processing order.
-    """
-
-    __slots__ = ("pair", "seq", "engine", "degree")
-
-    def __init__(self, pair, seq, engine):
-        self.pair = pair
-        self.seq = seq
-        self.engine = engine
-        self.degree = engine.sig_image(pair.sig).degree(engine.ring)
-
-    def __lt__(self, other):
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        c = self.engine.sig_compare(self.pair.sig, other.pair.sig)
-        if c != 0:
-            return c < 0
-        if not self.pair.poly.is_zero and not other.pair.poly.is_zero:
-            c = compare(self.engine.ring, lm(self.pair.poly), lm(other.pair.poly))
-            if c != 0:
-                return c < 0
-        return self.seq < other.seq
 
 
 def _signature_loop(polys, engine, opts, limits):
@@ -357,8 +293,20 @@ def _signature_loop(polys, engine, opts, limits):
     seq = 0
 
     def push(pair):
+        # The weighted degree of the Schreyer image comes first, so the queue
+        # is processed in finite degree bands.  Under a non-graded ring
+        # order, popping by raw signature order alone can starve a pair
+        # forever: every insertion spawns new pairs, and infinitely many of
+        # them can compare below a fixed signature even as their degrees
+        # grow without bound.  Reduction and covering still use the
+        # undegreed signature order, so discards stay justified
+        # independently of processing order.  Queued polynomials are never
+        # zero: the generators are prepared nonzero and a J-pair is a
+        # multiple of a basis element.
         nonlocal seq
-        heapq.heappush(J, _QueueEntry(pair, seq, engine))
+        degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
+        key = engine.sig_key(pair.sig)
+        heapq.heappush(J, (degree, key, order_key(engine.ring, lm(pair.poly)), seq, pair))
         seq += 1
 
     for f in polys:
@@ -375,17 +323,16 @@ def _signature_loop(polys, engine, opts, limits):
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             status = BUDGET
             break
-        p = heapq.heappop(J).pair
-        if not p.poly.is_zero and p.poly.width() > limits.max_width:
+        p = heapq.heappop(J)[-1]
+        if p.poly.width() > limits.max_width:
             status = BUDGET
             break
-        key = (p.sig.tm, p.sig.index)
-        if key in done_sigs:
+        if p.sig in done_sigs:
             # one pair per exact signature: the minimal-lead representative
             # was already handled, later arrivals are singular against it
             stats["duplicate_signatures"] += 1
             continue
-        done_sigs.add(key)
+        done_sigs.add(p.sig)
         stats["pairs_processed"] += 1
         if opts.use_cover and is_covered(p, G, S, engine):
             stats["covered_pairs"] += 1
@@ -415,7 +362,7 @@ def _signature_loop(polys, engine, opts, limits):
         k = len(G) - 1
         for i in range(len(G)):
             for jp in j_pairs(G[i], G[k], i, k, engine):
-                if (jp.sig.tm, jp.sig.index) in done_sigs:
+                if jp.sig in done_sigs:
                     stats["duplicate_signatures"] += 1
                     continue
                 if opts.use_cover and is_covered(jp, G, S, engine):

@@ -38,3 +38,20 @@ def test_one_monomial_order_key():
         path.name for path in sorted(SRC.glob("*.py")) if "cmp_to_key" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_orders_are_keys():
+    # an order is a sort key (rings.order_key, SigEngine.sig_key); a class
+    # with a rich comparison hides a comparator that recomputes per call
+    ordering = {"__lt__", "__le__", "__gt__", "__ge__"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                offenders += [
+                    f"{path.name}:{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ordering
+                ]
+    assert offenders == []

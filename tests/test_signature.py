@@ -7,9 +7,19 @@ import pytest
 
 from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
-from incgb.incmaps import compose, extend_partial, map_to_tau
+from incgb.incmaps import compose, extend_partial, map_to_tau, tau_to_map
 from incgb.poly import lm, monic, poly
-from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_divides, m_quotient
+from incgb.problems import format_polynomial
+from incgb.rings import (
+    FamilySpec,
+    Monomial,
+    Ring,
+    compare,
+    m_act,
+    m_divides,
+    m_mul,
+    m_quotient,
+)
 from incgb.signature import (
     UNIT_TM,
     LabeledPoly,
@@ -27,7 +37,7 @@ from incgb.signature import (
     twisted_mul,
 )
 
-from conftest import TORIC_TEXT, expr, ideal_equal, random_xmono, xmono
+from conftest import expr, ideal_equal, random_incmap, random_xmono, xmono
 
 X = Ring((FamilySpec("x"),))
 
@@ -37,7 +47,7 @@ def p(*terms):
 
 
 def tm(mono, *word):
-    return TwistedMonomial(mono, tuple(word))
+    return TwistedMonomial(mono, tau_to_map(word))
 
 
 class TestTwistedMul:
@@ -55,7 +65,7 @@ class TestTwistedMul:
 
     def test_word_standardized(self):
         out = twisted_mul(tm(Monomial(), 3), tm(Monomial(), 1))
-        assert out.word == (1, 2)
+        assert map_to_tau(out.shift) == (1, 2)
 
     def test_associative(self):
         rng = random.Random(17)
@@ -99,8 +109,8 @@ class TestLeftQuotients:
 
 def _reference_left_quotients(target, base):
     """tm_left_quotients as it was before its shift part was memoized."""
-    sb = base.as_map()
-    st_target = target.as_map()
+    sb = base.shift
+    st_target = target.shift
     span = max(len(sb.values), len(st_target.values)) + 2
     st = extend_partial(
         tuple(sb(i) for i in range(span)),
@@ -111,7 +121,7 @@ def _reference_left_quotients(target, base):
     moved = m_act(st, base.mono)
     if not m_divides(moved, target.mono):
         return []
-    t = TwistedMonomial(m_quotient(target.mono, moved), map_to_tau(st))
+    t = TwistedMonomial(m_quotient(target.mono, moved), st)
     if twisted_mul(t, base) != target:
         return []
     return [t]
@@ -153,13 +163,13 @@ class TestSchreyerOrder:
 
     def test_reflexive(self):
         s = Signature(tm(xmono(2)), 0)
-        assert self.engine.sig_compare(s, s) == 0
+        assert self.engine.sig_key(s) == self.engine.sig_key(Signature(tm(xmono(2)), 0))
 
     def test_multiplied_signature_larger(self):
         # the J-pair example: x2*e0 versus x1*x2*e0
         s = Signature(tm(xmono(2)), 0)
         t = Signature(tm(xmono(1, 2)), 0)
-        assert self.engine.sig_compare(s, t) == -1
+        assert self.engine.sig_key(s) < self.engine.sig_key(t)
 
     def test_index_tie_break(self):
         engine = SigEngine(X)
@@ -167,7 +177,98 @@ class TestSchreyerOrder:
         engine.new_index(xmono(0))
         a = Signature(tm(xmono(3)), 0)
         b = Signature(tm(xmono(3)), 1)
-        assert engine.sig_compare_schreyer(a, b) == -1
+        assert engine.sig_key(a)[:2] < engine.sig_key(b)[:2]
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def _reference_schreyer(engine, s, t):
+    """The Schreyer comparison as a comparator: image, then position."""
+    image_s = tm_apply(s.tm, engine.module_leads[s.index])
+    image_t = tm_apply(t.tm, engine.module_leads[t.index])
+    c = compare(engine.ring, image_s, image_t)
+    if c != 0:
+        return c
+    return _sign(s.index, t.index)
+
+
+def _reference_compare(engine, s, t):
+    """The total signature order as a comparator, tie-breaking on the parts.
+
+    Among equal-image signatures the larger monomial part counts as
+    smaller; then the shorter (len, word) of the shift's generator word
+    counts as larger.
+    """
+    c = _reference_schreyer(engine, s, t)
+    if c != 0:
+        return c
+    c = compare(engine.ring, s.tm.mono, t.tm.mono)
+    if c != 0:
+        return -c
+    sw, tw = map_to_tau(s.tm.shift), map_to_tau(t.tm.shift)
+    return -_sign((len(sw), sw), (len(tw), tw))
+
+
+XY = Ring(
+    (FamilySpec("x"), FamilySpec("y", arity=2, constraint="strictly_decreasing", weight=2))
+)
+
+
+def _random_xymono(rng, max_index=4, max_degree=3):
+    exps = {}
+    for _ in range(rng.randrange(max_degree + 1)):
+        if rng.random() < 0.5:
+            var = (0, (rng.randrange(max_index + 1),))
+        else:
+            i, j = rng.sample(range(max_index + 1), 2)
+            var = (1, (max(i, j), min(i, j)))
+        exps[var] = exps.get(var, 0) + 1
+    return Monomial.from_dict(exps)
+
+
+class TestSignatureKeyOracle:
+    """``sig_key`` against the comparator it replaced, tie classes included."""
+
+    @pytest.mark.parametrize("kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("families", ["x", "x+y"])
+    def test_key_order_matches_reference(self, families, kind):
+        base = X if families == "x" else XY
+        ring = Ring(base.families, order_kind=kind)
+        draw = random_xmono if families == "x" else _random_xymono
+        rng = random.Random(31)
+        engine = SigEngine(ring)
+        for _ in range(3):
+            lead = draw(rng)
+            engine.new_index(lead)
+            engine.new_index(lead)  # a second position with the same lead
+        sigs = []
+        for _ in range(60):
+            index = rng.randrange(len(engine.module_leads))
+            lead = engine.module_leads[index]
+            common = draw(rng)
+            shift_s, shift_t = random_incmap(rng), random_incmap(rng)
+            # equal images split differently between mono and shift:
+            # common * t(lead) * s(lead) under either shift
+            for mono, shift in [
+                (m_mul(common, m_act(shift_t, lead)), shift_s),
+                (m_mul(common, m_act(shift_s, lead)), shift_t),
+                (common, shift_s),
+            ]:
+                sigs.append(Signature(TwistedMonomial(mono, shift), index))
+        keys = [engine.sig_key(s) for s in sigs]
+        ties = splits = 0
+        for s, ks in zip(sigs, keys):
+            for t, kt in zip(sigs, keys):
+                assert _sign(ks, kt) == _reference_compare(engine, s, t)
+                schreyer = _reference_schreyer(engine, s, t)
+                assert _sign(ks[:2], kt[:2]) == schreyer
+                if schreyer == 0 and s != t:
+                    ties += 1
+                    splits += s.tm.mono == t.tm.mono
+        assert ties - splits > 20  # equal image, told apart by the mono
+        assert splits > 20  # equal image and mono, told apart by the word only
 
 
 class TestJPairs:
@@ -245,7 +346,51 @@ class TestRegularTopReduce:
         assert out.sig == target.sig  # the signature never changes
 
 
+TORIC_BASIS = [
+    "x[1]*x[0] - y[1,0]",
+    "x[1]*y[2,0] - x[0]*y[2,1]",
+    "x[2]*y[1,0] - x[1]*y[2,0]",
+    "x[0]^2*y[2,1] - y[2,0]*y[1,0]",
+    "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
+    "y[3,2]*y[1,0] - y[3,1]*y[2,0]",
+]
+
+MEMBER_BASIS = [
+    "x[1]^2*x[0] - 2*x[1]^2 + x[1]*x[0]^2 - 2*x[1]*x[0]",
+    "x[1]^3 + x[1]^2*x[0] - 2*x[1]^2 - 2*x[1]*x[0]",
+    "x[2]*x[1] - x[2]*x[0]",
+    "x[2]^2 + x[2]*x[0] - x[1]^2 - x[1]*x[0]",
+    "x[2]*x[0]^2 - x[1]^2 - x[1]*x[0]",
+]
+
+STAT_KEYS = (
+    "pairs_processed",
+    "zero_reductions",
+    "tied_zero_reductions",
+    "covered_pairs",
+    "singular_discards",
+    "duplicate_signatures",
+    "insertions",
+    "syzygies",
+)
+
+
 class TestEgbSignature:
+    @pytest.mark.parametrize(
+        "problem, counts, basis",
+        [
+            ("toric", (1600, 401, 14, 935, 2, 142, 6, 401), TORIC_BASIS),
+            ("member", (499, 78, 7, 275, 0, 227, 6, 78), MEMBER_BASIS),
+        ],
+        ids=["toric", "member"],
+    )
+    def test_stats_pinned(self, request, problem, counts, basis):
+        # any change to the signature order moves these counters
+        res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
+        assert res.status == COMPLETE
+        assert res.stats == dict(zip(STAT_KEYS, counts))
+        assert [format_polynomial(f) for f in res.basis] == basis
+
     def test_trivial_input(self):
         res = egb_signature([p((1, xmono(0)))])
         assert res.status == COMPLETE and res.basis == [p((1, xmono(0)))]
@@ -253,13 +398,13 @@ class TestEgbSignature:
     def test_toric_reference_elements(self, toric_problem):
         res = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
         assert res.status == COMPLETE
-        rendered = sorted(map(_fmt, res.basis))
+        rendered = sorted(map(format_polynomial, res.basis))
         for wanted in [
             "x[1]*x[0] - y[1,0]",
             "y[3,2]*y[1,0] - y[3,1]*y[2,0]",
             "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
         ]:
-            assert _fmt(monic(expr(toric_problem, wanted))) in rendered
+            assert format_polynomial(monic(expr(toric_problem, wanted))) in rendered
         assert is_egb(res.basis)
         assert res.stats["zero_reductions"] > 0
         assert res.stats["covered_pairs"] > 0
@@ -330,9 +475,3 @@ class TestPrincipalSyzygies:
         # one syzygy signature per interlacing of two width-1 generators
         assert 1 <= len(out) <= 3
         assert all(s.poly.is_zero for s in out)
-
-
-def _fmt(f):
-    from incgb.problems import format_polynomial
-
-    return format_polynomial(f)
