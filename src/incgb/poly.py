@@ -8,11 +8,14 @@ Reduction uses orbit divisibility: a reducer g applies to a term t whenever
 some increasing map sends the lead monomial of g onto a divisor of t.
 ``normal_form`` performs full (tail) reduction and can emit a replayable
 trace of the steps it took, which serves as a membership certificate.  The
-classical engine runs the same kernel with plain divisibility.
+classical engine runs the same kernel with plain divisibility.  It keeps
+its work polynomial as a term accumulator, a coefficient dict plus a sorted
+list of order keys, and builds a ``Polynomial`` only for the result.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,31 +153,50 @@ def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
     defaults to ``pi_divides``; ``plain_divides`` gives classical reduction,
     whose only witness is the identity.  Steps are recorded only when a
     trace is requested.
+
+    The work polynomial is a term accumulator, not a ``Polynomial``: a dict
+    of coefficients plus its monomials in ascending ``order_key`` order.
+    The greatest is popped, and a step subtracts the shifted tail of g from
+    the dict, inserting only monomials new to it; the lead of g cancels
+    exactly.  A cancelled term keeps its entry, with coefficient 0, until it
+    is popped, so each monomial is listed once and, order keys being
+    injective, the list never compares two monomials.  Every new term lies
+    below the popped one, so a popped monomial never returns.  The result
+    is built once, from the irreducible terms in the order they were popped.
     """
     if divides is None:  # looked up per call, so a rebound module name applies
         divides = pi_divides
     ring = f.ring
+    live = [(gi, g, lm(g), lc(g)) for gi, g in enumerate(reducers) if not g.is_zero]
     steps = []
     done = []  # irreducible terms, collected in descending order
-    work = f
-    while not work.is_zero:
-        c, m = work.terms[0]
-        for gi, g in enumerate(reducers):
-            if g.is_zero:
-                continue
-            rho = divides(lm(g), m)
+    acc = {m: c for c, m in f.terms}
+    queue = [(order_key(ring, m), m) for _, m in reversed(f.terms)]  # ascending
+    while queue:
+        m = queue.pop()[1]
+        c = acc.pop(m)
+        if c == 0:
+            continue
+        for gi, g, lead, lead_c in live:
+            rho = divides(lead, m)
             if rho is None:
                 continue
-            g_img = act(rho, g)
-            cof = m_quotient(m, lm(g_img))
-            ratio = c / lc(g_img)
-            work = subtract(work, mul_term(g_img, ratio, cof))
+            # the action keeps coefficients and commutes with lm, and both
+            # it and multiplication by cof are injective on monomials
+            cof = m_quotient(m, m_act(rho, lead))
+            ratio = c / lead_c
+            for a, n in g.terms[1:]:
+                n = m_mul(m_act(rho, n), cof)
+                if n in acc:
+                    acc[n] -= ratio * a
+                else:
+                    acc[n] = -ratio * a
+                    insort(queue, (order_key(ring, n), n))
             if with_trace:
                 steps.append(ReductionStep(gi, rho, cof, ratio))
             break
         else:
             done.append((c, m))
-            work = Polynomial(ring, work.terms[1:])
     result = Polynomial(ring, tuple(done))
     if with_trace:
         return result, ReductionTrace(tuple(steps))

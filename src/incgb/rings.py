@@ -177,13 +177,14 @@ def m_coprime(a: Monomial, b: Monomial) -> bool:
 
 
 def m_act(rho: IncMap, m: Monomial) -> Monomial:
+    """The image of m under rho, factor by factor.
+
+    An increasing map keeps the ``var_key`` order of the variables of one
+    family and never merges two of them, so the factors stay sorted.
+    """
     if rho.is_identity or m.is_unit:
         return m
-    exps = {}
-    for (rank, idx), e in m.factors:
-        v = (rank, tuple(rho(i) for i in idx))
-        exps[v] = exps.get(v, 0) + e
-    return Monomial.from_dict(exps)
+    return Monomial(tuple(((rank, tuple(map(rho, idx))), e) for (rank, idx), e in m.factors))
 
 
 def order_key(ring: Ring, m: Monomial):

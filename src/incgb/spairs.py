@@ -90,13 +90,18 @@ def has_spair_witness(f: Polynomial, g: Polynomial, fi, gi):
 
     Distinct entries whose leads share a variable keep the identity
     interlacing.  A self-pair whose non-unit lead misses an index q below
-    the width keeps the maps that skip q and q + 1: they differ only at q,
-    so they move the lead alike.
+    the width w keeps the maps that skip q and q + 1: they differ only at q,
+    so they move the lead alike.  It also keeps the identity with the map
+    skipping w - 1 when a lead variable has all its indices below w - 1,
+    since both maps fix that variable.
     """
     lead = lm(f)
     if fi != gi:
         return not m_coprime(lead, lm(g))
-    return not lead.is_unit and len(lead.indices()) < f.width()
+    w = f.width()
+    if not lead.is_unit and len(lead.indices()) < w:
+        return True
+    return any(max(idx) < w - 1 for (_, idx), _ in lead.factors)
 
 
 def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):

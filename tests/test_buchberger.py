@@ -109,8 +109,9 @@ class TestWidthSkip:
         [
             ((40, 0), EngineLimits(max_pairs=1)),
             ((6, 0), EngineLimits(max_width=3, max_pairs=10)),
+            ((2, 1, 0), EngineLimits(max_width=2)),
         ],
-        ids=["x40-max_pairs1", "x6-max_width3"],
+        ids=["x40-max_pairs1", "x6-max_width3", "x210-max_width2"],
     )
     def test_wide_lead_returns_budget_at_once(self, lead, limits, monkeypatch):
         calls = []

@@ -83,6 +83,40 @@ class TestAct:
             m = random_xmono(rng)
             assert m_act(compose(a, b), m) == m_act(a, m_act(b, m))
 
+    def test_in_place_oracle(self):
+        # m_act maps the factors in place; the reference rebuilds and sorts
+        # them, as m_act did before relying on the action keeping the order
+        def reference(rho, m):
+            exps = {}
+            for (rank, idx), e in m.factors:
+                v = (rank, tuple(rho(i) for i in idx))
+                exps[v] = exps.get(v, 0) + e
+            return Monomial.from_dict(exps)
+
+        families = tuple(
+            FamilySpec(f"v{arity}{k}", arity, c)
+            for arity in (1, 2, 3)
+            for k, c in enumerate(rings.CONSTRAINTS)
+        )
+        ring = Ring(families)
+        rng = random.Random(29)
+
+        def variable():
+            fam = rng.choice(families)
+            if fam.constraint == "none":
+                idx = [rng.randrange(6) for _ in range(fam.arity)]
+            else:
+                idx = rng.sample(range(6), fam.arity)
+                if fam.constraint != "all_distinct":
+                    idx.sort(reverse=fam.constraint == "strictly_decreasing")
+            return ring.variable(fam.name, idx)
+
+        for _ in range(2000):
+            exps = {variable(): rng.randrange(1, 4) for _ in range(rng.randrange(5))}
+            m = Monomial.from_dict(exps)
+            rho = random_incmap(rng)
+            assert m_act(rho, m) == reference(rho, m)
+
 
 class TestPlainDivisibility:
     def test_unit_divides(self):

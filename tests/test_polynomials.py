@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from incgb import poly as poly_module
+from incgb.buchberger import _spoly
 from incgb.incmaps import IncMap
 from incgb.poly import (
     Polynomial,
+    ReductionStep,
+    ReductionTrace,
     act,
     add,
     constant,
@@ -22,7 +26,16 @@ from incgb.poly import (
     subtract,
     zero,
 )
-from incgb.rings import FamilySpec, Ring, compare, pi_divides
+from incgb.rings import (
+    FamilySpec,
+    Monomial,
+    Ring,
+    compare,
+    m_quotient,
+    pi_divides,
+    plain_divides,
+)
+from incgb.spairs import spair_generators
 
 from conftest import MEMBER_TEXT, expr, random_incmap, random_xmono, xmono
 
@@ -177,3 +190,101 @@ class TestNormalForm:
             assert normal_form(f, basis).is_zero
             rho = random_incmap(rng)
             assert normal_form(act(rho, f), basis).is_zero
+
+
+def reference_normal_form(f, reducers, divides):
+    """The subtract-based kernel: every step rebuilds the work polynomial."""
+    steps = []
+    done = []
+    work = f
+    while not work.is_zero:
+        c, m = work.terms[0]
+        for gi, g in enumerate(reducers):
+            if g.is_zero:
+                continue
+            rho = divides(lm(g), m)
+            if rho is None:
+                continue
+            g_img = act(rho, g)
+            cof = m_quotient(m, lm(g_img))
+            ratio = c / lc(g_img)
+            work = subtract(work, mul_term(g_img, ratio, cof))
+            steps.append(ReductionStep(gi, rho, cof, ratio))
+            break
+        else:
+            done.append((c, m))
+            work = Polynomial(f.ring, work.terms[1:])
+    return Polynomial(f.ring, tuple(done)), ReductionTrace(tuple(steps))
+
+
+class TestKernelOracle:
+    """normal_form's term accumulator against the subtract-based kernel."""
+
+    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
+    def test_matches_reference(self, y_constraint, order_kind, divides):
+        families = (FamilySpec("x"),)
+        if y_constraint is not None:
+            families += (FamilySpec("y", arity=2, constraint=y_constraint, weight=2),)
+        ring = Ring(families, order_kind=order_kind)
+        rng = random.Random(31)
+
+        def variable():
+            if y_constraint is None or rng.random() < 0.6:
+                return ring.variable("x", (rng.randrange(5),))
+            i, j = rng.sample(range(5), 2)
+            if y_constraint == "strictly_decreasing" and i < j:
+                i, j = j, i
+            return ring.variable("y", (i, j))
+
+        def monomial():
+            return Monomial.from_dict(
+                {variable(): rng.randrange(1, 3) for _ in range(rng.randrange(4))}
+            )
+
+        def polynomial(max_terms):
+            return poly(
+                ring,
+                [
+                    (Fraction(rng.choice([-3, -2, -1, 1, 2, 5])), monomial())
+                    for _ in range(rng.randrange(1, max_terms + 1))
+                ],
+            )
+
+        steps = 0
+        for _ in range(150):
+            f = polynomial(6)
+            G = [polynomial(3) for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.2:
+                G.insert(rng.randrange(len(G) + 1), zero(ring))
+            expected, expected_trace = reference_normal_form(f, G, divides)
+            out, trace = normal_form(f, G, with_trace=True, divides=divides)
+            assert out == expected
+            assert trace == expected_trace
+            assert trace.replay(f, G) == out
+            assert normal_form(f, G, divides=divides) == out
+            steps += len(trace.steps)
+        assert steps > 50
+
+    def test_no_polynomial_rebuilds(self, monkeypatch):
+        # the work polynomial is never materialized between steps
+        gen = poly(X, [(Fraction(1), xmono(5, 0)), (Fraction(-1), xmono(1))])
+        basis = [
+            p((1, xmono(1, 0)), (-1, xmono(1))),
+            p((1, xmono(1, 1)), (-1, xmono(1))),
+            p((1, xmono(2)), (-1, xmono(1))),
+        ]
+        s = _spoly(spair_generators(gen, gen, 0, 0)[-1], [gen])
+        _, trace = normal_form(s, basis, with_trace=True)
+        assert len(trace.steps) > 3
+        calls = []
+        real = poly_module.poly
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(poly_module, "poly", counting)
+        normal_form(s, basis)
+        assert calls == []

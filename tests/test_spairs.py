@@ -103,6 +103,14 @@ class TestSpairWitness:
         narrow = p((1, xmono(0)))
         assert not has_spair_witness(narrow, narrow, 0, 0)
         assert spair_generators(narrow, narrow, 0, 0) == []
+        # x[2]*x[1]*x[0] uses every index below its width, but the identity
+        # and the map skipping 2 both fix x[1] and x[0]
+        full = p((1, xmono(2, 1, 0)), (-1, Monomial()))
+        assert has_spair_witness(full, full, 0, 0)
+        assert any(
+            gen.map1 == IncMap(()) and gen.map2 == IncMap((0, 1, 3))
+            for gen in spair_generators(full, full, 0, 0)
+        )
 
 
 class TestSpairGenerators:
