@@ -21,7 +21,7 @@ from .incmaps import IncMap, increasing_maps, map_to_tau, standard_form, tau_to_
 from .poly import Polynomial, act, lc, lm, normal_form
 from .problems import parse, serialize
 from .rings import FamilySpec, Monomial, Ring, compare, pi_div_witnesses, pi_divides
-from .signature import SignatureOptions, egb_signature
+from .signature import egb_signature
 from .spairs import interlacings, spair_generators
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "Ring",
-    "SignatureOptions",
     "act",
     "autoreduce",
     "classical_buchberger",

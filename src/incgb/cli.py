@@ -28,7 +28,7 @@ from .problems import (
     parse,
     serialize,
 )
-from .signature import SignatureOptions, egb_signature
+from .signature import egb_signature
 
 REPORT_FORMAT = "incgb-report-1"
 
@@ -81,11 +81,7 @@ def _solve(problem, args):
     elif algorithm == "incremental":
         result = egb_incremental(problem.generators, limits)
     elif algorithm == "signature":
-        opts = SignatureOptions(
-            principal_syzygies=args.principal_syzygies
-            or bool(problem.options.get("principal_syzygies", False))
-        )
-        result = egb_signature(problem.generators, opts, limits)
+        result = egb_signature(problem.generators, limits=limits)
     else:
         raise SystemExit2(f"unknown algorithm {algorithm!r}")
     return algorithm, limits, result
@@ -171,7 +167,6 @@ def build_parser():
     )
     solve.add_argument("--max-width", type=int, default=None)
     solve.add_argument("--max-pairs", type=int, default=None)
-    solve.add_argument("--principal-syzygies", action="store_true")
     solve.add_argument("--report", metavar="FILE", default=None)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)
@@ -181,14 +176,14 @@ def build_parser():
     reduce_cmd.add_argument("--poly", required=True)
     reduce_cmd.add_argument("--max-width", type=int, default=None)
     reduce_cmd.add_argument("--max-pairs", type=int, default=None)
-    reduce_cmd.set_defaults(func=cmd_reduce, algorithm=None, principal_syzygies=False)
+    reduce_cmd.set_defaults(func=cmd_reduce, algorithm=None)
 
     member = sub.add_parser("member", help="test orbit ideal membership")
     member.add_argument("file")
     member.add_argument("--poly", required=True)
     member.add_argument("--max-width", type=int, default=None)
     member.add_argument("--max-pairs", type=int, default=None)
-    member.set_defaults(func=cmd_member, algorithm=None, principal_syzygies=False)
+    member.set_defaults(func=cmd_member, algorithm=None)
 
     orbit = sub.add_parser("orbit", help="print the generator truncation at a width")
     orbit.add_argument("file")

@@ -83,13 +83,11 @@ def scale(f: Polynomial, c) -> Polynomial:
 
 
 def mul_term(f: Polynomial, c, m: Monomial) -> Polynomial:
-    """Multiply by the single term c*m; preserves term order."""
+    """Multiply by the single term c*m; a monomial order keeps the terms sorted."""
     c = Fraction(c)
-    if c == 0 or f.is_zero:
+    if c == 0:
         return zero(f.ring)
-    if m.is_unit:
-        return scale(f, c)
-    return poly(f.ring, [(c * a, m_mul(n, m)) for a, n in f.terms])
+    return Polynomial(f.ring, tuple((c * a, m_mul(n, m)) for a, n in f.terms))
 
 
 def mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -101,9 +99,10 @@ def mul(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def act(rho: IncMap, f: Polynomial) -> Polynomial:
+    """The image of f under rho; the action keeps the terms sorted (``m_act``)."""
     if rho.is_identity:
         return f
-    return poly(f.ring, [(c, m_act(rho, m)) for c, m in f.terms])
+    return Polynomial(f.ring, tuple((c, m_act(rho, m)) for c, m in f.terms))
 
 
 def lm(f: Polynomial) -> Monomial:

@@ -70,9 +70,6 @@ class Ring:
         if len(set(names)) != len(names):
             raise ValueError("family names must be unique")
 
-    def family(self, rank):
-        return self.families[rank]
-
     def rank_of(self, name):
         for r, f in enumerate(self.families):
             if f.name == name:

@@ -37,7 +37,7 @@ from .rings import (
     order_key,
     pi_divides,
 )
-from .spairs import interlacings, spair_generators
+from .spairs import spair_generators
 
 
 @dataclass(frozen=True)
@@ -152,16 +152,6 @@ class SigEngine:
             tuple(-j for j in word),
         )
 
-    def lead_witness_multipliers(self, divisor: Monomial, target: Monomial):
-        """Twisted monomials t with t * divisor == target (as monomials).
-
-        Yields them lazily, in the witness order of ``pi_div_witnesses``,
-        so a caller that stops early builds no more.  Each t's shift is
-        the witness.
-        """
-        for rho in _match_witnesses(divisor, target):
-            yield TwistedMonomial(m_quotient(target, m_act(rho, divisor)), rho)
-
 
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     """The larger-signature sides of the S-polynomials of p and q.
@@ -227,10 +217,14 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
     while not work.is_zero:
         step = None
         singular = False
+        target = lm(work)
         for g in G:
             if g.poly.is_zero:
                 continue
-            for t in engine.lead_witness_multipliers(lm(g.poly), lm(work)):
+            lead = lm(g.poly)
+            # lazily, in pi_div_witnesses order: no more past the first step
+            for rho in _match_witnesses(lead, target):
+                t = TwistedMonomial(m_quotient(target, m_act(rho, lead)), rho)
                 key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
                 if key == p_key:
                     singular = True
@@ -251,33 +245,7 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
     return LabeledPoly(p.sig, work), False, tied_used
 
 
-@dataclass(frozen=True)
-class SignatureOptions:
-    principal_syzygies: bool = False
-    use_cover: bool = True
-
-
-def principal_syzygies(entries, engine: SigEngine):
-    """Syzygy signatures from commutation relations between distinct generators."""
-    out = []
-    n = len(entries)
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            fi, fj = entries[i], entries[jdx]
-            wi, wj = fi.poly.width(), fj.poly.width()
-            for s1, s2 in interlacings(wi, wj):
-                mult_i = TwistedMonomial(m_act(s2, lm(fj.poly)), s1)
-                mult_j = TwistedMonomial(m_act(s1, lm(fi.poly)), s2)
-                cand_i = Signature(twisted_mul(mult_i, fi.sig.tm), fi.sig.index)
-                cand_j = Signature(twisted_mul(mult_j, fj.sig.tm), fj.sig.index)
-                larger = cand_i if engine.sig_key(cand_i) > engine.sig_key(cand_j) else cand_j
-                rec = LabeledPoly(larger, Polynomial(fi.poly.ring, ()))
-                if rec not in out:
-                    out.append(rec)
-    return out
-
-
-def _signature_loop(polys, engine, opts, limits):
+def _signature_loop(polys, engine, limits):
     stats = {
         "pairs_processed": 0,
         "zero_reductions": 0,
@@ -312,10 +280,6 @@ def _signature_loop(polys, engine, opts, limits):
     for f in polys:
         idx = engine.new_index(lm(f))
         push(LabeledPoly(Signature(UNIT_TM, idx), f))
-    if opts.principal_syzygies:
-        base = [LabeledPoly(Signature(UNIT_TM, i), f) for i, f in enumerate(polys)]
-        S.extend(principal_syzygies(base, engine))
-        stats["syzygies"] = len(S)
     status = COMPLETE
     done_sigs = set()
 
@@ -334,7 +298,7 @@ def _signature_loop(polys, engine, opts, limits):
             continue
         done_sigs.add(p.sig)
         stats["pairs_processed"] += 1
-        if opts.use_cover and is_covered(p, G, S, engine):
+        if is_covered(p, G, S, engine):
             stats["covered_pairs"] += 1
             continue
         h, singular, tainted = regular_top_reduce(p, G, engine)
@@ -365,7 +329,7 @@ def _signature_loop(polys, engine, opts, limits):
                 if jp.sig in done_sigs:
                     stats["duplicate_signatures"] += 1
                     continue
-                if opts.use_cover and is_covered(jp, G, S, engine):
+                if is_covered(jp, G, S, engine):
                     stats["covered_pairs"] += 1
                     continue
                 push(jp)
@@ -373,22 +337,24 @@ def _signature_loop(polys, engine, opts, limits):
     return G, S, stats, status
 
 
-def egb_signature(
-    F,
-    opts: SignatureOptions = SignatureOptions(),
-    limits: EngineLimits = EngineLimits(),
-) -> EgbResult:
+def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Signature-based orbit engine.
 
     The polynomial parts of the returned labeled pairs form an equivariant
     Groebner basis of the orbit ideal of F.  The basis is returned monic
     with duplicates and orbit-redundant leads dropped, but without full
-    tail reduction, matching how the algorithm leaves its output.
+    tail reduction, matching how the algorithm leaves its output.  A
+    budget stop returns the direct engine's form of partial basis: the
+    prepared generators, then the insertions, without duplicates, since a
+    stop can come before a generator is ever inserted.
     """
     polys = _prepare(F)
     engine = SigEngine(polys[0].ring if polys else None)
-    G, _S, stats, status = _signature_loop(polys, engine, opts, limits)
-    basis = _minimalize([g.poly for g in G])
+    G, _S, stats, status = _signature_loop(polys, engine, limits)
+    if status == BUDGET:
+        basis = list(dict.fromkeys(polys + [g.poly for g in G]))
+    else:
+        basis = _minimalize([g.poly for g in G])
     return EgbResult(basis, stats, status)
 
 

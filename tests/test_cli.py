@@ -48,14 +48,18 @@ class TestSolve:
         assert "y[3,1]*y[2,0] - y[3,0]*y[2,1]" in report["basis"]
 
     @pytest.mark.parametrize("algorithm", ["buchberger", "incremental", "signature"])
-    def test_budget_exit(self, toric_file, capsys, algorithm):
-        argv = ["solve", toric_file, "--algorithm", algorithm, "--max-pairs", "1", "--json"]
-        assert main(argv) == EXIT_BUDGET
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert report["status"] == "budget_exhausted"
-        assert report["basis"]  # partial basis still reported
-        assert "budget" in captured.err
+    def test_budget_exit(self, tmp_path, capsys, algorithm):
+        wide = X_RING_TEXT.replace("x[0];", "x[5]*x[0] - x[1];")
+        for text, limit in [(TORIC_TEXT, ["--max-pairs", "1"]), (wide, ["--max-width", "3"])]:
+            f = tmp_path / "problem.egb"
+            f.write_text(text)
+            argv = ["solve", str(f), "--algorithm", algorithm, *limit, "--json"]
+            assert main(argv) == EXIT_BUDGET
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert report["status"] == "budget_exhausted"
+            assert report["basis"]  # partial basis still reported
+            assert "budget" in captured.err
 
     def test_report_file_byte_stable(self, toric_file, tmp_path, capsys):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -70,6 +74,10 @@ class TestSolve:
         main(["solve", toric_file])
         b = capsys.readouterr().out
         assert a == b
+
+    def test_principal_syzygies_flag_removed(self, toric_file, capsys):
+        argv = ["solve", toric_file, "--algorithm", "signature", "--principal-syzygies"]
+        assert main(argv) == EXIT_USAGE
 
     def test_unknown_algorithm_in_options(self, tmp_path, capsys):
         f = tmp_path / "bad.egb"

@@ -1,0 +1,117 @@
+"""All three orbit engines on random small inputs, under one tight budget.
+
+A ``complete`` basis must pass the orbit Buchberger criterion, and any two
+complete bases must span the same ideal.  A ``budget_exhausted`` basis is
+partial, but it must span the input's ideal: every input generator lies
+in its ideal, and where an engine completed, every element reduces to
+zero against that complete basis.
+
+Orbit reduction against the partial basis itself does not decide the
+first half.  The basis is no Groebner basis, so a generator can leave a
+nonzero remainder although it lies in the ideal.  With ``[x0, x1*x0 + 1]``
+and no pair processed, x0 cancels the lead of the second generator and
+leaves 1 (``test_budget_basis_of_divisible_leads``); against
+``[x1*x0 - x0, x2 + 1]``, ``x2*x0 + x1*x0`` leaves 2*x0.  A remainder of
+zero against the basis, or against a direct run's basis of it, proves
+membership.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from incgb.buchberger import (
+    BUDGET,
+    COMPLETE,
+    EngineLimits,
+    egb_buchberger,
+    egb_incremental,
+    is_egb,
+)
+from incgb.poly import monic, normal_form, poly
+from incgb.problems import format_polynomial
+from incgb.rings import FamilySpec, Monomial, Ring
+from incgb.signature import egb_signature
+
+from conftest import expr, ideal_equal
+
+ENGINES = (egb_buchberger, egb_incremental, egb_signature)
+LIMITS = EngineLimits(max_width=3, max_pairs=30, max_basis=12)
+# the membership check's own run may need wider shifts than the engines
+CLOSURE_LIMITS = EngineLimits(max_width=4, max_pairs=200)
+
+
+@st.composite
+def inputs(draw):
+    """1-2 generators of width <= 3, degree <= 3, coefficients in -2..2."""
+    constraint = draw(st.sampled_from([None, "strictly_decreasing", "all_distinct"]))
+    families = (FamilySpec("x"),)
+    if constraint is not None:
+        families += (FamilySpec("y", arity=2, constraint=constraint),)
+    ring = Ring(families, order_kind=draw(st.sampled_from(["lex", "grlex"])))
+    variables = [ring.variable("x", (i,)) for i in range(3)]
+    if constraint is not None:
+        variables += [
+            ring.variable("y", (i, j))
+            for i in range(3)
+            for j in range(3)
+            if i > j or (constraint == "all_distinct" and i != j)
+        ]
+    monomials = st.lists(st.sampled_from(variables), max_size=3).map(
+        lambda factors: Monomial.from_dict(Counter(factors))
+    )
+    terms = st.lists(st.tuples(st.integers(-2, 2), monomials), min_size=1, max_size=3)
+    polynomials = terms.map(lambda ts: poly(ring, ts)).filter(lambda f: not f.is_zero)
+    return draw(st.lists(polynomials, min_size=1, max_size=2))
+
+
+def spans_generators(basis, F):
+    """Whether every f in F is shown to lie in the ideal of the basis.
+
+    A reduction to zero against any part of that ideal shows it: against
+    the basis itself, or against what a budgeted direct run on the basis
+    returns, complete or partial.
+    """
+    rest = [f for f in F if monic(f) not in basis and not normal_form(f, basis).is_zero]
+    if not rest:
+        return True
+    closure = egb_buchberger(basis, CLOSURE_LIMITS).basis
+    return all(normal_form(f, closure).is_zero for f in rest)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs())
+def test_engines_agree(F):
+    results = [engine(F, LIMITS) for engine in ENGINES]
+    complete = [r.basis for r in results if r.status == COMPLETE]
+    for basis in complete:
+        assert is_egb(basis)
+    for a, b in combinations(complete, 2):
+        assert ideal_equal(a, b)
+    for r in results:
+        if r.status == BUDGET:
+            assert spans_generators(r.basis, F)
+            for basis in complete:
+                assert all(normal_form(f, basis).is_zero for f in r.basis)
+
+
+def test_budget_basis_of_divisible_leads(x_problem):
+    # no pair fits the width budget, so every engine returns the generators
+    F = [expr(x_problem, "x[0]"), expr(x_problem, "x[1]*x[0] + 1")]
+    for engine in ENGINES:
+        res = engine(F, EngineLimits(max_width=1))
+        assert res.status == BUDGET
+        assert res.basis == F
+    assert format_polynomial(normal_form(F[1], F)) == "1"
+
+
+def test_incremental_budget_basis_spans_generators(x_problem):
+    # the interreduced level basis [x1*x0 - x0, x2 + 1] does not keep the
+    # second generator, which leaves 2*x0 against it
+    F = [expr(x_problem, "x[2] + 1"), expr(x_problem, "x[2]*x[0] + x[1]*x[0]")]
+    res = egb_incremental(F, LIMITS)
+    assert res.status == BUDGET
+    assert not normal_form(F[1], res.basis).is_zero
+    assert spans_generators(res.basis, F)

@@ -55,3 +55,8 @@ def test_orders_are_keys():
                     if isinstance(item, ast.FunctionDef) and item.name in ordering
                 ]
     assert offenders == []
+
+
+def test_exports_resolve():
+    # a name deleted from a module must leave the export list too
+    assert [name for name in incgb.__all__ if not hasattr(incgb, name)] == []

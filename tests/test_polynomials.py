@@ -31,6 +31,8 @@ from incgb.rings import (
     Monomial,
     Ring,
     compare,
+    m_act,
+    m_mul,
     m_quotient,
     pi_divides,
     plain_divides,
@@ -217,6 +219,39 @@ def reference_normal_form(f, reducers, divides):
     return Polynomial(f.ring, tuple(done)), ReductionTrace(tuple(steps))
 
 
+def xy_ring(y_constraint, order_kind):
+    """x alone (``y_constraint`` None), or x plus an arity-2 family y."""
+    families = (FamilySpec("x"),)
+    if y_constraint is not None:
+        families += (FamilySpec("y", arity=2, constraint=y_constraint, weight=2),)
+    return Ring(families, order_kind=order_kind)
+
+
+def random_ring_monomial(rng, ring):
+    def variable():
+        if len(ring.families) == 1 or rng.random() < 0.6:
+            return ring.variable("x", (rng.randrange(5),))
+        i, j = rng.sample(range(5), 2)
+        constraint = ring.families[1].constraint
+        if (constraint == "strictly_decreasing" and i < j) or (
+            constraint == "strictly_increasing" and i > j
+        ):
+            i, j = j, i
+        return ring.variable("y", (i, j))
+
+    return Monomial.from_dict({variable(): rng.randrange(1, 3) for _ in range(rng.randrange(4))})
+
+
+def random_ring_poly(rng, ring, max_terms):
+    return poly(
+        ring,
+        [
+            (Fraction(rng.choice([-3, -2, -1, 1, 2, 5])), random_ring_monomial(rng, ring))
+            for _ in range(rng.randrange(1, max_terms + 1))
+        ],
+    )
+
+
 class TestKernelOracle:
     """normal_form's term accumulator against the subtract-based kernel."""
 
@@ -224,38 +259,12 @@ class TestKernelOracle:
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
     def test_matches_reference(self, y_constraint, order_kind, divides):
-        families = (FamilySpec("x"),)
-        if y_constraint is not None:
-            families += (FamilySpec("y", arity=2, constraint=y_constraint, weight=2),)
-        ring = Ring(families, order_kind=order_kind)
+        ring = xy_ring(y_constraint, order_kind)
         rng = random.Random(31)
-
-        def variable():
-            if y_constraint is None or rng.random() < 0.6:
-                return ring.variable("x", (rng.randrange(5),))
-            i, j = rng.sample(range(5), 2)
-            if y_constraint == "strictly_decreasing" and i < j:
-                i, j = j, i
-            return ring.variable("y", (i, j))
-
-        def monomial():
-            return Monomial.from_dict(
-                {variable(): rng.randrange(1, 3) for _ in range(rng.randrange(4))}
-            )
-
-        def polynomial(max_terms):
-            return poly(
-                ring,
-                [
-                    (Fraction(rng.choice([-3, -2, -1, 1, 2, 5])), monomial())
-                    for _ in range(rng.randrange(1, max_terms + 1))
-                ],
-            )
-
         steps = 0
         for _ in range(150):
-            f = polynomial(6)
-            G = [polynomial(3) for _ in range(rng.randrange(1, 4))]
+            f = random_ring_poly(rng, ring, 6)
+            G = [random_ring_poly(rng, ring, 3) for _ in range(rng.randrange(1, 4))]
             if rng.random() < 0.2:
                 G.insert(rng.randrange(len(G) + 1), zero(ring))
             expected, expected_trace = reference_normal_form(f, G, divides)
@@ -287,4 +296,57 @@ class TestKernelOracle:
 
         monkeypatch.setattr(poly_module, "poly", counting)
         normal_form(s, basis)
+        assert calls == []
+
+
+def reference_act(rho, f):
+    """act built through poly(): every image term re-sorted and re-wrapped."""
+    if rho.is_identity:
+        return f
+    return poly(f.ring, [(c, m_act(rho, m)) for c, m in f.terms])
+
+
+def reference_mul_term(f, c, m):
+    """mul_term built through poly(), with its unit-multiplier branch."""
+    c = Fraction(c)
+    if c == 0 or f.is_zero:
+        return zero(f.ring)
+    if m.is_unit:
+        return scale(f, c)
+    return poly(f.ring, [(c * a, m_mul(n, m)) for a, n in f.terms])
+
+
+class TestOrderPreservingProducts:
+    """act and mul_term keep term order instead of re-sorting through poly()."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize(
+        "y_constraint",
+        [None, "none", "strictly_decreasing", "strictly_increasing", "all_distinct"],
+    )
+    def test_matches_reference(self, y_constraint, order_kind):
+        ring = xy_ring(y_constraint, order_kind)
+        rng = random.Random(37)
+        for _ in range(300):
+            f = random_ring_poly(rng, ring, 6)
+            rho = random_incmap(rng)
+            m = random_ring_monomial(rng, ring)  # the unit monomial now and then
+            c = Fraction(rng.choice([-2, 1, 3])) / rng.choice([1, 2])
+            assert act(rho, f) == reference_act(rho, f)
+            assert mul_term(f, c, m) == reference_mul_term(f, c, m)
+            assert mul_term(f, 0, m) == reference_mul_term(f, 0, m)
+            assert mul_term(f, c, Monomial()) == reference_mul_term(f, c, Monomial())
+
+    def test_no_polynomial_rebuilds(self, monkeypatch):
+        f = p((1, xmono(2, 0)), (-3, xmono(1, 1)), (2, xmono(0)))
+        calls = []
+        real = poly_module.poly
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(poly_module, "poly", counting)
+        act(IncMap((1, 3, 4)), f)
+        mul_term(f, Fraction(-2, 3), xmono(1, 4))
         assert calls == []

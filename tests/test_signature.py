@@ -8,7 +8,7 @@ import pytest
 from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import compose, extend_partial, map_to_tau, tau_to_map
-from incgb.poly import lm, monic, poly
+from incgb.poly import lm, monic, normal_form, poly
 from incgb.problems import format_polynomial
 from incgb.rings import (
     FamilySpec,
@@ -25,12 +25,10 @@ from incgb.signature import (
     LabeledPoly,
     SigEngine,
     Signature,
-    SignatureOptions,
     TwistedMonomial,
     egb_signature,
     is_covered,
     j_pairs,
-    principal_syzygies,
     regular_top_reduce,
     tm_apply,
     tm_left_quotients,
@@ -420,29 +418,26 @@ class TestEgbSignature:
         assert sig.status == COMPLETE
         assert ideal_equal(sig.basis, direct.basis)
 
-    def test_principal_syzygies_option_keeps_ideal(self, toric_problem):
-        plain = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
-        with_ps = egb_signature(
-            toric_problem.generators,
-            SignatureOptions(principal_syzygies=True),
-            EngineLimits(max_pairs=5000),
-        )
-        assert with_ps.status == COMPLETE
-        assert ideal_equal(plain.basis, with_ps.basis)
-
     def test_cover_is_only_an_optimization(self):
-        # disabling the cover test changes the stats, never the ideal
+        # the pairs the cover test discards never lose part of the ideal
         F = [p((1, xmono(0, 1)), (-1, xmono(0, 0)))]
-        on = egb_signature(F, limits=EngineLimits(max_pairs=3000))
-        off = egb_signature(
-            F, SignatureOptions(use_cover=False), EngineLimits(max_pairs=3000)
-        )
-        assert on.status == COMPLETE and off.status == COMPLETE
-        assert ideal_equal(on.basis, off.basis)
+        sig = egb_signature(F, limits=EngineLimits(max_pairs=3000))
+        direct = egb_buchberger(F, EngineLimits(max_pairs=3000))
+        assert sig.status == COMPLETE and direct.status == COMPLETE
+        assert sig.stats["covered_pairs"] > 0
+        assert ideal_equal(sig.basis, direct.basis)
 
-    def test_budget_exhaustion(self, toric_problem):
-        res = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=3))
-        assert res.status == BUDGET
+    def test_budget_exhaustion(self, toric_problem, x_problem):
+        # a partial basis is the direct engine's: the generators, then the
+        # insertions, so it still generates the input
+        for f, limits in [
+            (expr(toric_problem, "y[1,0] - x[1]*x[0]"), EngineLimits(max_pairs=3)),
+            (expr(x_problem, "x[5]*x[0] - x[1]"), EngineLimits(max_width=3)),
+        ]:
+            res = egb_signature([f], limits)
+            assert res.status == BUDGET
+            assert res.basis[0] == monic(f)
+            assert normal_form(f, res.basis).is_zero
 
     def test_stats_determinism(self, toric_problem):
         a = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
@@ -457,21 +452,3 @@ class TestEgbSignature:
         assert set(empty.values()) == {0}
         for stats in (empty, egb_signature([p((1, xmono(0)))]).stats):
             assert stats.keys() == toric.stats.keys()
-
-
-class TestPrincipalSyzygies:
-    def test_single_generator_none(self):
-        engine = SigEngine(X)
-        f = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0))), p((1, xmono(0))))
-        assert principal_syzygies([f], engine) == []
-
-    def test_two_width_one_generators(self):
-        engine = SigEngine(X)
-        f = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0))), p((1, xmono(0))))
-        g = LabeledPoly(
-            Signature(UNIT_TM, engine.new_index(xmono(0, 0))), p((1, xmono(0, 0)))
-        )
-        out = principal_syzygies([f, g], engine)
-        # one syzygy signature per interlacing of two width-1 generators
-        assert 1 <= len(out) <= 3
-        assert all(s.poly.is_zero for s in out)
