@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .incmaps import increasing_maps
-from .poly import act, lm, monic, mul_term, normal_form, sorted_basis, subtract
-from .rings import pi_divides, plain_divides
+from .poly import act, lm, monic, reduce_terms, reducer_row, reducer_table, sorted_basis
+from .rings import m_act, m_mul, pi_divides, plain_divides
 from .spairs import has_spair_witness, spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
@@ -54,10 +53,14 @@ def _prepare(F):
 
 
 def _spoly(gen, G):
-    """The S-polynomial of a critical-pair generator over a monic basis."""
-    h1 = mul_term(act(gen.map1, G[gen.fi]), Fraction(1), gen.cof1)
-    h2 = mul_term(act(gen.map2, G[gen.gi]), Fraction(1), gen.cof2)
-    return subtract(h1, h2)
+    """The S-polynomial of a critical-pair generator over a monic basis, as
+    the kernel's coefficient dict: the cancelled leads stay, with 0."""
+    acc = {}
+    for gi, rho, cof, sign in ((gen.fi, gen.map1, gen.cof1, 1), (gen.gi, gen.map2, gen.cof2, -1)):
+        for c, n in G[gi].terms:
+            n = m_mul(m_act(rho, n), cof)
+            acc[n] = acc.get(n, 0) + sign * c
+    return acc
 
 
 def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
@@ -66,15 +69,17 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
     ``pairs(f, g, i, j)`` lists the critical-pair generators of basis
     entries i <= j, ``nonempty(f, g, i, j)`` is a cheap test that is true
     only when that list is nonempty, and ``divides`` is the reduction's
-    divisibility test.  Each limit stops the run with the partial,
-    unreduced basis and BUDGET; a drained queue returns the interreduced
-    basis, or BUDGET if pairs past max_width were skipped.
+    divisibility test.  One reducer table serves the whole run, one row
+    per insertion.  Each limit stops the run with the partial, unreduced
+    basis and BUDGET; a drained queue returns the interreduced basis, or
+    BUDGET if pairs past max_width were skipped.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
     if not G:
         return EgbResult([], stats, COMPLETE)
     ring = G[0].ring
+    table = reducer_table(G, divides)
     queue = []
     seq = 0
     over_width = False
@@ -105,11 +110,12 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
         stats["pairs_processed"] += 1
-        h = normal_form(_spoly(gen, G), G, divides=divides)
+        h = reduce_terms(ring, _spoly(gen, G), table, divides)
         if h.is_zero:
             stats["zero_reductions"] += 1
             continue
         G.append(monic(h))
+        table.append(reducer_row(len(G) - 1, G[-1], divides))
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
             return EgbResult(G, stats, BUDGET)
@@ -156,7 +162,9 @@ def autoreduce(G, divides=None):
     skips the elements flagged as reduced: whether a normal form changes an
     element depends only on the other leads, so a lead change clears the flags.
     """
+    divides = divides or pi_divides
     basis = [monic(g) for g in G if not g.is_zero]
+    table = reducer_table(basis, divides)
     reduced = [False] * len(basis)
     i = 0
     while not all(reduced):
@@ -164,14 +172,17 @@ def autoreduce(G, divides=None):
         if reduced[i]:
             i += 1
             continue
-        h = normal_form(basis[i], basis[:i] + basis[i + 1 :], divides=divides)
+        f = basis[i]
+        h = reduce_terms(f.ring, {m: c for c, m in f.terms}, table[:i] + table[i + 1 :], divides)
         if h.is_zero:
-            del basis[i], reduced[i]
+            del basis[i], reduced[i], table[i]
             i = 0
             continue
         h = monic(h)
-        if lm(h) != lm(basis[i]):
+        if lm(h) != lm(f):
             reduced = [False] * len(basis)
+        if h != f:
+            table[i] = reducer_row(i, h, divides)
         basis[i], reduced[i] = h, True
         i += 1
     return sorted_basis(basis)
@@ -180,10 +191,11 @@ def autoreduce(G, divides=None):
 def is_egb(G) -> bool:
     """Equivariant Buchberger criterion: every orbit S-polynomial reduces to 0."""
     basis = [g for g in G if not g.is_zero]
+    table = reducer_table(basis, pi_divides)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for gen in spair_generators(basis[i], basis[j], i, j):
-                if not normal_form(_spoly(gen, basis), basis).is_zero:
+                if not reduce_terms(basis[i].ring, _spoly(gen, basis), table, pi_divides).is_zero:
                     return False
     return True
 

@@ -10,7 +10,9 @@ some increasing map sends the lead monomial of g onto a divisor of t.
 trace of the steps it took, which serves as a membership certificate.  The
 classical engine runs the same kernel with plain divisibility.  It keeps
 its work polynomial as a term accumulator, a coefficient dict plus a sorted
-list of order keys, and builds a ``Polynomial`` only for the result.
+list of order keys, and builds a ``Polynomial`` only for the result.  Its
+reducers are table rows, built once per basis element, whose support masks
+let plain reduction skip a reducer without a divisibility test.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .incmaps import IncMap
-from .rings import Monomial, Ring, m_act, m_mul, m_quotient, order_key, pi_divides
+from .rings import Monomial, Ring, m_act, m_mul, m_quotient, order_key, pi_divides, plain_divides
 
 
 @dataclass(frozen=True)
@@ -144,39 +146,51 @@ class ReductionTrace:
         return out
 
 
-def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
-    """Fully reduce f (lead and tail) against orbit elements of the reducers.
+def support_mask(m: Monomial) -> int:
+    """A 64-bit set of m's variables, hashed; a divisor's lies inside it."""
+    mask = 0
+    for v, _ in m.factors:
+        mask |= 1 << (hash(v) & 63)
+    return mask
 
-    Reducer choice: first reducer in list order admitting a witness, then
-    the witness ``divides`` returns, so results are reproducible.  The test
-    defaults to ``pi_divides``; ``plain_divides`` gives classical reduction,
-    whose only witness is the identity.  Steps are recorded only when a
-    trace is requested.
 
-    The work polynomial is a term accumulator, not a ``Polynomial``: a dict
-    of coefficients plus its monomials in ascending ``order_key`` order.
-    The greatest is popped, and a step subtracts the shifted tail of g from
-    the dict, inserting only monomials new to it; the lead of g cancels
-    exactly.  A cancelled term keeps its entry, with coefficient 0, until it
-    is popped, so each monomial is listed once and, order keys being
-    injective, the list never compares two monomials.  Every new term lies
-    below the popped one, so a popped monomial never returns.  The result
-    is built once, from the irreducible terms in the order they were popped.
+def reducer_row(gi, g: Polynomial, divides):
+    """The row (gi, g, lead, lead coefficient, mask) of g != 0.  An increasing
+    map moves variables, so only plain divisibility gets a nonzero mask."""
+    lead_c, lead = g.terms[0]
+    return (gi, g, lead, lead_c, support_mask(lead) if divides is plain_divides else 0)
+
+
+def reducer_table(reducers, divides):
+    return [reducer_row(gi, g, divides) for gi, g in enumerate(reducers) if not g.is_zero]
+
+
+def reduce_terms(ring: Ring, acc, table, divides, with_trace=False):
+    """The reduction kernel: fully reduce ``acc``, a dict from monomials to
+    coefficients (zeros allowed; consumed), against the rows of ``table``.
+
+    The work polynomial is the dict plus its monomials in ascending
+    ``order_key`` order.  The greatest is popped and reduced by the first
+    row whose lead ``divides`` it, skipping unasked a row whose mask has a
+    bit outside the term's.  A step subtracts the shifted tail of g from the
+    dict, listing only monomials new to it; the lead cancels exactly.  Zero
+    entries stay until popped, so each monomial is listed once and, order
+    keys being injective, no two monomials are compared.  New terms lie
+    below the popped one, so the irreducible terms come out in order.
     """
-    if divides is None:  # looked up per call, so a rebound module name applies
-        divides = pi_divides
-    ring = f.ring
-    live = [(gi, g, lm(g), lc(g)) for gi, g in enumerate(reducers) if not g.is_zero]
+    masked = divides is plain_divides
     steps = []
     done = []  # irreducible terms, collected in descending order
-    acc = {m: c for c, m in f.terms}
-    queue = [(order_key(ring, m), m) for _, m in reversed(f.terms)]  # ascending
+    queue = sorted((order_key(ring, m), m) for m in acc)
     while queue:
         m = queue.pop()[1]
         c = acc.pop(m)
         if c == 0:
             continue
-        for gi, g, lead, lead_c in live:
+        outside = ~support_mask(m) if masked else 0
+        for gi, g, lead, lead_c, mask in table:
+            if mask & outside:
+                continue
             rho = divides(lead, m)
             if rho is None:
                 continue
@@ -200,6 +214,20 @@ def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
     if with_trace:
         return result, ReductionTrace(tuple(steps))
     return result
+
+
+def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
+    """Fully reduce f (lead and tail) against orbit elements of the reducers.
+
+    The first reducer in list order admitting a witness applies, with the
+    witness ``divides`` returns (``pi_divides`` by default; ``plain_divides``
+    is classical reduction).  Steps are recorded only when a trace is
+    requested.  One reducer table, then the kernel ``reduce_terms``.
+    """
+    if divides is None:  # looked up per call, so a rebound module name applies
+        divides = pi_divides
+    table = reducer_table(reducers, divides)
+    return reduce_terms(f.ring, {m: c for c, m in f.terms}, table, divides, with_trace)
 
 
 def sorted_basis(basis):

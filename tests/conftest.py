@@ -38,6 +38,20 @@ ring {
 generators { x[0]*x[1] - x[1]*x[2]^2 + x[1]^2; }
 """
 
+# The kernel of y[i,j] -> x[i]^2*x[j] over all distinct i, j.
+MONOMIAL_MAP_TEXT = """
+ring {
+  family x { arity = 1, constraint = none, weight = 1 }
+  family y { arity = 2, constraint = all_distinct, weight = 3 }
+  order { kind = lex, precedence = [x, y], weights = true }
+}
+generators {
+  y[1,0] - x[1]^2*x[0];
+  y[0,1] - x[0]^2*x[1];
+}
+"""
+
+
 MEMBER_H = (
     "x[0]*x[4]^2 + x[0]*x[1]^2 + x[1]*x[0]^2 - 2*x[1]*x[0]"
     " + x[0]*x[3]*x[4] - x[0]*x[5]^2 - x[0]*x[3]*x[5] - 2*x[1]^2"

@@ -29,6 +29,7 @@ from incgb.signature import egb_signature
 from conftest import (
     MEMBER_H,
     MEMBER_TEXT,
+    MONOMIAL_MAP_TEXT,
     TORIC_TEXT,
     X_RING_TEXT,
     expr,
@@ -54,19 +55,6 @@ generators {
   t[0] - z[0]^3 - y[0]^3 + x[0]^3;
 }
 """
-
-MONOMIAL_MAP_TEXT = """
-ring {
-  family x { arity = 1, constraint = none, weight = 1 }
-  family y { arity = 2, constraint = all_distinct, weight = 3 }
-  order { kind = lex, precedence = [x, y], weights = true }
-}
-generators {
-  y[1,0] - x[1]^2*x[0];
-  y[0,1] - x[0]^2*x[1];
-}
-"""
-
 
 def _within(start, seconds):
     elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from incgb import buchberger
+from incgb import poly as poly_module
 from incgb.buchberger import (
     BUDGET,
     COMPLETE,
@@ -21,7 +22,15 @@ from incgb.poly import lm, monic, normal_form, poly, sorted_basis
 from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
 
-from conftest import MEMBER_TEXT, TORIC_TEXT, expr, ideal_equal, random_xmono, xmono
+from conftest import (
+    MEMBER_TEXT,
+    MONOMIAL_MAP_TEXT,
+    TORIC_TEXT,
+    expr,
+    ideal_equal,
+    random_xmono,
+    xmono,
+)
 
 X = Ring((FamilySpec("x"),))
 
@@ -51,6 +60,69 @@ MEMBER_REFERENCE = [
     "x[2]*x[0]^2 - x[1]^2 - x[1]*x[0]",
     "x[2]*x[1] - x[2]*x[0]",
     "x[2]^2 + x[2]*x[0] - x[1]^2 - x[1]*x[0]",
+]
+
+# egb_incremental on monomial_map at max_width=4: the interreduced basis of
+# the width-4 level, which is_egb rejects, so the run ends in BUDGET
+MONOMIAL_MAP_W4_BASIS = [
+    "x[1]*x[0]^2 - y[0,1]",
+    "x[1]^2*x[0] - y[1,0]",
+    "x[1]*y[0,1] - x[0]*y[1,0]",
+    "x[0]^3*y[1,0] - y[0,1]^2",
+    "x[1]*y[2,0] - x[0]*y[2,1]",
+    "x[2]*y[0,1] - x[1]*y[0,2]",
+    "x[2]*y[1,0] - x[0]*y[1,2]",
+    "x[1]^2*y[0,2] - x[0]^2*y[1,2]",
+    "y[2,0]*y[1,0] - y[1,2]*y[0,2]",
+    "y[2,1]*y[0,1] - y[1,2]*y[0,2]",
+    "x[0]^3*y[1,2] - y[1,0]*y[0,2]",
+    "x[0]^3*y[2,1] - y[2,0]*y[0,1]",
+    "x[2]*x[1]*x[0]*y[2,1] - y[2,0]*y[1,2]",
+    "x[1]*y[0,2]^2 - x[0]*y[2,0]*y[0,1]",
+    "x[1]*y[1,0]*y[0,2] - x[0]*y[1,2]*y[0,1]",
+    "x[1]*y[1,2]*y[0,2] - x[0]*y[2,1]*y[1,0]",
+    "x[1]*y[2,1]*y[0,2] - x[0]*y[2,0]*y[1,2]",
+    "x[1]*y[2,1]*y[1,0] - x[0]*y[1,2]^2",
+    "y[1,2]*y[0,1]^2 - y[1,0]^2*y[0,2]",
+    "y[2,0]*y[0,1]^2 - y[1,0]*y[0,2]^2",
+    "y[2,1]*y[0,2]^2 - y[2,0]^2*y[0,1]",
+    "y[2,1]*y[1,0]*y[0,2] - y[2,0]*y[1,2]*y[0,1]",
+    "y[2,1]*y[1,0]^2 - y[1,2]^2*y[0,1]",
+    "y[2,1]^2*y[0,2] - y[2,0]^2*y[1,2]",
+    "y[2,1]^2*y[1,0] - y[2,0]*y[1,2]^2",
+    "y[1,3]*y[0,2] - y[1,2]*y[0,3]",
+    "y[2,3]*y[0,1] - y[2,1]*y[0,3]",
+    "y[2,3]*y[1,0] - y[2,0]*y[1,3]",
+    "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
+    "y[3,2]*y[0,1] - y[3,1]*y[0,2]",
+    "y[3,2]*y[1,0] - y[3,0]*y[1,2]",
+    "x[2]*x[1]*x[0]*y[3,2] - y[3,0]*y[2,1]",
+    "x[1]*y[2,1]*y[0,3] - x[0]*y[2,0]*y[1,3]",
+    "x[1]*y[2,3]*y[0,3] - x[0]*y[3,0]*y[2,1]",
+    "x[1]*y[3,1]*y[0,2] - x[0]*y[3,0]*y[1,2]",
+    "x[2]*y[1,3]*y[0,3] - x[0]*y[3,0]*y[1,2]",
+    "x[2]*y[2,0]*y[1,3] - x[0]*y[2,3]*y[1,2]",
+    "x[2]*y[2,1]*y[0,3] - x[1]*y[2,3]*y[0,2]",
+    "y[2,1]*y[1,0]*y[0,3] - y[2,0]*y[1,3]*y[0,1]",
+    "y[2,1]^2*y[0,3] - y[2,0]^2*y[1,3]",
+    "y[2,3]*y[1,2]*y[0,2] - y[2,0]^2*y[1,3]",
+    "y[3,0]*y[1,2]*y[0,2] - y[2,0]*y[1,3]*y[0,3]",
+    "y[3,0]*y[1,2]^2 - y[2,0]*y[1,3]^2",
+    "y[3,0]*y[2,1]^2 - y[2,3]*y[2,0]*y[1,3]",
+    "y[3,1]*y[0,2]^2 - y[2,1]*y[0,3]^2",
+    "y[3,1]*y[1,0]*y[0,2] - y[3,0]*y[1,2]*y[0,1]",
+    "y[3,1]*y[1,2]*y[0,2] - y[2,1]*y[1,3]*y[0,3]",
+    "y[3,1]*y[2,3]*y[0,3] - y[3,0]^2*y[2,1]",
+    "y[3,1]^2*y[0,2] - y[3,0]^2*y[1,2]",
+    "y[3,2]*y[1,3]*y[0,3] - y[3,0]^2*y[1,2]",
+    "y[3,2]*y[2,0]*y[1,3] - y[3,0]*y[2,3]*y[1,2]",
+    "y[3,2]*y[2,1]*y[0,3] - y[3,1]*y[2,3]*y[0,2]",
+    "x[2]*x[1]*x[0]*y[2,3]^2 - y[3,2]*y[2,1]*y[2,0]",
+    "x[3]*x[1]*x[0]*y[3,2]^2 - y[3,1]*y[3,0]*y[2,3]",
+    "x[1]*y[1,2]^2*y[0,3] - x[0]*y[2,1]*y[1,3]*y[1,0]",
+    "x[1]*y[2,3]^2*y[0,2] - x[0]*y[3,2]*y[2,1]*y[2,0]",
+    "y[2,1]*y[1,2]*y[0,3]*y[0,2] - y[2,0]^2*y[1,3]*y[0,1]",
+    "y[2,1]*y[1,2]^2*y[0,3]^2 - y[2,0]^2*y[1,3]^2*y[0,1]",
 ]
 
 
@@ -252,6 +324,38 @@ class TestClassicalBuchberger:
             assert mine_strs == theirs_strs
 
 
+class TestReducerTable:
+    def test_one_row_per_basis_element(self, monkeypatch):
+        # rows are built per basis element, not per normal form, and no
+        # S-polynomial is rebuilt through poly()
+        F = orbit_truncate(parse(MONOMIAL_MAP_TEXT).generators, 3)
+        rows, polys, loop_rows = [], [], []
+        real_row, real_poly, real_autoreduce = poly_module.reducer_row, poly_module.poly, autoreduce
+
+        def counting_row(*args):
+            rows.append(args)
+            return real_row(*args)
+
+        def counting_poly(*args):
+            polys.append(args)
+            return real_poly(*args)
+
+        def counting_autoreduce(G, divides=None):
+            loop_rows.append(len(rows))
+            out = real_autoreduce(G, divides)
+            assert len(rows) - loop_rows[0] <= 2 * len(G)
+            return out
+
+        monkeypatch.setattr(poly_module, "reducer_row", counting_row)
+        monkeypatch.setattr(buchberger, "reducer_row", counting_row)
+        monkeypatch.setattr(buchberger, "autoreduce", counting_autoreduce)
+        monkeypatch.setattr(poly_module, "poly", counting_poly)
+        res = classical_buchberger(F)
+        assert res.status == COMPLETE and res.stats["pairs_processed"] == 264
+        assert loop_rows == [len(F) + res.stats["insertions"]]
+        assert polys == []
+
+
 class TestIsEgb:
     def test_single_variable(self):
         assert is_egb([p((1, xmono(0)))])
@@ -340,6 +444,26 @@ class TestIncremental:
     def test_budget_when_width_exhausted(self, toric_problem):
         res = egb_incremental(toric_problem.generators, EngineLimits(max_width=2))
         assert res.status == BUDGET
+
+    def test_monomial_map_levels_pinned(self, monkeypatch):
+        # the classical counters of every level pin the reducer choice
+        levels = []
+        real = buchberger.classical_buchberger
+
+        def recording(F, limits):
+            res = real(F, limits)
+            levels.append(res.stats)
+            return res
+
+        monkeypatch.setattr(buchberger, "classical_buchberger", recording)
+        res = egb_incremental(parse(MONOMIAL_MAP_TEXT).generators, EngineLimits(max_width=4))
+        assert levels == [
+            {"pairs_processed": 5, "zero_reductions": 3, "insertions": 2},
+            {"pairs_processed": 264, "zero_reductions": 239, "insertions": 25},
+            {"pairs_processed": 3400, "zero_reductions": 3298, "insertions": 102},
+        ]
+        assert res.status == BUDGET and res.stats == {"levels": 3}
+        assert [format_polynomial(g) for g in res.basis] == MONOMIAL_MAP_W4_BASIS
 
     def test_budget_interreduces_each_level_once(self, toric_problem, monkeypatch):
         # the budgeted return reuses the last level's interreduced basis

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incgb import poly as poly_module
 from incgb.buchberger import _spoly
@@ -22,8 +24,11 @@ from incgb.poly import (
     mul_term,
     normal_form,
     poly,
+    reduce_terms,
+    reducer_table,
     scale,
     subtract,
+    support_mask,
     zero,
 )
 from incgb.rings import (
@@ -32,12 +37,13 @@ from incgb.rings import (
     Ring,
     compare,
     m_act,
+    m_divides,
     m_mul,
     m_quotient,
     pi_divides,
     plain_divides,
 )
-from incgb.spairs import spair_generators
+from incgb.spairs import spair_generators, spair_generators_classical
 
 from conftest import MEMBER_TEXT, expr, random_incmap, random_xmono, xmono
 
@@ -284,7 +290,7 @@ class TestKernelOracle:
             p((1, xmono(1, 1)), (-1, xmono(1))),
             p((1, xmono(2)), (-1, xmono(1))),
         ]
-        s = _spoly(spair_generators(gen, gen, 0, 0)[-1], [gen])
+        s = oracle_spoly(spair_generators(gen, gen, 0, 0)[-1], [gen])
         _, trace = normal_form(s, basis, with_trace=True)
         assert len(trace.steps) > 3
         calls = []
@@ -297,6 +303,77 @@ class TestKernelOracle:
         monkeypatch.setattr(poly_module, "poly", counting)
         normal_form(s, basis)
         assert calls == []
+
+
+def oracle_spoly(gen, G):
+    """The S-polynomial through subtract: both images built, then merged."""
+    h1 = mul_term(act(gen.map1, G[gen.fi]), Fraction(1), gen.cof1)
+    h2 = mul_term(act(gen.map2, G[gen.gi]), Fraction(1), gen.cof2)
+    return subtract(h1, h2)
+
+
+class TestSPairOracle:
+    """The coefficient dict of ``_spoly``, fed to the kernel, against the
+    subtract-built S-polynomial reduced by ``normal_form``."""
+
+    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
+    def test_matches_subtract_spoly(self, y_constraint, order_kind, divides):
+        ring = xy_ring(y_constraint, order_kind)
+        rng = random.Random(41)
+        steps = nonzero = classical = 0
+        for _ in range(25):
+            G = [monic(random_ring_poly(rng, ring, 3)) for _ in range(rng.randrange(2, 6))]
+            G = [g for g in G if not g.is_zero]
+            table = reducer_table(G, divides)
+            k = len(G) - 1
+            gens = [gen for i in range(k) for gen in spair_generators_classical(G[i], G[k], i, k)]
+            classical += len(gens)
+            i, j = sorted(rng.randrange(len(G)) for _ in range(2))
+            orbit = spair_generators(G[i], G[j], i, j)
+            for gen in gens + rng.sample(orbit, min(4, len(orbit))):
+                expected, expected_trace = normal_form(
+                    oracle_spoly(gen, G), G, with_trace=True, divides=divides
+                )
+                out, trace = reduce_terms(ring, _spoly(gen, G), table, divides, with_trace=True)
+                assert out == expected
+                assert trace == expected_trace
+                steps += len(trace.steps)
+                nonzero += not out.is_zero
+        assert steps > 20 and nonzero > 0 and classical > 5
+
+
+def _mask_monomials():
+    """x-only and x + y monomials, indices up to 70, so that masks collide."""
+    x = st.builds(lambda i: (0, (i,)), st.integers(0, 70))
+    y = st.builds(lambda i, d: (1, (i + d, i)), st.integers(0, 70), st.integers(1, 5))
+    exps = st.dictionaries(st.one_of(x, y), st.integers(1, 3), max_size=5)
+    return exps.map(Monomial.from_dict)
+
+
+class TestSupportMask:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mask_monomials(), _mask_monomials(), st.data())
+    def test_divisor_mask_lies_inside(self, a, b, data):
+        # the kernel skips a row whose mask leaves the term's: never a divisor
+        divisor = Monomial.from_dict(
+            {v: data.draw(st.integers(0, e)) for v, e in b.factors}
+        )
+        for lead in (a, divisor):
+            if m_divides(lead, b):
+                assert support_mask(lead) & ~support_mask(b) == 0
+        assert m_divides(divisor, b)
+
+    def test_masks_only_under_plain_divisibility(self):
+        rng = random.Random(43)
+        ring = xy_ring("all_distinct", "lex")
+        G = [random_ring_poly(rng, ring, 3) for _ in range(30)] + [zero(ring)]
+        assert all(row[4] == 0 for row in reducer_table(G, pi_divides))
+        rows = reducer_table(G, plain_divides)
+        assert [row[1] for row in rows] == [g for g in G if not g.is_zero]
+        assert all(row[4] == support_mask(lm(row[1])) for row in rows)
+        assert any(row[4] != 0 for row in rows)
 
 
 def reference_act(rho, f):
