@@ -54,6 +54,10 @@ class SystemExit2(Exception):
     """Usage or parse failure; maps to exit code 2."""
 
 
+class BudgetStop(Exception):
+    """A basis computation that exhausted its budget; maps to exit code 3."""
+
+
 def _limits(problem, args):
     opts, default = problem.options, EngineLimits()
     max_width, max_pairs = args.max_width, args.max_pairs
@@ -123,7 +127,7 @@ def _reduce(args):
     target = _parse_poly(problem, args.poly)
     *_, result = _solve(problem, args)
     if result.status == BUDGET:
-        raise SystemExit2("basis computation exhausted its budget")
+        raise BudgetStop("basis computation exhausted its budget")
     return normal_form(target, result.basis)
 
 
@@ -210,6 +214,9 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except BudgetStop as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

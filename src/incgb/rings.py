@@ -184,6 +184,17 @@ def m_act(rho: IncMap, m: Monomial) -> Monomial:
     return Monomial(tuple(((rank, tuple(map(rho, idx))), e) for (rank, idx), e in m.factors))
 
 
+def m_pull_back(rho: IncMap, m: Monomial) -> Monomial:
+    """The greatest n with m_act(rho, n) dividing m: m's factors whose indices
+    all lie in rho's image, moved back.  m_act(rho, k) divides m iff k divides n.
+    """
+    if rho.is_identity:
+        return m
+    pre = {rho(i): i for i in range(m.width())}  # rho(i) >= i
+    kept = ((v, e) for v, e in m.factors if all(j in pre for j in v[1]))
+    return Monomial(tuple(((rank, tuple(map(pre.get, idx))), e) for (rank, idx), e in kept))
+
+
 def order_key(ring: Ring, m: Monomial):
     """Sort key of m: its greatest-first factors, after the degree under grlex."""
     key = tuple((var_key(v), e) for v, e in m.factors)

@@ -2,29 +2,30 @@
 
 Module terms live in a free module over monomials twisted by shifts: a
 twisted monomial is a plain monomial times an increasing map, and acts on a
-monomial m as mono * shift(m).  Signatures (lead module terms) are ordered
-by the Schreyer order induced by the lead monomials of the module
-generators, ties broken by position and then by a fixed total order on
-twisted monomials.  The order is one sort key, ``SigEngine.sig_key``; the
-shift's generator word appears only in its last tie-break.
+monomial m as mono * shift(m).  Signatures are ordered by the Schreyer
+order of the module generators' leads, ties broken by position and then by
+a fixed total order on twisted monomials: one sort key, ``SigEngine.sig_key``.
 
-``egb_signature`` adds an extra full orbit normal-form step on each new
-basis element; when the step changes the element, the module rank grows
-and the element re-enters with a fresh unit signature.  Zero reductions
-contribute syzygy signatures, and J-pairs covered by known pairs or
-syzygies are discarded.
+``egb_signature`` gives each new basis element a full orbit normal form;
+when that changes it, the element re-enters with a fresh unit signature.
+Zero reductions contribute syzygy signatures, and J-pairs covered by known
+pairs or syzygies are discarded.  A J-pair stays unbuilt, a signature, a
+lead and a multiple of a basis element, until it is popped.  Regular
+top-reduction works on ``poly.reduce_terms``' accumulator and compares a
+reducer's Schreyer head before its full key.  The cover test groups
+syzygies by index and shift and pulls the target back once per group.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau
-from .poly import Polynomial, act, lc, lm, monic, mul_term, normal_form, sorted_basis, subtract
+from .poly import Polynomial, lm, monic, reduce_terms, reducer_row, sorted_basis, support_mask
 from .rings import (
     UNIT,
     Monomial,
@@ -33,11 +34,18 @@ from .rings import (
     m_act,
     m_divides,
     m_mul,
+    m_pull_back,
     m_quotient,
     order_key,
     pi_divides,
 )
 from .spairs import spair_generators
+
+
+STAT_KEYS = (
+    "pairs_processed", "zero_reductions", "tied_zero_reductions", "covered_pairs",
+    "singular_discards", "duplicate_signatures", "insertions", "syzygies",
+)
 
 
 @dataclass(frozen=True)
@@ -63,32 +71,18 @@ def tm_apply(tm: TwistedMonomial, m: Monomial) -> Monomial:
 
 @lru_cache(maxsize=None)
 def _shift_quotient(target_values, base_values):
-    """The shift part of a left quotient, st with st o sb == s_target, or None.
-
-    st is forced on the image of the base's map and filled minimally
-    elsewhere.  This depends on the two maps only, which recur far more
-    often than the twisted monomials, so it is computed once per pair; the
-    memo is keyed on the maps' value tuples, which hash faster than maps.
-    """
-    sb = IncMap(base_values)
-    st_target = IncMap(target_values)
-    span = max(len(sb.values), len(st_target.values)) + 2
-    st = extend_partial(
-        tuple(sb(i) for i in range(span)),
-        tuple(st_target(i) for i in range(span)),
-    )
-    if st is None or compose(st, sb) != st_target:
-        return None
-    return st
+    """The shift part of a left quotient, st with st o sb == s_target, or None:
+    forced on the image of sb, minimal elsewhere.  Maps recur far more often
+    than twisted monomials, so this is memoized on their value tuples."""
+    sb, st_target = IncMap(base_values), IncMap(target_values)
+    span = range(max(len(base_values), len(target_values)) + 2)
+    st = extend_partial(tuple(map(sb, span)), tuple(map(st_target, span)))
+    return None if st is None or compose(st, sb) != st_target else st
 
 
 def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
-    """Twisted monomials t with t * base == target.
-
-    The map part is forced on the image of base's map and filled minimally
-    elsewhere, so at most one candidate is produced; a miss only forgoes a
-    discard in the cover test.
-    """
+    """Twisted monomials t with t * base == target: at most one, as the map part
+    is forced (``_shift_quotient``); a miss only forgoes a cover discard."""
     st = _shift_quotient(target.shift.values, base.shift.values)
     if st is None:
         return []
@@ -108,7 +102,27 @@ class Signature:
 @dataclass(frozen=True)
 class LabeledPoly:
     sig: Signature
-    poly: Polynomial  # zero only for syzygy records
+    poly: Polynomial
+
+
+class JPair:
+    """t * source for t = (cof, map), unbuilt: sig == t * sig(source) and
+    lead == cof * map(lm(source)); the polynomial is built on demand.  A
+    queue record, never compared: slots, and no dataclass to set up."""
+
+    __slots__ = ("sig", "lead", "source", "map", "cof")
+
+    def __init__(self, sig, lead, source, map, cof):
+        self.sig, self.lead, self.source, self.map, self.cof = sig, lead, source, map, cof
+
+    @property
+    def poly(self):
+        g = self.source.poly
+        return Polynomial(g.ring, tuple((c, m_mul(m_act(self.map, n), self.cof)) for c, n in g.terms))
+
+    def width(self):
+        w = self.source.poly.width()  # an increasing map: the top index goes widest
+        return max(self.cof.width(), self.map(w - 1) + 1 if w else 0)
 
 
 class SigEngine:
@@ -125,21 +139,16 @@ class SigEngine:
     def sig_key(self, s: Signature):
         """Sort key of the signature order; equal keys mean equal signatures.
 
-        ``key[:2]`` is the Schreyer order proper: the ring image of the term,
-        then position.  Distinct twisted monomials with the same image and
-        index tie there; only that level may justify discarding work.
-
-        The rest is a fixed tie-break.  Among equal-image signatures the
-        one whose monomial part is larger counts as smaller, so the
-        least-shifted representative of a tied class is processed first
-        and the others reduce against it.  With the image fixed, a larger
-        monomial part means a smaller moved lead (cancellation in a
-        monomial order), so the key holds the moved lead ascending.  Equal
-        moved leads leave the shifts: the longer, then lexicographically
-        larger, generator word counts as smaller.  The tie-break is
-        preserved by left multiplication, which reduction and covering
-        rely on.  Keys are not cached: holding one per signature costs
-        more memory than recomputing them costs time.
+        ``key[:2]`` is the Schreyer order proper, image then position; only
+        that level may justify discarding work.  The rest is a fixed
+        tie-break among equal images: a larger monomial part, which means a
+        smaller moved lead, counts as smaller, so the least-shifted member of
+        a tied class comes first and the others reduce against it; equal
+        moved leads leave the shifts, where the longer, then lexicographically
+        larger, generator word counts as smaller.  Left multiplication keeps
+        the tie-break, which reduction and covering rely on.  Keys are not
+        cached: holding one per signature costs more memory than recomputing
+        them costs time.
         """
         lead = self.module_leads[s.index]
         moved = m_act(s.tm.shift, lead)
@@ -154,7 +163,7 @@ class SigEngine:
 
 
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
-    """The larger-signature sides of the S-polynomials of p and q.
+    """The larger-signature sides of the S-polynomials of p and q, unbuilt.
 
     Sides with equal multiplied signatures are singular and emit nothing.
     The coprime filter stays off here: cover and syzygy logic subsume it.
@@ -164,43 +173,51 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
         sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
         sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
-        if key1 == key2:
-            continue
         if key1 > key2:
-            out.append(LabeledPoly(sig1, mul_term(act(gen.map1, p.poly), Fraction(1), gen.cof1)))
-        else:
-            out.append(LabeledPoly(sig2, mul_term(act(gen.map2, q.poly), Fraction(1), gen.cof2)))
+            out.append(JPair(sig1, gen.overlap, p, gen.map1, gen.cof1))
+        elif key1 < key2:
+            out.append(JPair(sig2, gen.overlap, q, gen.map2, gen.cof2))
     return out
 
 
-def is_covered(j: LabeledPoly, G, S, engine: SigEngine) -> bool:
+def add_syzygy(S, sig: Signature):
+    """Record a syzygy signature in the cover index S: index -> shift values
+    -> [(support mask, monomial part)]."""
+    group = S.setdefault(sig.index, {}).setdefault(sig.tm.shift.values, [])
+    group.append((support_mask(sig.tm.mono), sig.tm.mono))
+
+
+def is_covered(j, G, S, engine: SigEngine) -> bool:
     """Whether a known pair or syzygy signature licenses discarding j.
 
-    Both branches divide at the signature, exactly: a nonzero pair g covers
-    j when some twisted t gives t * sig(g) == sig(j) and t moves g's lead
-    strictly below j's lead; a syzygy covers j when its signature exactly
-    left-divides j's.  Cover at the same signature with a merely tied or
-    rearranged lead is no license: the discarded content would reappear at
-    a signature the queue never visits.
+    Both branches divide at the signature, exactly: g in G covers j when
+    some twisted t gives t * sig(g) == sig(j) and moves lm(g) strictly below
+    j's lead; a syzygy of the index S (``add_syzygy``) covers j when its
+    signature exactly left-divides j's.  A merely tied or rearranged lead is
+    no license: the discarded content would reappear at a signature the
+    queue never visits.
     """
-    if j.poly.is_zero:
-        return False
-    jl = order_key(engine.ring, lm(j.poly))
+    jl = order_key(engine.ring, j.lead)
     for g in G:
-        if g.sig.index != j.sig.index or g.poly.is_zero:
+        if g.sig.index != j.sig.index:
             continue
         for t in tm_left_quotients(j.sig.tm, g.sig.tm):
             if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
                 return True
-    for s in S:
-        if s.sig.index != j.sig.index:
+    # per group, t * sig(s) == sig(j) iff mono(s) divides sig(j)'s pulled back
+    target = j.sig.tm
+    for shift, group in S.get(j.sig.index, {}).items():
+        st = _shift_quotient(target.shift.values, shift)
+        if st is None:
             continue
-        if tm_left_quotients(j.sig.tm, s.sig.tm):
+        back = m_pull_back(st, target.mono)
+        outside = ~support_mask(back)
+        if any(not mask & outside and m_divides(n, back) for mask, n in group):
             return True
     return False
 
 
-def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
+def regular_top_reduce(p, G, engine: SigEngine):
     """Top-reduce p by multiples with strictly smaller signature.
 
     Returns (reduced pair, singular, tied_used).  singular means a reducer
@@ -209,88 +226,83 @@ def regular_top_reduce(p: LabeledPoly, G, engine: SigEngine):
     used a reducer whose signature ties p's at the Schreyer level and wins
     only by the artificial tie-break; a zero reached that way has an
     order-ambiguous module lead and must not be recorded as a syzygy.
-    The signature itself never changes.
+    The signature itself never changes.  The work polynomial is
+    ``reduce_terms``' accumulator, and a Polynomial is built for the result.
     """
-    work = p.poly
-    p_key = engine.sig_key(p.sig)
+    ring, p_key = engine.ring, engine.sig_key(p.sig)
+    head = p_key[:2]
+    rows = [(g, lm(g.poly), tm_apply(g.sig.tm, engine.module_leads[g.sig.index])) for g in G]
+    terms = p.poly.terms  # a J-pair builds its polynomial here
+    acc = {m: c for c, m in terms}
+    queue = [(order_key(ring, m), m) for _, m in reversed(terms)]
     tied_used = False
-    while not work.is_zero:
-        step = None
-        singular = False
-        target = lm(work)
-        for g in G:
-            if g.poly.is_zero:
-                continue
-            lead = lm(g.poly)
+    while queue:
+        target = queue.pop()[1]
+        c = acc.pop(target)
+        if c == 0:
+            continue
+        step, singular = None, False
+        for g, lead, image in rows:
             # lazily, in pi_div_witnesses order: no more past the first step
             for rho in _match_witnesses(lead, target):
-                t = TwistedMonomial(m_quotient(target, m_act(rho, lead)), rho)
-                key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
+                cof = m_quotient(target, m_act(rho, lead))
+                # the Schreyer head of t * sig(g) decides unless it ties p's
+                key = (order_key(ring, m_mul(cof, m_act(rho, image))), g.sig.index)
+                if key == head:
+                    t = TwistedMonomial(cof, rho)
+                    key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
                 if key == p_key:
                     singular = True
                 elif key < p_key:
-                    step = (g, t, key[:2] == p_key[:2])
+                    step = (g, rho, cof)
+                    tied_used = tied_used or key[:2] == head
                     break
             if step:
                 break
         if step is None:
-            if singular:
-                return LabeledPoly(p.sig, work), True, tied_used
-            break
-        g, t, tied = step
-        tied_used = tied_used or tied
-        g_img = act(t.shift, g.poly)
-        ratio = lc(work) / lc(g_img)
-        work = subtract(work, mul_term(g_img, ratio, t.mono))
-    return LabeledPoly(p.sig, work), False, tied_used
+            rest = tuple((acc[m], m) for _, m in reversed(queue) if acc[m] != 0)
+            return LabeledPoly(p.sig, Polynomial(ring, ((c, target),) + rest)), singular, tied_used
+        g, rho, cof = step
+        ratio = c / g.poly.terms[0][0]
+        for a, n in g.poly.terms[1:]:
+            n = m_mul(m_act(rho, n), cof)
+            if n in acc:
+                acc[n] -= ratio * a
+            else:
+                acc[n] = -ratio * a
+                insort(queue, (order_key(ring, n), n))
+    return LabeledPoly(p.sig, Polynomial(ring, ())), False, tied_used
 
 
 def _signature_loop(polys, engine, limits):
-    stats = {
-        "pairs_processed": 0,
-        "zero_reductions": 0,
-        "tied_zero_reductions": 0,
-        "covered_pairs": 0,
-        "singular_discards": 0,
-        "duplicate_signatures": 0,
-        "insertions": 0,
-        "syzygies": 0,
-    }
-    G, S = [], []
-    J = []
-    seq = 0
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    G, S = [], {}  # S: the syzygy index of ``add_syzygy``
+    table = []  # normal_form's reducer rows of G, one per insertion
+    J, seq, done_sigs = [], 0, set()
 
     def push(pair):
         # The weighted degree of the Schreyer image comes first, so the queue
-        # is processed in finite degree bands.  Under a non-graded ring
-        # order, popping by raw signature order alone can starve a pair
-        # forever: every insertion spawns new pairs, and infinitely many of
-        # them can compare below a fixed signature even as their degrees
-        # grow without bound.  Reduction and covering still use the
-        # undegreed signature order, so discards stay justified
-        # independently of processing order.  Queued polynomials are never
-        # zero: the generators are prepared nonzero and a J-pair is a
-        # multiple of a basis element.
+        # runs in finite degree bands: under a non-graded order, infinitely
+        # many pairs can compare below a fixed signature as their degrees
+        # grow.  Reduction and covering use the undegreed order, so discards
+        # stay justified whatever the processing order.  Queued pairs are
+        # multiples of a prepared generator or a basis element: never zero.
         nonlocal seq
         degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
         key = engine.sig_key(pair.sig)
-        heapq.heappush(J, (degree, key, order_key(engine.ring, lm(pair.poly)), seq, pair))
+        heapq.heappush(J, (degree, key, order_key(engine.ring, pair.lead), seq, pair))
         seq += 1
 
     for f in polys:
-        idx = engine.new_index(lm(f))
-        push(LabeledPoly(Signature(UNIT_TM, idx), f))
-    status = COMPLETE
-    done_sigs = set()
+        sig = Signature(UNIT_TM, engine.new_index(lm(f)))
+        push(JPair(sig, lm(f), LabeledPoly(sig, f), IDENTITY, UNIT))  # 1 * f
 
     while J:
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
-            status = BUDGET
-            break
+            return G, stats, BUDGET
         p = heapq.heappop(J)[-1]
-        if p.poly.width() > limits.max_width:
-            status = BUDGET
-            break
+        if p.width() > limits.max_width:
+            return G, stats, BUDGET
         if p.sig in done_sigs:
             # one pair per exact signature: the minimal-lead representative
             # was already handled, later arrivals are singular against it
@@ -307,22 +319,20 @@ def _signature_loop(polys, engine, limits):
             continue
         if h.poly.is_zero:
             stats["zero_reductions"] += 1
-            if tainted:
-                stats["tied_zero_reductions"] += 1
-            S.append(h)
+            stats["tied_zero_reductions"] += tainted
+            add_syzygy(S, h.sig)
             stats["syzygies"] += 1
             continue
-        h2 = normal_form(h.poly, [g.poly for g in G])
+        h2 = reduce_terms(engine.ring, {m: c for c, m in h.poly.terms}, table, pi_divides)
         if h2.is_zero:
             continue
         if h2 != h.poly:
-            idx = engine.new_index(lm(h2))
-            h = LabeledPoly(Signature(UNIT_TM, idx), h2)
+            h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
         G.append(LabeledPoly(h.sig, monic(h.poly)))
+        table.append(reducer_row(len(G) - 1, G[-1].poly, pi_divides))
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
-            status = BUDGET
-            break
+            return G, stats, BUDGET
         k = len(G) - 1
         for i in range(len(G)):
             for jp in j_pairs(G[i], G[k], i, k, engine):
@@ -333,24 +343,20 @@ def _signature_loop(polys, engine, limits):
                     stats["covered_pairs"] += 1
                     continue
                 push(jp)
-
-    return G, S, stats, status
+    return G, stats, COMPLETE
 
 
 def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Signature-based orbit engine.
 
-    The polynomial parts of the returned labeled pairs form an equivariant
-    Groebner basis of the orbit ideal of F.  The basis is returned monic
-    with duplicates and orbit-redundant leads dropped, but without full
-    tail reduction, matching how the algorithm leaves its output.  A
-    budget stop returns the direct engine's form of partial basis: the
-    prepared generators, then the insertions, without duplicates, since a
-    stop can come before a generator is ever inserted.
+    A complete run returns an equivariant Groebner basis of the orbit ideal
+    of F, monic, without duplicates or orbit-redundant leads, not tail
+    reduced.  A budget stop returns the direct engine's form of partial
+    basis: the prepared generators, then the insertions, without duplicates.
     """
     polys = _prepare(F)
     engine = SigEngine(polys[0].ring if polys else None)
-    G, _S, stats, status = _signature_loop(polys, engine, limits)
+    G, stats, status = _signature_loop(polys, engine, limits)
     if status == BUDGET:
         basis = list(dict.fromkeys(polys + [g.poly for g in G]))
     else:
@@ -359,20 +365,14 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
 
 
 def _minimalize(polys):
-    """Drop duplicates and elements whose lead another lead orbit-divides."""
+    """Drop duplicates and elements whose lead another lead orbit-divides;
+    among equal leads the earliest element stays."""
     out = []
     for i, f in enumerate(polys):
-        redundant = False
-        for j, g in enumerate(polys):
-            if i == j:
-                continue
-            w = pi_divides(lm(g), lm(f))
-            if w is not None and not (
-                lm(g) == lm(f) and j > i
-            ):
-                # keep the earliest element among equal leads
-                redundant = True
-                break
-        if not redundant and f not in out:
+        lead = lm(f)
+        if f not in out and not any(
+            j != i and pi_divides(lm(g), lead) is not None and (lm(g) != lead or j < i)
+            for j, g in enumerate(polys)
+        ):
             out.append(f)
     return sorted_basis(out)

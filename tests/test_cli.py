@@ -117,6 +117,18 @@ class TestMember:
         assert main(["member", member_file, "--poly", "x[0] + 1"]) == EXIT_NO
 
 
+@pytest.mark.parametrize("command", ["reduce", "member"])
+def test_budget_stop_exits_budget(tmp_path, capsys, command):
+    # the basis computation runs out of width: exit 3, as for solve, not 2
+    f = tmp_path / "wide.egb"
+    f.write_text(X_RING_TEXT.replace("x[0];", "x[5]*x[0] - x[1];"))
+    argv = [command, str(f), "--poly", "x[1]", "--max-width", "3"]
+    assert main(argv) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exhausted its budget" in captured.err
+
+
 class TestOrbit:
     def test_width_three(self, tmp_path, capsys):
         f = tmp_path / "x.egb"

@@ -1,31 +1,38 @@
 """Twisted monomials, signatures, and the signature-based engines."""
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
-from incgb.incmaps import compose, extend_partial, map_to_tau, tau_to_map
-from incgb.poly import lm, monic, normal_form, poly
+from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau, tau_to_map
+from incgb.poly import act, lc, lm, monic, mul_term, normal_form, poly, subtract
 from incgb.problems import format_polynomial
 from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
+    _match_witnesses,
     compare,
     m_act,
     m_divides,
     m_mul,
     m_quotient,
+    order_key,
 )
 from incgb.signature import (
     UNIT_TM,
+    JPair,
     LabeledPoly,
     SigEngine,
     Signature,
     TwistedMonomial,
+    add_syzygy,
     egb_signature,
     is_covered,
     j_pairs,
@@ -36,6 +43,7 @@ from incgb.signature import (
 )
 
 from conftest import expr, ideal_equal, random_incmap, random_xmono, xmono
+from test_cross_engine import LIMITS, inputs
 
 X = Ring((FamilySpec("x"),))
 
@@ -293,6 +301,11 @@ class TestJPairs:
         assert all(jp.sig != q.sig for jp in j_pairs(q, q, 0, 0, engine))
 
 
+def unit_multiple(lp):
+    """The J-pair 1 * lp, as the engine queues a generator."""
+    return JPair(lp.sig, lm(lp.poly), lp, IDENTITY, Monomial())
+
+
 class TestIsCovered:
     def setup_method(self):
         self.engine = SigEngine(X)
@@ -305,16 +318,17 @@ class TestIsCovered:
             p((1, xmono(0, 1, 2)), (-1, xmono(0, 2))),
         )
         # the only quotient moves g's lead exactly onto j's lead: no license
-        assert not is_covered(j, [g, j], [], self.engine)
+        assert not is_covered(unit_multiple(j), [g, j], {}, self.engine)
 
     def test_empty_sets(self):
         j = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(0, 1))))
-        assert not is_covered(j, [], [], self.engine)
+        assert not is_covered(unit_multiple(j), [], {}, self.engine)
 
     def test_syzygy_signature_divides(self):
-        syz = LabeledPoly(Signature(tm(xmono(2)), 0), poly(X, []))
+        S = {}
+        add_syzygy(S, Signature(tm(xmono(2)), 0))
         j = LabeledPoly(Signature(tm(xmono(2, 3)), 0), p((1, xmono(0, 1))))
-        assert is_covered(j, [], [syz], self.engine)
+        assert is_covered(unit_multiple(j), [], S, self.engine)
 
     def test_smaller_moved_lead_covers(self):
         g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0)), (-1, Monomial())))
@@ -322,7 +336,24 @@ class TestIsCovered:
             Signature(tm(xmono(1, 2)), 0), p((1, xmono(0, 3)), (-1, xmono(3)))
         )
         # t = x2: t * sig(g) == sig(j) and x2 * lm(g) = x0 x2 < x0 x3
-        assert is_covered(j, [g], [], self.engine)
+        assert is_covered(unit_multiple(j), [g], {}, self.engine)
+
+    def test_shifted_syzygy_pulled_back(self):
+        # sig(j) = (x3 x4, t0 t0).  (x5, t0) and (x0, t0) reach its shift
+        # through the map st that fixes 0 and adds 1 elsewhere, but st moves
+        # neither monomial onto a divisor of x3 x4; (x0, t0 t0 t0) cannot
+        # reach the shift at all.  (x2, t0) covers: st(x2) = x3.
+        S = {}
+        for mono, word in [(xmono(5), (0,)), (xmono(0), (0,)), (xmono(0), (0, 0, 0))]:
+            add_syzygy(S, Signature(tm(mono, *word), 0))
+        target = Signature(twisted_mul(tm(xmono(3), 0), tm(xmono(3), 0)), 0)
+        assert target.tm == tm(xmono(3, 4), 0, 0)
+        j = unit_multiple(LabeledPoly(target, p((1, xmono(0, 1)))))
+        assert not is_covered(j, [], S, self.engine)
+        assert not reference_is_covered(j, [], syzygy_records(S), self.engine)
+        add_syzygy(S, Signature(tm(xmono(2), 0), 0))
+        assert is_covered(j, [], S, self.engine)
+        assert reference_is_covered(j, [], syzygy_records(S), self.engine)
 
 
 class TestRegularTopReduce:
@@ -343,6 +374,148 @@ class TestRegularTopReduce:
         assert out.poly.is_zero and not singular
         assert out.sig == target.sig  # the signature never changes
 
+    def test_tail_kept_below_an_irreducible_lead(self):
+        # x1*x0 - x0 reduces the lead of x1*x0 + 2*x0^2 + x0 at a smaller
+        # signature; no shift of x1*x0 divides x0^2, so 2*x0^2 + 2*x0 is left
+        engine = SigEngine(X)
+        engine.new_index(xmono(0, 1))
+        g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        target = LabeledPoly(
+            Signature(tm(xmono(9)), 0), p((1, xmono(0, 1)), (2, xmono(0, 0)), (1, xmono(0)))
+        )
+        out = regular_top_reduce(target, [g], engine)
+        assert out == reference_regular_top_reduce(target, [g], engine)
+        assert out[0].poly == p((2, xmono(0, 0)), (2, xmono(0))) and not out[1]
+
+
+def reference_is_covered(j, G, S, engine):
+    """The linear-scan cover test the syzygy index replaced; S lists the
+    syzygies as zero labeled polynomials."""
+    if j.poly.is_zero:
+        return False
+    jl = order_key(engine.ring, lm(j.poly))
+    for g in G:
+        if g.sig.index != j.sig.index or g.poly.is_zero:
+            continue
+        for t in tm_left_quotients(j.sig.tm, g.sig.tm):
+            if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
+                return True
+    for s in S:
+        if s.sig.index != j.sig.index:
+            continue
+        if tm_left_quotients(j.sig.tm, s.sig.tm):
+            return True
+    return False
+
+
+def syzygy_records(S, ring=X):
+    """The syzygies of a cover index, as the linear scan took them."""
+    return [
+        LabeledPoly(Signature(TwistedMonomial(mono, IncMap(shift)), index), poly(ring, []))
+        for index, groups in S.items()
+        for shift, group in groups.items()
+        for _mask, mono in group
+    ]
+
+
+def reference_regular_top_reduce(p, G, engine):
+    """Regular top-reduction as it was before the term accumulator: whole
+    polynomial ``subtract`` steps and the full signature key of every
+    candidate reducer."""
+    work = p.poly
+    p_key = engine.sig_key(p.sig)
+    tied_used = False
+    while not work.is_zero:
+        step = None
+        singular = False
+        target = lm(work)
+        for g in G:
+            if g.poly.is_zero:
+                continue
+            lead = lm(g.poly)
+            for rho in _match_witnesses(lead, target):
+                t = TwistedMonomial(m_quotient(target, m_act(rho, lead)), rho)
+                key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
+                if key == p_key:
+                    singular = True
+                elif key < p_key:
+                    step = (g, t, key[:2] == p_key[:2])
+                    break
+            if step:
+                break
+        if step is None:
+            if singular:
+                return LabeledPoly(p.sig, work), True, tied_used
+            break
+        g, t, tied = step
+        tied_used = tied_used or tied
+        g_img = act(t.shift, g.poly)
+        ratio = lc(work) / lc(g_img)
+        work = subtract(work, mul_term(g_img, ratio, t.mono))
+    return LabeledPoly(p.sig, work), False, tied_used
+
+
+@contextmanager
+def checked_against_oracles():
+    """Run the engine with every J-pair list, cover test and top reduction
+    checked: a J-pair's lead and width against its built polynomial, the
+    cover verdict and the reduction against the oracles above.  Yields the
+    number of checks of each kind."""
+    cover, reduce_top, pairs = signature.is_covered, signature.regular_top_reduce, signature.j_pairs
+    checks = Counter()
+
+    def checked_pairs(p, q, pi, qi, engine):
+        out = pairs(p, q, pi, qi, engine)
+        for jp in out:
+            built = jp.poly
+            assert (jp.lead, jp.width()) == (lm(built), built.width())
+            checks["j_pairs"] += 1
+        return out
+
+    def checked_cover(j, G, S, engine):
+        verdict = cover(j, G, S, engine)
+        assert verdict == reference_is_covered(j, G, syzygy_records(S, engine.ring), engine)
+        checks["is_covered"] += 1
+        return verdict
+
+    def checked_reduce(p, G, engine):
+        out = reduce_top(p, G, engine)
+        assert out == reference_regular_top_reduce(LabeledPoly(p.sig, p.poly), G, engine)
+        checks["regular_top_reduce"] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signature, "j_pairs", checked_pairs)
+        mp.setattr(signature, "is_covered", checked_cover)
+        mp.setattr(signature, "regular_top_reduce", checked_reduce)
+        yield checks
+
+
+class TestEngineOracle:
+    """The engine's J-pairs, cover tests and top reductions against the
+    subtract-based reduction and linear-scan cover test they replaced."""
+
+    @pytest.mark.parametrize("problem", ["toric", "member"])
+    def test_corpus_runs(self, request, problem):
+        generators = request.getfixturevalue(f"{problem}_problem").generators
+        with checked_against_oracles() as checks:
+            res = egb_signature(generators)
+        assert res.status == COMPLETE
+        # each popped pair is tested for cover and, if uncovered, reduced;
+        # covered_pairs also counts J-pairs covered before they were queued
+        stats = res.stats
+        assert checks["is_covered"] >= stats["pairs_processed"]
+        reduced = checks["regular_top_reduce"]
+        assert stats["pairs_processed"] - stats["covered_pairs"] <= reduced < stats["pairs_processed"]
+        assert checks["j_pairs"] > 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(inputs())
+    def test_cross_engine_inputs(self, F):
+        with checked_against_oracles() as checks:
+            res = egb_signature(F, LIMITS)
+        assert checks["is_covered"] >= res.stats["pairs_processed"]
+
 
 TORIC_BASIS = [
     "x[1]*x[0] - y[1,0]",
@@ -361,6 +534,10 @@ MEMBER_BASIS = [
     "x[2]*x[0]^2 - x[1]^2 - x[1]*x[0]",
 ]
 
+WIDE5 = "x[5]*x[0] - x[1]"
+
+WIDE5_BASIS = ["x[1]*x[0] - x[1]", "x[1]^2 - x[1]*x[0]", "x[2] - x[1]"]
+
 STAT_KEYS = (
     "pairs_processed",
     "zero_reductions",
@@ -375,17 +552,24 @@ STAT_KEYS = (
 
 class TestEgbSignature:
     @pytest.mark.parametrize(
-        "problem, counts, basis",
+        "problem, limits, status, counts, basis",
         [
-            ("toric", (1600, 401, 14, 935, 2, 142, 6, 401), TORIC_BASIS),
-            ("member", (499, 78, 7, 275, 0, 227, 6, 78), MEMBER_BASIS),
+            ("toric", None, COMPLETE, (1600, 401, 14, 935, 2, 142, 6, 401), TORIC_BASIS),
+            ("member", None, COMPLETE, (499, 78, 7, 275, 0, 227, 6, 78), MEMBER_BASIS),
+            ("wide5", None, COMPLETE, (2361, 27, 10, 2329, 0, 2776, 4, 27), WIDE5_BASIS),
+            ("wide5", (3, 10), BUDGET, (0,) * 8, [WIDE5]),
         ],
-        ids=["toric", "member"],
+        ids=["toric", "member", "wide5", "wide5_budget"],
     )
-    def test_stats_pinned(self, request, problem, counts, basis):
-        # any change to the signature order moves these counters
-        res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
-        assert res.status == COMPLETE
+    def test_stats_pinned(self, request, x_problem, problem, limits, status, counts, basis):
+        # any change to the signature order moves these counters; wide5 and
+        # its budget stop (max_width, max_pairs) are perfbench's corpus files
+        if problem == "wide5":
+            generators = [expr(x_problem, WIDE5)]
+        else:
+            generators = request.getfixturevalue(f"{problem}_problem").generators
+        res = egb_signature(generators, EngineLimits(*limits) if limits else EngineLimits())
+        assert res.status == status
         assert res.stats == dict(zip(STAT_KEYS, counts))
         assert [format_polynomial(f) for f in res.basis] == basis
 
