@@ -337,9 +337,8 @@ def format_monomial(ring: Ring, m: Monomial) -> str:
     if m.is_unit:
         return "1"
     parts = []
-    for (rank, indices), e in m.factors:
-        name = ring.families[rank].name
-        v = f"{name}[{','.join(str(i) for i in indices)}]"
+    for var, e in m.factors:
+        v = f"{ring.family_of(var).name}[{','.join(str(i) for i in var[1])}]"
         parts.append(v if e == 1 else f"{v}^{e}")
     return "*".join(parts)
 

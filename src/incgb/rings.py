@@ -5,19 +5,19 @@ Variables come in declared families: ``x`` of arity 1 gives x[0], x[1], ...;
 and so on.  An increasing map on the naturals acts entrywise on index tuples,
 which preserves every supported constraint.
 
-A variable is stored as ``(rank, indices)`` where rank is its family's
-position in the order's precedence list (rank 0 is the greatest family).
-Variables are ordered by precedence first, then index tuples
-lexicographically (larger tuple means larger variable); this order is
-preserved by the shift action, which is what makes the induced monomial
-orders usable here.  ``var_key`` and ``order_key`` are the sort keys of the
-variable and monomial orders; every comparison and sort derives from them.
+A variable is stored as its own sort key ``(-rank, indices)``, rank being
+its family's position in the precedence list (``Ring.family_of``): families
+by precedence, then index tuples lexicographically, larger being greater.
+The shift action preserves this order, which makes the induced monomial
+orders usable here.  Factors are kept greatest-first, so they are the lex
+``order_key`` as they stand, and monomial arithmetic merges factor tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 
 from .incmaps import IDENTITY, IncMap, extend_partial
 
@@ -81,13 +81,10 @@ class Ring:
         problem = self.families[rank].check_indices(tuple(indices))
         if problem is not None:
             raise ValueError(f"{name}{list(indices)}: {problem}")
-        return (rank, tuple(indices))
+        return (-rank, tuple(indices))
 
-
-def var_key(var):
-    """Sort key of a variable: a larger key is a greater variable."""
-    rank, indices = var
-    return (-rank, indices)
+    def family_of(self, var):
+        return self.families[-var[0]]
 
 
 @dataclass(frozen=True)
@@ -98,90 +95,96 @@ class Monomial:
 
     @staticmethod
     def from_dict(exps):
-        items = [(v, e) for v, e in exps.items() if e != 0]
-        if any(e < 0 for _, e in items):
+        if any(e < 0 for e in exps.values()):
             raise ValueError("negative exponent")
-        items.sort(key=lambda it: var_key(it[0]), reverse=True)
-        return Monomial(tuple(items))
+        return Monomial(tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True)))
 
     @property
     def is_unit(self):
         return not self.factors
 
     def exponent(self, var):
-        for v, e in self.factors:
-            if v == var:
-                return e
-        return 0
+        return next((e for v, e in self.factors if v == var), 0)
 
     def degree(self, ring: Ring = None):
         if ring is None or not ring.use_weights:
             return sum(e for _, e in self.factors)
-        return sum(e * ring.families[v[0]].weight for v, e in self.factors)
+        return sum(e * ring.family_of(v).weight for v, e in self.factors)
 
     def indices(self):
         """Sorted distinct indices appearing in this monomial."""
-        seen = set()
-        for (_, idx), _e in self.factors:
-            seen.update(idx)
-        return sorted(seen)
+        return sorted({i for (_, idx), _e in self.factors for i in idx})
 
     def width(self):
-        idx = self.indices()
-        return idx[-1] + 1 if idx else 0
+        return max((max(idx) + 1 for (_, idx), _e in self.factors), default=0)
 
 
 UNIT = Monomial()
 
 
+def _merge(fa, fb, shared):
+    """Greatest-first factor tuples merged; ``shared`` combines a common variable's exponents."""
+    out = []
+    i = j = 0
+    while i < len(fa) and j < len(fb):
+        (va, ea), (vb, eb) = fa[i], fb[j]
+        if va == vb:
+            out.append((va, shared(ea, eb)))
+        else:
+            out.append(fa[i] if va > vb else fb[j])
+        i += va >= vb  # past each factor just taken
+        j += vb >= va
+    return Monomial(tuple(out) + fa[i:] + fb[j:])
+
+
 def m_mul(a: Monomial, b: Monomial) -> Monomial:
-    if a.is_unit:
-        return b
-    if b.is_unit:
-        return a
-    exps = {v: e for v, e in a.factors}
-    for v, e in b.factors:
-        exps[v] = exps.get(v, 0) + e
-    return Monomial.from_dict(exps)
+    if a.is_unit or b.is_unit:  # the other factor, unchanged
+        return b if a.is_unit else a
+    return _merge(a.factors, b.factors, add)
 
 
 def m_divides(a: Monomial, b: Monomial) -> bool:
-    return all(b.exponent(v) >= e for v, e in a.factors)
+    fa, i = a.factors, 0
+    for v, f in b.factors:
+        if i < len(fa) and fa[i][0] == v:
+            if fa[i][1] > f:
+                return False
+            i += 1
+    return i == len(fa)
 
 
 def m_quotient(b: Monomial, a: Monomial) -> Monomial:
-    exps = {}
-    for v, e in b.factors:
-        exps[v] = e
-    for v, e in a.factors:
-        rem = exps.get(v, 0) - e
-        if rem < 0:
+    fa, i, out = a.factors, 0, []
+    for v, f in b.factors:
+        if i < len(fa) and fa[i][0] == v:
+            f -= fa[i][1]
+            i += 1
+        if f > 0:
+            out.append((v, f))
+        elif f < 0:
             raise ValueError("quotient of non-divisor")
-        exps[v] = rem
-    return Monomial.from_dict(exps)
+    if i < len(fa):  # a variable of a is missing from b
+        raise ValueError("quotient of non-divisor")
+    return Monomial(tuple(out))
 
 
 def m_lcm(a: Monomial, b: Monomial) -> Monomial:
-    exps = {v: e for v, e in a.factors}
-    for v, e in b.factors:
-        exps[v] = max(exps.get(v, 0), e)
-    return Monomial.from_dict(exps)
+    return _merge(a.factors, b.factors, max)
 
 
 def m_coprime(a: Monomial, b: Monomial) -> bool:
-    avars = {v for v, _ in a.factors}
-    return all(v not in avars for v, _ in b.factors)
+    return {v for v, _ in a.factors}.isdisjoint(v for v, _ in b.factors)
 
 
 def m_act(rho: IncMap, m: Monomial) -> Monomial:
     """The image of m under rho, factor by factor.
 
-    An increasing map keeps the ``var_key`` order of the variables of one
-    family and never merges two of them, so the factors stay sorted.
+    An increasing map keeps the order of the variables of one family and
+    never merges two of them, so the factors stay sorted.
     """
     if rho.is_identity or m.is_unit:
         return m
-    return Monomial(tuple(((rank, tuple(map(rho, idx))), e) for (rank, idx), e in m.factors))
+    return Monomial(tuple(((label, tuple(map(rho, idx))), e) for (label, idx), e in m.factors))
 
 
 def m_pull_back(rho: IncMap, m: Monomial) -> Monomial:
@@ -192,15 +195,14 @@ def m_pull_back(rho: IncMap, m: Monomial) -> Monomial:
         return m
     pre = {rho(i): i for i in range(m.width())}  # rho(i) >= i
     kept = ((v, e) for v, e in m.factors if all(j in pre for j in v[1]))
-    return Monomial(tuple(((rank, tuple(map(pre.get, idx))), e) for (rank, idx), e in kept))
+    return Monomial(tuple(((label, tuple(map(pre.get, idx))), e) for (label, idx), e in kept))
 
 
 def order_key(ring: Ring, m: Monomial):
     """Sort key of m: its greatest-first factors, after the degree under grlex."""
-    key = tuple((var_key(v), e) for v, e in m.factors)
     if ring.order_kind == "grlex":
-        return (m.degree(ring), key)
-    return key
+        return (m.degree(ring), m.factors)
+    return m.factors
 
 
 def compare(ring: Ring, a: Monomial, b: Monomial):
@@ -234,18 +236,18 @@ def _match_witnesses(a: Monomial, b: Monomial):
     if k > n or tgt[-1] < src[-1] or tgt[-1] - tgt[0] < src[-1] - src[0]:
         return
     degree = {}
-    for (rank, _), e in b.factors:
-        degree[rank] = degree.get(rank, 0) + e
-    for (rank, _), e in a.factors:
-        left = degree.get(rank, 0) - e
+    for (label, _), e in b.factors:
+        degree[label] = degree.get(label, 0) + e
+    for (label, _), e in a.factors:
+        left = degree.get(label, 0) - e
         if left < 0:
             return
-        degree[rank] = left
+        degree[label] = left
     # closing[j]: the factors of a checked once src[j] has its image, those
     # whose largest index it is
     closing = [[] for _ in src]
-    for (rank, idx), e in a.factors:
-        closing[bisect_left(src, max(idx))].append((rank, idx, e))
+    for (label, idx), e in a.factors:
+        closing[bisect_left(src, max(idx))].append((label, idx, e))
     exponents = dict(b.factors)
     image = {}  # source index -> its image, filled in the order of src
     image_of = image.__getitem__
@@ -263,8 +265,8 @@ def _match_witnesses(a: Monomial, b: Monomial):
             continue
         image[s] = t = tgt[p]
         at[j] = p
-        for rank, idx, e in closing[j]:
-            if exponents.get((rank, tuple(map(image_of, idx))), 0) < e:
+        for label, idx, e in closing[j]:
+            if exponents.get((label, tuple(map(image_of, idx))), 0) < e:
                 p += 1
                 break
         else:

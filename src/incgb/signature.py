@@ -106,14 +106,15 @@ class LabeledPoly:
 
 
 class JPair:
-    """t * source for t = (cof, map), unbuilt: sig == t * sig(source) and
-    lead == cof * map(lm(source)); the polynomial is built on demand.  A
-    queue record, never compared: slots, and no dataclass to set up."""
+    """t * source for t = (cof, map), unbuilt: sig == t * sig(source), key ==
+    its sig_key and lead == cof * map(lm(source)); the polynomial is built on
+    demand.  A queue record, never compared: slots, and no dataclass."""
 
-    __slots__ = ("sig", "lead", "source", "map", "cof")
+    __slots__ = ("sig", "key", "lead", "source", "map", "cof")
 
-    def __init__(self, sig, lead, source, map, cof):
-        self.sig, self.lead, self.source, self.map, self.cof = sig, lead, source, map, cof
+    def __init__(self, sig, key, lead, source, map, cof):
+        self.sig, self.key, self.lead = sig, key, lead
+        self.source, self.map, self.cof = source, map, cof
 
     @property
     def poly(self):
@@ -146,9 +147,9 @@ class SigEngine:
         a tied class comes first and the others reduce against it; equal
         moved leads leave the shifts, where the longer, then lexicographically
         larger, generator word counts as smaller.  Left multiplication keeps
-        the tie-break, which reduction and covering rely on.  Keys are not
-        cached: holding one per signature costs more memory than recomputing
-        them costs time.
+        the tie-break, which reduction and covering rely on.  Only a queued
+        J-pair keeps its key; a cache of every signature's would cost more
+        memory than recomputing them costs time.
         """
         lead = self.module_leads[s.index]
         moved = m_act(s.tm.shift, lead)
@@ -174,9 +175,9 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
         sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
         if key1 > key2:
-            out.append(JPair(sig1, gen.overlap, p, gen.map1, gen.cof1))
+            out.append(JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1))
         elif key1 < key2:
-            out.append(JPair(sig2, gen.overlap, q, gen.map2, gen.cof2))
+            out.append(JPair(sig2, key2, gen.overlap, q, gen.map2, gen.cof2))
     return out
 
 
@@ -289,13 +290,12 @@ def _signature_loop(polys, engine, limits):
         # multiples of a prepared generator or a basis element: never zero.
         nonlocal seq
         degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
-        key = engine.sig_key(pair.sig)
-        heapq.heappush(J, (degree, key, order_key(engine.ring, pair.lead), seq, pair))
+        heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
         seq += 1
 
     for f in polys:
         sig = Signature(UNIT_TM, engine.new_index(lm(f)))
-        push(JPair(sig, lm(f), LabeledPoly(sig, f), IDENTITY, UNIT))  # 1 * f
+        push(JPair(sig, engine.sig_key(sig), lm(f), LabeledPoly(sig, f), IDENTITY, UNIT))  # 1 * f
 
     while J:
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:

@@ -54,6 +54,11 @@ class SPairGen:
     overlap: Monomial
 
 
+def _spair_gen(fi, gi, map1, map2, lf, lg):
+    overlap = m_lcm(lf, lg)
+    return SPairGen(fi, gi, map1, map2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
+
+
 def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=True):
     """Critical-pair generators for (f, g), one per productive interlacing.
 
@@ -77,10 +82,7 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
         lg = m_act(s2, lm(g))
         if coprime_filter and m_coprime(lf, lg):
             continue
-        overlap = m_lcm(lf, lg)
-        gens.append(
-            SPairGen(fi, gi, s1, s2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
-        )
+        gens.append(_spair_gen(fi, gi, s1, s2, lf, lg))
     return gens
 
 
@@ -111,7 +113,4 @@ def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):
     lf, lg = lm(f), lm(g)
     if m_coprime(lf, lg):
         return []
-    overlap = m_lcm(lf, lg)
-    return [
-        SPairGen(fi, gi, IDENTITY, IDENTITY, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
-    ]
+    return [_spair_gen(fi, gi, IDENTITY, IDENTITY, lf, lg)]

@@ -81,13 +81,16 @@ def member_problem():
     return parse(MEMBER_TEXT)
 
 
+X_RING = Ring((FamilySpec("x"),))
+
+
 @pytest.fixture(scope="session")
 def x_ring():
-    return Ring((FamilySpec("x"),))
+    return X_RING
 
 
 def xvar(i):
-    return (0, (i,))
+    return X_RING.variable("x", (i,))
 
 
 def xmono(*indices):

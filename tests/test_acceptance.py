@@ -37,6 +37,7 @@ from conftest import (
     random_incmap,
     random_xmono,
     xmono,
+    xvar,
 )
 from test_buchberger import MEMBER_REFERENCE, TORIC_REFERENCE
 from test_monomials import brute_pi_witnesses
@@ -122,11 +123,11 @@ def test_criterion_4_classical_fibonacci_elimination():
     ) == 0
 
     basis = classical_buchberger(problem.generators).basis
-    yt_ranks = {2, 3}  # family ranks of y and t in this ring
+    ring = problem.ring
     supported = [
         f
         for f in basis
-        if all(rank in yt_ranks for _, m in f.terms for (rank, _), _ in m.factors)
+        if all(ring.family_of(v).name in ("y", "t") for _, m in f.terms for v, _ in m.factors)
     ]
     assert [monic(f) for f in supported] == [sextic]
     _within(start, 5)
@@ -184,7 +185,7 @@ class TestCriterion6PropertySuites:
     def test_pi_divisibility_brute_oracle(self):
         start = time.monotonic()
         pool = [
-            Monomial.from_dict({(0, (i,)): e for i, e in enumerate(exps) if e})
+            Monomial.from_dict({xvar(i): e for i, e in enumerate(exps) if e})
             for exps in itertools.product(range(5), repeat=4)
             if sum(exps) <= 4
         ]

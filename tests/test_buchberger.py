@@ -30,6 +30,7 @@ from conftest import (
     ideal_equal,
     random_xmono,
     xmono,
+    xvar,
 )
 
 X = Ring((FamilySpec("x"),))
@@ -286,7 +287,7 @@ class TestClassicalBuchberger:
                             (
                                 Fraction(c),
                                 Monomial.from_dict(
-                                    {(0, (i,)): e for i, e in enumerate(exps) if e}
+                                    {xvar(i): e for i, e in enumerate(exps) if e}
                                 ),
                             )
                             for c, exps in terms
@@ -316,7 +317,7 @@ class TestClassicalBuchberger:
                 for mono_exps, coeff in g.terms():
                     e2, e1, e0 = mono_exps
                     m = Monomial.from_dict(
-                        {(0, (2,)): e2, (0, (1,)): e1, (0, (0,)): e0}
+                        {xvar(2): e2, xvar(1): e1, xvar(0): e0}
                     )
                     terms.append((Fraction(str(coeff)), m))
                 converted.append(poly(X, terms))

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line driver via main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from incgb.cli import EXIT_BUDGET, EXIT_NO, EXIT_OK, EXIT_USAGE, REPORT_FORMAT, main
 
 from conftest import MEMBER_H, MEMBER_TEXT, TORIC_TEXT, X_RING_TEXT
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -21,6 +24,21 @@ def member_file(tmp_path):
     f = tmp_path / "member.egb"
     f.write_text(MEMBER_TEXT)
     return str(f)
+
+
+class TestGoldenReports:
+    """``solve --json`` on copies of the benchmark corpus problems, byte for
+    byte against reports recorded from an earlier version: a change of
+    internal representation must leave every basis, counter and option
+    unmoved.  Re-record a file only for a deliberate change of output."""
+
+    @pytest.mark.parametrize("algorithm", ["buchberger", "incremental", "signature"])
+    @pytest.mark.parametrize("problem", ["toric", "member", "wide5", "wide5_budget"])
+    def test_matches_recorded_report(self, problem, algorithm, capsys):
+        code = main(["solve", str(GOLDEN / f"{problem}.egb"), "--algorithm", algorithm, "--json"])
+        assert code == (EXIT_BUDGET if problem == "wide5_budget" else EXIT_OK)
+        out = capsys.readouterr().out.encode()
+        assert out == (GOLDEN / f"{problem}.{algorithm}.json").read_bytes()
 
 
 class TestSolve:

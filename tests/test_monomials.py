@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incgb import rings
 from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial, increasing_maps
@@ -17,6 +19,7 @@ from incgb.rings import (
     m_lcm,
     m_mul,
     m_quotient,
+    order_key,
     pi_div_witnesses,
     pi_divides,
 )
@@ -37,7 +40,7 @@ XYG = Ring(XY.families, order_kind="grlex")
 
 
 def yvar(i, j):
-    return (1, (i, j))
+    return XY.variable("y", (i, j))
 
 
 def ymono(*pairs):
@@ -292,15 +295,15 @@ class TestOrderOracle:
     N = 4
     # every variable with indices below N, greatest first: x before y,
     # larger index tuples first within a family
-    VARIABLES = [(0, (i,)) for i in reversed(range(N))] + [
-        (1, (i, j)) for i in reversed(range(N)) for j in reversed(range(i))
+    VARIABLES = [XY.variable("x", (i,)) for i in reversed(range(N))] + [
+        XY.variable("y", (i, j)) for i in reversed(range(N)) for j in reversed(range(i))
     ]
 
     def _dense(self, ring, m):
         vec = tuple(m.exponent(v) for v in self.VARIABLES)
         if ring.order_kind == "lex":
             return vec
-        weights = [ring.families[rank].weight for rank, _ in self.VARIABLES]
+        weights = [ring.family_of(v).weight for v in self.VARIABLES]
         return (sum(w * e for w, e in zip(weights, vec)), vec)
 
     def _random(self, rng):
@@ -353,3 +356,115 @@ class TestOrderAxioms:
             assert c in (-1, 0, 1)
             assert c == -compare(ring, b, a)
             assert (c == 0) == (a == b)
+
+
+def reference_var_key(ring, var):
+    """``var_key`` as it was before variables were stored as their own sort
+    keys: the family's precedence rank, negated, then the index tuple."""
+    return (-ring.rank_of(ring.family_of(var).name), var[1])
+
+
+def reference_from_dict(ring, exps):
+    """``Monomial.from_dict`` with its ``var_key`` sort."""
+    items = [(v, e) for v, e in exps.items() if e != 0]
+    items.sort(key=lambda it: reference_var_key(ring, it[0]), reverse=True)
+    return Monomial(tuple(items))
+
+
+def reference_m_mul(ring, a, b):
+    """``m_mul`` through an exponent dict, re-sorted."""
+    exps = dict(a.factors)
+    for v, e in b.factors:
+        exps[v] = exps.get(v, 0) + e
+    return reference_from_dict(ring, exps)
+
+
+def reference_m_divides(a, b):
+    """``m_divides`` by exponent lookups."""
+    return all(b.exponent(v) >= e for v, e in a.factors)
+
+
+def reference_m_quotient(ring, b, a):
+    """``m_quotient`` through an exponent dict, re-sorted."""
+    exps = dict(b.factors)
+    for v, e in a.factors:
+        rem = exps.get(v, 0) - e
+        if rem < 0:
+            raise ValueError("quotient of non-divisor")
+        exps[v] = rem
+    return reference_from_dict(ring, exps)
+
+
+def reference_m_lcm(ring, a, b):
+    """``m_lcm`` through an exponent dict, re-sorted."""
+    exps = dict(a.factors)
+    for v, e in b.factors:
+        exps[v] = max(exps.get(v, 0), e)
+    return reference_from_dict(ring, exps)
+
+
+def reference_order_key(ring, m):
+    """``order_key`` rebuilt from ``var_key`` factor by factor."""
+    key = tuple((reference_var_key(ring, v), e) for v, e in m.factors)
+    if ring.order_kind == "grlex":
+        return (sum(e * ring.family_of(v).weight for v, e in m.factors), key)
+    return key
+
+
+def _merge_rings():
+    x = FamilySpec("x")
+    y = FamilySpec("y", arity=2, constraint="strictly_decreasing", weight=2)
+    z = FamilySpec("z", weight=3)
+    return [
+        Ring(families, order_kind=kind)
+        for families in ((x,), (y, x), (x, z, y))
+        for kind in ("lex", "grlex")
+    ]
+
+
+@st.composite
+def _ring_monomial(draw, ring):
+    exps = {}
+    for _ in range(draw(st.integers(0, 5))):
+        fam = draw(st.sampled_from(ring.families))
+        if fam.arity == 1:
+            idx = (draw(st.integers(0, 4)),)
+        else:
+            i = draw(st.integers(1, 4))
+            idx = (i, draw(st.integers(0, i - 1)))
+        v = ring.variable(fam.name, idx)
+        exps[v] = exps.get(v, 0) + draw(st.integers(1, 3))
+    return reference_from_dict(ring, exps)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+class TestMergeOracle:
+    """The merged monomial arithmetic and the stored-key order against the
+    dict-and-sort operations and the ``var_key`` order they replaced, on
+    rings of one, two and three families."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(_merge_rings()), st.data())
+    def test_matches_reference(self, ring, data):
+        a = data.draw(_ring_monomial(ring))
+        b = data.draw(_ring_monomial(ring))
+        if data.draw(st.booleans()):  # make a divide b
+            b = reference_m_mul(ring, a, b)
+        assert Monomial.from_dict(dict(a.factors)) == a
+        assert m_mul(a, b) == reference_m_mul(ring, a, b)
+        assert m_lcm(a, b) == reference_m_lcm(ring, a, b)
+        for num, den in ((b, a), (a, b)):
+            assert m_divides(den, num) == reference_m_divides(den, num)
+            try:
+                expected = reference_m_quotient(ring, num, den)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    m_quotient(num, den)
+            else:
+                assert m_quotient(num, den) == expected
+        expected = _sign(reference_order_key(ring, a), reference_order_key(ring, b))
+        assert _sign(order_key(ring, a), order_key(ring, b)) == expected
+        assert compare(ring, a, b) == expected

@@ -346,8 +346,11 @@ class TestSPairOracle:
 
 def _mask_monomials():
     """x-only and x + y monomials, indices up to 70, so that masks collide."""
-    x = st.builds(lambda i: (0, (i,)), st.integers(0, 70))
-    y = st.builds(lambda i, d: (1, (i + d, i)), st.integers(0, 70), st.integers(1, 5))
+    ring = xy_ring("strictly_decreasing", "lex")
+    x = st.builds(lambda i: ring.variable("x", (i,)), st.integers(0, 70))
+    y = st.builds(
+        lambda i, d: ring.variable("y", (i + d, i)), st.integers(0, 70), st.integers(1, 5)
+    )
     exps = st.dictionaries(st.one_of(x, y), st.integers(1, 3), max_size=5)
     return exps.map(Monomial.from_dict)
 

@@ -226,10 +226,10 @@ def _random_xymono(rng, max_index=4, max_degree=3):
     exps = {}
     for _ in range(rng.randrange(max_degree + 1)):
         if rng.random() < 0.5:
-            var = (0, (rng.randrange(max_index + 1),))
+            var = XY.variable("x", (rng.randrange(max_index + 1),))
         else:
             i, j = rng.sample(range(max_index + 1), 2)
-            var = (1, (max(i, j), min(i, j)))
+            var = XY.variable("y", (max(i, j), min(i, j)))
         exps[var] = exps.get(var, 0) + 1
     return Monomial.from_dict(exps)
 
@@ -302,8 +302,9 @@ class TestJPairs:
 
 
 def unit_multiple(lp):
-    """The J-pair 1 * lp, as the engine queues a generator."""
-    return JPair(lp.sig, lm(lp.poly), lp, IDENTITY, Monomial())
+    """The J-pair 1 * lp, as the engine queues a generator; the cover test
+    reads no signature key."""
+    return JPair(lp.sig, None, lm(lp.poly), lp, IDENTITY, Monomial())
 
 
 class TestIsCovered:
@@ -458,9 +459,10 @@ def reference_regular_top_reduce(p, G, engine):
 @contextmanager
 def checked_against_oracles():
     """Run the engine with every J-pair list, cover test and top reduction
-    checked: a J-pair's lead and width against its built polynomial, the
-    cover verdict and the reduction against the oracles above.  Yields the
-    number of checks of each kind."""
+    checked: a J-pair's lead and width against its built polynomial, its
+    carried key against its signature's, the cover verdict and the
+    reduction against the oracles above.  Yields the number of checks of
+    each kind."""
     cover, reduce_top, pairs = signature.is_covered, signature.regular_top_reduce, signature.j_pairs
     checks = Counter()
 
@@ -473,6 +475,7 @@ def checked_against_oracles():
         return out
 
     def checked_cover(j, G, S, engine):
+        assert j.key == engine.sig_key(j.sig)  # queued pairs and fresh J-pairs alike
         verdict = cover(j, G, S, engine)
         assert verdict == reference_is_covered(j, G, syzygy_records(S, engine.ring), engine)
         checks["is_covered"] += 1
