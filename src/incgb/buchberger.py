@@ -20,7 +20,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .incmaps import increasing_maps
-from .poly import act, lm, monic, reduce_terms, reducer_row, reducer_table, sorted_basis
+from .poly import act, lm, monic, sorted_basis
+from .poly import first_reducer, reduce_terms, reducer_row, reducer_table
 from .rings import m_act, m_mul, pi_divides, plain_divides
 from .spairs import has_spair_witness, spair_generators, spair_generators_classical
 
@@ -80,6 +81,7 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
         return EgbResult([], stats, COMPLETE)
     ring = G[0].ring
     table = reducer_table(G, divides)
+    choose = first_reducer(table, divides)
     queue = []
     seq = 0
     over_width = False
@@ -110,7 +112,7 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
         stats["pairs_processed"] += 1
-        h = reduce_terms(ring, _spoly(gen, G), table, divides)
+        h = reduce_terms(ring, _spoly(gen, G), choose)
         if h.is_zero:
             stats["zero_reductions"] += 1
             continue
@@ -173,7 +175,8 @@ def autoreduce(G, divides=None):
             i += 1
             continue
         f = basis[i]
-        h = reduce_terms(f.ring, {m: c for c, m in f.terms}, table[:i] + table[i + 1 :], divides)
+        others = first_reducer(table[:i] + table[i + 1 :], divides)
+        h = reduce_terms(f.ring, {m: c for c, m in f.terms}, others)
         if h.is_zero:
             del basis[i], reduced[i], table[i]
             i = 0
@@ -191,11 +194,11 @@ def autoreduce(G, divides=None):
 def is_egb(G) -> bool:
     """Equivariant Buchberger criterion: every orbit S-polynomial reduces to 0."""
     basis = [g for g in G if not g.is_zero]
-    table = reducer_table(basis, pi_divides)
+    choose = first_reducer(reducer_table(basis, pi_divides), pi_divides)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for gen in spair_generators(basis[i], basis[j], i, j):
-                if not reduce_terms(basis[i].ring, _spoly(gen, basis), table, pi_divides).is_zero:
+                if not reduce_terms(basis[i].ring, _spoly(gen, basis), choose).is_zero:
                     return False
     return True
 
@@ -216,7 +219,7 @@ def egb_incremental(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     candidate = G
     while n <= limits.max_width:
         stats["levels"] += 1
-        level_input = orbit_truncate(G, n) + [s for s in seed if s.width() <= n]
+        level_input = orbit_truncate(G, n) + seed  # seed: the narrower last level
         level = classical_buchberger(level_input, limits)
         if level.status == BUDGET:
             break

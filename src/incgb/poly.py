@@ -8,11 +8,11 @@ Reduction uses orbit divisibility: a reducer g applies to a term t whenever
 some increasing map sends the lead monomial of g onto a divisor of t.
 ``normal_form`` performs full (tail) reduction and can emit a replayable
 trace of the steps it took, which serves as a membership certificate.  The
-classical engine runs the same kernel with plain divisibility.  It keeps
-its work polynomial as a term accumulator, a coefficient dict plus a sorted
-list of order keys, and builds a ``Polynomial`` only for the result.  Its
-reducers are table rows, built once per basis element, whose support masks
-let plain reduction skip a reducer without a divisibility test.
+one kernel, ``reduce_terms``, keeps its work polynomial as a term
+accumulator, a coefficient dict plus a sorted list of order keys, and asks
+a reducer choice for each step: ``first_reducer`` for orbit and plain
+reduction, with table rows whose support masks let plain reduction skip a
+reducer without a divisibility test, or ``signature.regular_top_reduce``.
 """
 
 from __future__ import annotations
@@ -155,61 +155,73 @@ def support_mask(m: Monomial) -> int:
 
 
 def reducer_row(gi, g: Polynomial, divides):
-    """The row (gi, g, lead, lead coefficient, mask) of g != 0.  An increasing
-    map moves variables, so only plain divisibility gets a nonzero mask."""
-    lead_c, lead = g.terms[0]
-    return (gi, g, lead, lead_c, support_mask(lead) if divides is plain_divides else 0)
+    """The row (gi, g, lead, mask) of g != 0.  An increasing map moves
+    variables, so only plain divisibility gets a nonzero mask."""
+    lead = g.terms[0][1]
+    return (gi, g, lead, support_mask(lead) if divides is plain_divides else 0)
 
 
 def reducer_table(reducers, divides):
     return [reducer_row(gi, g, divides) for gi, g in enumerate(reducers) if not g.is_zero]
 
 
-def reduce_terms(ring: Ring, acc, table, divides, with_trace=False):
-    """The reduction kernel: fully reduce ``acc``, a dict from monomials to
-    coefficients (zeros allowed; consumed), against the rows of ``table``.
+def first_reducer(table, divides):
+    """The choice of plain and orbit reduction: the first row of ``table``
+    whose lead ``divides`` the term, skipping unasked a row whose mask has a
+    bit outside the term's.  Rows appended to the table later are seen."""
+    masked = divides is plain_divides
+
+    def choose(m):
+        outside = ~support_mask(m) if masked else 0
+        for gi, g, lead, mask in table:
+            if mask & outside:
+                continue
+            rho = divides(lead, m)
+            if rho is not None:
+                # the action keeps coefficients and commutes with lm, and both
+                # it and multiplication by cof are injective on monomials
+                return gi, g, rho, m_quotient(m, m_act(rho, lead))
+        return None
+
+    return choose
+
+
+def reduce_terms(ring: Ring, acc, choose, with_trace=False):
+    """The reduction kernel: reduce ``acc``, a dict from monomials to
+    coefficients (zeros allowed; consumed), by the steps ``choose`` picks.
 
     The work polynomial is the dict plus its monomials in ascending
-    ``order_key`` order.  The greatest is popped and reduced by the first
-    row whose lead ``divides`` it, skipping unasked a row whose mask has a
-    bit outside the term's.  A step subtracts the shifted tail of g from the
-    dict, listing only monomials new to it; the lead cancels exactly.  Zero
-    entries stay until popped, so each monomial is listed once and, order
-    keys being injective, no two monomials are compared.  New terms lie
-    below the popped one, so the irreducible terms come out in order.
+    ``order_key`` order.  The greatest is popped and ``choose(m)`` returns
+    the step (gi, g, witness, cofactor) that cancels it, or None to keep it.
+    A step subtracts the shifted tail of g from the dict, listing only
+    monomials new to it; the lead cancels exactly.  Zero entries stay until
+    popped, so each monomial is listed once and, order keys being
+    injective, no two monomials are compared.  New terms lie below the
+    popped one, so the kept terms come out in order.
     """
-    masked = divides is plain_divides
     steps = []
-    done = []  # irreducible terms, collected in descending order
+    done = []  # kept terms, collected in descending order
     queue = sorted((order_key(ring, m), m) for m in acc)
     while queue:
         m = queue.pop()[1]
         c = acc.pop(m)
         if c == 0:
             continue
-        outside = ~support_mask(m) if masked else 0
-        for gi, g, lead, lead_c, mask in table:
-            if mask & outside:
-                continue
-            rho = divides(lead, m)
-            if rho is None:
-                continue
-            # the action keeps coefficients and commutes with lm, and both
-            # it and multiplication by cof are injective on monomials
-            cof = m_quotient(m, m_act(rho, lead))
-            ratio = c / lead_c
-            for a, n in g.terms[1:]:
-                n = m_mul(m_act(rho, n), cof)
-                if n in acc:
-                    acc[n] -= ratio * a
-                else:
-                    acc[n] = -ratio * a
-                    insort(queue, (order_key(ring, n), n))
-            if with_trace:
-                steps.append(ReductionStep(gi, rho, cof, ratio))
-            break
-        else:
+        step = choose(m)
+        if step is None:
             done.append((c, m))
+            continue
+        gi, g, rho, cof = step
+        ratio = c / g.terms[0][0]
+        for a, n in g.terms[1:]:
+            n = m_mul(m_act(rho, n), cof)
+            if n in acc:
+                acc[n] -= ratio * a
+            else:
+                acc[n] = -ratio * a
+                insort(queue, (order_key(ring, n), n))
+        if with_trace:
+            steps.append(ReductionStep(gi, rho, cof, ratio))
     result = Polynomial(ring, tuple(done))
     if with_trace:
         return result, ReductionTrace(tuple(steps))
@@ -226,8 +238,8 @@ def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
     """
     if divides is None:  # looked up per call, so a rebound module name applies
         divides = pi_divides
-    table = reducer_table(reducers, divides)
-    return reduce_terms(f.ring, {m: c for c, m in f.terms}, table, divides, with_trace)
+    choose = first_reducer(reducer_table(reducers, divides), divides)
+    return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose, with_trace)
 
 
 def sorted_basis(basis):

@@ -212,7 +212,10 @@ def compare(ring: Ring, a: Monomial, b: Monomial):
 
 
 def _match_witnesses(a: Monomial, b: Monomial):
-    """Yield the witnesses of ``pi_div_witnesses`` one at a time, in its order.
+    """Yield the increasing maps sending a onto a divisor of b, by ascending
+    image sequence, so the first is the canonical one.  They map the indices
+    of a into those of b, where divisibility forces the image, and are
+    extended minimally elsewhere.
 
     A backtracking search: the indices of a get their images one at a time,
     smallest index first, each image tried in ascending order among the
@@ -278,21 +281,6 @@ def _match_witnesses(a: Monomial, b: Monomial):
                 nxt = src[j]
                 p = bisect_left(tgt, t + nxt - s, p + 1)
                 s = nxt
-
-
-def pi_div_witnesses(a: Monomial, b: Monomial):
-    """All increasing maps sending a onto a divisor of b.
-
-    Witnesses map the indices of a into the indices of b (divisibility
-    forces the image there) and are extended minimally elsewhere; they are
-    listed by ascending image sequence, so the first is the canonical one.
-    They are found by backtracking (``_match_witnesses``), not by trying
-    every choice of indices of b: images are assigned smallest index first,
-    and a partial assignment is dropped as soon as its gaps admit no
-    increasing map or a factor of a whose indices all have images has too
-    small an exponent in b.
-    """
-    return list(_match_witnesses(a, b))
 
 
 def pi_divides(a: Monomial, b: Monomial):

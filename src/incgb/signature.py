@@ -11,21 +11,23 @@ when that changes it, the element re-enters with a fresh unit signature.
 Zero reductions contribute syzygy signatures, and J-pairs covered by known
 pairs or syzygies are discarded.  A J-pair stays unbuilt, a signature, a
 lead and a multiple of a basis element, until it is popped.  Regular
-top-reduction works on ``poly.reduce_terms``' accumulator and compares a
-reducer's Schreyer head before its full key.  The cover test groups
-syzygies by index and shift and pulls the target back once per group.
+top-reduction is a reducer choice for the kernel ``poly.reduce_terms``; it
+compares a reducer's Schreyer head before its full key.  The cover test
+groups syzygies by index and shift and pulls the target back once per
+group.  A pair wider than ``max_width`` is skipped, and the run drains its
+queue and reports BUDGET, as the direct engine does.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau
-from .poly import Polynomial, lm, monic, reduce_terms, reducer_row, sorted_basis, support_mask
+from .poly import Polynomial, lm, monic, sorted_basis, support_mask
+from .poly import first_reducer, reduce_terms, reducer_row
 from .rings import (
     UNIT,
     Monomial,
@@ -222,29 +224,27 @@ def regular_top_reduce(p, G, engine: SigEngine):
     """Top-reduce p by multiples with strictly smaller signature.
 
     Returns (reduced pair, singular, tied_used).  singular means a reducer
-    with exactly p's signature exists and no smaller one applies; such
-    pairs are discarded by the caller.  tied_used records that some step
-    used a reducer whose signature ties p's at the Schreyer level and wins
-    only by the artificial tie-break; a zero reached that way has an
-    order-ambiguous module lead and must not be recorded as a syzygy.
-    The signature itself never changes.  The work polynomial is
-    ``reduce_terms``' accumulator, and a Polynomial is built for the result.
+    with exactly p's signature exists for the first term no smaller one
+    reduces; such pairs are discarded by the caller.  tied_used records
+    that some step used a reducer whose signature ties p's at the Schreyer
+    level and wins only by the artificial tie-break; a zero reached that
+    way has an order-ambiguous module lead and must not be recorded as a
+    syzygy.  The signature itself never changes.  This is a reducer choice
+    for ``reduce_terms``: once a term stays, every later term stays too.
     """
     ring, p_key = engine.ring, engine.sig_key(p.sig)
     head = p_key[:2]
-    rows = [(g, lm(g.poly), tm_apply(g.sig.tm, engine.module_leads[g.sig.index])) for g in G]
-    terms = p.poly.terms  # a J-pair builds its polynomial here
-    acc = {m: c for c, m in terms}
-    queue = [(order_key(ring, m), m) for _, m in reversed(terms)]
-    tied_used = False
-    while queue:
-        target = queue.pop()[1]
-        c = acc.pop(target)
-        if c == 0:
-            continue
-        step, singular = None, False
-        for g, lead, image in rows:
-            # lazily, in pi_div_witnesses order: no more past the first step
+    leads = engine.module_leads
+    rows = [(gi, g, lm(g.poly), tm_apply(g.sig.tm, leads[g.sig.index])) for gi, g in enumerate(G)]
+    stopped = singular = tied_used = False
+
+    def choose(target):
+        nonlocal stopped, singular, tied_used
+        if stopped:
+            return None
+        singular = False
+        for gi, g, lead, image in rows:
+            # lazily, in witness order: no more past the first step
             for rho in _match_witnesses(lead, target):
                 cof = m_quotient(target, m_act(rho, lead))
                 # the Schreyer head of t * sig(g) decides unless it ties p's
@@ -255,31 +255,22 @@ def regular_top_reduce(p, G, engine: SigEngine):
                 if key == p_key:
                     singular = True
                 elif key < p_key:
-                    step = (g, rho, cof)
                     tied_used = tied_used or key[:2] == head
-                    break
-            if step:
-                break
-        if step is None:
-            rest = tuple((acc[m], m) for _, m in reversed(queue) if acc[m] != 0)
-            return LabeledPoly(p.sig, Polynomial(ring, ((c, target),) + rest)), singular, tied_used
-        g, rho, cof = step
-        ratio = c / g.poly.terms[0][0]
-        for a, n in g.poly.terms[1:]:
-            n = m_mul(m_act(rho, n), cof)
-            if n in acc:
-                acc[n] -= ratio * a
-            else:
-                acc[n] = -ratio * a
-                insort(queue, (order_key(ring, n), n))
-    return LabeledPoly(p.sig, Polynomial(ring, ())), False, tied_used
+                    return gi, g.poly, rho, cof
+        stopped = True
+        return None
+
+    h = reduce_terms(ring, {m: c for c, m in p.poly.terms}, choose)  # builds a J-pair's poly
+    return LabeledPoly(p.sig, h), singular, tied_used
 
 
 def _signature_loop(polys, engine, limits):
     stats = dict.fromkeys(STAT_KEYS, 0)
     G, S = [], {}  # S: the syzygy index of ``add_syzygy``
     table = []  # normal_form's reducer rows of G, one per insertion
+    full_reducer = first_reducer(table, pi_divides)
     J, seq, done_sigs = [], 0, set()
+    over_width = False
 
     def push(pair):
         # The weighted degree of the Schreyer image comes first, so the queue
@@ -302,7 +293,9 @@ def _signature_loop(polys, engine, limits):
             return G, stats, BUDGET
         p = heapq.heappop(J)[-1]
         if p.width() > limits.max_width:
-            return G, stats, BUDGET
+            # the queue runs by degree band, not width: narrower pairs may follow
+            over_width = True
+            continue
         if p.sig in done_sigs:
             # one pair per exact signature: the minimal-lead representative
             # was already handled, later arrivals are singular against it
@@ -323,7 +316,7 @@ def _signature_loop(polys, engine, limits):
             add_syzygy(S, h.sig)
             stats["syzygies"] += 1
             continue
-        h2 = reduce_terms(engine.ring, {m: c for c, m in h.poly.terms}, table, pi_divides)
+        h2 = reduce_terms(engine.ring, {m: c for c, m in h.poly.terms}, full_reducer)
         if h2.is_zero:
             continue
         if h2 != h.poly:
@@ -343,7 +336,7 @@ def _signature_loop(polys, engine, limits):
                     stats["covered_pairs"] += 1
                     continue
                 push(jp)
-    return G, stats, COMPLETE
+    return G, stats, BUDGET if over_width else COMPLETE
 
 
 def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:

@@ -19,6 +19,7 @@ membership.
 from collections import Counter
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,11 @@ from incgb.buchberger import (
     is_egb,
 )
 from incgb.poly import monic, normal_form, poly
-from incgb.problems import format_polynomial
+from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring
 from incgb.signature import egb_signature
 
-from conftest import expr, ideal_equal
+from conftest import X_RING_TEXT, expr, ideal_equal
 
 ENGINES = (egb_buchberger, egb_incremental, egb_signature)
 LIMITS = EngineLimits(max_width=3, max_pairs=30, max_basis=12)
@@ -115,3 +116,22 @@ def test_incremental_budget_basis_spans_generators(x_problem):
     assert res.status == BUDGET
     assert not normal_form(F[1], res.basis).is_zero
     assert spans_generators(res.basis, F)
+
+
+@pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+def test_signature_budget_drains_narrow_pairs(order_kind):
+    # the signature queue runs by degree band, so a pair past max_width can
+    # pop before narrower ones: it is skipped, as in the direct engine, and
+    # the run goes on; stopping at it returned only the generators
+    problem = parse(X_RING_TEXT.replace("kind = lex", f"kind = {order_kind}"))
+    F = [expr(problem, "x[2]*x[0] + 3"), expr(problem, "x[2]*x[1]*x[0]")]
+    res, direct = egb_signature(F, LIMITS), egb_buchberger(F, LIMITS)
+    assert res.status == direct.status == BUDGET
+    assert res.stats["pairs_processed"] == 10
+    assert [format_polynomial(f) for f in res.basis] == [
+        "x[2]*x[0] + 3",
+        "x[2]*x[1]*x[0]",
+        "x[1]",
+        "1",
+    ]
+    assert res.basis == direct.basis

@@ -60,3 +60,14 @@ def test_orders_are_keys():
 def test_exports_resolve():
     # a name deleted from a module must leave the export list too
     assert [name for name in incgb.__all__ if not hasattr(incgb, name)] == []
+
+
+def test_one_term_accumulator():
+    # poly.reduce_terms is the one reduction accumulator; an engine picks
+    # its steps through a reducer choice instead of keeping a sorted queue
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "poly.py" and "insort" in path.read_text()
+    ]
+    assert offenders == []

@@ -13,6 +13,7 @@ from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
+    _match_witnesses,
     compare,
     m_act,
     m_divides,
@@ -20,7 +21,6 @@ from incgb.rings import (
     m_mul,
     m_quotient,
     order_key,
-    pi_div_witnesses,
     pi_divides,
 )
 
@@ -177,7 +177,8 @@ class TestPiDivides:
         # both y-factors admit a witness; the lex-smallest image wins
         rho = pi_divides(ymono((1, 0)), ymono((3, 1), (2, 0)))
         assert rho is not None and (rho(0), rho(1)) == (0, 2)
-        images = [(w(0), w(1)) for w in pi_div_witnesses(ymono((1, 0)), ymono((3, 1), (2, 0)))]
+        witnesses = _match_witnesses(ymono((1, 0)), ymono((3, 1), (2, 0)))
+        images = [(w(0), w(1)) for w in witnesses]
         assert images == [(0, 2), (1, 3)]
 
     def test_no_witness(self):
@@ -204,16 +205,17 @@ class TestPiDivides:
                     assert tuple(rho(i) for i in a.indices()) == images[0]
 
     def test_witnesses_enumeration(self):
-        ws = pi_div_witnesses(xmono(0), xmono(1, 4))
+        ws = list(_match_witnesses(xmono(0), xmono(1, 4)))
         assert sorted(w(0) for w in ws) == [1, 4]
-        assert pi_div_witnesses(xmono(0, 0), xmono(3)) == []
-        assert pi_div_witnesses(Monomial(), Monomial()) == [IDENTITY]
+        assert list(_match_witnesses(xmono(0, 0), xmono(3))) == []
+        assert list(_match_witnesses(Monomial(), Monomial())) == [IDENTITY]
 
 
 class TestWitnessOracle:
-    """pi_div_witnesses against the enumeration over index combinations.
+    """The witness order of ``_match_witnesses`` against the enumeration over
+    index combinations.
 
-    ``brute_pi_witnesses`` is the enumeration ``pi_div_witnesses`` ran before
+    ``brute_pi_witnesses`` is the enumeration the witness search ran before
     the backtracking matcher: every combination of b's indices, extended
     minimally, kept when the image of a divides b.
     """
@@ -250,7 +252,7 @@ class TestWitnessOracle:
         hits = 0
         for a, b in pairs:
             expected = brute_pi_witnesses(a, b)
-            assert pi_div_witnesses(a, b) == expected
+            assert list(_match_witnesses(a, b)) == expected
             assert pi_divides(a, b) == (expected[0] if expected else None)
             hits += bool(expected)
         assert hits >= 0.3 * len(pairs)
@@ -265,7 +267,7 @@ class TestWitnessOracle:
 
         monkeypatch.setattr(rings, "extend_partial", counting)
         a, b = ymono((1, 0)), ymono((3, 1), (2, 0), (5, 4))
-        ws = pi_div_witnesses(a, b)
+        ws = list(_match_witnesses(a, b))
         assert [(w(0), w(1)) for w in ws] == [(0, 2), (1, 3), (4, 5)]
         assert len(built) == len(ws)
         built.clear()

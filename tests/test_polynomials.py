@@ -17,6 +17,7 @@ from incgb.poly import (
     act,
     add,
     constant,
+    first_reducer,
     lc,
     lm,
     monic,
@@ -326,7 +327,7 @@ class TestSPairOracle:
         for _ in range(25):
             G = [monic(random_ring_poly(rng, ring, 3)) for _ in range(rng.randrange(2, 6))]
             G = [g for g in G if not g.is_zero]
-            table = reducer_table(G, divides)
+            choose = first_reducer(reducer_table(G, divides), divides)
             k = len(G) - 1
             gens = [gen for i in range(k) for gen in spair_generators_classical(G[i], G[k], i, k)]
             classical += len(gens)
@@ -336,12 +337,64 @@ class TestSPairOracle:
                 expected, expected_trace = normal_form(
                     oracle_spoly(gen, G), G, with_trace=True, divides=divides
                 )
-                out, trace = reduce_terms(ring, _spoly(gen, G), table, divides, with_trace=True)
+                out, trace = reduce_terms(ring, _spoly(gen, G), choose, with_trace=True)
                 assert out == expected
                 assert trace == expected_trace
                 steps += len(trace.steps)
                 nonzero += not out.is_zero
         assert steps > 20 and nonzero > 0 and classical > 5
+
+
+class TestKernelContract:
+    """``reduce_terms`` under choices other than ``first_reducer``."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    def test_keeping_every_term_sorts(self, order_kind):
+        # no step: the input comes back descending, zero entries dropped
+        ring = xy_ring("strictly_decreasing", order_kind)
+        rng = random.Random(47)
+        for _ in range(100):
+            acc = {
+                random_ring_monomial(rng, ring): Fraction(rng.randrange(-2, 3)) for _ in range(8)
+            }
+            seen = []
+            out = reduce_terms(ring, dict(acc), lambda m: seen.append(m))  # always None
+            assert out == poly(ring, [(c, m) for m, c in acc.items()])
+            assert seen == [m for _, m in out.terms]
+
+    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    def test_stopping_keeps_the_accumulated_tail(self, order_kind, divides):
+        # top reduction: after the first kept term the rest stays as it is
+        ring = xy_ring("all_distinct", order_kind)
+        rng = random.Random(53)
+        steps = unreduced = 0
+        for _ in range(150):
+            G = [monic(random_ring_poly(rng, ring, 3)) for _ in range(rng.randrange(1, 4))]
+            f = random_ring_poly(rng, ring, 4)
+            for g in G:  # reducible terms below the first kept one
+                f = add(f, mul_term(g, rng.choice([-1, 2]), random_ring_monomial(rng, ring)))
+            choose = first_reducer(reducer_table(G, divides), divides)
+            stopped = False
+
+            def top(m):
+                nonlocal stopped
+                step = None if stopped else choose(m)
+                stopped = step is None
+                return step
+
+            out, trace = reduce_terms(ring, {m: c for c, m in f.terms}, top, with_trace=True)
+            work = f
+            for step in trace.steps:
+                gi, g, rho, cof = choose(lm(work))
+                assert (gi, rho, cof) == (step.reducer, step.witness, step.cofactor)
+                work = subtract(work, mul_term(act(rho, g), lc(work), cof))
+            assert out == work
+            assert work.is_zero or choose(lm(work)) is None
+            assert trace.replay(f, G) == out
+            steps += len(trace.steps)
+            unreduced += any(choose(m) is not None for _, m in out.terms[1:])
+        assert steps > 200 and unreduced > 20
 
 
 def _mask_monomials():
@@ -372,11 +425,11 @@ class TestSupportMask:
         rng = random.Random(43)
         ring = xy_ring("all_distinct", "lex")
         G = [random_ring_poly(rng, ring, 3) for _ in range(30)] + [zero(ring)]
-        assert all(row[4] == 0 for row in reducer_table(G, pi_divides))
+        assert all(row[3] == 0 for row in reducer_table(G, pi_divides))
         rows = reducer_table(G, plain_divides)
         assert [row[1] for row in rows] == [g for g in G if not g.is_zero]
-        assert all(row[4] == support_mask(lm(row[1])) for row in rows)
-        assert any(row[4] != 0 for row in rows)
+        assert all(row[3] == support_mask(lm(row[1])) for row in rows)
+        assert any(row[3] != 0 for row in rows)
 
 
 def reference_act(rho, f):
