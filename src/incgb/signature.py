@@ -242,7 +242,7 @@ def regular_top_reduce(p, G, engine: SigEngine):
         nonlocal stopped, singular, tied_used
         if stopped:
             return None
-        singular = False
+        tied = False  # a reducer at exactly p's signature, for this term only
         for gi, g, lead, image in rows:
             # lazily, in witness order: no more past the first step
             for rho in _match_witnesses(lead, target):
@@ -253,11 +253,11 @@ def regular_top_reduce(p, G, engine: SigEngine):
                     t = TwistedMonomial(cof, rho)
                     key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
                 if key == p_key:
-                    singular = True
+                    tied = True
                 elif key < p_key:
                     tied_used = tied_used or key[:2] == head
                     return gi, g.poly, rho, cof
-        stopped = True
+        stopped, singular = True, tied
         return None
 
     h = reduce_terms(ring, {m: c for c, m in p.poly.terms}, choose)  # builds a J-pair's poly
@@ -279,7 +279,12 @@ def _signature_loop(polys, engine, limits):
         # grow.  Reduction and covering use the undegreed order, so discards
         # stay justified whatever the processing order.  Queued pairs are
         # multiples of a prepared generator or a basis element: never zero.
-        nonlocal seq
+        # A pair past max_width is dropped here, as in the direct engine, and
+        # the run goes on: degree bands do not run by width.
+        nonlocal seq, over_width
+        if pair.width() > limits.max_width:
+            over_width = True
+            return
         degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
         heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
         seq += 1
@@ -292,10 +297,6 @@ def _signature_loop(polys, engine, limits):
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return G, stats, BUDGET
         p = heapq.heappop(J)[-1]
-        if p.width() > limits.max_width:
-            # the queue runs by degree band, not width: narrower pairs may follow
-            over_width = True
-            continue
         if p.sig in done_sigs:
             # one pair per exact signature: the minimal-lead representative
             # was already handled, later arrivals are singular against it
@@ -332,7 +333,7 @@ def _signature_loop(polys, engine, limits):
                 if jp.sig in done_sigs:
                     stats["duplicate_signatures"] += 1
                     continue
-                if is_covered(jp, G, S, engine):
+                if jp.width() <= limits.max_width and is_covered(jp, G, S, engine):
                     stats["covered_pairs"] += 1
                     continue
                 push(jp)

@@ -512,6 +512,17 @@ class TestEngineOracle:
         assert stats["pairs_processed"] - stats["covered_pairs"] <= reduced < stats["pairs_processed"]
         assert checks["j_pairs"] > 0
 
+    def test_singular_is_judged_at_the_kept_term(self, x_problem):
+        # the J-pair x1*G[0] meets a reducer at exactly its signature before
+        # the smaller one it reduces by, and that step leaves zero: the pair
+        # is a zero reduction and its syzygy is recorded, not discarded
+        F = [expr(x_problem, "x[1]*x[0]"), expr(x_problem, "x[0]^2")]
+        with checked_against_oracles() as checks:
+            res = egb_signature(F)
+        assert checks["regular_top_reduce"] == 6
+        assert (res.stats["singular_discards"], res.stats["zero_reductions"]) == (0, 4)
+        assert res.stats["syzygies"] == 4
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(inputs())
     def test_cross_engine_inputs(self, F):
