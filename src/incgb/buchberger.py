@@ -23,7 +23,7 @@ from .incmaps import increasing_maps
 from .poly import act, lm, monic, sorted_basis
 from .poly import first_reducer, reduce_terms, reducer_row, reducer_table
 from .rings import m_act, m_mul, pi_divides, plain_divides
-from .spairs import has_spair_witness, spair_generators, spair_generators_classical
+from .spairs import spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
 BUDGET = "budget_exhausted"
@@ -64,16 +64,16 @@ def _spoly(gen, G):
     return acc
 
 
-def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
+def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     """Buchberger's loop, shared by the direct and classical engines.
 
-    ``pairs(f, g, i, j)`` lists the critical-pair generators of basis
-    entries i <= j, ``nonempty(f, g, i, j)`` is a cheap test that is true
-    only when that list is nonempty, and ``divides`` is the reduction's
-    divisibility test.  One reducer table serves the whole run, one row
-    per insertion.  Each limit stops the run with the partial, unreduced
-    basis and BUDGET; a drained queue returns the interreduced basis, or
-    BUDGET if pairs past max_width were skipped.
+    ``pairs(f, g, i, j)`` yields the critical-pair generators of basis
+    entries i <= j, and ``divides`` is the reduction's divisibility test.
+    One reducer table serves the whole run, one row per insertion.  A pair
+    wider than max_width is dropped where it is made; max_pairs and
+    max_basis stop the run with the partial, unreduced basis and BUDGET.  A
+    drained queue returns the interreduced basis, or the unreduced one and
+    BUDGET if a pair was dropped.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
@@ -89,16 +89,16 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
     def push_pairs(i, j):
         nonlocal seq, over_width
         # An increasing map never lowers an index, so no overlap is narrower
-        # than a lead; pairs past max_width would only pop to return BUDGET.
-        f, g = G[i], G[j]
-        if max(lm(f).width(), lm(g).width()) > limits.max_width and nonempty(f, g, i, j):
-            over_width = True
-            return
-        for gen in pairs(f, g, i, j):
-            heapq.heappush(
-                queue,
-                (gen.overlap.width(), gen.overlap.degree(ring), seq, gen),
-            )
+        # than a lead: past a wide lead, the first pair drops the whole set.
+        wide_lead = max(lm(G[i]).width(), lm(G[j]).width()) > limits.max_width
+        for gen in pairs(G[i], G[j], i, j):
+            width = gen.overlap.width()
+            if width > limits.max_width:
+                over_width = True
+                if wide_lead:
+                    return
+                continue
+            heapq.heappush(queue, (width, gen.overlap.degree(ring), seq, gen))
             seq += 1
 
     for i in range(len(G)):
@@ -106,9 +106,7 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
             push_pairs(i, j)
 
     while queue:
-        width, _deg, _seq, gen = heapq.heappop(queue)
-        if width > limits.max_width:
-            return EgbResult(G, stats, BUDGET)
+        gen = heapq.heappop(queue)[-1]
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
         stats["pairs_processed"] += 1
@@ -132,14 +130,12 @@ def _pair_loop(F, pairs, nonempty, divides, limits: EngineLimits) -> EgbResult:
 
 def egb_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
-    return _pair_loop(F, spair_generators, has_spair_witness, pi_divides, limits)
+    return _pair_loop(F, spair_generators, pi_divides, limits)
 
 
 def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
-    # the classical generator is cheap enough to be its own nonempty test
-    pairs = spair_generators_classical
-    return _pair_loop(F, pairs, pairs, plain_divides, limits)
+    return _pair_loop(F, spair_generators_classical, plain_divides, limits)
 
 
 def orbit_truncate(F, n):

@@ -59,13 +59,18 @@ class BudgetStop(Exception):
 
 
 def _limits(problem, args):
-    opts, default = problem.options, EngineLimits()
-    max_width, max_pairs = args.max_width, args.max_pairs
-    return EngineLimits(
-        max_width=max_width if max_width is not None else opts.get("max_width", default.max_width),
-        max_pairs=max_pairs if max_pairs is not None else opts.get("max_pairs", default.max_pairs),
-        max_basis=opts.get("max_basis"),
-    )
+    """The engine limits: command-line flags, then the problem's options,
+    then the defaults.  Each must be a nonnegative integer (or unset)."""
+    default = EngineLimits()
+    flags = {"max_width": args.max_width, "max_pairs": args.max_pairs, "max_basis": None}
+    limits = {}
+    for name, flag in flags.items():
+        value = flag if flag is not None else problem.options.get(name, getattr(default, name))
+        # type(), not isinstance(): a bool is an int
+        if value is not None and (type(value) is not int or value < 0):
+            raise SystemExit2(f"option {name} must be a nonnegative integer, not {value!r}")
+        limits[name] = value
+    return EngineLimits(**limits)
 
 
 def _parse_poly(problem, text):

@@ -288,8 +288,12 @@ class _Parser:
             self.next()
             exponent = self.expect_nat()
             out = constant(ring, 1)
-            for _ in range(exponent):
-                out = mul(out, base)
+            while exponent:  # square and multiply
+                if exponent & 1:
+                    out = mul(out, base)
+                exponent >>= 1
+                if exponent:
+                    base = mul(base, base)
             return out
         return base
 

@@ -7,6 +7,9 @@ onto a common initial segment.  Enumerating interlacings therefore yields a
 finite generating set of critical pairs, one per interlacing.  The
 classical generator, for the finite-variable engine, has one S-pair per
 pair of polynomials, both maps the identity.
+
+Every pair source is a generator: a caller that needs only to know whether
+a pair set is empty draws one item, and nothing else is enumerated.
 """
 
 from __future__ import annotations
@@ -20,22 +23,20 @@ from .rings import Monomial, m_act, m_coprime, m_lcm, m_quotient
 
 
 def interlacings(wf, wg):
-    """All pairs of increasing maps [wf] -> [k], [wg] -> [k] whose images
-    jointly cover an initial segment {0..k-1}.
+    """Yield every pair of increasing maps [wf] -> [k], [wg] -> [k] whose
+    images jointly cover an initial segment {0..k-1}.
 
     g's image is what f's image ``a`` misses plus wf + wg - k shared indices
     of ``a``.  Equal-length sorted images order by the least element of
     their symmetric difference, which is shared, so taking the shared part
     in ``combinations(a, .)`` order lists g's images in sorted order.
     """
-    out = []
     for k in range(max(wf, wg), wf + wg + 1):
         for a in itertools.combinations(range(k), wf):
             fa = IncMap(a)
             missed = tuple(i for i in range(k) if i not in a)
             for shared in itertools.combinations(a, wf + wg - k):
-                out.append((fa, IncMap(tuple(sorted(missed + shared)))))
-    return out
+                yield fa, IncMap(tuple(sorted(missed + shared)))
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,17 @@ def _spair_gen(fi, gi, map1, map2, lf, lg):
 
 
 def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=True):
-    """Critical-pair generators for (f, g), one per productive interlacing.
+    """Yield the critical-pair generators for (f, g), one per productive
+    interlacing, in interlacing order.
 
     Self-pairs skip the diagonal interlacing (zero S-polynomial) and keep
     one of each mirrored pair.  With the coprime filter on, interlacings
     whose instantiated lead monomials share no variable are dropped, as in
-    the classical first Buchberger criterion.
+    the classical first Buchberger criterion.  A zero input raises
+    ValueError on the first draw.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
-    gens = []
     same = fi == gi
     for s1, s2 in interlacings(f.width(), g.width()):
         if same:
@@ -82,35 +84,11 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
         lg = m_act(s2, lm(g))
         if coprime_filter and m_coprime(lf, lg):
             continue
-        gens.append(_spair_gen(fi, gi, s1, s2, lf, lg))
-    return gens
-
-
-def has_spair_witness(f: Polynomial, g: Polynomial, fi, gi):
-    """Whether one interlacing shows that spair_generators(f, g, fi, gi) is
-    nonempty, without enumerating any; False proves nothing.
-
-    Distinct entries whose leads share a variable keep the identity
-    interlacing.  A self-pair whose non-unit lead misses an index q below
-    the width w keeps the maps that skip q and q + 1: they differ only at q,
-    so they move the lead alike.  It also keeps the identity with the map
-    skipping w - 1 when a lead variable has all its indices below w - 1,
-    since both maps fix that variable.
-    """
-    lead = lm(f)
-    if fi != gi:
-        return not m_coprime(lead, lm(g))
-    w = f.width()
-    if not lead.is_unit and len(lead.indices()) < w:
-        return True
-    return any(max(idx) < w - 1 for (_, idx), _ in lead.factors)
+        yield _spair_gen(fi, gi, s1, s2, lf, lg)
 
 
 def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):
-    """The ordinary S-pair of distinct f and g, unless their leads are coprime."""
-    if fi == gi:
-        return []
+    """Yield the ordinary S-pair of distinct f and g, unless their leads are coprime."""
     lf, lg = lm(f), lm(g)
-    if m_coprime(lf, lg):
-        return []
-    return [_spair_gen(fi, gi, IDENTITY, IDENTITY, lf, lg)]
+    if fi != gi and not m_coprime(lf, lg):
+        yield _spair_gen(fi, gi, IDENTITY, IDENTITY, lf, lg)

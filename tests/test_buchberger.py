@@ -1,6 +1,7 @@
 """Orbit Buchberger engines: direct, incremental, classical, and checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,32 +176,41 @@ class TestEgbBuchberger:
 
 
 class TestWidthSkip:
-    """Pairs whose leads are wider than max_width are never generated."""
+    """A pair set whose leads are wider than max_width is decided by its
+    first generator: nothing else of it is enumerated."""
 
     @pytest.mark.parametrize(
-        "lead, limits",
+        "text, limits",
         [
-            ((40, 0), EngineLimits(max_pairs=1)),
-            ((6, 0), EngineLimits(max_width=3, max_pairs=10)),
-            ((2, 1, 0), EngineLimits(max_width=2)),
+            ("x[40]*x[0] - x[1]", EngineLimits(max_pairs=1)),
+            ("x[6]*x[0] - x[1]", EngineLimits(max_width=3, max_pairs=10)),
+            ("x[2]*x[1]*x[0] - x[1]", EngineLimits(max_width=2)),
+            # the lead uses every index below its width and each of its
+            # variables touches index 6: no shortcut shows the set nonempty
+            ("*".join(f"y[7,{j}]" for j in range(7)) + " - y[1,0]", EngineLimits(max_width=7)),
         ],
-        ids=["x40-max_pairs1", "x6-max_width3", "x210-max_width2"],
+        ids=["x40-max_pairs1", "x6-max_width3", "x210-max_width2", "y7-max_width7"],
     )
-    def test_wide_lead_returns_budget_at_once(self, lead, limits, monkeypatch):
-        calls = []
+    def test_wide_lead_returns_budget_at_once(self, toric_problem, text, limits, monkeypatch):
+        drawn = []
         real = buchberger.spair_generators
 
         def counting(*args):
-            calls.append(args[2:])
-            return real(*args)
+            drawn.append(0)
+            k = len(drawn) - 1
+            for gen in real(*args):
+                drawn[k] += 1
+                yield gen
 
         monkeypatch.setattr(buchberger, "spair_generators", counting)
-        f = p((1, xmono(*lead)), (-1, xmono(1)))
+        f = expr(toric_problem, text)
+        start = time.monotonic()
         res = egb_buchberger([f], limits)
+        assert time.monotonic() - start < 1
         assert res.status == BUDGET
         assert res.basis == [f]
         assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
-        assert calls == []
+        assert drawn == [1]  # one skipped pair set, one generator drawn
 
     def test_mixed_skip_pinned(self):
         # the self-pair of the first generator is skipped, the rest are
@@ -216,10 +226,10 @@ class TestWidthSkip:
         ]
         assert res.stats == {"pairs_processed": 7, "zero_reductions": 5, "insertions": 2}
 
-    @pytest.mark.parametrize("text, width", [("y[1,0]", 1), ("x[0]", 0)])
+    @pytest.mark.parametrize("text, width", [("y[1,0]", 1), ("x[0]", 0), ("x[0] - 1", 0)])
     def test_wide_lead_without_pairs_completes(self, toric_problem, text, width):
         # a self-pair set can be empty although the lead is too wide: then
-        # no pair ever reaches the width check, and the run completes
+        # no pair is dropped, and the run completes
         f = expr(toric_problem, text)
         res = egb_buchberger([f], EngineLimits(max_width=width))
         assert res.status == COMPLETE and res.basis == [f]

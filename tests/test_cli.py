@@ -103,6 +103,34 @@ class TestSolve:
         assert main(["solve", str(f)]) == EXIT_USAGE
 
 
+    @pytest.mark.parametrize(
+        "options, flags, name",
+        [
+            ("max_width = wide;", [], "max_width"),
+            ("max_width = true;", [], "max_width"),
+            ("max_pairs = false;", [], "max_pairs"),
+            ("max_basis = none;", [], "max_basis"),
+            ("", ["--max-width", "-1"], "max_width"),
+            ("", ["--max-pairs", "-1"], "max_pairs"),
+        ],
+        ids=["wide", "true", "false", "none", "negative-width-flag", "negative-pairs-flag"],
+    )
+    def test_invalid_budget_option(self, tmp_path, capsys, options, flags, name):
+        f = tmp_path / "bad.egb"
+        f.write_text(TORIC_TEXT + f"\noptions {{ {options} }}\n")
+        assert main(["solve", str(f), "--json", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
+
+    def test_budget_options_from_file(self, tmp_path, capsys):
+        f = tmp_path / "budget.egb"
+        f.write_text(TORIC_TEXT + "\noptions { max_width = 0; max_pairs = 0; max_basis = 0; }\n")
+        assert main(["solve", str(f), "--json"]) == EXIT_BUDGET
+        report = json.loads(capsys.readouterr().out)
+        assert report["options"] == {"max_width": 0, "max_pairs": 0}
+
+
 class TestReduce:
     def test_member_h_reduces_to_zero(self, member_file, capsys):
         assert main(["reduce", member_file, "--poly", MEMBER_H]) == EXIT_OK

@@ -1,9 +1,11 @@
 """Source layout rules checked on the syntax tree of the package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import incgb
+from incgb import spairs
 
 SRC = Path(incgb.__file__).resolve().parent
 
@@ -71,3 +73,10 @@ def test_one_term_accumulator():
         if path.name != "poly.py" and "insort" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_pair_generators_are_lazy():
+    # a caller that needs only to know whether a pair set is empty draws
+    # one item; a pair source that builds a list would enumerate it all
+    sources = (spairs.interlacings, spairs.spair_generators, spairs.spair_generators_classical)
+    assert [fn.__name__ for fn in sources if not inspect.isgeneratorfunction(fn)] == []

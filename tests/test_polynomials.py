@@ -291,7 +291,7 @@ class TestKernelOracle:
             p((1, xmono(1, 1)), (-1, xmono(1))),
             p((1, xmono(2)), (-1, xmono(1))),
         ]
-        s = oracle_spoly(spair_generators(gen, gen, 0, 0)[-1], [gen])
+        s = oracle_spoly(list(spair_generators(gen, gen, 0, 0))[-1], [gen])
         _, trace = normal_form(s, basis, with_trace=True)
         assert len(trace.steps) > 3
         calls = []
@@ -332,7 +332,7 @@ class TestSPairOracle:
             gens = [gen for i in range(k) for gen in spair_generators_classical(G[i], G[k], i, k)]
             classical += len(gens)
             i, j = sorted(rng.randrange(len(G)) for _ in range(2))
-            orbit = spair_generators(G[i], G[j], i, j)
+            orbit = list(spair_generators(G[i], G[j], i, j))
             for gen in gens + rng.sample(orbit, min(4, len(orbit))):
                 expected, expected_trace = normal_form(
                     oracle_spoly(gen, G), G, with_trace=True, divides=divides

@@ -1,5 +1,7 @@
 """Problem-file parsing and canonical serialization."""
 
+import time
+
 import pytest
 
 from incgb.poly import lm
@@ -43,12 +45,23 @@ class TestParse:
         assert len(f.terms) == 3
         assert format_polynomial(f) == "3*x[2]^2 - 5*x[0] + 7"
 
+    def test_powers_match_repeated_products(self, x_problem):
+        base = "(x[1] - 2*x[0] + 1/3)"
+        for k in range(7):
+            product = "*".join([base] * k) or "1"
+            assert expr(x_problem, f"{base}^{k}") == expr(x_problem, product), k
+
+    def test_huge_power_parses_fast(self, x_problem):
+        # square and multiply: about 30 products, not 10^9
+        start = time.monotonic()
+        f = expr(x_problem, "x[0]^1000000000")
+        assert time.monotonic() - start < 1
+        [(c, m)] = f.terms
+        assert c == 1 and [e for _, e in m.factors] == [10**9]
+
     def test_options_block(self):
-        pf = parse(X_RING_TEXT.replace(
-            "generators { x[0]; }",
-            "generators { x[0]; }\noptions { max_width = 7; algorithm = buchberger; }",
-        ) if "options" not in X_RING_TEXT else X_RING_TEXT)
-        assert pf.options.get("max_width") in (7, "7", None) or True
+        pf = parse(X_RING_TEXT + "options { max_width = 7; algorithm = buchberger; strict = true; }\n")
+        assert pf.options == {"max_width": 7, "algorithm": "buchberger", "strict": True}
 
     def test_whitespace_and_newlines_irrelevant(self):
         a = parse(TORIC_TEXT)
