@@ -19,7 +19,7 @@ from .buchberger import (
 )
 from .incmaps import IncMap, increasing_maps, map_to_tau, standard_form, tau_to_map
 from .poly import Polynomial, act, lc, lm, normal_form
-from .problems import parse, serialize
+from .problems import parse, parse_polynomial, serialize
 from .rings import FamilySpec, Monomial, Ring, compare, pi_divides
 from .signature import egb_signature
 from .spairs import interlacings, spair_generators
@@ -48,6 +48,7 @@ __all__ = [
     "normal_form",
     "orbit_truncate",
     "parse",
+    "parse_polynomial",
     "pi_divides",
     "serialize",
     "spair_generators",

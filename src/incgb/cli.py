@@ -23,9 +23,9 @@ from .buchberger import (
 from .poly import normal_form
 from .problems import (
     ProblemSyntaxError,
-    _Parser,
     format_polynomial,
     parse,
+    parse_polynomial,
     serialize,
 )
 from .signature import egb_signature
@@ -41,11 +41,9 @@ EXIT_BUDGET = 3
 def _load(path):
     try:
         with open(path) as handle:
-            text = handle.read()
+            return parse(handle.read())
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
-    try:
-        return parse(text)
     except ProblemSyntaxError as exc:
         raise SystemExit2(f"{path}:{exc}")
 
@@ -71,14 +69,6 @@ def _limits(problem, args):
             raise SystemExit2(f"option {name} must be a nonnegative integer, not {value!r}")
         limits[name] = value
     return EngineLimits(**limits)
-
-
-def _parse_poly(problem, text):
-    sub = _Parser(text)
-    expr = sub.parse_expression(problem.ring)
-    if sub.peek()[0] != "eof":
-        raise SystemExit2(f"trailing input in polynomial expression: {text!r}")
-    return expr
 
 
 def _solve(problem, args):
@@ -129,7 +119,10 @@ def cmd_solve(args):
 def _reduce(args):
     """The orbit normal form of --poly against the problem's basis."""
     problem = _load(args.file)
-    target = _parse_poly(problem, args.poly)
+    try:
+        target = parse_polynomial(problem.ring, args.poly)
+    except ProblemSyntaxError as exc:
+        raise SystemExit2(f"--poly:{exc}")
     *_, result = _solve(problem, args)
     if result.status == BUDGET:
         raise BudgetStop("basis computation exhausted its budget")
@@ -169,30 +162,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="compute an equivariant Groebner basis")
-    solve.add_argument("file")
+    # the arguments that solve, reduce and member share
+    basis = argparse.ArgumentParser(add_help=False)
+    basis.add_argument("file")
+    basis.add_argument("--max-width", type=int, default=None)
+    basis.add_argument("--max-pairs", type=int, default=None)
+
+    solve = sub.add_parser("solve", parents=[basis], help="compute an equivariant Groebner basis")
     solve.add_argument(
         "--algorithm", choices=["buchberger", "incremental", "signature"], default=None
     )
-    solve.add_argument("--max-width", type=int, default=None)
-    solve.add_argument("--max-pairs", type=int, default=None)
     solve.add_argument("--report", metavar="FILE", default=None)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)
 
-    reduce_cmd = sub.add_parser("reduce", help="print the orbit normal form of a polynomial")
-    reduce_cmd.add_argument("file")
-    reduce_cmd.add_argument("--poly", required=True)
-    reduce_cmd.add_argument("--max-width", type=int, default=None)
-    reduce_cmd.add_argument("--max-pairs", type=int, default=None)
-    reduce_cmd.set_defaults(func=cmd_reduce, algorithm=None)
-
-    member = sub.add_parser("member", help="test orbit ideal membership")
-    member.add_argument("file")
-    member.add_argument("--poly", required=True)
-    member.add_argument("--max-width", type=int, default=None)
-    member.add_argument("--max-pairs", type=int, default=None)
-    member.set_defaults(func=cmd_member, algorithm=None)
+    for name, func, help_text in [
+        ("reduce", cmd_reduce, "print the orbit normal form of a polynomial"),
+        ("member", cmd_member, "test orbit ideal membership"),
+    ]:
+        query = sub.add_parser(name, parents=[basis], help=help_text)
+        query.add_argument("--poly", required=True)
+        query.set_defaults(func=func, algorithm=None)
 
     orbit = sub.add_parser("orbit", help="print the generator truncation at a width")
     orbit.add_argument("file")

@@ -15,13 +15,16 @@ A problem file has three blocks::
       max_width = 16;
     }
 
-Family declaration order doubles as the default precedence (first listed is
-greatest).  Generator expressions use + - * ^, integer and rational literals
-and parentheses, and are whitespace-insensitive; generators are separated by
-semicolons.  Variables are written ``x[3]`` or ``y[2,1]`` and are checked
-against their family's arity and index constraint at parse time, with a
-line/column diagnostic on violation.  The options block is free-form
-key = value pairs interpreted by the CLI.
+The blocks may come in any order.  Family declaration order doubles as the
+default precedence (first listed is greatest).  In the family, order and
+options blocks, ``,`` or ``;`` separates the ``key = value`` fields; the
+options are free-form and interpreted by the CLI.  Generator expressions use
++ - * ^, integer and rational literals and parentheses, and are
+whitespace-insensitive; generators are separated by semicolons.  Variables
+are written ``x[3]`` or ``y[2,1]`` and are checked against their family's
+arity and index constraint at parse time.  Every error is a
+``ProblemSyntaxError`` with a line/column diagnostic.  ``parse_polynomial``
+reads one expression that must use the whole of its text.
 """
 
 from __future__ import annotations
@@ -103,7 +106,6 @@ class _Parser:
         if tok[1] != lexeme:
             found = repr(tok[1]) if tok[1] else "end of input"
             self.error(f"expected {lexeme!r}, found {found}", tok)
-        return tok
 
     def expect_name(self):
         tok = self.next()
@@ -117,153 +119,133 @@ class _Parser:
             self.error("expected a number", tok)
         return int(tok[1])
 
+    def bracketed(self, read_item):
+        """``[item, item, ...]``, one item or more."""
+        self.expect("[")
+        items = [read_item()]
+        while self.peek()[1] == ",":
+            self.next()
+            items.append(read_item())
+        self.expect("]")
+        return items
+
+    def checked(self, build, *args, tok=None, **kwargs):
+        """``build(*args, **kwargs)``, its KeyError or ValueError reported at tok."""
+        try:
+            return build(*args, **kwargs)
+        except (KeyError, ValueError) as exc:
+            self.error(exc.args[0], tok)
+
     # --- file structure -------------------------------------------------
 
     def parse_file(self) -> ProblemFile:
         ring = None
-        gens_src = None
+        gens_at = None
         options = {}
         while self.peek()[0] != "eof":
             section = self.expect_name()
             if section == "ring":
                 ring = self.parse_ring()
             elif section == "generators":
-                gens_src = self.collect_generator_tokens()
+                gens_at = self.pos
+                self.skip_block()
             elif section == "options":
-                options = self.parse_options()
+                options = self.parse_fields(self.option_value)
             else:
                 self.error(f"unknown section {section!r}")
         if ring is None:
             self.error("missing ring block")
-        if gens_src is None:
+        if gens_at is None:
             self.error("missing generators block")
+        self.pos = gens_at  # the generators need the ring, which may come later
+        return ProblemFile(ring, self.parse_generators(ring), options)
+
+    def skip_block(self):
+        self.expect("{")
+        depth = 0
+        while depth or self.peek()[1] != "}":
+            tok = self.next()
+            if tok[0] == "eof":
+                self.error("unterminated generators block", tok)
+            depth += {"{": 1, "}": -1}.get(tok[1], 0)
+        self.next()
+
+    def parse_generators(self, ring: Ring) -> list:
+        self.expect("{")
         gens = []
-        for chunk in gens_src:
-            sub = _Parser("")
-            sub.tokens = chunk + [("eof", "", chunk[0][2], chunk[0][3])]
-            gens.append(sub.parse_expression(ring))
-            if sub.peek()[0] != "eof":
-                sub.error("trailing input after expression")
-        return ProblemFile(ring, gens, options)
+        while self.peek()[1] != "}":
+            if self.peek()[1] != ";":
+                gens.append(self.parse_expression(ring))
+            if self.peek()[1] != "}":
+                self.expect(";")
+        self.next()
+        return gens
+
+    def parse_fields(self, read_value) -> dict:
+        """A ``{ key = value, ... }`` block, fields separated by ``,`` or
+        ``;``.  ``read_value(key)`` reads the value or rejects the key."""
+        self.expect("{")
+        fields = {}
+        while self.peek()[1] != "}":
+            key = self.expect_name()
+            self.expect("=")
+            fields[key] = read_value(key)
+            if self.peek()[1] in (",", ";"):
+                self.next()
+        self.next()
+        return fields
 
     def parse_ring(self) -> Ring:
         self.expect("{")
         families = []
-        order_kind = "lex"
-        precedence = None
-        use_weights = True
+        order = {}
         while self.peek()[1] != "}":
             word = self.expect_name()
             if word == "family":
-                families.append(self.parse_family())
+                name = self.expect_name()
+                fields = self.parse_fields(self.family_value)
+                families.append(self.checked(FamilySpec, name, **fields))
             elif word == "order":
-                order_kind, precedence, use_weights = self.parse_order()
+                order = self.parse_fields(self.order_value)
             else:
                 self.error(f"expected 'family' or 'order', found {word!r}")
-        self.expect("}")
+        self.next()
         if not families:
             self.error("ring block declares no families")
-        if precedence is not None:
+        if "precedence" in order:
             by_name = {f.name: f for f in families}
-            if sorted(precedence) != sorted(by_name):
+            if sorted(order["precedence"]) != sorted(f.name for f in families):
                 self.error("order precedence must list every family exactly once")
-            families = [by_name[n] for n in precedence]
-        return Ring(tuple(families), order_kind, use_weights)
+            families = [by_name[n] for n in order["precedence"]]
+        kind, weights = order.get("kind", "lex"), order.get("weights", True)
+        return self.checked(Ring, tuple(families), kind, weights)
 
-    def parse_family(self) -> FamilySpec:
-        name = self.expect_name()
-        self.expect("{")
-        fields = {"arity": 1, "constraint": "none", "weight": 1}
-        while self.peek()[1] != "}":
-            key = self.expect_name()
-            self.expect("=")
-            if key in ("arity", "weight"):
-                fields[key] = self.expect_nat()
-            elif key == "constraint":
-                fields[key] = self.expect_name()
-            else:
-                self.error(f"unknown family field {key!r}")
-            if self.peek()[1] == ",":
-                self.next()
-        self.expect("}")
-        try:
-            return FamilySpec(name, **fields)
-        except ValueError as exc:
-            self.error(str(exc))
+    def family_value(self, key):
+        if key in ("arity", "weight"):
+            return self.expect_nat()
+        if key == "constraint":
+            return self.expect_name()
+        self.error(f"unknown family field {key!r}")
 
-    def parse_order(self):
-        self.expect("{")
-        kind = "lex"
-        precedence = None
-        use_weights = True
-        while self.peek()[1] != "}":
-            key = self.expect_name()
-            self.expect("=")
-            if key == "kind":
-                kind = self.expect_name()
-            elif key == "precedence":
-                self.expect("[")
-                precedence = [self.expect_name()]
-                while self.peek()[1] == ",":
-                    self.next()
-                    precedence.append(self.expect_name())
-                self.expect("]")
-            elif key == "weights":
-                word = self.expect_name()
-                if word not in ("true", "false"):
-                    self.error("weights must be true or false")
-                use_weights = word == "true"
-            else:
-                self.error(f"unknown order field {key!r}")
-            if self.peek()[1] == ",":
-                self.next()
-        self.expect("}")
-        return kind, precedence, use_weights
+    def order_value(self, key):
+        if key == "kind":
+            return self.expect_name()
+        if key == "precedence":
+            return self.bracketed(self.expect_name)
+        if key == "weights":
+            word = self.expect_name()
+            if word not in ("true", "false"):
+                self.error("weights must be true or false")
+            return word == "true"
+        self.error(f"unknown order field {key!r}")
 
-    def collect_generator_tokens(self):
-        self.expect("{")
-        chunks = []
-        current = []
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok[0] == "eof":
-                self.error("unterminated generators block", tok)
-            if tok[1] == "{":
-                depth += 1
-            if tok[1] == "}" and depth == 0:
-                self.next()
-                break
-            if tok[1] == "}":
-                depth -= 1
-            if tok[1] == ";" and depth == 0:
-                self.next()
-                if current:
-                    chunks.append(current)
-                current = []
-                continue
-            current.append(self.next())
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def parse_options(self):
-        self.expect("{")
-        options = {}
-        while self.peek()[1] != "}":
-            key = self.expect_name()
-            self.expect("=")
-            tok = self.next()
-            if tok[0] == "num":
-                options[key] = int(tok[1])
-            elif tok[0] == "name":
-                options[key] = {"true": True, "false": False}.get(tok[1], tok[1])
-            else:
-                self.error("expected an option value", tok)
-            if self.peek()[1] in (",", ";"):
-                self.next()
-        self.expect("}")
-        return options
+    def option_value(self, key):
+        tok = self.next()
+        if tok[0] == "num":
+            return int(tok[1])
+        if tok[0] == "name":
+            return {"true": True, "false": False}.get(tok[1], tok[1])
+        self.error("expected an option value", tok)
 
     # --- expressions ----------------------------------------------------
 
@@ -316,22 +298,22 @@ class _Parser:
             return constant(ring, value)
         if tok[0] == "name":
             self.next()
-            self.expect("[")
-            indices = [self.expect_nat()]
-            while self.peek()[1] == ",":
-                self.next()
-                indices.append(self.expect_nat())
-            self.expect("]")
-            try:
-                var = ring.variable(tok[1], indices)
-            except (KeyError, ValueError) as exc:
-                self.error(str(exc), tok)
+            var = self.checked(ring.variable, tok[1], self.bracketed(self.expect_nat), tok=tok)
             return poly(ring, [(Fraction(1), Monomial(((var, 1),)))])
         self.error("expected a number, variable, or parenthesized expression", tok)
 
 
 def parse(text: str) -> ProblemFile:
     return _Parser(text).parse_file()
+
+
+def parse_polynomial(ring: Ring, text: str) -> Polynomial:
+    """One expression in ring's variables that must use the whole of text."""
+    parser = _Parser(text)
+    f = parser.parse_expression(ring)
+    if parser.peek()[0] != "eof":
+        parser.error("trailing input after expression")
+    return f
 
 
 # --- serialization ------------------------------------------------------
@@ -382,18 +364,7 @@ def serialize_ring(ring: Ring) -> str:
     return "\n".join(lines)
 
 
-def serialize(basis, ring: Ring, options=None) -> str:
+def serialize(basis, ring: Ring) -> str:
     """Canonical problem-file text for a basis (round-trips through parse)."""
-    lines = [serialize_ring(ring), "generators {"]
-    for f in sorted_basis(list(basis)):
-        lines.append(f"  {format_polynomial(f)};")
-    lines.append("}")
-    if options:
-        lines.append("options {")
-        for key in sorted(options):
-            value = options[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"  {key} = {value};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
+    gens = "".join(f"  {format_polynomial(f)};\n" for f in sorted_basis(list(basis)))
+    return f"{serialize_ring(ring)}\ngenerators {{\n{gens}}}\n"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from incgb.incmaps import IncMap
-from incgb.problems import _Parser, parse
+from incgb.problems import parse, parse_polynomial
 from incgb.rings import FamilySpec, Monomial, Ring
 
 # A single arity-1 family under pure lex: the plain infinite polynomial ring.
@@ -60,10 +60,7 @@ MEMBER_H = (
 
 def expr(problem, text):
     """Parse a polynomial expression in a problem's ring."""
-    sub = _Parser(text)
-    f = sub.parse_expression(problem.ring)
-    assert sub.peek()[0] == "eof", f"trailing input in {text!r}"
-    return f
+    return parse_polynomial(problem.ring, text)
 
 
 @pytest.fixture(scope="session")

@@ -175,6 +175,22 @@ def test_budget_stop_exits_budget(tmp_path, capsys, command):
     assert "exhausted its budget" in captured.err
 
 
+@pytest.mark.parametrize("command", ["reduce", "member"])
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("x[0] +", "--poly:1:7: expected a number, variable, or parenthesized expression"),
+        ("z[0]", "--poly:1:1: no family named 'z'"),
+    ],
+    ids=["truncated", "unknown-family"],
+)
+def test_poly_syntax_error(member_file, capsys, command, query, message):
+    assert main([command, member_file, "--poly", query]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 class TestOrbit:
     def test_width_three(self, tmp_path, capsys):
         f = tmp_path / "x.egb"
@@ -211,6 +227,20 @@ class TestErrors:
         assert main(["solve", str(f)]) == EXIT_USAGE
         # diagnostics carry file:line:col
         assert str(f) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            "family x { arity = 1 } family x { arity = 1 }",
+            "family x { arity = 1 } order { kind = revlex }",
+        ],
+        ids=["duplicate-family", "unknown-order-kind"],
+    )
+    def test_malformed_ring_block(self, tmp_path, capsys, ring):
+        f = tmp_path / "ring.egb"
+        f.write_text(f"ring {{ {ring} }}\ngenerators {{ x[0]; }}\n")
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"{f}:2:1: ")
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == EXIT_USAGE

@@ -80,3 +80,22 @@ def test_pair_generators_are_lazy():
     # one item; a pair source that builds a list would enumerate it all
     sources = (spairs.interlacings, spairs.spair_generators, spairs.spair_generators_classical)
     assert [fn.__name__ for fn in sources if not inspect.isgeneratorfunction(fn)] == []
+
+
+def test_parser_is_private():
+    # problems.parse and problems.parse_polynomial are the entry points; a
+    # caller that drives _Parser itself keeps its own copy of their checks
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "problems.py"]
+    offenders = []
+    for path in paths + sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            if "_Parser" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

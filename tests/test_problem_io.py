@@ -10,6 +10,7 @@ from incgb.problems import (
     format_monomial,
     format_polynomial,
     parse,
+    parse_polynomial,
     serialize,
     serialize_ring,
 )
@@ -68,6 +69,25 @@ class TestParse:
         b = parse(" ".join(TORIC_TEXT.split()))
         assert a.ring == b.ring and a.generators == b.generators
 
+    def test_semicolons_separate_fields(self):
+        # every { key = value } block takes , or ; between fields
+        text = TORIC_TEXT.replace(", ", "; ").replace("[x; y]", "[x, y]")
+        assert "arity = 2; constraint" in text and "kind = lex; precedence" in text
+        assert parse(text) == parse(TORIC_TEXT)
+
+    def test_generators_before_ring(self):
+        ring, rest = TORIC_TEXT.split("generators")
+        options = "options { max_width = 5, algorithm = signature }\n"
+        text = options + "generators" + rest + ring
+        assert parse(text) == parse(TORIC_TEXT + options)
+
+    def test_parse_polynomial(self, x_problem):
+        f = parse_polynomial(x_problem.ring, "x[1]*x[0] - 2")
+        assert format_polynomial(f) == "x[1]*x[0] - 2"
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_polynomial(x_problem.ring, "x[1] x[0]")
+        assert str(e.value) == "1:6: trailing input after expression"
+
 
 class TestSyntaxErrors:
     def test_truncated_expression(self):
@@ -93,6 +113,35 @@ class TestSyntaxErrors:
     def test_unknown_family(self):
         with pytest.raises(ProblemSyntaxError):
             parse(X_RING_TEXT.replace("x[0];", "z[0];"))
+
+    def test_unknown_family_message(self, x_problem):
+        # the message itself, not the quoted str() of a KeyError
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_polynomial(x_problem.ring, "z[0]")
+        assert str(e.value) == "1:1: no family named 'z'"
+
+    def test_error_points_at_offending_token(self):
+        text = "ring { family x { arity = 1 } }\ngenerators { x[0] + ; }\n"
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (2, 21)
+
+    @pytest.mark.parametrize(
+        "ring, message",
+        [
+            ("family x { arity = 1 } family x { arity = 1 }", "family names must be unique"),
+            ("family x { arity = 1 } order { kind = revlex }", "unknown order kind 'revlex'"),
+            (
+                "family x { arity = 1 } family x { arity = 2 } order { precedence = [x] }",
+                "order precedence must list every family exactly once",
+            ),
+        ],
+        ids=["duplicate-family", "unknown-order-kind", "duplicate-family-in-precedence"],
+    )
+    def test_malformed_ring(self, ring, message):
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse(f"ring {{ {ring} }}\ngenerators {{ x[0]; }}\n")
+        assert str(e.value) == f"2:1: {message}"
 
 
 class TestFormatting:
@@ -154,8 +203,8 @@ class TestSerialize:
         assert body == ["x[0]", "x[0]^2 - x[0]", "x[2]*x[0] - 1"]
 
     def test_byte_determinism(self, toric_problem):
-        a = serialize(toric_problem.generators, toric_problem.ring, {"max_width": 6})
-        b = serialize(toric_problem.generators, toric_problem.ring, {"max_width": 6})
+        a = serialize(toric_problem.generators, toric_problem.ring)
+        b = serialize(toric_problem.generators, toric_problem.ring)
         assert a == b
 
     def test_ring_block_round_trip(self, toric_problem):
