@@ -44,13 +44,8 @@ class EgbResult:
 
 
 def _prepare(F):
-    polys = []
-    for f in F:
-        if not f.is_zero:
-            g = monic(f)
-            if g not in polys:
-                polys.append(g)
-    return polys
+    """The nonzero inputs made monic, first occurrences in order."""
+    return list(dict.fromkeys(monic(f) for f in F if not f.is_zero))
 
 
 def _spoly(gen, G):
@@ -139,17 +134,16 @@ def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
 
 
 def orbit_truncate(F, n):
-    """All shifted copies of the generators with width at most n."""
-    out = []
+    """All shifted copies of the generators with width at most n, first
+    occurrences in order."""
+    out = {}  # a dict as an ordered set
     for f in F:
         w = f.width()
         if w > n:
             raise ValueError(f"truncation width {n} below generator width {w}")
         for rho in increasing_maps(w, n):
-            g = act(rho, f)
-            if g not in out:
-                out.append(g)
-    return out
+            out.setdefault(act(rho, f))
+    return list(out)
 
 
 def autoreduce(G, divides=None):

@@ -294,7 +294,11 @@ class _Parser:
             value = Fraction(int(tok[1]))
             if self.peek()[1] == "/":
                 self.next()
-                value /= self.expect_nat()
+                tok = self.peek()
+                den = self.expect_nat()
+                if den == 0:
+                    self.error("zero denominator", tok)
+                value /= den
             return constant(ring, value)
         if tok[0] == "name":
             self.next()

@@ -19,7 +19,8 @@ from incgb.buchberger import (
     is_egb,
     orbit_truncate,
 )
-from incgb.poly import lm, monic, normal_form, poly, sorted_basis
+from incgb.incmaps import increasing_maps
+from incgb.poly import act, lm, monic, normal_form, poly, sorted_basis
 from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
 
@@ -260,6 +261,20 @@ class TestOrbitTruncate:
         with pytest.raises(ValueError):
             orbit_truncate([p((1, xmono(0, 1)))], 1)
 
+    def test_width_twenty_matches_list_scan(self, member_problem):
+        # duplicates are dropped through a dict: the list scan's copies in
+        # its order, without its quadratic time (about 1 s for this input on
+        # a 2-core host)
+        expected = []
+        for rho in increasing_maps(member_problem.generators[0].width(), 20):
+            g = act(rho, member_problem.generators[0])
+            if g not in expected:
+                expected.append(g)
+        start = time.monotonic()
+        out = orbit_truncate(member_problem.generators * 2, 20)
+        assert time.monotonic() - start < 0.25
+        assert len(out) == 1140 and out == expected
+
 
 class TestClassicalBuchberger:
     def test_already_a_basis(self):
@@ -365,6 +380,31 @@ class TestReducerTable:
         assert res.status == COMPLETE and res.stats["pairs_processed"] == 264
         assert loop_rows == [len(F) + res.stats["insertions"]]
         assert polys == []
+
+    def test_orbit_witness_searches_pinned(self, x_problem, monkeypatch):
+        # the orbit choice remembers each term's step: without the memo the
+        # 5,380 choices of one wide5 solve made 11,512 witness searches
+        searches, choices = [], []
+        real_divides, real_first = buchberger.pi_divides, buchberger.first_reducer
+
+        def counting_divides(a, b):
+            searches.append(b)
+            return real_divides(a, b)
+
+        def counting_first(table, divides):
+            choose = real_first(table, divides)
+
+            def counted(m):
+                choices.append(m)
+                return choose(m)
+
+            return counted
+
+        monkeypatch.setattr(buchberger, "pi_divides", counting_divides)
+        monkeypatch.setattr(buchberger, "first_reducer", counting_first)
+        res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
+        assert res.status == COMPLETE
+        assert (len(choices), len(searches)) == (5380, 98)
 
 
 class TestIsEgb:

@@ -181,8 +181,9 @@ def test_budget_stop_exits_budget(tmp_path, capsys, command):
     [
         ("x[0] +", "--poly:1:7: expected a number, variable, or parenthesized expression"),
         ("z[0]", "--poly:1:1: no family named 'z'"),
+        ("1/0", "--poly:1:3: zero denominator"),
     ],
-    ids=["truncated", "unknown-family"],
+    ids=["truncated", "unknown-family", "zero-denominator"],
 )
 def test_poly_syntax_error(member_file, capsys, command, query, message):
     assert main([command, member_file, "--poly", query]) == EXIT_USAGE
@@ -227,6 +228,15 @@ class TestErrors:
         assert main(["solve", str(f)]) == EXIT_USAGE
         # diagnostics carry file:line:col
         assert str(f) in capsys.readouterr().err
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        # exit 2 with a line:col diagnostic, not a ZeroDivisionError
+        f = tmp_path / "zero.egb"
+        f.write_text(X_RING_TEXT.replace("x[0];", "x[0] - 1/0;"))
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{f}:6:23: zero denominator"
 
     @pytest.mark.parametrize(
         "ring",

@@ -26,6 +26,7 @@ from incgb.poly import (
     normal_form,
     poly,
     reduce_terms,
+    reducer_row,
     reducer_table,
     scale,
     subtract,
@@ -395,6 +396,48 @@ class TestKernelContract:
             steps += len(trace.steps)
             unreduced += any(choose(m) is not None for _, m in out.terms[1:])
         assert steps > 200 and unreduced > 20
+
+
+def reference_orbit_choice(table, m):
+    """The orbit choice without a memo: a fresh scan of every row."""
+    for gi, g, lead, _ in table:
+        rho = pi_divides(lead, m)
+        if rho is not None:
+            return gi, g, rho, m_quotient(m, m_act(rho, lead))
+    return None
+
+
+class TestOrbitMemo:
+    """One long-lived orbit choice over a growing table, queried between
+    appends, against a fresh scan per query."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
+    def test_matches_fresh_scan(self, y_constraint, order_kind):
+        ring = xy_ring(y_constraint, order_kind)
+        rng = random.Random(59)
+        late_hits = kept_hits = 0
+        for _ in range(30):
+            table = []
+            choose = first_reducer(table, pi_divides)
+            terms = [random_ring_monomial(rng, ring) for _ in range(10)]
+            terms = [m_mul(a, b) for a in terms[:5] for b in terms[5:]]
+            missed, found = set(), {}  # found: term -> table length at its first step
+            for _ in range(6):
+                g = random_ring_poly(rng, ring, 2)
+                if not g.is_zero:
+                    table.append(reducer_row(len(table), g, pi_divides))
+                for m in rng.sample(terms, 15):
+                    step = choose(m)
+                    assert step == reference_orbit_choice(table, m)
+                    if step is None:
+                        missed.add(m)
+                    elif m not in found:
+                        found[m] = len(table)
+                        late_hits += m in missed  # a miss, then a row appended since
+                    elif reference_orbit_choice(table[found[m] :], m) is not None:
+                        kept_hits += 1  # a row appended since divides too
+        assert late_hits > 100 and kept_hits > 300
 
 
 def _mask_monomials():

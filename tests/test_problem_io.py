@@ -114,6 +114,16 @@ class TestSyntaxErrors:
         with pytest.raises(ProblemSyntaxError):
             parse(X_RING_TEXT.replace("x[0];", "z[0];"))
 
+    def test_zero_denominator(self, x_problem):
+        # a diagnostic at the denominator, not a ZeroDivisionError
+        text = "ring { family x { arity = 1 } }\ngenerators { x[0] - 1/0; }\n"
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (2, 23)
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_polynomial(x_problem.ring, "1/0")
+        assert str(e.value) == "1:3: zero denominator"
+
     def test_unknown_family_message(self, x_problem):
         # the message itself, not the quoted str() of a KeyError
         with pytest.raises(ProblemSyntaxError) as e:
