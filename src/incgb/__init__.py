@@ -17,10 +17,10 @@ from .buchberger import (
     is_egb,
     orbit_truncate,
 )
-from .incmaps import IncMap, increasing_maps, map_to_tau, standard_form, tau_to_map
+from .incmaps import IncMap, increasing_maps, map_to_tau
 from .poly import Polynomial, act, lc, lm, normal_form
 from .problems import parse, parse_polynomial, serialize
-from .rings import FamilySpec, Monomial, Ring, compare, pi_divides
+from .rings import FamilySpec, Monomial, Ring, pi_divides
 from .signature import egb_signature
 from .spairs import interlacings, spair_generators
 
@@ -35,7 +35,6 @@ __all__ = [
     "act",
     "autoreduce",
     "classical_buchberger",
-    "compare",
     "egb_buchberger",
     "egb_incremental",
     "egb_signature",
@@ -52,8 +51,6 @@ __all__ = [
     "pi_divides",
     "serialize",
     "spair_generators",
-    "standard_form",
-    "tau_to_map",
 ]
 
 __version__ = "0.1.0"

@@ -1,108 +1,109 @@
-"""Arithmetic of strictly increasing maps N -> N and their shift-generator words.
+"""Arithmetic of strictly increasing maps N -> N, stored by their breakpoints.
 
-An increasing map is stored by its values on an initial segment; beyond the
-segment it continues with the minimal increasing extension (step 1).  Every
-map represented this way has cofinite image, so it also has a unique weakly
-increasing word in the shift generators t_i, where t_i skips the value i:
+A map rho is stored by where its shift rho(i) - i grows: ``starts`` lists
+those sources, ascending, and ``shifts`` the running shift with a leading 0,
+so rho(i) = i + shifts[bisect_right(starts, i)].  The form is canonical, and
+its size is the number of breakpoints, not the largest index: both
+x[10**6] -> x[10**6 + 1] and x[0] -> x[10**6] are one breakpoint.  Every such
+map has cofinite image, so it also has a unique weakly increasing word in the
+shift generators t_i, where t_i skips the value i:
 
     t_i(j) = j for j < i,  j + 1 for j >= i.
 
-Adjacent generators commute past each other via t_{j+1} t_i = t_i t_j for
-j >= i, which is what makes the weakly increasing word unique.
+That word is each start repeated by its shift increment (``map_to_tau``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from operator import neg
 
 
-def _trim(values):
-    """Drop trailing entries implied by the minimal increasing extension."""
-    vals = list(values)
-    while vals:
-        if len(vals) == 1:
-            if vals[0] != 0:
-                break
-        elif vals[-1] != vals[-2] + 1:
-            break
-        vals.pop()
-    return tuple(vals)
+def _breakpoints(sources, targets):
+    """``(starts, shifts)`` of ``extend_partial(sources, targets)``, or None."""
+    starts, shifts, last = [], [0], 0
+    for s, t in zip(sources, targets):
+        d = t - s
+        if d > last:
+            starts.append(s)
+            shifts.append(d)
+            last = d
+        elif d < last:
+            return None
+    return tuple(starts), tuple(shifts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IncMap:
-    """A strictly increasing map on the naturals, in canonical trimmed form.
+    """A strictly increasing map on the naturals, stored by its breakpoints.
 
-    ``values[i]`` is the image of ``i`` for ``i < len(values)``; larger
-    arguments follow the minimal increasing extension.  The empty tuple is
-    the identity.  Structural equality coincides with functional equality.
+    ``IncMap(values)`` is the map with image ``values[i]`` at ``i`` on the
+    prefix given and step 1 beyond it; ``IncMap(())`` is the identity.
+    Structural equality coincides with functional equality.
     """
 
-    values: tuple
+    starts: tuple
+    shifts: tuple
 
-    def __post_init__(self):
-        vals = self.values
-        for i, v in enumerate(vals):
-            if v < 0 or (i > 0 and v <= vals[i - 1]):
-                raise ValueError("values must be strictly increasing naturals")
-        trimmed = _trim(vals)
-        if trimmed != vals:
-            object.__setattr__(self, "values", trimmed)
+    def __init__(self, values=()):
+        breakpoints = _breakpoints(range(len(values)), values)
+        if breakpoints is None:
+            raise ValueError("values must be strictly increasing naturals")
+        object.__setattr__(self, "starts", breakpoints[0])
+        object.__setattr__(self, "shifts", breakpoints[1])
 
     def __call__(self, i):
-        d = len(self.values)
-        if i < d:
-            return self.values[i]
-        if d == 0:
-            return i
-        return self.values[-1] + (i - d + 1)
+        return i + self.shifts[bisect_right(self.starts, i)]
 
     @property
     def is_identity(self):
-        return not self.values
+        return not self.starts
+
+    def preimage(self, j):
+        """The i with self(i) == j, or None when j is not in the image."""
+        i = j  # below the first start the map is the identity
+        for s, d in zip(self.starts, self.shifts[1:]):
+            if s + d > j:  # self(s), where the image resumes past a gap
+                break
+            i = j - d
+        return i if self(i) == j else None
 
 
 IDENTITY = IncMap(())
 
 
 def compose(a: IncMap, b: IncMap) -> IncMap:
-    """The map a o b (apply b first), canonicalized."""
+    """The map a o b (apply b first).
+
+    Its shift can grow only at a start of b or where b reaches a start of a,
+    at s - d for a start s of a and a shift d of b; it is sampled there.
+    """
     if a.is_identity:
         return b
     if b.is_identity:
         return a
-    span = len(a.values) + len(b.values) + 1
-    return IncMap(tuple(a(b(i)) for i in range(span)))
+    points = sorted({*b.starts, *(s - d for s in a.starts for d in b.shifts if s >= d)})
+    return extend_partial(points, [a(b(p)) for p in points])
 
 
 def extend_partial(sources, targets):
     """Minimal increasing map sending sources[k] to targets[k], or None.
 
-    Both argument sequences must be strictly increasing.  Unconstrained
-    positions are filled with the smallest value keeping the map strictly
-    increasing; returns None when no increasing map through the given
-    points exists.
+    ``sources`` must be strictly increasing.  Elsewhere the map keeps the
+    shift of the nearest source below (0 below the first), the smallest
+    increasing choice; a breakpoint is recorded where targets[k] - sources[k]
+    grows.  Returns None where it shrinks: no increasing map through the
+    given points exists.
     """
-    if not sources:
-        return IDENTITY
-    values = []
-    prev = -1
-    pos = 0
-    for i in range(sources[-1] + 1):
-        if pos < len(sources) and sources[pos] == i:
-            v = targets[pos]
-            if v <= prev:
-                return None
-            pos += 1
-        else:
-            v = prev + 1
-            if pos < len(sources) and v > targets[pos] - (sources[pos] - i):
-                return None
-        values.append(v)
-        prev = v
-    return IncMap(tuple(values))
+    breakpoints = _breakpoints(sources, targets)
+    if breakpoints is None:
+        return None
+    rho = object.__new__(IncMap)  # past __init__, which reads values
+    object.__setattr__(rho, "starts", breakpoints[0])
+    object.__setattr__(rho, "shifts", breakpoints[1])
+    return rho
 
 
 def increasing_maps(d, n):
@@ -112,25 +113,14 @@ def increasing_maps(d, n):
     return [IncMap(combo) for combo in itertools.combinations(range(n), d)]
 
 
-def tau(i):
-    """The shift generator t_i as an increasing map."""
-    return IncMap(tuple(range(i)) + (i + 1,))
-
-
-def tau_to_map(word) -> IncMap:
-    """Evaluate a generator word (left-to-right composition) to a map."""
-    return reduce(compose, (tau(i) for i in word), IDENTITY)
-
-
 def map_to_tau(rho: IncMap):
-    """The unique weakly increasing generator word for a canonical map."""
-    if rho.is_identity:
-        return ()
-    image = {rho(i) for i in range(len(rho.values))}
-    missing = [v for v in range(rho.values[-1] + 1) if v not in image]
-    return tuple(c - j for j, c in enumerate(missing))
+    """The unique weakly increasing generator word of rho."""
+    runs = zip(rho.starts, rho.shifts, rho.shifts[1:])
+    return tuple(itertools.chain.from_iterable(itertools.repeat(s, e - d) for s, d, e in runs))
 
 
-def standard_form(word):
-    """Rewrite an arbitrary generator word into its weakly increasing form."""
-    return map_to_tau(tau_to_map(word))
+def word_key(rho: IncMap):
+    """Sort key ordering maps as their value sequences do, and as their
+    generator words negated letter by letter: the runs of the word,
+    (-start, running shift), so O(breakpoints) however long the word."""
+    return tuple(zip(map(neg, rho.starts), rho.shifts[1:]))

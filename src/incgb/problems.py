@@ -22,9 +22,11 @@ options are free-form and interpreted by the CLI.  Generator expressions use
 + - * ^, integer and rational literals and parentheses, and are
 whitespace-insensitive; generators are separated by semicolons.  Variables
 are written ``x[3]`` or ``y[2,1]`` and are checked against their family's
-arity and index constraint at parse time.  Every error is a
-``ProblemSyntaxError`` with a line/column diagnostic.  ``parse_polynomial``
-reads one expression that must use the whole of its text.
+arity and index constraint at parse time.  A product or power that would
+multiply out more than ``MAX_TERM_PRODUCTS`` pairs of terms in one step is an
+error at its ``*`` or ``^``, so a hostile power of a sum fails fast.  Every
+error is a ``ProblemSyntaxError`` with a line/column diagnostic.
+``parse_polynomial`` reads one expression that must use the whole of its text.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ class ProblemSyntaxError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+MAX_TERM_PRODUCTS = 10_000
 
 
 @dataclass
@@ -260,24 +265,31 @@ class _Parser:
     def parse_term(self, ring: Ring) -> Polynomial:
         lhs = self.parse_factor(ring)
         while self.peek()[1] == "*":
-            self.next()
-            lhs = mul(lhs, self.parse_factor(ring))
+            op = self.next()
+            lhs = self.product(lhs, self.parse_factor(ring), op)
         return lhs
 
     def parse_factor(self, ring: Ring) -> Polynomial:
         base = self.parse_atom(ring)
         if self.peek()[1] == "^":
-            self.next()
+            op = self.next()
             exponent = self.expect_nat()
             out = constant(ring, 1)
             while exponent:  # square and multiply
                 if exponent & 1:
-                    out = mul(out, base)
+                    out = self.product(out, base, op)
                 exponent >>= 1
                 if exponent:
-                    base = mul(base, base)
+                    base = self.product(base, base, op)
             return out
         return base
+
+    def product(self, f, g, op):
+        """f * g, unless it multiplies out more than MAX_TERM_PRODUCTS term
+        pairs: then an error at the operator token ``op``."""
+        if len(f.terms) * len(g.terms) > MAX_TERM_PRODUCTS:
+            self.error(f"expansion past {MAX_TERM_PRODUCTS} term products", op)
+        return mul(f, g)
 
     def parse_atom(self, ring: Ring) -> Polynomial:
         tok = self.peek()

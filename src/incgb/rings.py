@@ -106,8 +106,8 @@ class Monomial:
     def exponent(self, var):
         return next((e for v, e in self.factors if v == var), 0)
 
-    def degree(self, ring: Ring = None):
-        if ring is None or not ring.use_weights:
+    def degree(self, ring: Ring):
+        if not ring.use_weights:
             return sum(e for _, e in self.factors)
         return sum(e * ring.family_of(v).weight for v, e in self.factors)
 
@@ -193,9 +193,9 @@ def m_pull_back(rho: IncMap, m: Monomial) -> Monomial:
     """
     if rho.is_identity:
         return m
-    pre = {rho(i): i for i in range(m.width())}  # rho(i) >= i
-    kept = ((v, e) for v, e in m.factors if all(j in pre for j in v[1]))
-    return Monomial(tuple(((label, tuple(map(pre.get, idx))), e) for (label, idx), e in kept))
+    pre = {j: rho.preimage(j) for j in m.indices()}
+    moved = (((label, tuple(map(pre.get, idx))), e) for (label, idx), e in m.factors)
+    return Monomial(tuple((v, e) for v, e in moved if None not in v[1]))
 
 
 def order_key(ring: Ring, m: Monomial):
@@ -203,12 +203,6 @@ def order_key(ring: Ring, m: Monomial):
     if ring.order_kind == "grlex":
         return (m.degree(ring), m.factors)
     return m.factors
-
-
-def compare(ring: Ring, a: Monomial, b: Monomial):
-    """Total order comparison: -1, 0, or 1."""
-    ka, kb = order_key(ring, a), order_key(ring, b)
-    return (ka > kb) - (ka < kb)
 
 
 def _match_witnesses(a: Monomial, b: Monomial):

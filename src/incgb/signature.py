@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
-from .incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau
+from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
 from .poly import Polynomial, lm, monic, sorted_basis, support_mask
 from .poly import first_reducer, reduce_terms, reducer_row
 from .rings import (
@@ -72,20 +72,21 @@ def tm_apply(tm: TwistedMonomial, m: Monomial) -> Monomial:
 
 
 @lru_cache(maxsize=None)
-def _shift_quotient(target_values, base_values):
-    """The shift part of a left quotient, st with st o sb == s_target, or None:
-    forced on the image of sb, minimal elsewhere.  Maps recur far more often
-    than twisted monomials, so this is memoized on their value tuples."""
-    sb, st_target = IncMap(base_values), IncMap(target_values)
-    span = range(max(len(base_values), len(target_values)) + 2)
-    st = extend_partial(tuple(map(sb, span)), tuple(map(st_target, span)))
-    return None if st is None or compose(st, sb) != st_target else st
+def _shift_quotient(target: IncMap, base: IncMap):
+    """The shift part of a left quotient, st with st o base == target, or
+    None: forced on the image of base, minimal elsewhere.  Between two
+    breakpoints of either map both shifts stay put, so st is sampled at those
+    breakpoints alone, and the minimal map through the samples meets every
+    forced value.  Maps recur far more often than twisted monomials, so this
+    is memoized on them."""
+    points = sorted({*base.starts, *target.starts})
+    return extend_partial([base(p) for p in points], [target(p) for p in points])
 
 
 def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
     """Twisted monomials t with t * base == target: at most one, as the map part
     is forced (``_shift_quotient``); a miss only forgoes a cover discard."""
-    st = _shift_quotient(target.shift.values, base.shift.values)
+    st = _shift_quotient(target.shift, base.shift)
     if st is None:
         return []
     moved = m_act(st, base.mono)
@@ -148,20 +149,19 @@ class SigEngine:
         smaller moved lead, counts as smaller, so the least-shifted member of
         a tied class comes first and the others reduce against it; equal
         moved leads leave the shifts, where the longer, then lexicographically
-        larger, generator word counts as smaller.  Left multiplication keeps
-        the tie-break, which reduction and covering rely on.  Only a queued
-        J-pair keeps its key; a cache of every signature's would cost more
-        memory than recomputing them costs time.
+        larger, generator word counts as smaller (``word_key``).  Left
+        multiplication keeps the tie-break, which reduction and covering rely
+        on.  Only a queued J-pair keeps its key; a cache of every signature's
+        would cost more memory than recomputing them costs time.
         """
         lead = self.module_leads[s.index]
         moved = m_act(s.tm.shift, lead)
-        word = map_to_tau(s.tm.shift)
         return (
             order_key(self.ring, m_mul(s.tm.mono, moved)),
             s.index,
             order_key(self.ring, moved),
-            -len(word),
-            tuple(-j for j in word),
+            -s.tm.shift.shifts[-1],  # the word's length
+            word_key(s.tm.shift),
         )
 
 
@@ -184,9 +184,9 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
 
 
 def add_syzygy(S, sig: Signature):
-    """Record a syzygy signature in the cover index S: index -> shift values
+    """Record a syzygy signature in the cover index S: index -> shift
     -> [(support mask, monomial part)]."""
-    group = S.setdefault(sig.index, {}).setdefault(sig.tm.shift.values, [])
+    group = S.setdefault(sig.index, {}).setdefault(sig.tm.shift, [])
     group.append((support_mask(sig.tm.mono), sig.tm.mono))
 
 
@@ -210,7 +210,7 @@ def is_covered(j, G, S, engine: SigEngine) -> bool:
     # per group, t * sig(s) == sig(j) iff mono(s) divides sig(j)'s pulled back
     target = j.sig.tm
     for shift, group in S.get(j.sig.index, {}).items():
-        st = _shift_quotient(target.shift.values, shift)
+        st = _shift_quotient(target.shift, shift)
         if st is None:
             continue
         back = m_pull_back(st, target.mono)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .incmaps import IDENTITY, IncMap
+from .incmaps import IDENTITY, IncMap, word_key
 from .poly import Polynomial, lm
 from .rings import Monomial, m_act, m_coprime, m_lcm, m_quotient
 
@@ -73,12 +73,13 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
+    last = key1 = None
     for s1, s2 in interlacings(f.width(), g.width()):
         if same:
-            if s1 == s2:
-                continue
-            if s1.values > s2.values:
-                continue  # mirror of a pair already listed
+            if s1 is not last:  # interlacings repeats s1 across its s2
+                last, key1 = s1, word_key(s1)
+            if key1 >= word_key(s2):  # word_key orders as the values do
+                continue  # the diagonal, or the mirror of a pair already listed
         # the order respects the action, so lm commutes with it
         lf = m_act(s1, lm(f))
         lg = m_act(s2, lm(g))

@@ -8,7 +8,7 @@ import pytest
 
 from incgb.incmaps import IncMap
 from incgb.problems import parse, parse_polynomial
-from incgb.rings import FamilySpec, Monomial, Ring
+from incgb.rings import FamilySpec, Monomial, Ring, order_key
 
 # A single arity-1 family under pure lex: the plain infinite polynomial ring.
 X_RING_TEXT = """
@@ -95,6 +95,31 @@ def xmono(*indices):
     for i in indices:
         exps[xvar(i)] = exps.get(xvar(i), 0) + 1
     return Monomial.from_dict(exps)
+
+
+def order_sign(ring, a, b):
+    """-1, 0 or 1 as monomial a lies below, at or above b: the order as a
+    comparator, read from ``order_key``."""
+    ka, kb = order_key(ring, a), order_key(ring, b)
+    return (ka > kb) - (ka < kb)
+
+
+def tau(i) -> IncMap:
+    """The shift generator t_i, which skips the value i."""
+    return IncMap(tuple(range(i)) + (i + 1,))
+
+
+def word_map(word) -> IncMap:
+    """The generator product t_{w[0]} o t_{w[1]} o ..., applied generator by
+    generator and read off its values: from max(word) on, every generator
+    adds 1, so the values below max(word) + 1 fix the map."""
+
+    def apply(j):
+        for i in reversed(word):
+            j += j >= i
+        return j
+
+    return IncMap(tuple(apply(j) for j in range(max(word, default=0) + 1)))
 
 
 def random_incmap(rng: random.Random, max_len=4, max_value=9) -> IncMap:

@@ -238,6 +238,15 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.strip() == f"{f}:6:23: zero denominator"
 
+    def test_expansion_capped(self, tmp_path, capsys):
+        # exit 2 at the ^, not a half-minute expansion
+        f = tmp_path / "power.egb"
+        f.write_text(X_RING_TEXT.replace("x[0];", "(x[0] + x[1])^2000;"))
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{f}:6:27: expansion past 10000 term products"
+
     @pytest.mark.parametrize(
         "ring",
         [

@@ -1,4 +1,4 @@
-"""Increasing maps, shift-generator words, and their round trips."""
+"""Increasing maps, their breakpoint form and generator words, and dense oracles."""
 
 import random
 
@@ -13,12 +13,12 @@ from incgb.incmaps import (
     extend_partial,
     increasing_maps,
     map_to_tau,
-    standard_form,
-    tau,
-    tau_to_map,
+    word_key,
 )
+from incgb.rings import m_act, m_pull_back, pi_divides
+from incgb.signature import _shift_quotient
 
-from conftest import random_incmap
+from conftest import random_incmap, tau, word_map, xmono
 
 incmaps = st.builds(
     lambda vals: IncMap(tuple(sorted(vals))),
@@ -44,8 +44,11 @@ class TestApply:
 
 class TestCanonicalForm:
     def test_trailing_extension_trimmed(self):
-        assert IncMap((2, 3, 4)).values == (2,)
-        assert IncMap((0, 1, 2)).values == ()
+        # only the breakpoints are stored: where the shift rho(i) - i grows
+        assert IncMap((2, 3, 4)) == IncMap((2,))
+        assert (IncMap((2, 3, 4)).starts, IncMap((2, 3, 4)).shifts) == ((0,), (0, 2))
+        assert (IncMap((0, 1, 2)).starts, IncMap((0, 1, 2)).shifts) == ((), (0,))
+        assert (IncMap((0, 3, 4, 7)).starts, IncMap((0, 3, 4, 7)).shifts) == ((1, 3), (0, 2, 4))
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ class TestCompose:
         t0 = tau(0)
         sq = compose(t0, t0)
         assert all(sq(i) == i + 2 for i in range(10))
-        assert sq.values == (2,)  # canonical trimmed form
+        assert (sq.starts, sq.shifts) == ((0,), (0, 2))  # one breakpoint
 
     def test_pointwise_example(self):
         a, b = IncMap((1, 2)), IncMap((0, 2))
@@ -87,55 +90,66 @@ class TestCompose:
 
 
 class TestStandardForm:
+    """The weakly increasing word of a generator product (``word_map``) is
+    ``map_to_tau`` of the product."""
+
     def test_commutation_example(self):
-        assert standard_form((3, 1)) == (1, 2)
+        assert map_to_tau(word_map((3, 1))) == (1, 2)
 
     def test_already_standard(self):
-        assert standard_form((1, 1)) == (1, 1)
+        assert map_to_tau(word_map((1, 1))) == (1, 1)
 
     def test_empty(self):
-        assert standard_form(()) == ()
+        assert map_to_tau(word_map(())) == ()
 
-    @given(words)
-    def test_output_weakly_increasing(self, w):
-        out = standard_form(w)
-        assert all(a <= b for a, b in zip(out, out[1:]))
+    @given(words, incmaps)
+    def test_output_weakly_increasing(self, w, rho):
+        for out in (map_to_tau(word_map(w)), map_to_tau(rho)):
+            assert all(a <= b for a, b in zip(out, out[1:]))
 
     @given(words)
     def test_idempotent_and_length_preserving(self, w):
-        out = standard_form(w)
+        out = map_to_tau(word_map(w))
         assert len(out) == len(w)
-        assert standard_form(out) == out
+        assert map_to_tau(word_map(out)) == out
 
     @given(words)
     def test_same_action(self, w):
-        a, b = tau_to_map(w), tau_to_map(standard_form(w))
+        a, b = word_map(w), word_map(map_to_tau(word_map(w)))
         assert all(a(i) == b(i) for i in range(64))
 
 
 class TestWordMapBijection:
     def test_single_generator(self):
-        rho = tau_to_map((2,))
+        rho = word_map((2,))
+        assert rho == tau(2)
         assert [rho(i) for i in range(4)] == [0, 1, 3, 4]
 
     def test_identity_both_ways(self):
-        assert tau_to_map(()) == IDENTITY
+        assert word_map(()) == IDENTITY
         assert map_to_tau(IDENTITY) == ()
 
     def test_image_complement(self):
-        rho = tau_to_map((1, 2))
+        rho = word_map((1, 2))
         image = {rho(i) for i in range(10)}
         complement = set(range(max(image) + 1)) - image
         assert complement == {1, 3}
 
     @given(incmaps)
     def test_map_round_trip(self, rho):
-        assert tau_to_map(map_to_tau(rho)) == rho
+        assert word_map(map_to_tau(rho)) == rho
 
     @given(words)
     def test_word_round_trip(self, w):
-        standard = standard_form(w)
-        assert map_to_tau(tau_to_map(standard)) == standard
+        standard = map_to_tau(word_map(w))
+        assert map_to_tau(word_map(standard)) == standard
+
+    @given(incmaps, incmaps)
+    def test_word_key_orders_as_values(self, a, b):
+        # the self-pair mirror check and the signature tie-break rely on it
+        below = word_key(a) < word_key(b)
+        assert below == ([a(i) for i in range(14)] < [b(i) for i in range(14)])
+        assert below == ([-j for j in map_to_tau(a)] < [-j for j in map_to_tau(b)])
 
 
 class TestIncreasingMaps:
@@ -173,7 +187,7 @@ class TestExtendPartial:
     def test_recovers_factor(self, a, b):
         # a o b can always be factored back through b at b's image points
         c = compose(a, b)
-        span = max(len(a.values) + len(b.values), 1) + 2
+        span = max((*a.starts, *b.starts), default=0) + 3
         sources = tuple(b(i) for i in range(span))
         targets = tuple(c(i) for i in range(span))
         rho = extend_partial(sources, targets)
@@ -187,3 +201,104 @@ def test_apply_compose_sampled_bulk():
         a, b = random_incmap(rng), random_incmap(rng)
         i = rng.randrange(10_000)
         assert compose(a, b)(i) == a(b(i))
+
+
+def dense_apply(values, i):
+    """A map stored densely, as its values on a prefix, step 1 beyond."""
+    if i < len(values):
+        return values[i]
+    return values[-1] + i - len(values) + 1 if values else i
+
+
+def reference_extend_partial(sources, targets):
+    """``extend_partial`` as it was with dense storage: the values up to the
+    last source, or None."""
+    if not sources:
+        return ()
+    values = []
+    prev = -1
+    pos = 0
+    for i in range(sources[-1] + 1):
+        if pos < len(sources) and sources[pos] == i:
+            v = targets[pos]
+            if v <= prev:
+                return None
+            pos += 1
+        else:
+            v = prev + 1
+            if pos < len(sources) and v > targets[pos] - (sources[pos] - i):
+                return None
+        values.append(v)
+        prev = v
+    return tuple(values)
+
+
+def reference_compose(a, b):
+    """``compose`` as it was with dense storage, on value tuples."""
+    return tuple(dense_apply(a, dense_apply(b, i)) for i in range(len(a) + len(b) + 1))
+
+
+value_tuples = st.sets(st.integers(min_value=0, max_value=12), max_size=5).map(sorted).map(tuple)
+point_sets = st.sets(st.integers(min_value=0, max_value=12), max_size=5).map(sorted).map(tuple)
+
+
+class TestDenseOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(value_tuples, value_tuples)
+    def test_compose_matches_dense(self, a, b):
+        c, dense = compose(IncMap(a), IncMap(b)), reference_compose(a, b)
+        assert all(c(i) == dense_apply(dense, i) for i in range(40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets, st.lists(st.integers(min_value=0, max_value=16), min_size=5, max_size=5))
+    def test_extend_partial_matches_dense(self, sources, raw):
+        targets = tuple(sorted(raw))[: len(sources)]
+        rho, dense = extend_partial(sources, targets), reference_extend_partial(sources, targets)
+        assert (rho is None) == (dense is None)
+        if rho is not None:
+            assert all(rho(i) == dense_apply(dense, i) for i in range(40))
+
+
+BIG = 10**6
+
+
+class TestHostileIndices:
+    """Large indices cost breakpoints, not entries: each map below is stored
+    in one or two breakpoints."""
+
+    def test_extend_partial_shift_by_one_far_out(self):
+        rho = extend_partial((BIG,), (BIG + 1,))
+        assert (rho.starts, rho.shifts) == ((BIG,), (0, 1))
+        assert (rho(BIG - 1), rho(BIG), rho(BIG + 5)) == (BIG - 1, BIG + 1, BIG + 6)
+
+    def test_extend_partial_long_jump(self):
+        rho = extend_partial((0,), (BIG,))
+        assert (rho.starts, rho.shifts) == ((0,), (0, BIG))
+        assert rho(3) == BIG + 3
+
+    def test_compose(self):
+        far, jump = extend_partial((BIG,), (BIG + 1,)), extend_partial((0,), (BIG,))
+        for a, b in ((far, jump), (jump, far), (far, far), (jump, jump)):
+            c = compose(a, b)
+            assert len(c.starts) <= 2
+            for i in (0, 1, BIG - 1, BIG, BIG + 1, 3 * BIG):
+                assert c(i) == a(b(i))
+
+    def test_pull_back(self):
+        far, jump = extend_partial((BIG,), (BIG + 1,)), extend_partial((0,), (BIG,))
+        assert len(far.starts) == len(jump.starts) == 1
+        m = xmono(BIG + 1, 3)
+        assert m_pull_back(far, m) == xmono(BIG, 3)
+        assert m_pull_back(jump, m) == xmono(1)  # x[3] lies below the image
+
+    def test_shift_quotient(self):
+        base = extend_partial((0,), (BIG,))
+        target = compose(extend_partial((BIG,), (BIG + 1,)), base)
+        st = _shift_quotient(target, base)
+        assert len(st.starts) == 1
+        assert compose(st, base) == target
+
+    def test_pi_divides(self):
+        rho = pi_divides(xmono(BIG), xmono(BIG + 1, 3))
+        assert (rho.starts, rho.shifts) == ((BIG,), (0, 1))
+        assert m_act(rho, xmono(BIG)) == xmono(BIG + 1)

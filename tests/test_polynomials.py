@@ -37,7 +37,6 @@ from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
-    compare,
     m_act,
     m_divides,
     m_mul,
@@ -47,7 +46,7 @@ from incgb.rings import (
 )
 from incgb.spairs import spair_generators, spair_generators_classical
 
-from conftest import MEMBER_TEXT, expr, random_incmap, random_xmono, xmono
+from conftest import MEMBER_TEXT, expr, order_sign, random_incmap, random_xmono, xmono
 
 X = Ring((FamilySpec("x"),))
 
@@ -95,7 +94,7 @@ class TestArithmetic:
         for _ in range(200):
             f = random_poly(rng)
             ms = [m for _, m in f.terms]
-            assert all(compare(X, a, b) == 1 for a, b in zip(ms, ms[1:]))
+            assert all(order_sign(X, a, b) == 1 for a, b in zip(ms, ms[1:]))
 
 
 class TestLeadData:
@@ -152,7 +151,7 @@ class TestPiReduceStep:
                 continue
             out = normal_form(f, [g])
             if not out.is_zero:
-                assert compare(X, lm(out), lm(f)) == -1
+                assert order_sign(X, lm(out), lm(f)) == -1
 
 
 class TestNormalForm:

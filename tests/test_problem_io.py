@@ -124,6 +124,19 @@ class TestSyntaxErrors:
             parse_polynomial(x_problem.ring, "1/0")
         assert str(e.value) == "1:3: zero denominator"
 
+    def test_expansion_capped_at_the_operator(self, x_problem):
+        # a hostile power of a sum fails at its ^, before expanding
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_polynomial(x_problem.ring, "(x[0] + x[1])^2000")
+        assert str(e.value) == "1:14: expansion past 10000 term products"
+        wide = "*".join(f"(x[{2 * i}] + x[{2 * i + 1}])" for i in range(15))
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_polynomial(x_problem.ring, wide)
+        assert wide[e.value.col - 1] == "*"
+        # a large exponent on a monomial, and a modest power of a sum, still parse
+        assert len(parse_polynomial(x_problem.ring, "x[0]^1000000").terms) == 1
+        assert len(parse_polynomial(x_problem.ring, "(x[0] + x[1])^100").terms) == 101
+
     def test_unknown_family_message(self, x_problem):
         # the message itself, not the quoted str() of a KeyError
         with pytest.raises(ProblemSyntaxError) as e:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
-from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial, map_to_tau, tau_to_map
+from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
 from incgb.poly import act, lc, lm, monic, mul_term, normal_form, poly, subtract
 from incgb.problems import format_polynomial
 from incgb.rings import (
@@ -18,7 +18,6 @@ from incgb.rings import (
     Monomial,
     Ring,
     _match_witnesses,
-    compare,
     m_act,
     m_divides,
     m_mul,
@@ -42,7 +41,7 @@ from incgb.signature import (
     twisted_mul,
 )
 
-from conftest import expr, ideal_equal, random_incmap, random_xmono, xmono
+from conftest import expr, ideal_equal, order_sign, random_incmap, random_xmono, word_map, xmono
 from test_cross_engine import LIMITS, inputs
 
 X = Ring((FamilySpec("x"),))
@@ -53,7 +52,7 @@ def p(*terms):
 
 
 def tm(mono, *word):
-    return TwistedMonomial(mono, tau_to_map(word))
+    return TwistedMonomial(mono, word_map(word))
 
 
 class TestTwistedMul:
@@ -114,10 +113,11 @@ class TestLeftQuotients:
 
 
 def _reference_left_quotients(target, base):
-    """tm_left_quotients as it was before its shift part was memoized."""
+    """tm_left_quotients as it was before its shift part was memoized,
+    sampling every point up to two past the last breakpoint."""
     sb = base.shift
     st_target = target.shift
-    span = max(len(sb.values), len(st_target.values)) + 2
+    span = max((*sb.starts, *st_target.starts), default=-1) + 3
     st = extend_partial(
         tuple(sb(i) for i in range(span)),
         tuple(st_target(i) for i in range(span)),
@@ -194,7 +194,7 @@ def _reference_schreyer(engine, s, t):
     """The Schreyer comparison as a comparator: image, then position."""
     image_s = tm_apply(s.tm, engine.module_leads[s.index])
     image_t = tm_apply(t.tm, engine.module_leads[t.index])
-    c = compare(engine.ring, image_s, image_t)
+    c = order_sign(engine.ring, image_s, image_t)
     if c != 0:
         return c
     return _sign(s.index, t.index)
@@ -210,7 +210,7 @@ def _reference_compare(engine, s, t):
     c = _reference_schreyer(engine, s, t)
     if c != 0:
         return c
-    c = compare(engine.ring, s.tm.mono, t.tm.mono)
+    c = order_sign(engine.ring, s.tm.mono, t.tm.mono)
     if c != 0:
         return -c
     sw, tw = map_to_tau(s.tm.shift), map_to_tau(t.tm.shift)
@@ -412,7 +412,7 @@ def reference_is_covered(j, G, S, engine):
 def syzygy_records(S, ring=X):
     """The syzygies of a cover index, as the linear scan took them."""
     return [
-        LabeledPoly(Signature(TwistedMonomial(mono, IncMap(shift)), index), poly(ring, []))
+        LabeledPoly(Signature(TwistedMonomial(mono, shift), index), poly(ring, []))
         for index, groups in S.items()
         for shift, group in groups.items()
         for _mask, mono in group
