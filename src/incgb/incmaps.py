@@ -107,10 +107,12 @@ def extend_partial(sources, targets):
 
 
 def increasing_maps(d, n):
-    """All strictly increasing maps from {0..d-1} into {0..n-1}."""
+    """Yield the strictly increasing maps from {0..d-1} into {0..n-1}, lazily:
+    there are C(n, d).  Raises ValueError on the first draw when d > n."""
     if d > n:
         raise ValueError(f"no increasing maps from {d} points into {n}")
-    return [IncMap(combo) for combo in itertools.combinations(range(n), d)]
+    for combo in itertools.combinations(range(n), d):
+        yield IncMap(combo)
 
 
 def map_to_tau(rho: IncMap):

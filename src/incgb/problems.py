@@ -24,8 +24,8 @@ whitespace-insensitive; generators are separated by semicolons.  Variables
 are written ``x[3]`` or ``y[2,1]`` and are checked against their family's
 arity and index constraint at parse time.  A product or power that would
 multiply out more than ``MAX_TERM_PRODUCTS`` pairs of terms in one step is an
-error at its ``*`` or ``^``, so a hostile power of a sum fails fast.  Every
-error is a ``ProblemSyntaxError`` with a line/column diagnostic.
+error at its ``*`` or ``^``, so a hostile power of a sum fails fast; so is a
+power whose coefficients would pass ``MAX_COEFFICIENT_BITS``.  Every error is a ``ProblemSyntaxError`` with a line/column diagnostic.
 ``parse_polynomial`` reads one expression that must use the whole of its text.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import log2
 
 from .poly import Polynomial, add, constant, mul, poly, scale, sorted_basis, subtract
 from .rings import FamilySpec, Monomial, Ring
@@ -47,6 +48,7 @@ class ProblemSyntaxError(ValueError):
 
 
 MAX_TERM_PRODUCTS = 10_000
+MAX_COEFFICIENT_BITS = 100_000
 
 
 @dataclass
@@ -274,6 +276,11 @@ class _Parser:
         if self.peek()[1] == "^":
             op = self.next()
             exponent = self.expect_nat()
+            # log2 of c^e is e * log2(c), c the larger of numerator and denominator
+            sizes = (max(abs(c.numerator), c.denominator) for c, _ in base.terms)
+            bits = log2(max(sizes, default=1))
+            if bits and exponent > MAX_COEFFICIENT_BITS / bits:
+                self.error(f"coefficient past {MAX_COEFFICIENT_BITS} bits", op)
             out = constant(ring, 1)
             while exponent:  # square and multiply
                 if exponent & 1:

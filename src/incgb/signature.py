@@ -8,14 +8,15 @@ a fixed total order on twisted monomials: one sort key, ``SigEngine.sig_key``.
 
 ``egb_signature`` gives each new basis element a full orbit normal form;
 when that changes it, the element re-enters with a fresh unit signature.
-Zero reductions contribute syzygy signatures, and J-pairs covered by known
-pairs or syzygies are discarded.  A J-pair stays unbuilt, a signature, a
-lead and a multiple of a basis element, until it is popped.  Regular
-top-reduction is a reducer choice for the kernel ``poly.reduce_terms``; it
-compares a reducer's Schreyer head before its full key.  The cover test
-groups syzygies by index and shift and pulls the target back once per
-group.  A pair wider than ``max_width`` is skipped, and the run drains its
-queue and reports BUDGET, as the direct engine does.
+Zero reductions contribute syzygy signatures.  A J-pair stays unbuilt, a
+signature, a lead and a multiple of a basis element, until it is popped.
+Regular top-reduction is a reducer choice for the kernel
+``poly.reduce_terms``; it compares a reducer's Schreyer head first.  One
+cover index holds basis elements and syzygies by index and shift, and the
+cover test pulls the target back once per group.  A J-pair at a known
+signature, wider than ``max_width`` or covered is dropped before it is
+queued; after a width drop the run drains its queue and reports BUDGET, as
+the direct engine does.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ def _shift_quotient(target: IncMap, base: IncMap):
     is memoized on them."""
     points = sorted({*base.starts, *target.starts})
     return extend_partial([base(p) for p in points], [target(p) for p in points])
-
-
-def tm_left_quotients(target: TwistedMonomial, base: TwistedMonomial):
-    """Twisted monomials t with t * base == target: at most one, as the map part
-    is forced (``_shift_quotient``); a miss only forgoes a cover discard."""
-    st = _shift_quotient(target.shift, base.shift)
-    if st is None:
-        return []
-    moved = m_act(st, base.mono)
-    # once moved divides target's monomial, t * base == target holds exactly
-    if not m_divides(moved, target.mono):
-        return []
-    return [TwistedMonomial(m_quotient(target.mono, moved), st)]
 
 
 @dataclass(frozen=True)
@@ -183,40 +171,38 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     return out
 
 
-def add_syzygy(S, sig: Signature):
-    """Record a syzygy signature in the cover index S: index -> shift
-    -> [(support mask, monomial part)]."""
-    group = S.setdefault(sig.index, {}).setdefault(sig.tm.shift, [])
-    group.append((support_mask(sig.tm.mono), sig.tm.mono))
+def add_cover(C, sig: Signature, lead=None):
+    """Record a known signature in the cover index C: index -> shift ->
+    [(support mask, monomial part, lead)], where lead is None for a syzygy
+    and lm of the element for a basis element."""
+    group = C.setdefault(sig.index, {}).setdefault(sig.tm.shift, [])
+    group.append((support_mask(sig.tm.mono), sig.tm.mono, lead))
 
 
-def is_covered(j, G, S, engine: SigEngine) -> bool:
-    """Whether a known pair or syzygy signature licenses discarding j.
-
-    Both branches divide at the signature, exactly: g in G covers j when
-    some twisted t gives t * sig(g) == sig(j) and moves lm(g) strictly below
-    j's lead; a syzygy of the index S (``add_syzygy``) covers j when its
-    signature exactly left-divides j's.  A merely tied or rearranged lead is
-    no license: the discarded content would reappear at a signature the
-    queue never visits.
+def is_covered(j, C, engine: SigEngine) -> bool:
+    """Whether a basis element or syzygy of the index C (``add_cover``)
+    licenses discarding j: some twisted t gives t * sig == sig(j) exactly,
+    and a basis element's lead, moved by t, falls strictly below j's.  A
+    merely tied or rearranged lead is no license: the discarded content
+    would reappear at a signature the queue never visits.
     """
-    jl = order_key(engine.ring, j.lead)
-    for g in G:
-        if g.sig.index != j.sig.index:
-            continue
-        for t in tm_left_quotients(j.sig.tm, g.sig.tm):
-            if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
-                return True
-    # per group, t * sig(s) == sig(j) iff mono(s) divides sig(j)'s pulled back
-    target = j.sig.tm
-    for shift, group in S.get(j.sig.index, {}).items():
-        st = _shift_quotient(target.shift, shift)
+    ring, target = engine.ring, j.sig.tm
+    jl = order_key(ring, j.lead)
+    for shift, group in C.get(j.sig.index, {}).items():
+        st = _shift_quotient(target.shift, shift)  # t's shift, forced if any
         if st is None:
             continue
+        # m_act(st, n) divides target's monomial iff n divides it pulled back
         back = m_pull_back(st, target.mono)
         outside = ~support_mask(back)
-        if any(not mask & outside and m_divides(n, back) for mask, n in group):
-            return True
+        for mask, n, lead in group:
+            if mask & outside or not m_divides(n, back):
+                continue
+            if lead is None:
+                return True
+            cof = m_quotient(target.mono, m_act(st, n))
+            if order_key(ring, m_mul(cof, m_act(st, lead))) < jl:
+                return True
     return False
 
 
@@ -266,7 +252,7 @@ def regular_top_reduce(p, G, engine: SigEngine):
 
 def _signature_loop(polys, engine, limits):
     stats = dict.fromkeys(STAT_KEYS, 0)
-    G, S = [], {}  # S: the syzygy index of ``add_syzygy``
+    G, C = [], {}  # C: the cover index of ``add_cover``
     table = []  # normal_form's reducer rows of G, one per insertion
     full_reducer = first_reducer(table, pi_divides)
     J, seq, done_sigs = [], 0, set()
@@ -279,15 +265,20 @@ def _signature_loop(polys, engine, limits):
         # grow.  Reduction and covering use the undegreed order, so discards
         # stay justified whatever the processing order.  Queued pairs are
         # multiples of a prepared generator or a basis element: never zero.
-        # A pair past max_width is dropped here, as in the direct engine, and
-        # the run goes on: degree bands do not run by width.
+        # Every pair passes one rule: a known signature is a duplicate; a
+        # pair past max_width is dropped, as in the direct engine, and the run
+        # goes on (degree bands do not run by width); then the cover test.
         nonlocal seq, over_width
-        if pair.width() > limits.max_width:
+        if pair.sig in done_sigs:
+            stats["duplicate_signatures"] += 1
+        elif pair.width() > limits.max_width:
             over_width = True
-            return
-        degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
-        heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
-        seq += 1
+        elif is_covered(pair, C, engine):
+            stats["covered_pairs"] += 1
+        else:
+            degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
+            heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
+            seq += 1
 
     for f in polys:
         sig = Signature(UNIT_TM, engine.new_index(lm(f)))
@@ -304,7 +295,7 @@ def _signature_loop(polys, engine, limits):
             continue
         done_sigs.add(p.sig)
         stats["pairs_processed"] += 1
-        if is_covered(p, G, S, engine):
+        if is_covered(p, C, engine):  # C may have grown since p was queued
             stats["covered_pairs"] += 1
             continue
         h, singular, tainted = regular_top_reduce(p, G, engine)
@@ -314,7 +305,7 @@ def _signature_loop(polys, engine, limits):
         if h.poly.is_zero:
             stats["zero_reductions"] += 1
             stats["tied_zero_reductions"] += tainted
-            add_syzygy(S, h.sig)
+            add_cover(C, h.sig)
             stats["syzygies"] += 1
             continue
         h2 = reduce_terms(engine.ring, {m: c for c, m in h.poly.terms}, full_reducer)
@@ -323,6 +314,7 @@ def _signature_loop(polys, engine, limits):
         if h2 != h.poly:
             h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
         G.append(LabeledPoly(h.sig, monic(h.poly)))
+        add_cover(C, h.sig, lm(h.poly))
         table.append(reducer_row(len(G) - 1, G[-1].poly, pi_divides))
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
@@ -330,12 +322,6 @@ def _signature_loop(polys, engine, limits):
         k = len(G) - 1
         for i in range(len(G)):
             for jp in j_pairs(G[i], G[k], i, k, engine):
-                if jp.sig in done_sigs:
-                    stats["duplicate_signatures"] += 1
-                    continue
-                if jp.width() <= limits.max_width and is_covered(jp, G, S, engine):
-                    stats["covered_pairs"] += 1
-                    continue
                 push(jp)
     return G, stats, BUDGET if over_width else COMPLETE
 

@@ -248,6 +248,18 @@ class TestErrors:
         assert captured.err.strip() == f"{f}:6:27: expansion past 10000 term products"
 
     @pytest.mark.parametrize(
+        "power, col", [("2^30000000*x[0]", 15), ("(1/3)^3000000*x[0]", 19)], ids=["int", "fraction"]
+    )
+    def test_coefficient_capped(self, tmp_path, capsys, power, col):
+        # exit 2 at the ^, before building a coefficient of millions of bits
+        f = tmp_path / "coefficient.egb"
+        f.write_text(X_RING_TEXT.replace("x[0];", f"{power};"))
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{f}:6:{col}: coefficient past 100000 bits"
+
+    @pytest.mark.parametrize(
         "ring",
         [
             "family x { arity = 1 } family x { arity = 1 }",

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import incgb
-from incgb import spairs
+from incgb import incmaps, spairs
 
 SRC = Path(incgb.__file__).resolve().parent
 
@@ -78,7 +78,12 @@ def test_one_term_accumulator():
 def test_pair_generators_are_lazy():
     # a caller that needs only to know whether a pair set is empty draws
     # one item; a pair source that builds a list would enumerate it all
-    sources = (spairs.interlacings, spairs.spair_generators, spairs.spair_generators_classical)
+    sources = (
+        spairs.interlacings,
+        spairs.spair_generators,
+        spairs.spair_generators_classical,
+        incmaps.increasing_maps,
+    )
     assert [fn.__name__ for fn in sources if not inspect.isgeneratorfunction(fn)] == []
 
 

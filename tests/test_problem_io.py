@@ -137,6 +137,19 @@ class TestSyntaxErrors:
         assert len(parse_polynomial(x_problem.ring, "x[0]^1000000").terms) == 1
         assert len(parse_polynomial(x_problem.ring, "(x[0] + x[1])^100").terms) == 101
 
+    def test_coefficient_capped_at_the_operator(self, x_problem):
+        # a power whose coefficient would pass MAX_COEFFICIENT_BITS fails at
+        # its ^, before expanding; a power of a unit coefficient costs nothing
+        for text, col in [("2^100001", 2), ("(1/3)^3000000*x[0]", 6), ("(2^1000)^1000", 9)]:
+            with pytest.raises(ProblemSyntaxError) as e:
+                parse_polynomial(x_problem.ring, text)
+            assert str(e.value) == f"1:{col}: coefficient past 100000 bits"
+        assert parse_polynomial(x_problem.ring, "2^100000").terms[0][0] == 2**100000
+        huge = "1" * 400  # a 400-digit exponent
+        for text in ("x[0]^1000000000", "1^1000000000", "(-1)^" + huge, "x[0]^" + huge):
+            f = parse_polynomial(x_problem.ring, text)
+            assert len(f.terms) == 1 and abs(f.terms[0][0]) == 1
+
     def test_unknown_family_message(self, x_problem):
         # the message itself, not the quoted str() of a KeyError
         with pytest.raises(ProblemSyntaxError) as e:

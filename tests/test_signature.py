@@ -31,13 +31,12 @@ from incgb.signature import (
     SigEngine,
     Signature,
     TwistedMonomial,
-    add_syzygy,
+    add_cover,
     egb_signature,
     is_covered,
     j_pairs,
     regular_top_reduce,
     tm_apply,
-    tm_left_quotients,
     twisted_mul,
 )
 
@@ -91,6 +90,15 @@ class TestTwistedMul:
             assert tm_apply(twisted_mul(a, b), m) == tm_apply(a, tm_apply(b, m))
 
 
+def left_quotients(target, base):
+    """The left quotient the cover test finds, t with t * base == target:
+    its shift from ``_shift_quotient``, its monomial by division."""
+    st = signature._shift_quotient(target.shift, base.shift)
+    if st is None or not m_divides(m_act(st, base.mono), target.mono):
+        return []
+    return [TwistedMonomial(m_quotient(target.mono, m_act(st, base.mono)), st)]
+
+
 class TestLeftQuotients:
     def test_exact_round_trip(self):
         rng = random.Random(19)
@@ -99,21 +107,22 @@ class TestLeftQuotients:
             t = tm(random_xmono(rng, 3, 2), *sorted(rng.sample(range(4), rng.randrange(3))))
             base = tm(random_xmono(rng, 3, 2), *sorted(rng.sample(range(4), rng.randrange(3))))
             target = twisted_mul(t, base)
-            out = tm_left_quotients(target, base)
+            out = left_quotients(target, base)
+            assert out == _reference_left_quotients(target, base)
             assert all(twisted_mul(q, base) == target for q in out)
             found += bool(out)
         assert found > 100  # the search does recover plenty of quotients
 
     def test_miss(self):
-        assert tm_left_quotients(tm(xmono(0)), tm(xmono(0, 0))) == []
+        assert left_quotients(tm(xmono(0)), tm(xmono(0, 0))) == []
 
     def test_unit_base(self):
         target = tm(xmono(2), 1)
-        assert tm_left_quotients(target, UNIT_TM) == [target]
+        assert left_quotients(target, UNIT_TM) == [target]
 
 
 def _reference_left_quotients(target, base):
-    """tm_left_quotients as it was before its shift part was memoized,
+    """The left quotient as it was found before its shift part was memoized,
     sampling every point up to two past the last breakpoint."""
     sb = base.shift
     st_target = target.shift
@@ -139,6 +148,8 @@ class TestShiftQuotientMemo:
         # few words, many monomials: every word pair recurs with other monomials
         words = [(), (0,), (1,), (0, 0), (0, 2), (1, 1), (2,), (0, 1, 3), (2, 0), (3, 1, 1)]
         signature._shift_quotient.cache_clear()
+        engine = SigEngine(X)
+        engine.new_index(xmono(0))
         found = 0
         for _ in range(1500):
             base = tm(random_xmono(rng, 4, 3), *rng.choice(words))
@@ -147,13 +158,18 @@ class TestShiftQuotientMemo:
             else:
                 target = tm(random_xmono(rng, 6, 4), *rng.choice(words))
             expected = _reference_left_quotients(target, base)
-            assert tm_left_quotients(target, base) == expected
+            assert left_quotients(target, base) == expected
+            # a syzygy at base covers exactly the signatures it left-divides
+            C = {}
+            add_cover(C, Signature(base, 0))
+            j = unit_multiple(LabeledPoly(Signature(target, 0), p((1, xmono(0)))))
+            assert is_covered(j, C, engine) == bool(expected)
             found += bool(expected)
         assert found > 300
         assert signature._shift_quotient.cache_info().hits > 0
 
     def test_emptied_with_the_module_caches(self):
-        tm_left_quotients(tm(xmono(2), 1), tm(xmono(0), 0))
+        left_quotients(tm(xmono(2), 1), tm(xmono(0), 0))
         assert signature._shift_quotient.cache_info().currsize > 0
         # as a fresh process starts: clear every functools cache the module holds
         for obj in vars(signature).values():
@@ -307,10 +323,27 @@ def unit_multiple(lp):
     return JPair(lp.sig, None, lm(lp.poly), lp, IDENTITY, Monomial())
 
 
+def cover_index(basis=(), syzygies=()):
+    """The cover index of basis elements, given as labeled polynomials, and
+    of syzygy signatures."""
+    C = {}
+    for g in basis:
+        add_cover(C, g.sig, lm(g.poly))
+    for sig in syzygies:
+        add_cover(C, sig)
+    return C
+
+
 class TestIsCovered:
     def setup_method(self):
         self.engine = SigEngine(X)
         self.engine.new_index(xmono(0, 1))
+
+    def agree(self, j, C):
+        """is_covered's verdict, checked against the linear scan."""
+        verdict = is_covered(j, C, self.engine)
+        assert verdict == reference_is_covered(j, *cover_records(C), self.engine)
+        return verdict
 
     def test_not_covered_by_itself(self):
         g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
@@ -319,17 +352,16 @@ class TestIsCovered:
             p((1, xmono(0, 1, 2)), (-1, xmono(0, 2))),
         )
         # the only quotient moves g's lead exactly onto j's lead: no license
-        assert not is_covered(unit_multiple(j), [g, j], {}, self.engine)
+        assert not self.agree(unit_multiple(j), cover_index([g, j]))
 
     def test_empty_sets(self):
         j = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(0, 1))))
-        assert not is_covered(unit_multiple(j), [], {}, self.engine)
+        assert not self.agree(unit_multiple(j), {})
 
     def test_syzygy_signature_divides(self):
-        S = {}
-        add_syzygy(S, Signature(tm(xmono(2)), 0))
+        C = cover_index(syzygies=[Signature(tm(xmono(2)), 0)])
         j = LabeledPoly(Signature(tm(xmono(2, 3)), 0), p((1, xmono(0, 1))))
-        assert is_covered(unit_multiple(j), [], S, self.engine)
+        assert self.agree(unit_multiple(j), C)
 
     def test_smaller_moved_lead_covers(self):
         g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0)), (-1, Monomial())))
@@ -337,24 +369,37 @@ class TestIsCovered:
             Signature(tm(xmono(1, 2)), 0), p((1, xmono(0, 3)), (-1, xmono(3)))
         )
         # t = x2: t * sig(g) == sig(j) and x2 * lm(g) = x0 x2 < x0 x3
-        assert is_covered(unit_multiple(j), [g], {}, self.engine)
+        assert self.agree(unit_multiple(j), cover_index([g]))
+
+    def test_basis_element_and_syzygy_in_one_group(self):
+        # both signatures have the identity shift: one group, two entries
+        g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0))))
+        C = cover_index([g], [Signature(tm(xmono(5)), 0)])
+        assert [len(group) for group in C[0].values()] == [2]
+
+        def j(mono, lead):
+            return unit_multiple(LabeledPoly(Signature(tm(mono), 0), p((1, lead))))
+
+        assert self.agree(j(xmono(1, 2), xmono(0, 3)), C)  # g: x2 * x0 < x0 x3
+        assert not self.agree(j(xmono(1, 2), xmono(0, 2)), C)  # g ties the lead
+        assert self.agree(j(xmono(2, 5), xmono(0, 2)), C)  # the syzygy
+        assert not self.agree(j(xmono(2, 3), xmono(0, 3)), C)  # neither divides
 
     def test_shifted_syzygy_pulled_back(self):
         # sig(j) = (x3 x4, t0 t0).  (x5, t0) and (x0, t0) reach its shift
         # through the map st that fixes 0 and adds 1 elsewhere, but st moves
         # neither monomial onto a divisor of x3 x4; (x0, t0 t0 t0) cannot
         # reach the shift at all.  (x2, t0) covers: st(x2) = x3.
-        S = {}
-        for mono, word in [(xmono(5), (0,)), (xmono(0), (0,)), (xmono(0), (0, 0, 0))]:
-            add_syzygy(S, Signature(tm(mono, *word), 0))
+        sigs = [
+            Signature(tm(mono, *word), 0)
+            for mono, word in [(xmono(5), (0,)), (xmono(0), (0,)), (xmono(0), (0, 0, 0))]
+        ]
         target = Signature(twisted_mul(tm(xmono(3), 0), tm(xmono(3), 0)), 0)
         assert target.tm == tm(xmono(3, 4), 0, 0)
         j = unit_multiple(LabeledPoly(target, p((1, xmono(0, 1)))))
-        assert not is_covered(j, [], S, self.engine)
-        assert not reference_is_covered(j, [], syzygy_records(S), self.engine)
-        add_syzygy(S, Signature(tm(xmono(2), 0), 0))
-        assert is_covered(j, [], S, self.engine)
-        assert reference_is_covered(j, [], syzygy_records(S), self.engine)
+        assert not self.agree(j, cover_index(syzygies=sigs))
+        sigs.append(Signature(tm(xmono(2), 0), 0))
+        assert self.agree(j, cover_index(syzygies=sigs))
 
 
 class TestRegularTopReduce:
@@ -390,33 +435,38 @@ class TestRegularTopReduce:
 
 
 def reference_is_covered(j, G, S, engine):
-    """The linear-scan cover test the syzygy index replaced; S lists the
-    syzygies as zero labeled polynomials."""
+    """The linear-scan cover test the cover index replaced, on the dense
+    left quotient; S lists the syzygies as zero labeled polynomials."""
     if j.poly.is_zero:
         return False
     jl = order_key(engine.ring, lm(j.poly))
     for g in G:
         if g.sig.index != j.sig.index or g.poly.is_zero:
             continue
-        for t in tm_left_quotients(j.sig.tm, g.sig.tm):
+        for t in _reference_left_quotients(j.sig.tm, g.sig.tm):
             if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
                 return True
     for s in S:
         if s.sig.index != j.sig.index:
             continue
-        if tm_left_quotients(j.sig.tm, s.sig.tm):
+        if _reference_left_quotients(j.sig.tm, s.sig.tm):
             return True
     return False
 
 
-def syzygy_records(S, ring=X):
-    """The syzygies of a cover index, as the linear scan took them."""
-    return [
-        LabeledPoly(Signature(TwistedMonomial(mono, shift), index), poly(ring, []))
-        for index, groups in S.items()
-        for shift, group in groups.items()
-        for _mask, mono in group
-    ]
+def cover_records(C, ring=X):
+    """The basis elements and syzygies of a cover index, as the linear scan
+    took them: an element as its lead alone, a syzygy as zero."""
+    G, S = [], []
+    for index, groups in C.items():
+        for shift, group in groups.items():
+            for _mask, mono, lead in group:
+                sig = Signature(TwistedMonomial(mono, shift), index)
+                if lead is None:
+                    S.append(LabeledPoly(sig, poly(ring, [])))
+                else:
+                    G.append(LabeledPoly(sig, poly(ring, [(Fraction(1), lead)])))
+    return G, S
 
 
 def reference_regular_top_reduce(p, G, engine):
@@ -462,8 +512,9 @@ def checked_against_oracles():
     checked: a J-pair's lead and width against its built polynomial, its
     carried key against its signature's, the cover verdict and the
     reduction against the oracles above.  Yields the number of checks of
-    each kind."""
+    each kind, and of the basis elements and syzygies the cover index got."""
     cover, reduce_top, pairs = signature.is_covered, signature.regular_top_reduce, signature.j_pairs
+    add = signature.add_cover
     checks = Counter()
 
     def checked_pairs(p, q, pi, qi, engine):
@@ -474,12 +525,16 @@ def checked_against_oracles():
             checks["j_pairs"] += 1
         return out
 
-    def checked_cover(j, G, S, engine):
+    def checked_cover(j, C, engine):
         assert j.key == engine.sig_key(j.sig)  # queued pairs and fresh J-pairs alike
-        verdict = cover(j, G, S, engine)
-        assert verdict == reference_is_covered(j, G, syzygy_records(S, engine.ring), engine)
+        verdict = cover(j, C, engine)
+        assert verdict == reference_is_covered(j, *cover_records(C, engine.ring), engine)
         checks["is_covered"] += 1
         return verdict
+
+    def counted_add(C, sig, lead=None):
+        checks["syzygy covers" if lead is None else "basis covers"] += 1
+        return add(C, sig, lead)
 
     def checked_reduce(p, G, engine):
         out = reduce_top(p, G, engine)
@@ -490,6 +545,7 @@ def checked_against_oracles():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signature, "j_pairs", checked_pairs)
         mp.setattr(signature, "is_covered", checked_cover)
+        mp.setattr(signature, "add_cover", counted_add)
         mp.setattr(signature, "regular_top_reduce", checked_reduce)
         yield checks
 
@@ -508,6 +564,8 @@ class TestEngineOracle:
         # covered_pairs also counts J-pairs covered before they were queued
         stats = res.stats
         assert checks["is_covered"] >= stats["pairs_processed"]
+        assert checks["basis covers"] == stats["insertions"]
+        assert checks["syzygy covers"] == stats["syzygies"]
         reduced = checks["regular_top_reduce"]
         assert stats["pairs_processed"] - stats["covered_pairs"] <= reduced < stats["pairs_processed"]
         assert checks["j_pairs"] > 0
@@ -522,6 +580,24 @@ class TestEngineOracle:
         assert checks["regular_top_reduce"] == 6
         assert (res.stats["singular_discards"], res.stats["zero_reductions"]) == (0, 4)
         assert res.stats["syzygies"] == 4
+
+    def test_over_width_pairs_skip_the_cover_test(self, x_problem):
+        # push drops a pair wider than max_width before its cover test, and
+        # every queued pair passed it, so no cover test sees one
+        limits = EngineLimits(max_width=7)
+        widths = []
+        with checked_against_oracles():
+            cover = signature.is_covered
+
+            def recorded_cover(j, C, engine):
+                widths.append(j.width())
+                return cover(j, C, engine)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(signature, "is_covered", recorded_cover)
+                res = egb_signature([expr(x_problem, WIDE5)], limits)
+        assert res.status == BUDGET  # some J-pair was too wide
+        assert widths and max(widths) <= limits.max_width
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(inputs())
