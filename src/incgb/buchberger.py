@@ -2,12 +2,16 @@
 
 The direct and classical engines share one Buchberger loop: a priority
 queue keyed by (overlap width, overlap degree, insertion sequence), one
-reduction kernel and one interreduction routine.  They differ only in their
+reduction kernel and one interreduction routine.  They differ in their
 pair generator (orbit S-pairs via interlacings, or ordinary S-pairs) and
-their divisibility test (``pi_divides`` or ``plain_divides``).  There is no
-termination theory for general inputs, so explicit budgets (pair count,
-width, basis size) bound every run; exhausting a budget returns the partial
-basis with a distinguished status instead of raising.
+their divisibility test (``pi_divides`` or ``plain_divides``).  Under plain
+divisibility the Gebauer–Möller criteria are exact, so the classical engine
+queues only the pairs they keep and drops the queued pairs a new lead makes
+redundant (``_chain_update``); the direct engine queues every orbit pair, as
+no orbit chain criterion is proved yet.  There is no termination theory for
+general inputs, so explicit budgets (pair count, width, basis size) bound
+every run; exhausting a budget returns the partial basis with a
+distinguished status instead of raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .incmaps import increasing_maps
 from .poly import act, lm, monic, sorted_basis
-from .poly import first_reducer, reduce_terms, reducer_row, reducer_table
-from .rings import m_act, m_mul, pi_divides, plain_divides
+from .poly import first_reducer, reduce_terms, reducer_row, reducer_table, support_mask
+from .rings import Monomial, m_act, m_divides, m_lcm, m_mul, pi_divides, plain_divides
 from .spairs import spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
@@ -59,16 +63,73 @@ def _spoly(gen, G):
     return acc
 
 
+def _chain_update(table, k, queue):
+    """The Gebauer–Möller update for row k of a plain-divisibility table
+    (``UPDATE`` in Becker–Weispfenning): drop from ``queue``, in place, the
+    pairs it makes redundant, and return the rows i < k whose pair with k
+    the criteria keep, ascending.
+
+    With h the lead of row k, a queued pair {a, b} of lcm t is redundant
+    when h divides t and neither lcm(a, h) nor lcm(b, h) equals t: both are
+    proper divisors of t, so the chain a, h, b covers it.  A new pair
+    {g, h} has lcm h * q, q = g / gcd(g, h), so lcms divide as their q do.
+    Criterion M keeps the q minimal under divisibility, F one row per q
+    (the first), and B drops every q that a lead coprime to h has (q == g):
+    that pair reduces to 0, and the other pairs of its lcm follow from it.
+    """
+    h, hmask = table[k][2], table[k][3]
+
+    def redundant(gen):
+        a, b, t = table[gen.fi], table[gen.gi], gen.overlap
+        return (
+            not hmask & ~(a[3] | b[3])  # t's support is a's and b's
+            and m_divides(h, t)
+            and m_lcm(a[2], h) != t
+            and m_lcm(b[2], h) != t
+        )
+
+    kept = [entry for entry in queue if not redundant(entry[-1])]
+    if len(kept) < len(queue):
+        queue[:] = kept
+        heapq.heapify(queue)
+
+    hexp = dict(h.factors)
+    quotients = []
+    for i in range(k):
+        g = table[i][2].factors
+        q = tuple((v, d) for v, e in g if (d := e - hexp.get(v, 0)) > 0)
+        quotients.append((sum(d for _, d in q), i, q, q == g))
+    quotients.sort()  # by degree: a proper divisor of q comes before q
+    minimal = {}  # q -> [q's support mask, q, first row, any lead coprime to h]
+    for _, i, q, coprime in quotients:
+        if q in minimal:
+            minimal[q][3] |= coprime
+            continue
+        q = Monomial(q)
+        mask = support_mask(q)
+        if not any(not r[0] & ~mask and m_divides(r[1], q) for r in minimal.values()):
+            minimal[q.factors] = [mask, q, i, coprime]
+    return sorted(i for *_, i, coprime in minimal.values() if not coprime)
+
+
 def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     """Buchberger's loop, shared by the direct and classical engines.
 
     ``pairs(f, g, i, j)`` yields the critical-pair generators of basis
     entries i <= j, and ``divides`` is the reduction's divisibility test.
-    One reducer table serves the whole run, one row per insertion.  A pair
-    wider than max_width is dropped where it is made; max_pairs and
-    max_basis stop the run with the partial, unreduced basis and BUDGET.  A
-    drained queue returns the interreduced basis, or the unreduced one and
-    BUDGET if a pair was dropped.
+    One reducer table serves the whole run, one row per insertion.
+
+    Under orbit divisibility every pair set is queued.  Under plain
+    divisibility the Gebauer–Möller update (``_chain_update``) runs once
+    per prepared generator and once per insertion: it asks ``pairs`` only
+    for the pairs the criteria keep, and it removes from the queue the
+    queued pairs the new lead makes redundant; a removed pair is neither
+    processed nor counted.
+
+    A pair wider than max_width is dropped where it is made, after the
+    criteria; max_pairs and max_basis stop the run with the partial,
+    unreduced basis and BUDGET.  A drained queue returns the interreduced
+    basis, or the unreduced one and BUDGET if a pair was dropped.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
@@ -77,6 +138,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     ring = G[0].ring
     table = reducer_table(G, divides)
     choose = first_reducer(table, divides)
+    chain = divides is plain_divides
     queue = []
     seq = 0
     over_width = False
@@ -96,9 +158,18 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
             heapq.heappush(queue, (width, gen.overlap.degree(ring), seq, gen))
             seq += 1
 
-    for i in range(len(G)):
-        for j in range(i, len(G)):
-            push_pairs(i, j)
+    def add_pairs(k):
+        """Queue the pairs of entry k with itself and the entries before it."""
+        for i in _chain_update(table, k, queue) if chain else range(k + 1):
+            push_pairs(i, k)
+
+    if chain:
+        for k in range(len(G)):
+            add_pairs(k)
+    else:
+        for i in range(len(G)):
+            for j in range(i, len(G)):
+                push_pairs(i, j)
 
     while queue:
         gen = heapq.heappop(queue)[-1]
@@ -114,9 +185,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
             return EgbResult(G, stats, BUDGET)
-        k = len(G) - 1
-        for i in range(len(G)):
-            push_pairs(i, k)
+        add_pairs(len(G) - 1)
 
     if over_width:
         return EgbResult(G, stats, BUDGET)

@@ -1,8 +1,11 @@
 """Orbit Buchberger engines: direct, incremental, classical, and checks."""
 
+import heapq
+import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,9 @@ from incgb import poly as poly_module
 from incgb.buchberger import (
     BUDGET,
     COMPLETE,
+    EgbResult,
     EngineLimits,
+    _spoly,
     autoreduce,
     classical_buchberger,
     egb_buchberger,
@@ -20,9 +25,21 @@ from incgb.buchberger import (
     orbit_truncate,
 )
 from incgb.incmaps import increasing_maps
-from incgb.poly import act, lm, monic, normal_form, poly, sorted_basis
+from incgb.poly import (
+    act,
+    first_reducer,
+    lm,
+    monic,
+    normal_form,
+    poly,
+    reduce_terms,
+    reducer_row,
+    reducer_table,
+    sorted_basis,
+)
 from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
+from incgb.spairs import spair_generators_classical
 
 from conftest import (
     MEMBER_TEXT,
@@ -36,6 +53,7 @@ from conftest import (
 )
 
 X = Ring((FamilySpec("x"),))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def p(*terms):
@@ -45,6 +63,53 @@ def p(*terms):
 def _cnf(f, G):
     """Classical normal form: reduction without the index action."""
     return normal_form(f, G, divides=plain_divides)
+
+
+def all_pairs_classical(F, limits=EngineLimits()):
+    """Reference classical loop, without the Gebauer–Möller update: every
+    pair of distinct entries whose leads are not coprime is queued by
+    (width, degree, seq) and reduced, under the engine's max_width and
+    max_pairs rules."""
+    G = list(dict.fromkeys(monic(f) for f in F if not f.is_zero))
+    stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
+    if not G:
+        return EgbResult([], stats, COMPLETE)
+    ring = G[0].ring
+    table = reducer_table(G, plain_divides)
+    choose = first_reducer(table, plain_divides)
+    queue = []
+    seq = itertools.count()
+    over_width = False
+
+    def push_pairs(i, j):
+        nonlocal over_width
+        for gen in spair_generators_classical(G[i], G[j], i, j):
+            width = gen.overlap.width()
+            if width > limits.max_width:
+                over_width = True
+                continue
+            heapq.heappush(queue, (width, gen.overlap.degree(ring), next(seq), gen))
+
+    for i in range(len(G)):
+        for j in range(i, len(G)):
+            push_pairs(i, j)
+    while queue:
+        gen = heapq.heappop(queue)[-1]
+        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
+            return EgbResult(G, stats, BUDGET)
+        stats["pairs_processed"] += 1
+        h = reduce_terms(ring, _spoly(gen, G), choose)
+        if h.is_zero:
+            stats["zero_reductions"] += 1
+            continue
+        G.append(monic(h))
+        table.append(reducer_row(len(G) - 1, G[-1], plain_divides))
+        stats["insertions"] += 1
+        for i in range(len(G)):
+            push_pairs(i, len(G) - 1)
+    if over_width:
+        return EgbResult(G, stats, BUDGET)
+    return EgbResult(autoreduce(G, plain_divides), stats, COMPLETE)
 
 
 TORIC_REFERENCE = [
@@ -242,6 +307,18 @@ class TestWidthSkip:
         assert res.status == COMPLETE
         assert res.stats["pairs_processed"] == 0
 
+    def test_classical_pair_removed_by_criterion_sets_no_budget(self, x_problem):
+        # the pair of x[5]*x[0] with x[1]*x[0] is wider than 3, but the lcm
+        # of x[1] with x[1]*x[0] divides its lcm (criterion M): it is
+        # never made, so it drops nothing, where the all-pairs loop stops
+        texts = ("x[5]*x[0] - x[0]", "x[1] - x[0]^2", "x[1]*x[0] - x[0]^3")
+        F = [expr(x_problem, t) for t in texts]
+        limits = EngineLimits(max_width=3)
+        res = classical_buchberger(F, limits)
+        assert res.status == COMPLETE
+        assert res.basis == all_pairs_classical(F).basis
+        assert all_pairs_classical(F, limits).status == BUDGET
+
 
 class TestOrbitTruncate:
     def test_single_variable(self):
@@ -299,7 +376,7 @@ class TestClassicalBuchberger:
         for _ in range(10):
             polys = []
             sympy_polys = []
-            for _k in range(2):
+            for _k in range(rng.randrange(3, 5)):
                 terms = []
                 for _t in range(rng.randrange(1, 4)):
                     c = rng.randint(-2, 2)
@@ -350,6 +427,72 @@ class TestClassicalBuchberger:
             assert mine_strs == theirs_strs
 
 
+class TestChainCriteria:
+    """The Gebauer–Möller update against the all-pairs loop: the same
+    status and reduced basis, from no more processed pairs."""
+
+    @staticmethod
+    def agrees(F, limits=EngineLimits()):
+        mine, ref = classical_buchberger(F, limits), all_pairs_classical(F, limits)
+        assert (mine.status, mine.basis) == (ref.status, ref.basis)
+        assert mine.stats["pairs_processed"] <= ref.stats["pairs_processed"]
+        return mine, ref
+
+    def test_monomial_map_levels(self):
+        # the inputs of egb_incremental's levels at widths 2-4
+        G = parse(MONOMIAL_MAP_TEXT).generators
+        seed, counts = [], []
+        for n in (2, 3, 4):
+            mine, ref = self.agrees(orbit_truncate(G, n) + seed)
+            counts.append((mine.stats["pairs_processed"], ref.stats["pairs_processed"]))
+            seed = mine.basis
+        assert counts == [(4, 5), (146, 264), (1357, 3400)]
+
+    @pytest.mark.parametrize("name", ["toric", "member", "wide5"])
+    def test_orbit_truncations(self, name):
+        G = parse((GOLDEN / f"{name}.egb").read_text()).generators
+        w = max(g.width() for g in G)
+        for n in range(w + 1, w + 4):
+            self.agrees(orbit_truncate(G, n))
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    def test_random_systems_that_kill_queued_pairs(self, order_kind, monkeypatch):
+        # 50 systems of 3-4 generators, each drawn until an insertion
+        # removes a queued pair from the queue
+        ring = Ring((FamilySpec("x"),), order_kind)
+        killed = []
+        real = buchberger._chain_update
+
+        def counting(table, k, queue):
+            before = len(queue)
+            out = real(table, k, queue)
+            killed[-1] += before - len(queue)
+            return out
+
+        monkeypatch.setattr(buchberger, "_chain_update", counting)
+        rng = random.Random(29)
+
+        def term():
+            return rng.choice([-2, -1, 1, 3]), random_xmono(rng, 2, 3)
+
+        systems = saved = 0
+        for _ in range(2000):
+            F = [
+                poly(ring, [term() for _t in range(rng.randrange(1, 4))])
+                for _k in range(rng.randrange(3, 5))
+            ]
+            killed.append(0)
+            classical_buchberger(F)
+            if not killed[-1]:
+                continue
+            mine, ref = self.agrees(F)
+            saved += ref.stats["pairs_processed"] - mine.stats["pairs_processed"]
+            systems += 1
+            if systems == 50:
+                break
+        assert systems == 50 and saved > 50
+
+
 class TestReducerTable:
     def test_one_row_per_basis_element(self, monkeypatch):
         # rows are built per basis element, not per normal form, and no
@@ -377,7 +520,7 @@ class TestReducerTable:
         monkeypatch.setattr(buchberger, "autoreduce", counting_autoreduce)
         monkeypatch.setattr(poly_module, "poly", counting_poly)
         res = classical_buchberger(F)
-        assert res.status == COMPLETE and res.stats["pairs_processed"] == 264
+        assert res.status == COMPLETE and res.stats["pairs_processed"] == 146
         assert loop_rows == [len(F) + res.stats["insertions"]]
         assert polys == []
 
@@ -497,7 +640,9 @@ class TestIncremental:
         assert res.status == BUDGET
 
     def test_monomial_map_levels_pinned(self, monkeypatch):
-        # the classical counters of every level pin the reducer choice
+        # the classical counters of every level pin the reducer choice and
+        # the Gebauer–Möller update (the all-pairs loop: 5/3, 264/239 and
+        # 3400/3298 pairs/zero reductions)
         levels = []
         real = buchberger.classical_buchberger
 
@@ -509,9 +654,9 @@ class TestIncremental:
         monkeypatch.setattr(buchberger, "classical_buchberger", recording)
         res = egb_incremental(parse(MONOMIAL_MAP_TEXT).generators, EngineLimits(max_width=4))
         assert levels == [
-            {"pairs_processed": 5, "zero_reductions": 3, "insertions": 2},
-            {"pairs_processed": 264, "zero_reductions": 239, "insertions": 25},
-            {"pairs_processed": 3400, "zero_reductions": 3298, "insertions": 102},
+            {"pairs_processed": 4, "zero_reductions": 2, "insertions": 2},
+            {"pairs_processed": 146, "zero_reductions": 121, "insertions": 25},
+            {"pairs_processed": 1357, "zero_reductions": 1255, "insertions": 102},
         ]
         assert res.status == BUDGET and res.stats == {"levels": 3}
         assert [format_polynomial(g) for g in res.basis] == MONOMIAL_MAP_W4_BASIS
