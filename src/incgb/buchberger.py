@@ -119,12 +119,14 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     entries i <= j, and ``divides`` is the reduction's divisibility test.
     One reducer table serves the whole run, one row per insertion.
 
-    Under orbit divisibility every pair set is queued.  Under plain
-    divisibility the Gebauer–Möller update (``_chain_update``) runs once
-    per prepared generator and once per insertion: it asks ``pairs`` only
-    for the pairs the criteria keep, and it removes from the queue the
-    queued pairs the new lead makes redundant; a removed pair is neither
-    processed nor counted.
+    Each prepared generator and each insertion k, in that order, queues
+    its pairs with entries 0..k as soon as it exists.  Under orbit
+    divisibility every pair set is queued.  Under plain divisibility the
+    Gebauer–Möller update (``_chain_update``) chooses the partners: it asks
+    ``pairs`` only for the pairs the criteria keep, and it removes from the
+    queue the queued pairs the new lead makes redundant; a removed pair is
+    neither processed nor counted.  It removes queue entries, never table
+    rows, so the reducer table only grows.
 
     A pair wider than max_width is dropped where it is made, after the
     criteria; max_pairs and max_basis stop the run with the partial,
@@ -163,13 +165,8 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
         for i in _chain_update(table, k, queue) if chain else range(k + 1):
             push_pairs(i, k)
 
-    if chain:
-        for k in range(len(G)):
-            add_pairs(k)
-    else:
-        for i in range(len(G)):
-            for j in range(i, len(G)):
-                push_pairs(i, j)
+    for k in range(len(G)):
+        add_pairs(k)
 
     while queue:
         gen = heapq.heappop(queue)[-1]
@@ -274,18 +271,15 @@ def egb_incremental(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     if not G:
         return EgbResult([], stats, COMPLETE)
     n = max(g.width() for g in G)
-    seed = []
     candidate = G
     while n <= limits.max_width:
         stats["levels"] += 1
-        level_input = orbit_truncate(G, n) + seed  # seed: the narrower last level
-        level = classical_buchberger(level_input, limits)
+        level = classical_buchberger(orbit_truncate(G, n), limits)
         if level.status == BUDGET:
             break
         candidate = autoreduce(level.basis)
         if is_egb(candidate):
             stats["final_width"] = n
             return EgbResult(candidate, stats, COMPLETE)
-        seed = level.basis
         n += 1
     return EgbResult(candidate, stats, BUDGET)

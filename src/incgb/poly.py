@@ -13,7 +13,7 @@ accumulator, a coefficient dict plus a sorted list of order keys, and asks
 a reducer choice for each step: ``first_reducer`` for orbit and plain
 reduction, or ``signature.regular_top_reduce``.  A reducer table only grows,
 by appending rows.  Under plain reduction a row's support mask lets the
-choice skip it without a divisibility test; under orbit reduction the
+choice skip it without a divisibility test.  Under either divisibility the
 choice remembers each term's step, or the rows it scanned in vain, so a
 run searches for the witness of a row and a term once.
 """
@@ -174,40 +174,33 @@ def first_reducer(table, divides):
     whose lead ``divides`` the term.  Rows appended to the table later are
     seen; no row may be replaced or deleted while the choice is in use.
 
-    Under plain divisibility a row whose mask has a bit outside the term's
-    is skipped unasked.  Under orbit divisibility the choice remembers, for
-    each term, how many rows it has scanned and the step it found: a step
-    is returned again as it is (rows appended later come after its row),
-    and a term that found none scans only the rows appended since.  That is
-    exact while the table only grows by appending, as in ``_pair_loop``,
-    ``is_egb``, ``normal_form`` and the signature engine's full reduction;
+    A row whose support mask has a bit outside the term's is skipped
+    unasked.  Orbit rows have mask 0, so under orbit divisibility the
+    term's mask is not computed and no row is skipped.
+
+    The choice remembers, for each term, how many rows it has scanned and
+    the step it found: a step is returned again as it is (rows appended
+    later come after its row), and a term that found none scans only the
+    rows appended since.  That is exact while the table only grows by
+    appending, as in ``_pair_loop`` (its queue updates remove pairs, never
+    rows), ``is_egb``, ``normal_form`` and the signature engine;
     ``autoreduce``, which replaces and deletes rows, builds a choice from a
     fresh slice for each element.
     """
-    if divides is plain_divides:
+    memo = {}  # term -> (rows scanned, step or None)
+    masked = divides is plain_divides
 
-        def choose(m):
-            outside = ~support_mask(m)
-            for gi, g, lead, mask in table:
+    def choose(m):
+        scanned, step = memo.get(m, (0, None))
+        if step is None:
+            outside = ~support_mask(m) if masked else 0
+            for gi, g, lead, mask in islice(table, scanned, None):
                 if mask & outside:
                     continue
                 rho = divides(lead, m)
                 if rho is not None:
                     # the action keeps coefficients and commutes with lm, and both
                     # it and multiplication by cof are injective on monomials
-                    return gi, g, rho, m_quotient(m, m_act(rho, lead))
-            return None
-
-        return choose
-
-    memo = {}  # term -> (rows scanned, step or None)
-
-    def choose(m):
-        scanned, step = memo.get(m, (0, None))
-        if step is None:
-            for gi, g, lead, _ in islice(table, scanned, None):
-                rho = divides(lead, m)
-                if rho is not None:
                     step = gi, g, rho, m_quotient(m, m_act(rho, lead))
                     break
             memo[m] = len(table), step

@@ -213,10 +213,12 @@ def regular_top_reduce(p, G, engine: SigEngine):
     with exactly p's signature exists for the first term no smaller one
     reduces; such pairs are discarded by the caller.  tied_used records
     that some step used a reducer whose signature ties p's at the Schreyer
-    level and wins only by the artificial tie-break; a zero reached that
-    way has an order-ambiguous module lead and must not be recorded as a
-    syzygy.  The signature itself never changes.  This is a reducer choice
-    for ``reduce_terms``: once a term stays, every later term stays too.
+    level and wins only by the artificial tie-break.  A zero reached that
+    way has an order-ambiguous module lead; the caller records it as a
+    syzygy like any other zero and counts it in ``tied_zero_reductions``.
+    Whether such a syzygy may license discards is still open.  The
+    signature itself never changes.  This is a reducer choice for
+    ``reduce_terms``: once a term stays, every later term stays too.
     """
     ring, p_key = engine.ring, engine.sig_key(p.sig)
     head = p_key[:2]
@@ -346,13 +348,20 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
 
 def _minimalize(polys):
     """Drop duplicates and elements whose lead another lead orbit-divides;
-    among equal leads the earliest element stays."""
-    out = []
-    for i, f in enumerate(polys):
-        lead = lm(f)
-        if f not in out and not any(
-            j != i and pi_divides(lm(g), lead) is not None and (lm(g) != lead or j < i)
-            for j, g in enumerate(polys)
-        ):
-            out.append(f)
-    return sorted_basis(out)
+    among equal leads the earliest element stays.
+
+    One pass in ascending lead order, a stable sort, keeps f when no lead
+    kept so far orbit-divides lm(f) (``first_reducer`` over the kept rows).
+    That keeps the set an all-pairs scan keeps: under these orders
+    m <= sigma(m) for every increasing map sigma, so an orbit divisor's
+    lead is never larger than the lead it divides and comes first; a
+    dropped divisor is itself orbit-divided by a kept lead, orbit
+    divisibility being transitive; and of equal leads, duplicates
+    included, the stable sort puts the earliest first.
+    """
+    table = []
+    choose = first_reducer(table, pi_divides)
+    for f in sorted(polys, key=lambda f: order_key(f.ring, lm(f))):
+        if choose(lm(f)) is None:
+            table.append(reducer_row(len(table), f, pi_divides))
+    return sorted_basis([row[1] for row in table])

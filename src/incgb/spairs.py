@@ -33,8 +33,8 @@ def interlacings(wf, wg):
     """
     for k in range(max(wf, wg), wf + wg + 1):
         for a in itertools.combinations(range(k), wf):
-            fa = IncMap(a)
-            missed = tuple(i for i in range(k) if i not in a)
+            fa, image = IncMap(a), set(a)
+            missed = tuple(i for i in range(k) if i not in image)
             for shared in itertools.combinations(a, wf + wg - k):
                 yield fa, IncMap(tuple(sorted(missed + shared)))
 

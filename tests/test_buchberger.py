@@ -655,8 +655,8 @@ class TestIncremental:
         res = egb_incremental(parse(MONOMIAL_MAP_TEXT).generators, EngineLimits(max_width=4))
         assert levels == [
             {"pairs_processed": 4, "zero_reductions": 2, "insertions": 2},
-            {"pairs_processed": 146, "zero_reductions": 121, "insertions": 25},
-            {"pairs_processed": 1357, "zero_reductions": 1255, "insertions": 102},
+            {"pairs_processed": 146, "zero_reductions": 119, "insertions": 27},
+            {"pairs_processed": 1357, "zero_reductions": 1228, "insertions": 129},
         ]
         assert res.status == BUDGET and res.stats == {"levels": 3}
         assert [format_polynomial(g) for g in res.basis] == MONOMIAL_MAP_W4_BASIS

@@ -397,46 +397,83 @@ class TestKernelContract:
         assert steps > 200 and unreduced > 20
 
 
-def reference_orbit_choice(table, m):
-    """The orbit choice without a memo: a fresh scan of every row."""
+def reference_choice(table, m, divides):
+    """The choice without a memo or masks: a fresh scan of every row."""
     for gi, g, lead, _ in table:
-        rho = pi_divides(lead, m)
+        rho = divides(lead, m)
         if rho is not None:
             return gi, g, rho, m_quotient(m, m_act(rho, lead))
     return None
 
 
+def _memo_hits(ring, divides):
+    """One long-lived choice over a growing table, queried between appends
+    and checked against a fresh scan per query.  Returns how often a term
+    that missed later found a row appended since, and how often a term's
+    remembered step was returned while a row appended since divides too."""
+    rng = random.Random(59)
+    late_hits = kept_hits = 0
+    for _ in range(30):
+        table = []
+        choose = first_reducer(table, divides)
+        terms = [random_ring_monomial(rng, ring) for _ in range(10)]
+        terms = [m_mul(a, b) for a in terms[:5] for b in terms[5:]]
+        missed, found = set(), {}  # found: term -> table length at its first step
+        for _ in range(6):
+            g = random_ring_poly(rng, ring, 2)
+            if not g.is_zero:
+                table.append(reducer_row(len(table), g, divides))
+            for m in rng.sample(terms, 15):
+                step = choose(m)
+                assert step == reference_choice(table, m, divides)
+                if step is None:
+                    missed.add(m)
+                elif m not in found:
+                    found[m] = len(table)
+                    late_hits += m in missed  # a miss, then a row appended since
+                elif reference_choice(table[found[m] :], m, divides) is not None:
+                    kept_hits += 1  # a row appended since divides too
+    return late_hits, kept_hits
+
+
 class TestOrbitMemo:
-    """One long-lived orbit choice over a growing table, queried between
-    appends, against a fresh scan per query."""
+    """The term memo of ``first_reducer``, under orbit and under plain
+    divisibility, against a fresh scan per query."""
 
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
     def test_matches_fresh_scan(self, y_constraint, order_kind):
-        ring = xy_ring(y_constraint, order_kind)
-        rng = random.Random(59)
-        late_hits = kept_hits = 0
-        for _ in range(30):
-            table = []
-            choose = first_reducer(table, pi_divides)
-            terms = [random_ring_monomial(rng, ring) for _ in range(10)]
-            terms = [m_mul(a, b) for a in terms[:5] for b in terms[5:]]
-            missed, found = set(), {}  # found: term -> table length at its first step
-            for _ in range(6):
-                g = random_ring_poly(rng, ring, 2)
-                if not g.is_zero:
-                    table.append(reducer_row(len(table), g, pi_divides))
-                for m in rng.sample(terms, 15):
-                    step = choose(m)
-                    assert step == reference_orbit_choice(table, m)
-                    if step is None:
-                        missed.add(m)
-                    elif m not in found:
-                        found[m] = len(table)
-                        late_hits += m in missed  # a miss, then a row appended since
-                    elif reference_orbit_choice(table[found[m] :], m) is not None:
-                        kept_hits += 1  # a row appended since divides too
+        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), pi_divides)
         assert late_hits > 100 and kept_hits > 300
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
+    def test_plain_matches_fresh_scan(self, y_constraint, order_kind):
+        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), plain_divides)
+        assert late_hits > 100 and kept_hits > 200
+
+    def test_plain_repeat_asks_no_divisibility(self, monkeypatch):
+        # a repeated term is answered from the memo: a step found, or a
+        # miss over the same rows, costs no second plain_divides call
+        calls = []
+
+        def counting(a, b):
+            calls.append(b)
+            return plain_divides(a, b)
+
+        monkeypatch.setattr(poly_module, "plain_divides", counting)
+        ring = xy_ring("all_distinct", "lex")
+        rng = random.Random(7)
+        G = [random_ring_poly(rng, ring, 2) for _ in range(12)]
+        table = reducer_table([g for g in G if not g.is_zero and not lm(g).is_unit], counting)
+        assert all(row[3] for row in table)  # plain rows: support masks
+        choose = first_reducer(table, counting)
+        terms = [random_ring_monomial(rng, ring) for _ in range(40)]
+        first = [choose(m) for m in terms]
+        asked = len(calls)
+        assert asked > 0 and any(first) and not all(first)
+        assert [choose(m) for m in terms] == first
+        assert len(calls) == asked
 
 
 def _mask_monomials():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from incgb import signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
-from incgb.poly import act, lc, lm, monic, mul_term, normal_form, poly, subtract
+from incgb.poly import act, add, lc, lm, monic, mul_term, normal_form, poly, sorted_basis, subtract
 from incgb.problems import format_polynomial
 from incgb.rings import (
     FamilySpec,
@@ -23,6 +23,7 @@ from incgb.rings import (
     m_mul,
     m_quotient,
     order_key,
+    pi_divides,
 )
 from incgb.signature import (
     UNIT_TM,
@@ -42,6 +43,7 @@ from incgb.signature import (
 
 from conftest import expr, ideal_equal, order_sign, random_incmap, random_xmono, word_map, xmono
 from test_cross_engine import LIMITS, inputs
+from test_polynomials import random_ring_monomial, random_ring_poly, xy_ring
 
 X = Ring((FamilySpec("x"),))
 
@@ -726,3 +728,51 @@ class TestEgbSignature:
         assert set(empty.values()) == {0}
         for stats in (empty, egb_signature([p((1, xmono(0)))]).stats):
             assert stats.keys() == toric.stats.keys()
+
+
+def reference_minimalize(polys):
+    """The all-pairs scan: keep f unless it repeats a kept element, or
+    another lead orbit-divides lm(f) and is smaller or comes earlier."""
+    out = []
+    for i, f in enumerate(polys):
+        lead = lm(f)
+        if f not in out and not any(
+            j != i and pi_divides(lm(g), lead) is not None and (lm(g) != lead or j < i)
+            for j, g in enumerate(polys)
+        ):
+            out.append(f)
+    return sorted_basis(out)
+
+
+class TestMinimalize:
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing"])
+    def test_matches_all_pairs_scan(self, y_constraint, order_kind):
+        ring = xy_ring(y_constraint, order_kind)
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(150):
+            polys = []
+            for _k in range(rng.randrange(1, 5)):
+                f = random_ring_poly(rng, ring, 3)
+                if f.is_zero:
+                    continue
+                polys.append(monic(f))
+                # a duplicate, an equal lead with another tail, a shifted
+                # copy and a multiple of a shifted copy
+                polys.append(monic(f))
+                tail = poly(ring, [(rng.choice([-1, 2]), random_ring_monomial(rng, ring))])
+                g = add(f, tail)
+                if not g.is_zero and lm(g) == lm(f):
+                    polys.append(monic(g))
+                shifted = act(random_incmap(rng, max_len=3, max_value=6), f)
+                polys.append(monic(shifted))
+                polys.append(mul_term(shifted, 1, random_ring_monomial(rng, ring)))
+            rng.shuffle(polys)
+            expected = reference_minimalize(polys)
+            assert signature._minimalize(polys) == expected
+            leads = [lm(f) for f in polys]
+            seen["duplicates"] += len(set(polys)) < len(polys)
+            seen["equal leads"] += len(set(leads)) < len(set(polys))
+            seen["strict divisors"] += any(lm(f) not in {lm(g) for g in expected} for f in polys)
+        assert min(seen.values()) > 30, seen

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 from incgb import spairs
@@ -62,6 +63,15 @@ class TestInterlacings:
         for wf in range(6):
             for wg in range(6):
                 assert list(interlacings(wf, wg)) == filter_interlacings(wf, wg), (wf, wg)
+
+    def test_wide_first_draw_is_linear(self):
+        # what f's image misses is read against a set of the image, so one
+        # draw is linear in the width, not quadratic
+        n = 10**5
+        start = time.perf_counter()
+        first = next(interlacings(n, n))
+        assert time.perf_counter() - start < 1
+        assert first == (IncMap(tuple(range(n))), IncMap(tuple(range(n))))
 
     def test_no_filter(self, monkeypatch):
         # built, not filtered: one tuple per f image plus one per result
