@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .incmaps import increasing_maps
 from .poly import act, lm, monic, sorted_basis
-from .poly import first_reducer, reduce_terms, reducer_row, reducer_table, support_mask
+from .poly import first_reducer, integral, reduce_terms, reducer_row, reducer_table, support_mask
 from .rings import Monomial, m_act, m_divides, m_lcm, m_mul, pi_divides, plain_divides
 from .spairs import spair_generators, spair_generators_classical
 
@@ -54,12 +54,13 @@ def _prepare(F):
 
 def _spoly(gen, G):
     """The S-polynomial of a critical-pair generator over a monic basis, as
-    the kernel's coefficient dict: the cancelled leads stay, with 0."""
-    acc = {}
-    for gi, rho, cof, sign in ((gen.fi, gen.map1, gen.cof1, 1), (gen.gi, gen.map2, gen.cof2, -1)):
-        for c, n in G[gi].terms:
-            n = m_mul(m_act(rho, n), cof)
-            acc[n] = acc.get(n, 0) + sign * c
+    the kernel's coefficient dict: the cancelled leads stay, with 0.  The
+    second image is negated rather than scaled, and integral coefficients
+    are ints (``integral``)."""
+    acc = {m_mul(m_act(gen.map1, n), gen.cof1): integral(c) for c, n in G[gen.fi].terms}
+    for c, n in G[gen.gi].terms:
+        n = m_mul(m_act(gen.map2, n), gen.cof2)
+        acc[n] = acc.get(n, 0) - integral(c)
     return acc
 
 

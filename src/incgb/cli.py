@@ -37,6 +37,9 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# ``orbit`` refuses to print more shifted copies than this
+ORBIT_MAX_COPIES = 100_000
+
 
 def _load(path):
     try:
@@ -138,8 +141,29 @@ def cmd_member(args):
     return EXIT_OK if _reduce(args).is_zero else EXIT_NO
 
 
+def _copies(n, w, cap):
+    """C(n, w), the shifted copies at width n of a generator of width w, or
+    cap + 1 once it passes cap: C(n, i) grows with i up to n/2, so the
+    product stops within a few factors however large n and w are."""
+    if not 0 <= w <= n:
+        return 0
+    count = 1
+    for i in range(min(w, n - w)):
+        count = count * (n - i) // (i + 1)
+        if count > cap:
+            return cap + 1
+    return count
+
+
 def cmd_orbit(args):
     problem = _load(args.file)
+    copies = 0
+    for f in problem.generators:
+        copies += _copies(args.width, f.width(), ORBIT_MAX_COPIES)
+        if copies > ORBIT_MAX_COPIES:
+            raise SystemExit2(
+                f"orbit: more than {ORBIT_MAX_COPIES} shifted copies at width {args.width}"
+            )
     try:
         shifted = orbit_truncate(problem.generators, args.width)
     except ValueError as exc:
@@ -184,7 +208,10 @@ def build_parser():
         query.add_argument("--poly", required=True)
         query.set_defaults(func=func, algorithm=None)
 
-    orbit = sub.add_parser("orbit", help="print the generator truncation at a width")
+    orbit = sub.add_parser(
+        "orbit",
+        help=f"print the generator truncation at a width (at most {ORBIT_MAX_COPIES} copies)",
+    )
     orbit.add_argument("file")
     orbit.add_argument("--width", type=int, required=True)
     orbit.set_defaults(func=cmd_orbit)

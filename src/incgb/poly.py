@@ -1,7 +1,10 @@
 """Exact rational polynomials over indexed monomials, reduction, normal form.
 
-Coefficients are ``fractions.Fraction`` throughout; there is no floating
-point anywhere.  A polynomial stores its terms strictly descending under the
+A ``Polynomial`` holds ``fractions.Fraction`` coefficients only; there is no
+floating point anywhere.  Between its boundaries the reduction kernel keeps
+an integral coefficient as a Python ``int`` (exact, and cheaper than a
+``Fraction`` of denominator 1); it turns kept terms back into Fractions on
+the way out.  A polynomial stores its terms strictly descending under the
 ring's order, so the lead term is ``terms[0]``.
 
 Reduction uses orbit divisibility: a reducer g applies to a term t whenever
@@ -14,8 +17,9 @@ a reducer choice for each step: ``first_reducer`` for orbit and plain
 reduction, or ``signature.regular_top_reduce``.  A reducer table only grows,
 by appending rows.  Under plain reduction a row's support mask lets the
 choice skip it without a divisibility test.  Under either divisibility the
-choice remembers each term's step, or the rows it scanned in vain, so a
-run searches for the witness of a row and a term once.
+choice remembers each term's step, with the reducer's tail already moved
+by the witness and cofactor, or the rows it scanned in vain; so a run
+searches for the witness of a row and a term, and moves that tail, once.
 """
 
 from __future__ import annotations
@@ -169,6 +173,17 @@ def reducer_table(reducers, divides):
     return [reducer_row(gi, g, divides) for gi, g in enumerate(reducers) if not g.is_zero]
 
 
+def integral(c):
+    """c as an ``int`` when its denominator is 1, else c itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def moved_tail(g: Polynomial, rho: IncMap, cof: Monomial):
+    """The tail of g moved by the witness rho and the cofactor cof, as the
+    kernel's ((coefficient, monomial), ...); integral coefficients are ints."""
+    return tuple((integral(a), m_mul(m_act(rho, n), cof)) for a, n in g.terms[1:])
+
+
 def first_reducer(table, divides):
     """The choice of plain and orbit reduction: the first row of ``table``
     whose lead ``divides`` the term.  Rows appended to the table later are
@@ -178,14 +193,16 @@ def first_reducer(table, divides):
     unasked.  Orbit rows have mask 0, so under orbit divisibility the
     term's mask is not computed and no row is skipped.
 
-    The choice remembers, for each term, how many rows it has scanned and
-    the step it found: a step is returned again as it is (rows appended
-    later come after its row), and a term that found none scans only the
-    rows appended since.  That is exact while the table only grows by
-    appending, as in ``_pair_loop`` (its queue updates remove pairs, never
-    rows), ``is_egb``, ``normal_form`` and the signature engine;
-    ``autoreduce``, which replaces and deletes rows, builds a choice from a
-    fresh slice for each element.
+    A step is (gi, g, witness, cofactor, tail), the tail being
+    ``moved_tail(g, witness, cofactor)``.  The choice remembers, for each
+    term, how many rows it has scanned and the step it found: a step, tail
+    and all, is returned again as it is (rows appended later come after its
+    row), and a term that found none scans only the rows appended since.
+    That is exact while the table only grows by appending, as in
+    ``_pair_loop`` (its queue updates remove pairs, never rows), ``is_egb``,
+    ``normal_form`` and the signature engine; ``autoreduce``, which
+    replaces and deletes rows, builds a choice from a fresh slice for each
+    element.
     """
     memo = {}  # term -> (rows scanned, step or None)
     masked = divides is plain_divides
@@ -201,7 +218,8 @@ def first_reducer(table, divides):
                 if rho is not None:
                     # the action keeps coefficients and commutes with lm, and both
                     # it and multiplication by cof are injective on monomials
-                    step = gi, g, rho, m_quotient(m, m_act(rho, lead))
+                    cof = m_quotient(m, m_act(rho, lead))
+                    step = gi, g, rho, cof, moved_tail(g, rho, cof)
                     break
             memo[m] = len(table), step
         return step
@@ -215,12 +233,17 @@ def reduce_terms(ring: Ring, acc, choose, with_trace=False):
 
     The work polynomial is the dict plus its monomials in ascending
     ``order_key`` order.  The greatest is popped and ``choose(m)`` returns
-    the step (gi, g, witness, cofactor) that cancels it, or None to keep it.
-    A step subtracts the shifted tail of g from the dict, listing only
-    monomials new to it; the lead cancels exactly.  Zero entries stay until
-    popped, so each monomial is listed once and, order keys being
-    injective, no two monomials are compared.  New terms lie below the
-    popped one, so the kept terms come out in order.
+    the step (gi, g, witness, cofactor, tail) that cancels it, or None to
+    keep it.  A step subtracts ratio * tail from the dict, ratio being the
+    popped coefficient over g's lead coefficient, and lists only monomials
+    new to it; the lead cancels exactly.  Zero entries stay until popped,
+    so each monomial is listed once and, order keys being injective, no two
+    monomials are compared.  New terms lie below the popped one, so the
+    kept terms come out in order.
+
+    The dict's values may be ints or Fractions; a monic reducer's ratio is
+    the coefficient itself, so integral work stays in ints.  The kept
+    terms and the trace's ratios are Fractions.
     """
     steps = []
     done = []  # kept terms, collected in descending order
@@ -232,19 +255,19 @@ def reduce_terms(ring: Ring, acc, choose, with_trace=False):
             continue
         step = choose(m)
         if step is None:
-            done.append((c, m))
+            done.append((Fraction(c) if type(c) is int else c, m))
             continue
-        gi, g, rho, cof = step
-        ratio = c / g.terms[0][0]
-        for a, n in g.terms[1:]:
-            n = m_mul(m_act(rho, n), cof)
+        gi, g, rho, cof, tail = step
+        lead = g.terms[0][0]
+        ratio = c if lead == 1 else c / lead
+        for a, n in tail:
             if n in acc:
                 acc[n] -= ratio * a
             else:
                 acc[n] = -ratio * a
                 insort(queue, (order_key(ring, n), n))
         if with_trace:
-            steps.append(ReductionStep(gi, rho, cof, ratio))
+            steps.append(ReductionStep(gi, rho, cof, Fraction(ratio)))
     result = Polynomial(ring, tuple(done))
     if with_trace:
         return result, ReductionTrace(tuple(steps))

@@ -28,7 +28,7 @@ from functools import lru_cache
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
 from .poly import Polynomial, lm, monic, sorted_basis, support_mask
-from .poly import first_reducer, reduce_terms, reducer_row
+from .poly import first_reducer, moved_tail, reduce_terms, reducer_row
 from .rings import (
     UNIT,
     Monomial,
@@ -244,7 +244,7 @@ def regular_top_reduce(p, G, engine: SigEngine):
                     tied = True
                 elif key < p_key:
                     tied_used = tied_used or key[:2] == head
-                    return gi, g.poly, rho, cof
+                    return gi, g.poly, rho, cof, moved_tail(g.poly, rho, cof)
         stopped, singular = True, tied
         return None
 

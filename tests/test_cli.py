@@ -1,11 +1,21 @@
 """End-to-end tests of the command-line driver via main(argv)."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from incgb.cli import EXIT_BUDGET, EXIT_NO, EXIT_OK, EXIT_USAGE, REPORT_FORMAT, main
+from incgb import cli
+from incgb.cli import (
+    EXIT_BUDGET,
+    EXIT_NO,
+    EXIT_OK,
+    EXIT_USAGE,
+    ORBIT_MAX_COPIES,
+    REPORT_FORMAT,
+    main,
+)
 
 from conftest import MEMBER_H, MEMBER_TEXT, TORIC_TEXT, X_RING_TEXT
 
@@ -202,6 +212,30 @@ class TestOrbit:
 
     def test_width_below_generator(self, member_file, capsys):
         assert main(["orbit", member_file, "--width", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("generator", ["x[0]", "x[1000000]*x[0] - x[1]"])
+    def test_refuses_past_the_cap_at_once(self, tmp_path, capsys, generator):
+        # the copy count is C(width, generator width), bounded before any
+        # copy is built: 10^8 copies of x[0], or C(10^8, 10^6 + 1)
+        f = tmp_path / "x.egb"
+        f.write_text(X_RING_TEXT.replace("x[0];", f"{generator};"))
+        start = time.perf_counter()
+        assert main(["orbit", str(f), "--width", "100000000"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"orbit: more than {ORBIT_MAX_COPIES} shifted copies at width 100000000"
+        )
+
+    def test_cap_counts_every_generator(self, tmp_path, capsys, monkeypatch):
+        # x[0] and x[1]*x[0] have 3 + 3 copies at width 3, 4 + 6 at width 4
+        monkeypatch.setattr(cli, "ORBIT_MAX_COPIES", 6)
+        f = tmp_path / "x.egb"
+        f.write_text(X_RING_TEXT.replace("x[0];", "x[0]; x[1]*x[0];"))
+        assert main(["orbit", str(f), "--width", "3"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(["orbit", str(f), "--width", "4"]) == EXIT_USAGE
 
 
 class TestCheck:

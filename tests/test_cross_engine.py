@@ -17,7 +17,9 @@ membership.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +38,19 @@ from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring
 from incgb.signature import egb_signature
 
-from conftest import X_RING_TEXT, expr, ideal_equal
+from conftest import MONOMIAL_MAP_TEXT, X_RING_TEXT, expr, ideal_equal
 
 ENGINES = (egb_buchberger, egb_incremental, egb_signature)
 LIMITS = EngineLimits(max_width=3, max_pairs=30, max_basis=12)
 # the membership check's own run may need wider shifts than the engines
 CLOSURE_LIMITS = EngineLimits(max_width=4, max_pairs=200)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def holds_fractions(basis):
+    """Whether every coefficient of the basis is a Fraction, by type: the
+    reduction kernel's ints equal their Fractions, so ``==`` misses a leak."""
+    return all(type(c) is Fraction for f in basis for c, _ in f.terms)
 
 
 @st.composite
@@ -86,6 +95,7 @@ def spans_generators(basis, F):
 @given(inputs())
 def test_engines_agree(F):
     results = [engine(F, LIMITS) for engine in ENGINES]
+    assert all(holds_fractions(r.basis) for r in results)
     complete = [r.basis for r in results if r.status == COMPLETE]
     for basis in complete:
         assert is_egb(basis)
@@ -96,6 +106,20 @@ def test_engines_agree(F):
             assert spans_generators(r.basis, F)
             for basis in complete:
                 assert all(normal_form(f, basis).is_zero for f in r.basis)
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)
+@pytest.mark.parametrize("problem", ["toric", "member", "wide5", "wide5_budget"])
+def test_corpus_bases_hold_fractions(problem, engine):
+    # the corpus problems under their own options, complete or budgeted
+    file = parse((GOLDEN / f"{problem}.egb").read_text())
+    res = engine(file.generators, EngineLimits(**file.options))
+    assert res.basis and holds_fractions(res.basis)
+
+
+def test_monomial_map_basis_holds_fractions():
+    res = egb_incremental(parse(MONOMIAL_MAP_TEXT).generators, EngineLimits(max_width=4))
+    assert len(res.basis) == 58 and holds_fractions(res.basis)
 
 
 def test_budget_basis_of_divisible_leads(x_problem):

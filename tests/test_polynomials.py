@@ -386,7 +386,7 @@ class TestKernelContract:
             out, trace = reduce_terms(ring, {m: c for c, m in f.terms}, top, with_trace=True)
             work = f
             for step in trace.steps:
-                gi, g, rho, cof = choose(lm(work))
+                gi, g, rho, cof, _ = choose(lm(work))
                 assert (gi, rho, cof) == (step.reducer, step.witness, step.cofactor)
                 work = subtract(work, mul_term(act(rho, g), lc(work), cof))
             assert out == work
@@ -398,11 +398,14 @@ class TestKernelContract:
 
 
 def reference_choice(table, m, divides):
-    """The choice without a memo or masks: a fresh scan of every row."""
+    """The choice without a memo or masks: a fresh scan of every row, the
+    reducer's tail moved afresh."""
     for gi, g, lead, _ in table:
         rho = divides(lead, m)
         if rho is not None:
-            return gi, g, rho, m_quotient(m, m_act(rho, lead))
+            cof = m_quotient(m, m_act(rho, lead))
+            tail = tuple((a, m_mul(m_act(rho, n), cof)) for a, n in g.terms[1:])
+            return gi, g, rho, cof, tail
     return None
 
 
@@ -474,6 +477,58 @@ class TestOrbitMemo:
         assert asked > 0 and any(first) and not all(first)
         assert [choose(m) for m in terms] == first
         assert len(calls) == asked
+
+
+def replay_reduction(f, table, divides):
+    """Full reduction by subtract and mul_term, one fresh scan per step."""
+    work, kept = f, []
+    while not work.is_zero:
+        c, m = work.terms[0]
+        step = reference_choice(table, m, divides)
+        if step is None:
+            kept.append((c, m))
+            work = Polynomial(f.ring, work.terms[1:])
+        else:
+            gi, g, rho, cof, _ = step
+            work = subtract(work, mul_term(act(rho, g), c / lc(g), cof))
+    return Polynomial(f.ring, tuple(kept))
+
+
+class TestMixedCoefficients:
+    """The kernel keeps integral coefficients as ints and the rest as
+    Fractions; what it returns holds Fractions only, checked by type (an int
+    equals its Fraction, so ``==`` cannot tell them apart)."""
+
+    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    def test_matches_subtract_replay(self, order_kind, divides):
+        # non-monic reducers (lead 2/3 or -2), fractional tails, and inputs
+        # given partly as ints, partly as Fractions
+        ring = xy_ring("strictly_decreasing", order_kind)
+        rng = random.Random(61)
+        leads = (Fraction(2, 3), Fraction(-2), Fraction(1))
+        non_monic = fractional = integral_kept = 0
+        for _ in range(120):
+            G = [random_ring_poly(rng, ring, 3) for _ in range(rng.randrange(1, 4))]
+            G = [scale(monic(g), rng.choice(leads)) for g in G if not g.is_zero]
+            f = scale(random_ring_poly(rng, ring, 4), rng.choice([1, 1, Fraction(1, 3)]))
+            for g in G:
+                cof = random_ring_monomial(rng, ring)
+                f = add(f, mul_term(g, rng.choice([-1, 3, Fraction(1, 2)]), cof))
+            acc = {
+                m: c.numerator if c.denominator == 1 and rng.random() < 0.7 else c
+                for c, m in f.terms
+            }
+            table = reducer_table(G, divides)
+            out, trace = reduce_terms(ring, acc, first_reducer(table, divides), with_trace=True)
+            assert out == replay_reduction(f, table, divides)
+            assert trace.replay(f, G) == out
+            assert all(type(c) is Fraction for c, _ in out.terms)
+            assert all(type(s.ratio) is Fraction for s in trace.steps)
+            non_monic += sum(lc(G[s.reducer]) != 1 for s in trace.steps)
+            fractional += sum(c.denominator != 1 for c, _ in out.terms)
+            integral_kept += sum(c.denominator == 1 for c, _ in out.terms)
+        assert non_monic > 150 and fractional > 50 and integral_kept > 100
 
 
 def _mask_monomials():
