@@ -172,10 +172,6 @@ def m_lcm(a: Monomial, b: Monomial) -> Monomial:
     return _merge(a.factors, b.factors, max)
 
 
-def m_coprime(a: Monomial, b: Monomial) -> bool:
-    return {v for v, _ in a.factors}.isdisjoint(v for v, _ in b.factors)
-
-
 def m_act(rho: IncMap, m: Monomial) -> Monomial:
     """The image of m under rho, factor by factor.
 

@@ -8,6 +8,11 @@ finite generating set of critical pairs, one per interlacing.  The
 classical generator, for the finite-variable engine, has one S-pair per
 pair of polynomials, both maps the identity.
 
+An interlacing is enumerated as its two image tuples, and the orbit
+generator decides each one on those tuples: the self-pair's mirror test and
+the coprime test read indices, not maps.  Maps, moved leads and S-pairs are
+built only for the interlacings it yields.
+
 Every pair source is a generator: a caller that needs only to know whether
 a pair set is empty draws one item, and nothing else is enumerated.
 """
@@ -17,26 +22,43 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .incmaps import IDENTITY, IncMap, word_key
+from .incmaps import IDENTITY, IncMap
 from .poly import Polynomial, lm
-from .rings import Monomial, m_act, m_coprime, m_lcm, m_quotient
+from .rings import Monomial, m_lcm, m_quotient
+
+
+def _images(wf, wg, top):
+    """Yield ``(a, bs)`` for each image ``a`` of f on the levels k =
+    max(wf, wg)..top, ``bs`` lazily yielding g's images ``b`` that make
+    (a, b) an interlacing onto {0..k-1}, in sorted order.
+
+    g's image is what ``a`` misses plus wf + wg - k shared indices of
+    ``a``.  Equal-length sorted images order by the least element of their
+    symmetric difference, which is shared, so taking the shared part in
+    ``combinations(a, .)`` order lists g's images in sorted order.
+    """
+    for k in range(max(wf, wg), top + 1):
+        for a in itertools.combinations(range(k), wf):
+            image = set(a)
+            missed = tuple(i for i in range(k) if i not in image)
+            shares = itertools.combinations(a, wf + wg - k)
+            yield a, (tuple(sorted(missed + shared)) for shared in shares)
 
 
 def interlacings(wf, wg):
     """Yield every pair of increasing maps [wf] -> [k], [wg] -> [k] whose
-    images jointly cover an initial segment {0..k-1}.
+    images jointly cover an initial segment {0..k-1}, ordered by k, then
+    by f's image, then by g's image."""
+    for a, bs in _images(wf, wg, wf + wg):
+        fa = IncMap(a)
+        for b in bs:
+            yield fa, IncMap(b)
 
-    g's image is what f's image ``a`` misses plus wf + wg - k shared indices
-    of ``a``.  Equal-length sorted images order by the least element of
-    their symmetric difference, which is shared, so taking the shared part
-    in ``combinations(a, .)`` order lists g's images in sorted order.
-    """
-    for k in range(max(wf, wg), wf + wg + 1):
-        for a in itertools.combinations(range(k), wf):
-            fa, image = IncMap(a), set(a)
-            missed = tuple(i for i in range(k) if i not in image)
-            for shared in itertools.combinations(a, wf + wg - k):
-                yield fa, IncMap(tuple(sorted(missed + shared)))
+
+def _moved(m, a):
+    """The factors of m with each index i replaced by a[i]: those of
+    ``m_act(IncMap(a), m)`` when m is narrower than a."""
+    return tuple(((label, tuple(map(a.__getitem__, idx))), e) for (label, idx), e in m.factors)
 
 
 @dataclass(frozen=True)
@@ -65,31 +87,41 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
     interlacing, in interlacing order.
 
     Self-pairs skip the diagonal interlacing (zero S-polynomial) and keep
-    one of each mirrored pair.  With the coprime filter on, interlacings
-    whose instantiated lead monomials share no variable are dropped, as in
-    the classical first Buchberger criterion.  A zero input raises
-    ValueError on the first draw.
+    one of each mirrored pair: the one whose f image is the smaller tuple,
+    which for equal widths is the smaller map.  With the coprime filter
+    on, interlacings whose instantiated lead monomials share no variable
+    are dropped, as in the classical first Buchberger criterion; the level
+    k = wf + wg, where f and g share no index, is not enumerated, since
+    every variable has an index.  A zero input raises ValueError on the
+    first draw.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
-    last = key1 = None
-    for s1, s2 in interlacings(f.width(), g.width()):
-        if same:
-            if s1 is not last:  # interlacings repeats s1 across its s2
-                last, key1 = s1, word_key(s1)
-            if key1 >= word_key(s2):  # word_key orders as the values do
-                continue  # the diagonal, or the mirror of a pair already listed
+    lf, lg = lm(f), lm(g)
+    wf, wg = f.width(), g.width()
+    gvars = [v for v, _ in lg.factors]
+    for a, bs in _images(wf, wg, wf + wg - 1 if coprime_filter else wf + wg):
         # the order respects the action, so lm commutes with it
-        lf = m_act(s1, lm(f))
-        lg = m_act(s2, lm(g))
-        if coprime_filter and m_coprime(lf, lg):
-            continue
-        yield _spair_gen(fi, gi, s1, s2, lf, lg)
+        fa_factors = _moved(lf, a)
+        fvars = {v for v, _ in fa_factors}
+        fa = None  # IncMap(a) and f's moved lead, once a yields
+        for b in bs:
+            if same and a >= b:
+                continue  # the diagonal, or the mirror of a pair already listed
+            if coprime_filter:
+                for label, idx in gvars:
+                    if (label, tuple(map(b.__getitem__, idx))) in fvars:
+                        break  # a lead variable of both
+                else:
+                    continue  # coprime leads
+            if fa is None:
+                fa, lfa = IncMap(a), Monomial(fa_factors)
+            yield _spair_gen(fi, gi, fa, IncMap(b), lfa, Monomial(_moved(lg, b)))
 
 
 def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):
-    """Yield the ordinary S-pair of distinct f and g, unless their leads are coprime."""
-    lf, lg = lm(f), lm(g)
-    if fi != gi and not m_coprime(lf, lg):
-        yield _spair_gen(fi, gi, IDENTITY, IDENTITY, lf, lg)
+    """Yield the ordinary S-pair of f and g.  The classical loop asks only
+    for the rows the Gebauer–Möller update keeps: distinct entries whose
+    leads share a variable."""
+    yield _spair_gen(fi, gi, IDENTITY, IDENTITY, lm(f), lm(g))

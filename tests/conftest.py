@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from incgb import buchberger
 from incgb.incmaps import IncMap
 from incgb.problems import parse, parse_polynomial
 from incgb.rings import FamilySpec, Monomial, Ring, order_key
@@ -141,3 +142,26 @@ def ideal_equal(A, B) -> bool:
     return all(normal_form(f, B).is_zero for f in A) and all(
         normal_form(g, A).is_zero for g in B
     )
+
+
+def coprime(a, b):
+    """Whether monomials a and b share no variable."""
+    return {v for v, _ in a.factors}.isdisjoint(v for v, _ in b.factors)
+
+
+def checked_chain_update(monkeypatch):
+    """Wrap ``_chain_update`` with a check of every row it returns: below
+    k, and sharing a lead variable with row k.  Returns a one-item list
+    counting the rows returned."""
+    returned = [0]
+    real = buchberger._chain_update
+
+    def checked(table, k, queue):
+        rows = real(table, k, queue)
+        h = table[k][2]
+        assert all(i < k and not coprime(table[i][2], h) for i in rows)
+        returned[0] += len(rows)
+        return rows
+
+    monkeypatch.setattr(buchberger, "_chain_update", checked)
+    return returned

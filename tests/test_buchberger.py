@@ -45,6 +45,8 @@ from conftest import (
     MEMBER_TEXT,
     MONOMIAL_MAP_TEXT,
     TORIC_TEXT,
+    checked_chain_update,
+    coprime,
     expr,
     ideal_equal,
     random_xmono,
@@ -83,6 +85,8 @@ def all_pairs_classical(F, limits=EngineLimits()):
 
     def push_pairs(i, j):
         nonlocal over_width
+        if i == j or coprime(lm(G[i]), lm(G[j])):
+            return
         for gen in spair_generators_classical(G[i], G[j], i, j):
             width = gen.overlap.width()
             if width > limits.max_width:
@@ -292,6 +296,19 @@ class TestWidthSkip:
         ]
         assert res.stats == {"pairs_processed": 7, "zero_reductions": 5, "insertions": 2}
 
+    def test_wide_lead_pair_set_without_generator(self, toric_problem):
+        # the leads x[7] and y[7,3] share no variable under any
+        # interlacing: their pair set yields nothing, so all of its ~250,000
+        # interlacings are drawn and decided on index tuples; 3.3 s when
+        # each was built as two maps, 0.4-0.5 s decided on tuples (2-core
+        # x86-64 host)
+        F = [expr(toric_problem, "x[7] - x[0]"), expr(toric_problem, "y[7,3] - y[1,0]")]
+        start = time.monotonic()
+        res = egb_buchberger(F, EngineLimits(max_width=6))
+        assert time.monotonic() - start < 1.5
+        assert res.status == BUDGET and res.basis == F
+        assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
+
     @pytest.mark.parametrize("text, width", [("y[1,0]", 1), ("x[0]", 0), ("x[0] - 1", 0)])
     def test_wide_lead_without_pairs_completes(self, toric_problem, text, width):
         # a self-pair set can be empty although the lead is too wide: then
@@ -454,6 +471,18 @@ class TestChainCriteria:
         w = max(g.width() for g in G)
         for n in range(w + 1, w + 4):
             self.agrees(orbit_truncate(G, n))
+
+    @pytest.mark.parametrize("name", ["monomial_map", "toric", "member"])
+    def test_update_keeps_earlier_rows_sharing_a_variable(self, name, monkeypatch):
+        # the rows _chain_update returns for row k lie below k and have a
+        # lead sharing a variable with k's, over every classical level of
+        # the incremental engine: the classical generator needs no filter
+        text = MONOMIAL_MAP_TEXT if name == "monomial_map" else (GOLDEN / f"{name}.egb").read_text()
+        problem = parse(text)
+        limits = EngineLimits(max_width=4) if name == "monomial_map" else EngineLimits(**problem.options)
+        returned = checked_chain_update(monkeypatch)
+        egb_incremental(problem.generators, limits)
+        assert returned[0] > 10
 
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     def test_random_systems_that_kill_queued_pairs(self, order_kind, monkeypatch):

@@ -29,6 +29,7 @@ from incgb.buchberger import (
     BUDGET,
     COMPLETE,
     EngineLimits,
+    classical_buchberger,
     egb_buchberger,
     egb_incremental,
     is_egb,
@@ -38,7 +39,7 @@ from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring
 from incgb.signature import egb_signature
 
-from conftest import MONOMIAL_MAP_TEXT, X_RING_TEXT, expr, ideal_equal
+from conftest import MONOMIAL_MAP_TEXT, X_RING_TEXT, checked_chain_update, expr, ideal_equal
 
 ENGINES = (egb_buchberger, egb_incremental, egb_signature)
 LIMITS = EngineLimits(max_width=3, max_pairs=30, max_basis=12)
@@ -106,6 +107,18 @@ def test_engines_agree(F):
             assert spans_generators(r.basis, F)
             for basis in complete:
                 assert all(normal_form(f, basis).is_zero for f in r.basis)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs())
+def test_chain_update_rows_share_a_variable(F):
+    # the classical engine on the inputs and on the incremental engine's
+    # truncation levels asks only for pairs of distinct rows whose leads
+    # share a variable
+    with pytest.MonkeyPatch.context() as mp:
+        checked_chain_update(mp)
+        classical_buchberger(F, LIMITS)
+        egb_incremental(F, LIMITS)
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=lambda engine: engine.__name__)

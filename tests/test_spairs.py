@@ -4,16 +4,23 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from incgb import spairs
-from incgb.incmaps import IDENTITY, IncMap, compose, increasing_maps
+from incgb.buchberger import EngineLimits, egb_buchberger, egb_incremental
+from incgb.incmaps import IDENTITY, IncMap, compose, increasing_maps, word_key
 from incgb.poly import lm, poly
-from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_lcm, m_mul, m_quotient
-from incgb.spairs import interlacings, spair_generators
+from incgb.problems import parse
+from incgb.rings import CONSTRAINTS, FamilySpec, Monomial, Ring, m_act, m_lcm, m_mul, m_quotient
+from incgb.signature import egb_signature
+from incgb.spairs import SPairGen, interlacings, spair_generators
 
-from conftest import xmono
+from conftest import expr, xmono
 
 X = Ring((FamilySpec("x"),))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def p(*terms):
@@ -30,6 +37,42 @@ def filter_interlacings(wf, wg):
                 if frozenset(a) | frozenset(b) == full:
                     out.append((IncMap(a), IncMap(b)))
     return out
+
+
+def reference_spair_generators(f, g, fi=0, gi=1, coprime_filter=True):
+    """Reference: every interlacing built as two maps, its leads moved and
+    compared as monomials, then filtered."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("S-pairs need nonzero polynomials")
+    for s1, s2 in interlacings(f.width(), g.width()):
+        if fi == gi and word_key(s1) >= word_key(s2):
+            continue
+        lf = m_act(s1, lm(f))
+        lg = m_act(s2, lm(g))
+        if coprime_filter and {v for v, _ in lf.factors}.isdisjoint(v for v, _ in lg.factors):
+            continue
+        overlap = m_lcm(lf, lg)
+        yield SPairGen(fi, gi, s1, s2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
+
+
+def random_monomial(rng, ring, width):
+    """Up to three variables, every index below ``width``: the unit at 0."""
+    exps = {}
+    for _ in range(rng.randrange(4) if width else 0):
+        family = rng.choice(ring.families)
+        idx = tuple(rng.randrange(width) for _ in range(family.arity))
+        if family.check_indices(idx) is None:
+            var = ring.variable(family.name, idx)
+            exps[var] = exps.get(var, 0) + rng.randrange(1, 3)
+    return Monomial.from_dict(exps)
+
+
+def random_polynomial(rng, ring, width):
+    """A nonzero polynomial with indices below ``width``; a constant at 0."""
+    terms = [(Fraction(rng.choice([-2, -1, 1, 3])), random_monomial(rng, ring, width))]
+    terms += [(Fraction(1), random_monomial(rng, ring, width)) for _ in range(rng.randrange(3))]
+    f = poly(ring, terms)
+    return f if not f.is_zero else poly(ring, [(Fraction(1), Monomial())])
 
 
 class TestInterlacings:
@@ -165,3 +208,108 @@ class TestSpairGenerators:
         pairs = spair_generators(p((1, xmono(0))), poly(X, []), 0, 1)
         with pytest.raises(ValueError):
             next(pairs)
+
+
+def level(gen, wf, wg):
+    """The k of a generator's interlacing: the size of its joint image."""
+    return len({*map(gen.map1, range(wf)), *map(gen.map2, range(wg))})
+
+
+class TestIndexTupleDecisions:
+    """``spair_generators`` decides each interlacing on its image tuples;
+    the maps, moved leads and S-pairs it builds are those of the reference,
+    in the same order, for both filter values."""
+
+    @staticmethod
+    def agrees(f, g, fi, gi):
+        for coprime_filter in (True, False):
+            mine = list(spair_generators(f, g, fi, gi, coprime_filter))
+            assert mine == list(reference_spair_generators(f, g, fi, gi, coprime_filter))
+        return len(mine)
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("constraint", [None, *CONSTRAINTS])
+    def test_random_polynomials(self, constraint, order_kind):
+        # x alone, or x + y under each constraint; widths 0-5, so constant
+        # polynomials (unit leads) and leads narrower than their polynomial
+        families = (FamilySpec("x"),)
+        if constraint is not None:
+            families += (FamilySpec("y", arity=2, constraint=constraint),)
+        ring = Ring(families, order_kind)
+        rng = random.Random(23)
+        generated = 0
+        for _ in range(30):
+            f = random_polynomial(rng, ring, rng.randrange(6))
+            g = random_polynomial(rng, ring, rng.randrange(6))
+            generated += self.agrees(f, g, 0, 1) + self.agrees(g, f, 1, 0)
+            generated += self.agrees(f, f, 0, 0) + self.agrees(g, g, 1, 1)
+        assert generated > 1000
+
+    def test_constant_and_unit_leads(self):
+        one = p((1, Monomial()))
+        unit_lead = p((3, Monomial()))
+        x2 = p((1, xmono(2, 0)), (-1, xmono(1)))
+        for f, g in [(one, one), (one, x2), (x2, unit_lead), (x2, x2)]:
+            self.agrees(f, g, 0, 1)
+            self.agrees(f, f, 0, 0)
+
+    @pytest.mark.parametrize("name", ["toric", "member", "wide5"])
+    def test_corpus_bases(self, name):
+        # every pair of the generators and of each engine's basis
+        problem = parse((GOLDEN / f"{name}.egb").read_text())
+        limits = EngineLimits(**problem.options)
+        basis = list(problem.generators)
+        for engine in (egb_buchberger, egb_incremental, egb_signature):
+            basis += [g for g in engine(problem.generators, limits).basis if g not in basis]
+        generated = 0
+        for i, f in enumerate(basis):
+            for j in range(i, len(basis)):
+                generated += self.agrees(f, basis[j], i, j)
+        assert generated > 100
+
+    @pytest.mark.parametrize(
+        "f_text, g_text",
+        [
+            ("x[5]*x[0] - x[1]", None),  # the wide5 self-pair
+            ("x[4] - x[0]", "y[4,3] - y[1,0]"),  # coprime under every interlacing
+            ("x[3]*x[0] - x[1]", "x[2]*x[1] - 1"),
+        ],
+    )
+    def test_construction_counts(self, toric_problem, f_text, g_text, monkeypatch):
+        # maps are built for yielded pairs only, one per f image of a level
+        # and one per pair, an S-pair for each yielded pair, and the
+        # coprime level k = wf + wg is not drawn under the filter
+        f = expr(toric_problem, f_text)
+        g = f if g_text is None else expr(toric_problem, g_text)
+        gi = 0 if g_text is None else 1
+        top = f.width() + g.width()
+        built = {"maps": 0, "spairs": 0}
+        drawn = []
+        real_map, real_gen, real_comb = spairs.IncMap, spairs._spair_gen, itertools.combinations
+
+        def counting_map(values=()):
+            built["maps"] += 1
+            return real_map(values)
+
+        def counting_gen(*args):
+            built["spairs"] += 1
+            return real_gen(*args)
+
+        def recording(pool, r):
+            drawn.append((len(pool) if isinstance(pool, range) else None, r))
+            return real_comb(pool, r)
+
+        expected = {c: list(reference_spair_generators(f, g, 0, gi, c)) for c in (True, False)}
+        monkeypatch.setattr(spairs, "IncMap", counting_map)
+        monkeypatch.setattr(spairs, "_spair_gen", counting_gen)
+        monkeypatch.setattr(spairs.itertools, "combinations", recording)
+        for coprime_filter in (True, False):
+            built.update(maps=0, spairs=0)
+            drawn.clear()
+            gens = list(spair_generators(f, g, 0, gi, coprime_filter))
+            assert gens == expected[coprime_filter]
+            images = {(level(gen, f.width(), g.width()), gen.map1) for gen in gens}
+            assert built["maps"] <= len(images) + len(gens)
+            assert built["spairs"] == len(gens)
+            top_drawn = [d for d in drawn if d[0] == top or d[1] == 0]
+            assert bool(top_drawn) != coprime_filter
