@@ -40,6 +40,13 @@ EXIT_BUDGET = 3
 # ``orbit`` refuses to print more shifted copies than this
 ORBIT_MAX_COPIES = 100_000
 
+# the engines ``solve --algorithm`` names
+ENGINES = {
+    "buchberger": egb_buchberger,
+    "incremental": egb_incremental,
+    "signature": egb_signature,
+}
+
 
 def _load(path):
     try:
@@ -78,15 +85,9 @@ def _solve(problem, args):
     """Run the selected engine; returns (algorithm, limits, result)."""
     algorithm = args.algorithm or problem.options.get("algorithm", "buchberger")
     limits = _limits(problem, args)
-    if algorithm == "buchberger":
-        result = egb_buchberger(problem.generators, limits)
-    elif algorithm == "incremental":
-        result = egb_incremental(problem.generators, limits)
-    elif algorithm == "signature":
-        result = egb_signature(problem.generators, limits=limits)
-    else:
+    if algorithm not in ENGINES:
         raise SystemExit2(f"unknown algorithm {algorithm!r}")
-    return algorithm, limits, result
+    return algorithm, limits, ENGINES[algorithm](problem.generators, limits)
 
 
 def cmd_solve(args):
@@ -193,9 +194,7 @@ def build_parser():
     basis.add_argument("--max-pairs", type=int, default=None)
 
     solve = sub.add_parser("solve", parents=[basis], help="compute an equivariant Groebner basis")
-    solve.add_argument(
-        "--algorithm", choices=["buchberger", "incremental", "signature"], default=None
-    )
+    solve.add_argument("--algorithm", choices=list(ENGINES), default=None)
     solve.add_argument("--report", metavar="FILE", default=None)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)

@@ -9,12 +9,12 @@ ring's order, so the lead term is ``terms[0]``.
 
 Reduction uses orbit divisibility: a reducer g applies to a term t whenever
 some increasing map sends the lead monomial of g onto a divisor of t.
-``normal_form`` performs full (tail) reduction and can emit a replayable
-trace of the steps it took, which serves as a membership certificate.  The
-one kernel, ``reduce_terms``, keeps its work polynomial as a term
-accumulator, a coefficient dict plus a sorted list of order keys, and asks
-a reducer choice for each step: ``first_reducer`` for orbit and plain
-reduction, or ``signature.regular_top_reduce``.  A reducer table only grows,
+``normal_form`` performs full (tail) reduction.  The one kernel,
+``reduce_terms``, keeps its work polynomial as a term accumulator, a
+coefficient dict plus a sorted list of order keys, and asks a reducer
+choice for each step: ``first_reducer`` for orbit and plain reduction, or
+``signature.regular_top_reduce``.  The kernel returns only the reduced
+polynomial; a caller that wants the steps wraps the choice.  A reducer table only grows,
 by appending rows.  Under plain reduction a row's support mask lets the
 choice skip it without a divisibility test.  Under either divisibility the
 choice remembers each term's step, with the reducer's tail already moved
@@ -133,27 +133,6 @@ def monic(f: Polynomial) -> Polynomial:
     return scale(f, 1 / lc(f))
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    reducer: int  # index into the reducer list
-    witness: IncMap
-    cofactor: Monomial
-    ratio: Fraction
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple
-
-    def replay(self, f: Polynomial, reducers) -> Polynomial:
-        """Apply the recorded steps to f; must reproduce the normal form."""
-        out = f
-        for s in self.steps:
-            g_img = act(s.witness, reducers[s.reducer])
-            out = subtract(out, mul_term(g_img, s.ratio, s.cofactor))
-        return out
-
-
 def support_mask(m: Monomial) -> int:
     """A 64-bit set of m's variables, hashed; a divisor's lies inside it."""
     mask = 0
@@ -227,7 +206,7 @@ def first_reducer(table, divides):
     return choose
 
 
-def reduce_terms(ring: Ring, acc, choose, with_trace=False):
+def reduce_terms(ring: Ring, acc, choose):
     """The reduction kernel: reduce ``acc``, a dict from monomials to
     coefficients (zeros allowed; consumed), by the steps ``choose`` picks.
 
@@ -243,9 +222,8 @@ def reduce_terms(ring: Ring, acc, choose, with_trace=False):
 
     The dict's values may be ints or Fractions; a monic reducer's ratio is
     the coefficient itself, so integral work stays in ints.  The kept
-    terms and the trace's ratios are Fractions.
+    terms are Fractions.
     """
-    steps = []
     done = []  # kept terms, collected in descending order
     queue = sorted((order_key(ring, m), m) for m in acc)
     while queue:
@@ -257,7 +235,7 @@ def reduce_terms(ring: Ring, acc, choose, with_trace=False):
         if step is None:
             done.append((Fraction(c) if type(c) is int else c, m))
             continue
-        gi, g, rho, cof, tail = step
+        _, g, _, _, tail = step
         lead = g.terms[0][0]
         ratio = c if lead == 1 else c / lead
         for a, n in tail:
@@ -266,26 +244,18 @@ def reduce_terms(ring: Ring, acc, choose, with_trace=False):
             else:
                 acc[n] = -ratio * a
                 insort(queue, (order_key(ring, n), n))
-        if with_trace:
-            steps.append(ReductionStep(gi, rho, cof, Fraction(ratio)))
-    result = Polynomial(ring, tuple(done))
-    if with_trace:
-        return result, ReductionTrace(tuple(steps))
-    return result
+    return Polynomial(ring, tuple(done))
 
 
-def normal_form(f: Polynomial, reducers, with_trace=False, divides=None):
+def normal_form(f: Polynomial, reducers):
     """Fully reduce f (lead and tail) against orbit elements of the reducers.
 
     The first reducer in list order admitting a witness applies, with the
-    witness ``divides`` returns (``pi_divides`` by default; ``plain_divides``
-    is classical reduction).  Steps are recorded only when a trace is
-    requested.  One reducer table, then the kernel ``reduce_terms``.
+    witness ``pi_divides`` returns.  One reducer table, then the kernel
+    ``reduce_terms``.
     """
-    if divides is None:  # looked up per call, so a rebound module name applies
-        divides = pi_divides
-    choose = first_reducer(reducer_table(reducers, divides), divides)
-    return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose, with_trace)
+    choose = first_reducer(reducer_table(reducers, pi_divides), pi_divides)
+    return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose)
 
 
 def sorted_basis(basis):

@@ -103,9 +103,6 @@ class Monomial:
     def is_unit(self):
         return not self.factors
 
-    def exponent(self, var):
-        return next((e for v, e in self.factors if v == var), 0)
-
     def degree(self, ring: Ring):
         if not ring.use_weights:
             return sum(e for _, e in self.factors)

@@ -92,13 +92,17 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
     on, interlacings whose instantiated lead monomials share no variable
     are dropped, as in the classical first Buchberger criterion; the level
     k = wf + wg, where f and g share no index, is not enumerated, since
-    every variable has an index.  A zero input raises ValueError on the
-    first draw.
+    every variable has an index, and leads with no family in common yield
+    nothing.  A zero input raises ValueError on the first draw.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
     lf, lg = lm(f), lm(g)
+    if coprime_filter:
+        families = {label for (label, _), _ in lf.factors}
+        if families.isdisjoint(label for (label, _), _ in lg.factors):
+            return  # no lead variable can be shared, whatever the maps
     wf, wg = f.width(), g.width()
     gvars = [v for v, _ in lg.factors]
     for a, bs in _images(wf, wg, wf + wg - 1 if coprime_filter else wf + wg):

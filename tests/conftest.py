@@ -8,8 +8,19 @@ import pytest
 
 from incgb import buchberger
 from incgb.incmaps import IncMap
+from incgb.poly import (
+    act,
+    first_reducer,
+    lc,
+    lm,
+    mul_term,
+    normal_form,
+    reduce_terms,
+    reducer_table,
+    subtract,
+)
 from incgb.problems import parse, parse_polynomial
-from incgb.rings import FamilySpec, Monomial, Ring, order_key
+from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_mul, order_key, pi_divides
 
 # A single arity-1 family under pure lex: the plain infinite polynomial ring.
 X_RING_TEXT = """
@@ -137,8 +148,6 @@ def random_xmono(rng: random.Random, max_index=5, max_degree=4) -> Monomial:
 
 def ideal_equal(A, B) -> bool:
     """Mutual orbit reduction to zero: same equivariant ideal."""
-    from incgb.poly import normal_form
-
     return all(normal_form(f, B).is_zero for f in A) and all(
         normal_form(g, A).is_zero for g in B
     )
@@ -165,3 +174,42 @@ def checked_chain_update(monkeypatch):
 
     monkeypatch.setattr(buchberger, "_chain_update", checked)
     return returned
+
+
+class RecordedChoice:
+    """A reducer choice wrapped to record (gi, witness, cofactor) for every
+    step it returns to the kernel, in order: a replayable certificate of
+    the reduction."""
+
+    def __init__(self, choose):
+        self.choose = choose
+        self.steps = []
+
+    def __call__(self, m):
+        step = self.choose(m)
+        if step is not None:
+            gi, _, rho, cof, _ = step
+            self.steps.append((gi, rho, cof))
+        return step
+
+    def replay(self, f, reducers):
+        """Apply the recorded steps to f by ``subtract``: each cancels the
+        current coefficient of cofactor * witness(lm g) with the moved g.
+        Exact, since the kernel asks only for nonzero terms and applies
+        every step returned; so the result is the kernel's."""
+        out = f
+        for gi, rho, cof in self.steps:
+            g = reducers[gi]
+            target = m_mul(m_act(rho, lm(g)), cof)
+            c = {m: c for c, m in out.terms}[target]
+            out = subtract(out, mul_term(act(rho, g), c / lc(g), cof))
+        return out
+
+
+def recorded_normal_form(f, reducers, divides=pi_divides):
+    """Full reduction of f by the first reducer ``divides`` admits, through
+    a recorded choice: (normal form, the RecordedChoice).  Under
+    ``pi_divides`` this is ``normal_form``; ``plain_divides`` is classical
+    reduction."""
+    choose = RecordedChoice(first_reducer(reducer_table(reducers, divides), divides))
+    return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose), choose

@@ -37,6 +37,7 @@ from conftest import (
     order_sign,
     random_incmap,
     random_xmono,
+    recorded_normal_form,
     word_map,
     xmono,
     xvar,
@@ -218,9 +219,10 @@ class TestCriterion6PropertySuites:
                     for _ in range(rng.randrange(1, 5))
                 ],
             )
-            nf, trace = normal_form(f, basis, with_trace=True)
+            nf, choice = recorded_normal_form(f, basis)
+            assert normal_form(f, basis) == nf
             assert normal_form(nf, basis) == nf
-            assert trace.replay(f, basis) == nf
+            assert choice.replay(f, basis) == nf
         _within(start, 120)
 
     def test_inc_monoid_composition_and_standard_form(self):

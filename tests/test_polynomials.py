@@ -12,8 +12,6 @@ from incgb.buchberger import _spoly
 from incgb.incmaps import IncMap
 from incgb.poly import (
     Polynomial,
-    ReductionStep,
-    ReductionTrace,
     act,
     add,
     constant,
@@ -46,7 +44,16 @@ from incgb.rings import (
 )
 from incgb.spairs import spair_generators, spair_generators_classical
 
-from conftest import MEMBER_TEXT, expr, order_sign, random_incmap, random_xmono, xmono
+from conftest import (
+    MEMBER_TEXT,
+    RecordedChoice,
+    expr,
+    order_sign,
+    random_incmap,
+    random_xmono,
+    recorded_normal_form,
+    xmono,
+)
 
 X = Ring((FamilySpec("x"),))
 
@@ -183,9 +190,10 @@ class TestNormalForm:
             G = [g for g in G if not g.is_zero]
             if not G:
                 continue
-            out, trace = normal_form(f, G, with_trace=True)
+            out, choice = recorded_normal_form(f, G)
+            assert normal_form(f, G) == out
             assert normal_form(out, G) == out
-            assert trace.replay(f, G) == out
+            assert choice.replay(f, G) == out
 
     def test_membership_equivariance(self, member_problem):
         # against an equivariant basis, reduction to zero is shift-invariant
@@ -202,7 +210,8 @@ class TestNormalForm:
 
 
 def reference_normal_form(f, reducers, divides):
-    """The subtract-based kernel: every step rebuilds the work polynomial."""
+    """The subtract-based kernel: every step rebuilds the work polynomial.
+    Returns the normal form and the steps (gi, witness, cofactor)."""
     steps = []
     done = []
     work = f
@@ -216,14 +225,13 @@ def reference_normal_form(f, reducers, divides):
                 continue
             g_img = act(rho, g)
             cof = m_quotient(m, lm(g_img))
-            ratio = c / lc(g_img)
-            work = subtract(work, mul_term(g_img, ratio, cof))
-            steps.append(ReductionStep(gi, rho, cof, ratio))
+            work = subtract(work, mul_term(g_img, c / lc(g_img), cof))
+            steps.append((gi, rho, cof))
             break
         else:
             done.append((c, m))
             work = Polynomial(f.ring, work.terms[1:])
-    return Polynomial(f.ring, tuple(done)), ReductionTrace(tuple(steps))
+    return Polynomial(f.ring, tuple(done)), steps
 
 
 def xy_ring(y_constraint, order_kind):
@@ -274,13 +282,14 @@ class TestKernelOracle:
             G = [random_ring_poly(rng, ring, 3) for _ in range(rng.randrange(1, 4))]
             if rng.random() < 0.2:
                 G.insert(rng.randrange(len(G) + 1), zero(ring))
-            expected, expected_trace = reference_normal_form(f, G, divides)
-            out, trace = normal_form(f, G, with_trace=True, divides=divides)
+            expected, expected_steps = reference_normal_form(f, G, divides)
+            out, choice = recorded_normal_form(f, G, divides)
             assert out == expected
-            assert trace == expected_trace
-            assert trace.replay(f, G) == out
-            assert normal_form(f, G, divides=divides) == out
-            steps += len(trace.steps)
+            assert choice.steps == expected_steps
+            assert choice.replay(f, G) == out
+            if divides is pi_divides:
+                assert normal_form(f, G) == out
+            steps += len(choice.steps)
         assert steps > 50
 
     def test_no_polynomial_rebuilds(self, monkeypatch):
@@ -292,8 +301,8 @@ class TestKernelOracle:
             p((1, xmono(2)), (-1, xmono(1))),
         ]
         s = oracle_spoly(list(spair_generators(gen, gen, 0, 0))[-1], [gen])
-        _, trace = normal_form(s, basis, with_trace=True)
-        assert len(trace.steps) > 3
+        _, choice = recorded_normal_form(s, basis)
+        assert len(choice.steps) > 3
         calls = []
         real = poly_module.poly
 
@@ -334,13 +343,14 @@ class TestSPairOracle:
             i, j = sorted(rng.randrange(len(G)) for _ in range(2))
             orbit = list(spair_generators(G[i], G[j], i, j))
             for gen in gens + rng.sample(orbit, min(4, len(orbit))):
-                expected, expected_trace = normal_form(
-                    oracle_spoly(gen, G), G, with_trace=True, divides=divides
-                )
-                out, trace = reduce_terms(ring, _spoly(gen, G), choose, with_trace=True)
+                s = oracle_spoly(gen, G)
+                expected, expected_choice = recorded_normal_form(s, G, divides)
+                choice = RecordedChoice(choose)
+                out = reduce_terms(ring, _spoly(gen, G), choice)
                 assert out == expected
-                assert trace == expected_trace
-                steps += len(trace.steps)
+                assert choice.steps == expected_choice.steps
+                assert choice.replay(s, G) == out
+                steps += len(choice.steps)
                 nonzero += not out.is_zero
         assert steps > 20 and nonzero > 0 and classical > 5
 
@@ -383,16 +393,17 @@ class TestKernelContract:
                 stopped = step is None
                 return step
 
-            out, trace = reduce_terms(ring, {m: c for c, m in f.terms}, top, with_trace=True)
+            choice = RecordedChoice(top)
+            out = reduce_terms(ring, {m: c for c, m in f.terms}, choice)
             work = f
-            for step in trace.steps:
+            for step in choice.steps:
                 gi, g, rho, cof, _ = choose(lm(work))
-                assert (gi, rho, cof) == (step.reducer, step.witness, step.cofactor)
+                assert (gi, rho, cof) == step
                 work = subtract(work, mul_term(act(rho, g), lc(work), cof))
             assert out == work
             assert work.is_zero or choose(lm(work)) is None
-            assert trace.replay(f, G) == out
-            steps += len(trace.steps)
+            assert choice.replay(f, G) == out
+            steps += len(choice.steps)
             unreduced += any(choose(m) is not None for _, m in out.terms[1:])
         assert steps > 200 and unreduced > 20
 
@@ -520,12 +531,12 @@ class TestMixedCoefficients:
                 for c, m in f.terms
             }
             table = reducer_table(G, divides)
-            out, trace = reduce_terms(ring, acc, first_reducer(table, divides), with_trace=True)
+            choice = RecordedChoice(first_reducer(table, divides))
+            out = reduce_terms(ring, acc, choice)
             assert out == replay_reduction(f, table, divides)
-            assert trace.replay(f, G) == out
+            assert choice.replay(f, G) == out
             assert all(type(c) is Fraction for c, _ in out.terms)
-            assert all(type(s.ratio) is Fraction for s in trace.steps)
-            non_monic += sum(lc(G[s.reducer]) != 1 for s in trace.steps)
+            non_monic += sum(lc(G[gi]) != 1 for gi, _, _ in choice.steps)
             fractional += sum(c.denominator != 1 for c, _ in out.terms)
             integral_kept += sum(c.denominator == 1 for c, _ in out.terms)
         assert non_monic > 150 and fractional > 50 and integral_kept > 100

@@ -193,9 +193,8 @@ class TestSpairGenerators:
                             moved = m_act(rho, gen.overlap)
                             # the brute pair's overlap is a plain multiple
                             # of the shifted generator overlap
-                            if all(
-                                overlap.exponent(v) >= e for v, e in moved.factors
-                            ):
+                            exps = dict(overlap.factors)
+                            if all(exps.get(v, 0) >= e for v, e in moved.factors):
                                 factored = True
                                 break
                     if factored:
@@ -208,6 +207,19 @@ class TestSpairGenerators:
         pairs = spair_generators(p((1, xmono(0))), poly(X, []), 0, 1)
         with pytest.raises(ValueError):
             next(pairs)
+
+    def test_disjoint_family_leads_draw_nothing(self, toric_problem, monkeypatch):
+        # leads in different families share no variable under any maps, so
+        # under the filter the pair set is empty before any image is drawn
+        x7 = expr(toric_problem, "x[7] - x[0]")
+        y73 = expr(toric_problem, "y[7,3] - y[1,0]")
+
+        def no_draw(*args):
+            raise AssertionError("an interlacing was drawn")
+
+        monkeypatch.setattr(spairs, "_images", no_draw)
+        assert list(spair_generators(x7, y73)) == []
+        assert list(spair_generators(y73, x7, 1, 0)) == []
 
 
 def level(gen, wf, wg):
