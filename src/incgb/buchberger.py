@@ -7,11 +7,13 @@ pair generator (orbit S-pairs via interlacings, or ordinary S-pairs) and
 their divisibility test (``pi_divides`` or ``plain_divides``).  Under plain
 divisibility the Gebauer–Möller criteria are exact, so the classical engine
 queues only the pairs they keep and drops the queued pairs a new lead makes
-redundant (``_chain_update``); the direct engine queues every orbit pair, as
-no orbit chain criterion is proved yet.  There is no termination theory for
-general inputs, so explicit budgets (pair count, width, basis size) bound
-every run; exhausting a budget returns the partial basis with a
-distinguished status instead of raising.
+redundant (``_chain_update``).  The direct engine queues every orbit pair
+and skips, as it pops them, those the strict orbit chain criterion proves
+redundant (``_chain_criterion``; ``is_egb`` applies it too and argues its
+soundness).  There is no termination theory for general inputs, so
+explicit budgets (pair count, width, basis size) bound every run;
+exhausting a budget returns the partial basis with a distinguished status
+instead of raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .incmaps import increasing_maps
 from .poly import act, lm, monic, sorted_basis
@@ -113,6 +116,44 @@ def _chain_update(table, k, queue):
     return sorted(i for *_, i, coprime in minimal.values() if not coprime)
 
 
+def _chain_criterion(table, divides):
+    """The strict orbit chain criterion over the leads of ``table``: a test
+    that is true of a critical-pair generator needing no reduction (the
+    argument is at ``is_egb``).
+
+    With overlap t = cof1 * σ(lm f) = cof2 * τ(lm g), the test asks whether
+    some lead ``divides`` t / (v * w) for a variable v of cof2 and w of
+    cof1.  That is the chain condition: some shifted lead u = ρ(lm h)
+    divides t, and lcm(σ lm f, u) and lcm(τ lm g, u) are both proper
+    divisors of t.  For lcm(σ lm f, u) falls short of t exactly at a
+    variable w of cof1 where u does, and likewise for v; cof1 and cof2 have
+    disjoint supports, so v != w.  A unit cofactor makes no test.
+
+    One memo for the run maps a monomial to (rows scanned, hit).  It is
+    exact while the table only grows by appending, as in ``first_reducer``.
+    """
+    memo = {}  # factors of t / (v * w) -> (rows scanned, hit)
+
+    def divisible(factors):
+        scanned, hit = memo.get(factors, (0, False))
+        if not hit:
+            m = Monomial(factors)
+            rows = islice(table, scanned, None)
+            hit = any(divides(lead, m) is not None for _, _, lead, _ in rows)
+            memo[factors] = len(table), hit
+        return hit
+
+    def chained(gen):
+        t = gen.overlap.factors
+        return any(
+            divisible(tuple((u, d) for u, e in t if (d := e - (u == v or u == w))))
+            for v, _ in gen.cof2.factors
+            for w, _ in gen.cof1.factors
+        )
+
+    return chained
+
+
 def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     """Buchberger's loop, shared by the direct and classical engines.
 
@@ -122,12 +163,16 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
 
     Each prepared generator and each insertion k, in that order, queues
     its pairs with entries 0..k as soon as it exists.  Under orbit
-    divisibility every pair set is queued.  Under plain divisibility the
-    Gebauer–Möller update (``_chain_update``) chooses the partners: it asks
-    ``pairs`` only for the pairs the criteria keep, and it removes from the
-    queue the queued pairs the new lead makes redundant; a removed pair is
-    neither processed nor counted.  It removes queue entries, never table
-    rows, so the reducer table only grows.
+    divisibility every pair set is queued, and a popped pair that the
+    strict chain criterion (``_chain_criterion``) proves redundant is
+    skipped, neither processed nor counted: a COMPLETE run has queued every
+    interlacing pair of its final basis, so ``is_egb``'s argument holds
+    over that basis.  Under plain divisibility the Gebauer–Möller update
+    (``_chain_update``) chooses the partners: it asks ``pairs`` only for
+    the pairs the criteria keep, and it removes from the queue the queued
+    pairs the new lead makes redundant; a removed pair is neither processed
+    nor counted.  It removes queue entries, never table rows, so the
+    reducer table only grows.
 
     A pair wider than max_width is dropped where it is made, after the
     criteria; max_pairs and max_basis stop the run with the partial,
@@ -141,7 +186,8 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     ring = G[0].ring
     table = reducer_table(G, divides)
     choose = first_reducer(table, divides)
-    chain = divides is plain_divides
+    plain = divides is plain_divides
+    chained = None if plain else _chain_criterion(table, divides)
     queue = []
     seq = 0
     over_width = False
@@ -163,7 +209,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
 
     def add_pairs(k):
         """Queue the pairs of entry k with itself and the entries before it."""
-        for i in _chain_update(table, k, queue) if chain else range(k + 1):
+        for i in _chain_update(table, k, queue) if plain else range(k + 1):
             push_pairs(i, k)
 
     for k in range(len(G)):
@@ -171,6 +217,8 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
 
     while queue:
         gen = heapq.heappop(queue)[-1]
+        if chained is not None and chained(gen):
+            continue
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
         stats["pairs_processed"] += 1
@@ -249,12 +297,44 @@ def autoreduce(G, divides=None):
 
 
 def is_egb(G) -> bool:
-    """Equivariant Buchberger criterion: every orbit S-polynomial reduces to 0."""
-    basis = [g for g in G if not g.is_zero]
-    choose = first_reducer(reducer_table(basis, pi_divides), pi_divides)
+    """Equivariant Buchberger criterion: every orbit S-polynomial reduces to
+    0, except those the strict orbit chain criterion (``_chain_criterion``)
+    proves redundant.  The S-polynomials are built over a monic copy of G,
+    so the leads cancel whatever G's lead coefficients are.
+
+    Why a chained pair needs no reduction.  A pair of orbit elements (a, b)
+    of overlap t has an lcm-representation when S(a, b) is a sum of terms
+    times orbit elements of G whose leads all lie below t; G is an EGB when
+    every such pair has one.  By induction on the degree of t, over all
+    pairs of orbit elements:
+
+    - Every such pair is a shift π of a pair that ``spair_generators``
+      enumerates from an interlacing, or of a coprime, diagonal or mirrored
+      one.  π respects the order and moves variables injectively, so it
+      commutes with lcm and carries lcm-representations to
+      lcm-representations.
+    - A pair reduced to 0 has one, read off the reduction.  So has a
+      coprime pair (Buchberger's first criterion), a diagonal pair (its
+      S-polynomial is 0) and a mirrored pair (the negation of one listed).
+    - A chained pair (σf, τg) has a shifted lead u = ρ(lm h) whose pairs
+      with σf and τg have overlaps t1 and t2 that properly divide t, so of
+      smaller degree: by induction both have lcm-representations.  The
+      chain identity S(σf, τg) = (t / t1) S(σf, ρh) + (t / t2) S(ρh, τg)
+      then gives one below t.
+
+    ``_pair_loop`` runs the same argument over its final basis: a COMPLETE
+    run has queued every interlacing pair of it, and each was reduced (to 0
+    or to an element it inserted) or chained through one of its leads.
+    """
+    basis = [monic(g) for g in G if not g.is_zero]
+    table = reducer_table(basis, pi_divides)
+    choose = first_reducer(table, pi_divides)
+    chained = _chain_criterion(table, pi_divides)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for gen in spair_generators(basis[i], basis[j], i, j):
+                if chained(gen):
+                    continue
                 if not reduce_terms(basis[i].ring, _spoly(gen, basis), choose).is_zero:
                     return False
     return True

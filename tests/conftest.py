@@ -176,6 +176,12 @@ def checked_chain_update(monkeypatch):
     return returned
 
 
+def without_chain_criterion(monkeypatch):
+    """Turn the strict orbit chain criterion off: ``is_egb`` and the direct
+    engine then reduce every pair they draw."""
+    monkeypatch.setattr(buchberger, "_chain_criterion", lambda table, divides: lambda gen: False)
+
+
 class RecordedChoice:
     """A reducer choice wrapped to record (gi, witness, cofactor) for every
     step it returns to the kernel, in order: a replayable certificate of

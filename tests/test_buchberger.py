@@ -4,6 +4,7 @@ import heapq
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,11 +35,22 @@ from incgb.poly import (
     reduce_terms,
     reducer_row,
     reducer_table,
+    scale,
     sorted_basis,
 )
 from incgb.problems import format_polynomial, parse
-from incgb.rings import FamilySpec, Monomial, Ring, pi_divides, plain_divides
-from incgb.spairs import spair_generators_classical
+from incgb.rings import (
+    FamilySpec,
+    Monomial,
+    Ring,
+    _match_witnesses,
+    m_act,
+    m_lcm,
+    m_quotient,
+    pi_divides,
+    plain_divides,
+)
+from incgb.spairs import spair_generators, spair_generators_classical
 
 from conftest import (
     MEMBER_TEXT,
@@ -50,6 +62,7 @@ from conftest import (
     ideal_equal,
     random_xmono,
     recorded_normal_form,
+    without_chain_criterion,
     xmono,
     xvar,
 )
@@ -556,7 +569,9 @@ class TestReducerTable:
 
     def test_orbit_witness_searches_pinned(self, x_problem, monkeypatch):
         # the orbit choice remembers each term's step: without the memo the
-        # 5,380 choices of one wide5 solve made 11,512 witness searches
+        # 5,380 choices of one wide5 solve made 11,512 witness searches.  The
+        # chain criterion leaves 2,748 choices; of the 118 searches, 22 are
+        # its own lookups, memoized the same way
         searches, choices = [], []
         real_divides, real_first = buchberger.pi_divides, buchberger.first_reducer
 
@@ -577,7 +592,7 @@ class TestReducerTable:
         monkeypatch.setattr(buchberger, "first_reducer", counting_first)
         res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
         assert res.status == COMPLETE
-        assert (len(choices), len(searches)) == (5380, 98)
+        assert (len(choices), len(searches)) == (2748, 118)
 
 
 class TestIsEgb:
@@ -589,6 +604,123 @@ class TestIsEgb:
 
     def test_engine_output_passes(self, member_problem):
         assert is_egb(egb_buchberger(member_problem.generators).basis)
+
+    def test_scaled_copies(self, monkeypatch):
+        # the S-polynomials are built over a monic copy: every overlap entry
+        # cancels whatever the lead coefficients, and scaling the elements by
+        # 2, 3 and -5 leaves the verdict of EGBs and non-EGBs alike
+        problems = [parse((GOLDEN / f"{name}.egb").read_text()) for name in ("toric", "member", "wide5")]
+        egbs = [egb_buchberger(problem.generators).basis for problem in problems]
+        level = orbit_truncate(parse(MONOMIAL_MAP_TEXT).generators, 3)
+        others = [problem.generators for problem in problems]
+        others.append(autoreduce(classical_buchberger(level).basis))
+        overlaps = []
+        real = buchberger._spoly
+
+        def recording(gen, G):
+            acc = real(gen, G)
+            overlaps.append(acc[gen.overlap])
+            return acc
+
+        monkeypatch.setattr(buchberger, "_spoly", recording)
+        verdicts = []
+        for basis in egbs + others:
+            scaled = [scale(g, (2, 3, -5)[k % 3]) for k, g in enumerate(basis)]
+            verdicts.append(is_egb(scaled))
+            assert is_egb(basis) == verdicts[-1]
+        assert verdicts == [True] * len(egbs) + [False] * len(others)
+        assert overlaps and not any(overlaps)
+
+
+def chained_literally(gen, table):
+    """The chain condition as defined: some shifted lead u of a row divides
+    the overlap t, and u's lcms with both moved leads properly divide t;
+    every witness of every row is tried."""
+    t = gen.overlap
+    a, b = m_quotient(t, gen.cof1), m_quotient(t, gen.cof2)
+    for _, _, lead, _ in table:
+        for rho in _match_witnesses(lead, t):
+            u = m_act(rho, lead)
+            if m_lcm(a, u) != t and m_lcm(b, u) != t:
+                return True
+    return False
+
+
+def random_xy_polynomial(rng, ring):
+    """1-3 terms over x[0..2], and y[i,j], i > j, when the ring has y."""
+    variables = [ring.variable("x", (i,)) for i in range(3)]
+    if len(ring.families) > 1:
+        variables += [ring.variable("y", (i, j)) for i in range(3) for j in range(i)]
+    terms = []
+    for _ in range(rng.randrange(1, 4)):
+        factors = Counter(rng.choice(variables) for _d in range(rng.randrange(4)))
+        terms.append((rng.choice([-2, -1, 1, 3]), Monomial.from_dict(factors)))
+    return poly(ring, terms)
+
+
+class TestOrbitChainCriterion:
+    """The strict orbit chain criterion: exact against its definition, and
+    with no effect on any basis, status or ``is_egb`` verdict."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("families", ["x", "xy"])
+    def test_matches_definition(self, families, order_kind):
+        # over a table of one row, then over the rows appended after it:
+        # the memo scans only the appended rows for a monomial it missed
+        specs = (FamilySpec("x"),)
+        if families == "xy":
+            specs += (FamilySpec("y", arity=2, constraint="strictly_decreasing"),)
+        ring = Ring(specs, order_kind)
+        rng = random.Random(37)
+        seen = Counter()
+        for _ in range(30):
+            basis = [f for f in (random_xy_polynomial(rng, ring) for _k in range(3)) if not f.is_zero]
+            gens = [
+                gen
+                for i, j in itertools.combinations_with_replacement(range(len(basis)), 2)
+                for gen in spair_generators(basis[i], basis[j], i, j)
+            ]
+            table = reducer_table(basis[:1], pi_divides)
+            chained = buchberger._chain_criterion(table, pi_divides)
+            assert [chained(gen) for gen in gens] == [chained_literally(gen, table) for gen in gens]
+            table.extend(reducer_row(k, g, pi_divides) for k, g in enumerate(basis) if k)
+            verdicts = [chained(gen) for gen in gens]
+            assert verdicts == [chained_literally(gen, table) for gen in gens]
+            seen.update(verdicts)
+        assert seen[True] > 20 and seen[False] > 20
+
+    @pytest.mark.parametrize("name", ["toric", "member", "wide5", "wide5_budget"])
+    def test_direct_engine_unchanged(self, name, monkeypatch):
+        problem = parse((GOLDEN / f"{name}.egb").read_text())
+        limits = EngineLimits(**problem.options)
+        mine = egb_buchberger(problem.generators, limits)
+        without_chain_criterion(monkeypatch)
+        ref = egb_buchberger(problem.generators, limits)
+        assert (mine.status, mine.basis) == (ref.status, ref.basis)
+        assert mine.stats["pairs_processed"] <= ref.stats["pairs_processed"]
+
+    def test_is_egb_verdicts_unchanged(self, monkeypatch):
+        # every level candidate of the incremental engine, every complete
+        # basis, and each complete basis with one element removed
+        candidates = []
+        real = buchberger.is_egb
+
+        def recording(G):
+            candidates.append(G)
+            return real(G)
+
+        monkeypatch.setattr(buchberger, "is_egb", recording)
+        egb_incremental(parse(MONOMIAL_MAP_TEXT).generators, EngineLimits(max_width=4))
+        for text in (TORIC_TEXT, MEMBER_TEXT):
+            candidates.append(egb_buchberger(parse(text).generators).basis)
+            egb_incremental(parse(text).generators)
+        monkeypatch.undo()
+        complete = [B for B in candidates if is_egb(B)]
+        bases = candidates + [B[:k] + B[k + 1 :] for B in complete for k in range(len(B))]
+        verdicts = [is_egb(B) for B in bases]
+        without_chain_criterion(monkeypatch)
+        assert [is_egb(B) for B in bases] == verdicts
+        assert verdicts.count(True) == 4 and verdicts.count(False) > 20
 
 
 class TestAutoreduce:

@@ -51,6 +51,23 @@ class TestGoldenReports:
         assert out == (GOLDEN / f"{problem}.{algorithm}.json").read_bytes()
 
 
+class TestSolveCheckRoundTrip:
+    """Every engine's basis of every golden problem, written by ``solve``
+    and read back by ``check``: a run that completes is an EGB."""
+
+    @pytest.mark.parametrize("algorithm", list(cli.ENGINES))
+    @pytest.mark.parametrize("problem", sorted(path.stem for path in GOLDEN.glob("*.egb")))
+    def test_complete_basis_checks(self, problem, algorithm, tmp_path, capsys):
+        code = main(["solve", str(GOLDEN / f"{problem}.egb"), "--algorithm", algorithm])
+        basis = capsys.readouterr().out
+        assert code == (EXIT_BUDGET if problem == "wide5_budget" else EXIT_OK)
+        if code == EXIT_OK:
+            path = tmp_path / "basis.egb"
+            path.write_text(basis)
+            assert main(["check", str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == "EGB\n"
+
+
 class TestSolve:
     def test_exit_and_output(self, toric_file, capsys):
         assert main(["solve", toric_file]) == EXIT_OK

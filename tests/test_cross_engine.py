@@ -39,7 +39,14 @@ from incgb.problems import format_polynomial, parse
 from incgb.rings import FamilySpec, Monomial, Ring
 from incgb.signature import egb_signature
 
-from conftest import MONOMIAL_MAP_TEXT, X_RING_TEXT, checked_chain_update, expr, ideal_equal
+from conftest import (
+    MONOMIAL_MAP_TEXT,
+    X_RING_TEXT,
+    checked_chain_update,
+    expr,
+    ideal_equal,
+    without_chain_criterion,
+)
 
 ENGINES = (egb_buchberger, egb_incremental, egb_signature)
 LIMITS = EngineLimits(max_width=3, max_pairs=30, max_basis=12)
@@ -107,6 +114,32 @@ def test_engines_agree(F):
             assert spans_generators(r.basis, F)
             for basis in complete:
                 assert all(normal_form(f, basis).is_zero for f in r.basis)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs())
+def test_orbit_chain_criterion_changes_no_answer(F):
+    # the direct engine with and without the criterion, under LIMITS less
+    # its pair budget: the criterion's skipped pairs are not counted, so a
+    # pair budget would stop the two runs at different points.  The same
+    # status, and the same basis when complete; a budgeted basis is the
+    # unreduced partial one, which holds what the processed pairs inserted.
+    # And the is_egb verdicts on the input, the basis and, when it is
+    # complete, the basis less each element
+    limits = EngineLimits(max_width=LIMITS.max_width, max_basis=LIMITS.max_basis)
+    mine = egb_buchberger(F, limits)
+    bases = [F, mine.basis]
+    if mine.status == COMPLETE:
+        bases += [mine.basis[:k] + mine.basis[k + 1 :] for k in range(len(mine.basis))]
+    verdicts = [is_egb(B) for B in bases]
+    with pytest.MonkeyPatch.context() as mp:
+        without_chain_criterion(mp)
+        ref = egb_buchberger(F, limits)
+        assert [is_egb(B) for B in bases] == verdicts
+    assert mine.status == ref.status
+    if mine.status == COMPLETE:
+        assert mine.basis == ref.basis
+    assert mine.stats["pairs_processed"] <= ref.stats["pairs_processed"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
