@@ -20,6 +20,10 @@ choice skip it without a divisibility test.  Under either divisibility the
 choice remembers each term's step, with the reducer's tail already moved
 by the witness and cofactor, or the rows it scanned in vain; so a run
 searches for the witness of a row and a term, and moves that tail, once.
+Regular top-reduction keeps a memo of its own on the same grounds
+(``signature.SigEngine.candidates``): a term's witnesses in every row,
+not its step, because whether a candidate may reduce depends on the
+signature being reduced.
 """
 
 from __future__ import annotations

@@ -11,9 +11,13 @@ when that changes it, the element re-enters with a fresh unit signature.
 Zero reductions contribute syzygy signatures.  A J-pair stays unbuilt, a
 signature, a lead and a multiple of a basis element, until it is popped.
 Regular top-reduction is a reducer choice for the kernel
-``poly.reduce_terms``; it compares a reducer's Schreyer head first.  One
-cover index holds basis elements and syzygies by index and shift, and the
-cover test pulls the target back once per group.  A J-pair at a known
+``poly.reduce_terms``.  The engine keeps its reducer rows, one per
+insertion, and a memo of each term's candidate reducers, every witness of
+every row, searched once per run; a chosen candidate keeps its moved tail.
+What depends on the popped signature is judged per pop: a candidate's
+Schreyer head first, its full key on a head tie, and the tie and singular
+verdicts.  One cover index holds basis elements and syzygies by index and
+shift, and the cover test pulls the target back once per group.  A J-pair at a known
 signature, wider than ``max_width`` or covered is dropped before it is
 queued; after a width drop the run drains its queue and reports BUDGET, as
 the direct engine does.
@@ -118,15 +122,55 @@ class JPair:
 
 
 class SigEngine:
-    """State of the signature loop: module leads and the signature order."""
+    """State of one signature run: module leads, the signature order, and
+    regular top-reduction's reducer rows and witness memo."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.module_leads = []  # lm of the generator attached to each unit vector
+        self.rows = []  # (gi, g, lm(g), Schreyer image of sig(g)), one per insertion
+        self.witnesses = {}  # term -> [rows scanned, candidates]: see candidates
 
     def new_index(self, lead: Monomial) -> int:
         self.module_leads.append(lead)
         return len(self.module_leads) - 1
+
+    def add_reducer(self, g: LabeledPoly):
+        """Append g's row for regular top-reduction, as the basis element
+        ``len(self.rows)``."""
+        image = tm_apply(g.sig.tm, self.module_leads[g.sig.index])
+        self.rows.append((len(self.rows), g, lm(g.poly), image))
+
+    def candidates(self, term):
+        """Yield term's candidate reducers, [row, witness, cofactor, step]:
+        each row's lead moved by each of its witnesses into term, in row
+        order and then witness order.
+
+        The memo keeps, per term, the rows scanned and the candidates found,
+        and scans a row only when a caller reads past them; so a run
+        searches each (row, term) once, and a row without a witness leaves
+        nothing behind.  A scanned row adds all its witnesses at once, since
+        an open witness search would keep its backtracking state alive.
+        That is exact because rows are only appended, and a row's witnesses
+        and cofactors for a term never change.  ``step`` is None until
+        ``regular_top_reduce`` chooses the candidate and stores its step
+        there, moved tail and all.
+        """
+        entry = self.witnesses.get(term)
+        if entry is None:
+            entry = self.witnesses[term] = [0, []]  # rows scanned, candidates
+        found, i = entry[1], 0
+        while True:
+            while i < len(found):
+                yield found[i]
+                i += 1
+            if entry[0] == len(self.rows):
+                return
+            row = self.rows[entry[0]]
+            entry[0] += 1
+            lead = row[2]
+            for rho in _match_witnesses(lead, term):
+                found.append([row, rho, m_quotient(term, m_act(rho, lead)), None])
 
     def sig_key(self, s: Signature):
         """Sort key of the signature order; equal keys mean equal signatures.
@@ -140,7 +184,10 @@ class SigEngine:
         larger, generator word counts as smaller (``word_key``).  Left
         multiplication keeps the tie-break, which reduction and covering rely
         on.  Only a queued J-pair keeps its key; a cache of every signature's
-        would cost more memory than recomputing them costs time.
+        would cost more memory than recomputing them costs time.  The same
+        holds for the candidate reducers of ``candidates``: keeping each
+        one's Schreyer head, and its full key once computed, raised the
+        traced peak of a toric solve from 6.0 to 7.6 MiB.
         """
         lead = self.module_leads[s.index]
         moved = m_act(s.tm.shift, lead)
@@ -206,8 +253,9 @@ def is_covered(j, C, engine: SigEngine) -> bool:
     return False
 
 
-def regular_top_reduce(p, G, engine: SigEngine):
-    """Top-reduce p by multiples with strictly smaller signature.
+def regular_top_reduce(p, engine: SigEngine):
+    """Top-reduce p by multiples of the engine's rows
+    (``SigEngine.add_reducer``) with strictly smaller signature.
 
     Returns (reduced pair, singular, tied_used).  singular means a reducer
     with exactly p's signature exists for the first term no smaller one
@@ -219,11 +267,16 @@ def regular_top_reduce(p, G, engine: SigEngine):
     Whether such a syzygy may license discards is still open.  The
     signature itself never changes.  This is a reducer choice for
     ``reduce_terms``: once a term stays, every later term stays too.
+
+    Each term walks its candidates (``SigEngine.candidates``), searched
+    once per run, in the same order on every pop.  What depends on p's
+    signature is judged per pop: the candidate's Schreyer head, its full
+    ``sig_key`` on a head tie, and the tie, singular and ``tied_used``
+    verdicts.  A chosen candidate's step, moved tail and all, is built once
+    and kept in the memo.
     """
     ring, p_key = engine.ring, engine.sig_key(p.sig)
     head = p_key[:2]
-    leads = engine.module_leads
-    rows = [(gi, g, lm(g.poly), tm_apply(g.sig.tm, leads[g.sig.index])) for gi, g in enumerate(G)]
     stopped = singular = tied_used = False
 
     def choose(target):
@@ -231,20 +284,20 @@ def regular_top_reduce(p, G, engine: SigEngine):
         if stopped:
             return None
         tied = False  # a reducer at exactly p's signature, for this term only
-        for gi, g, lead, image in rows:
-            # lazily, in witness order: no more past the first step
-            for rho in _match_witnesses(lead, target):
-                cof = m_quotient(target, m_act(rho, lead))
-                # the Schreyer head of t * sig(g) decides unless it ties p's
-                key = (order_key(ring, m_mul(cof, m_act(rho, image))), g.sig.index)
-                if key == head:
-                    t = TwistedMonomial(cof, rho)
-                    key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
-                if key == p_key:
-                    tied = True
-                elif key < p_key:
-                    tied_used = tied_used or key[:2] == head
-                    return gi, g.poly, rho, cof, moved_tail(g.poly, rho, cof)
+        for candidate in engine.candidates(target):
+            (gi, g, _, image), rho, cof, step = candidate
+            # the Schreyer head of t * sig(g) decides unless it ties p's
+            key = (order_key(ring, m_mul(cof, m_act(rho, image))), g.sig.index)
+            if key == head:
+                t = TwistedMonomial(cof, rho)
+                key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
+            if key == p_key:
+                tied = True
+            elif key < p_key:
+                tied_used = tied_used or key[:2] == head
+                if step is None:
+                    step = candidate[3] = gi, g.poly, rho, cof, moved_tail(g.poly, rho, cof)
+                return step
         stopped, singular = True, tied
         return None
 
@@ -300,7 +353,7 @@ def _signature_loop(polys, engine, limits):
         if is_covered(p, C, engine):  # C may have grown since p was queued
             stats["covered_pairs"] += 1
             continue
-        h, singular, tainted = regular_top_reduce(p, G, engine)
+        h, singular, tainted = regular_top_reduce(p, engine)
         if singular:
             stats["singular_discards"] += 1
             continue
@@ -318,6 +371,7 @@ def _signature_loop(polys, engine, limits):
         G.append(LabeledPoly(h.sig, monic(h.poly)))
         add_cover(C, h.sig, lm(h.poly))
         table.append(reducer_row(len(G) - 1, G[-1].poly, pi_divides))
+        engine.add_reducer(G[-1])
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
             return G, stats, BUDGET

@@ -176,6 +176,20 @@ def checked_chain_update(monkeypatch):
     return returned
 
 
+def recorded_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the positional
+    arguments of each call; returns the list it appends them to."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def without_chain_criterion(monkeypatch):
     """Turn the strict orbit chain criterion off: ``is_egb`` and the direct
     engine then reduce every pair they draw."""

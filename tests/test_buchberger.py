@@ -61,6 +61,7 @@ from conftest import (
     expr,
     ideal_equal,
     random_xmono,
+    recorded_calls,
     recorded_normal_form,
     without_chain_criterion,
     xmono,
@@ -572,12 +573,8 @@ class TestReducerTable:
         # 5,380 choices of one wide5 solve made 11,512 witness searches.  The
         # chain criterion leaves 2,748 choices; of the 118 searches, 22 are
         # its own lookups, memoized the same way
-        searches, choices = [], []
-        real_divides, real_first = buchberger.pi_divides, buchberger.first_reducer
-
-        def counting_divides(a, b):
-            searches.append(b)
-            return real_divides(a, b)
+        searches = recorded_calls(monkeypatch, buchberger, "pi_divides")
+        choices, real_first = [], buchberger.first_reducer
 
         def counting_first(table, divides):
             choose = real_first(table, divides)
@@ -588,7 +585,6 @@ class TestReducerTable:
 
             return counted
 
-        monkeypatch.setattr(buchberger, "pi_divides", counting_divides)
         monkeypatch.setattr(buchberger, "first_reducer", counting_first)
         res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
         assert res.status == COMPLETE

@@ -41,7 +41,16 @@ from incgb.signature import (
     twisted_mul,
 )
 
-from conftest import expr, ideal_equal, order_sign, random_incmap, random_xmono, word_map, xmono
+from conftest import (
+    expr,
+    ideal_equal,
+    order_sign,
+    random_incmap,
+    random_xmono,
+    recorded_calls,
+    word_map,
+    xmono,
+)
 from test_cross_engine import LIMITS, inputs
 from test_polynomials import random_ring_monomial, random_ring_poly, xy_ring
 
@@ -409,16 +418,18 @@ class TestRegularTopReduce:
         engine = SigEngine(X)
         engine.new_index(xmono(0, 1))
         g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        engine.add_reducer(g)
         target = LabeledPoly(Signature(tm(xmono(5)), 0), p((1, xmono(0, 0))))
-        out, singular, _tied = regular_top_reduce(target, [g], engine)
+        out, singular, _tied = regular_top_reduce(target, engine)
         assert out.poly == target.poly and not singular
 
     def test_orbit_cancellation_to_zero(self):
         engine = SigEngine(X)
         engine.new_index(xmono(0))
         g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0))))
+        engine.add_reducer(g)
         target = LabeledPoly(Signature(tm(xmono(9)), 0), p((1, xmono(3))))
-        out, singular, _tied = regular_top_reduce(target, [g], engine)
+        out, singular, _tied = regular_top_reduce(target, engine)
         assert out.poly.is_zero and not singular
         assert out.sig == target.sig  # the signature never changes
 
@@ -428,12 +439,55 @@ class TestRegularTopReduce:
         engine = SigEngine(X)
         engine.new_index(xmono(0, 1))
         g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        engine.add_reducer(g)
         target = LabeledPoly(
             Signature(tm(xmono(9)), 0), p((1, xmono(0, 1)), (2, xmono(0, 0)), (1, xmono(0)))
         )
-        out = regular_top_reduce(target, [g], engine)
+        out = regular_top_reduce(target, engine)
         assert out == reference_regular_top_reduce(target, [g], engine)
         assert out[0].poly == p((2, xmono(0, 0)), (2, xmono(0))) and not out[1]
+
+    def test_memoized_miss_sees_an_appended_row(self, monkeypatch):
+        # x0^2 misses row 0 (lead x1*x0) and is remembered so; row 1,
+        # appended later, must still reduce it, and row 0 is not searched
+        # against it again
+        searches = recorded_calls(monkeypatch, signature, "_match_witnesses")
+        engine = SigEngine(X)
+        g0 = LabeledPoly(
+            Signature(UNIT_TM, engine.new_index(xmono(0, 1))), p((1, xmono(0, 1)), (-1, xmono(0)))
+        )
+        engine.add_reducer(g0)
+        first = LabeledPoly(Signature(tm(xmono(9)), 0), p((1, xmono(0, 0))))
+        assert regular_top_reduce(first, engine) == (first, False, False)
+        g1 = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0, 0))), p((1, xmono(0, 0))))
+        engine.add_reducer(g1)
+        again = LabeledPoly(Signature(tm(xmono(9)), 1), p((1, xmono(0, 0)), (1, xmono(0))))
+        out = regular_top_reduce(again, engine)
+        assert out == reference_regular_top_reduce(again, [g0, g1], engine)
+        assert out[0].poly == p((1, xmono(0))) and not out[1]
+        x0x1, x0x0, x0 = xmono(0, 1), xmono(0, 0), xmono(0)
+        assert searches == [(x0x1, x0x0), (x0x0, x0x0), (x0x1, x0), (x0x0, x0)]
+
+    def test_one_term_judged_per_pop(self):
+        # x3 has one candidate, x0 moved by 0 -> 3, at the signature
+        # (1, 0 -> 3) of index 0.  The memo keeps that candidate, not a
+        # verdict: popped at a larger signature x3 reduces, at exactly the
+        # candidate's it is singular, at a smaller one it stays
+        engine = SigEngine(X)
+        g = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0))), p((1, xmono(0))))
+        engine.add_reducer(g)
+        rho = pi_divides(xmono(0), xmono(3))
+        verdicts = []
+        for sig in [
+            Signature(tm(xmono(9)), 0),
+            Signature(TwistedMonomial(Monomial(), rho), 0),
+            Signature(UNIT_TM, 0),
+        ]:
+            target = LabeledPoly(sig, p((1, xmono(3))))
+            out = regular_top_reduce(target, engine)
+            assert out == reference_regular_top_reduce(target, [g], engine)
+            verdicts.append((out[0].poly.is_zero, out[1]))
+        assert verdicts == [(True, False), (False, True), (False, False)]
 
 
 def reference_is_covered(j, G, S, engine):
@@ -538,8 +592,9 @@ def checked_against_oracles():
         checks["syzygy covers" if lead is None else "basis covers"] += 1
         return add(C, sig, lead)
 
-    def checked_reduce(p, G, engine):
-        out = reduce_top(p, G, engine)
+    def checked_reduce(p, engine):
+        out = reduce_top(p, engine)
+        G = [g for _gi, g, _lead, _image in engine.rows]
         assert out == reference_regular_top_reduce(LabeledPoly(p.sig, p.poly), G, engine)
         checks["regular_top_reduce"] += 1
         return out
@@ -664,6 +719,15 @@ class TestEgbSignature:
         assert res.status == status
         assert res.stats == dict(zip(STAT_KEYS, counts))
         assert [format_polynomial(f) for f in res.basis] == basis
+
+    @pytest.mark.parametrize("problem, searches", [("toric", 5480), ("member", 762)])
+    def test_witness_searches_pinned(self, request, monkeypatch, problem, searches):
+        # regular top-reduction searches each (row, term) once per run:
+        # before its witness memo, toric made 15,696 searches and member 5,174
+        calls = recorded_calls(monkeypatch, signature, "_match_witnesses")
+        res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
+        assert res.status == COMPLETE
+        assert len(calls) == len(set(calls)) == searches
 
     def test_trivial_input(self):
         res = egb_signature([p((1, xmono(0)))])
