@@ -28,8 +28,10 @@ from itertools import islice
 
 from .incmaps import increasing_maps
 from .poly import act, lm, monic, sorted_basis
-from .poly import first_reducer, integral, reduce_terms, reducer_row, reducer_table, support_mask
+from .poly import first_reducer, integral, kernel_terms, reduce_terms, reducer_row, reducer_table
+from .poly import support_mask
 from .rings import Monomial, m_act, m_divides, m_lcm, m_mul, pi_divides, plain_divides
+from .rings import prepared_witnesses, term_profile
 from .spairs import spair_generators, spair_generators_classical
 
 COMPLETE = "complete"
@@ -116,13 +118,13 @@ def _chain_update(table, k, queue):
     return sorted(i for *_, i, coprime in minimal.values() if not coprime)
 
 
-def _chain_criterion(table, divides):
-    """The strict orbit chain criterion over the leads of ``table``: a test
-    that is true of a critical-pair generator needing no reduction (the
-    argument is at ``is_egb``).
+def _chain_criterion(table):
+    """The strict orbit chain criterion over the leads of ``table``, an
+    orbit reducer table: a test that is true of a critical-pair generator
+    needing no reduction (the argument is at ``is_egb``).
 
     With overlap t = cof1 * σ(lm f) = cof2 * τ(lm g), the test asks whether
-    some lead ``divides`` t / (v * w) for a variable v of cof2 and w of
+    some lead orbit-divides t / (v * w) for a variable v of cof2 and w of
     cof1.  That is the chain condition: some shifted lead u = ρ(lm h)
     divides t, and lcm(σ lm f, u) and lcm(τ lm g, u) are both proper
     divisors of t.  For lcm(σ lm f, u) falls short of t exactly at a
@@ -131,15 +133,17 @@ def _chain_criterion(table, divides):
 
     One memo for the run maps a monomial to (rows scanned, hit).  It is
     exact while the table only grows by appending, as in ``first_reducer``.
+    A monomial is profiled once per scan, and each row's witness search
+    runs on the row's preparation.
     """
     memo = {}  # factors of t / (v * w) -> (rows scanned, hit)
 
     def divisible(factors):
         scanned, hit = memo.get(factors, (0, False))
-        if not hit:
-            m = Monomial(factors)
+        if not hit and scanned < len(table):
+            term = term_profile(Monomial(factors))
             rows = islice(table, scanned, None)
-            hit = any(divides(lead, m) is not None for _, _, lead, _ in rows)
+            hit = any(next(prepared_witnesses(prep, term), None) is not None for *_, prep in rows)
             memo[factors] = len(table), hit
         return hit
 
@@ -187,7 +191,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     table = reducer_table(G, divides)
     choose = first_reducer(table, divides)
     plain = divides is plain_divides
-    chained = None if plain else _chain_criterion(table, divides)
+    chained = None if plain else _chain_criterion(table)
     queue = []
     seq = 0
     over_width = False
@@ -281,7 +285,7 @@ def autoreduce(G, divides=None):
             continue
         f = basis[i]
         others = first_reducer(table[:i] + table[i + 1 :], divides)
-        h = reduce_terms(f.ring, {m: c for c, m in f.terms}, others)
+        h = reduce_terms(f.ring, kernel_terms(f), others)
         if h.is_zero:
             del basis[i], reduced[i], table[i]
             i = 0
@@ -329,7 +333,7 @@ def is_egb(G) -> bool:
     basis = [monic(g) for g in G if not g.is_zero]
     table = reducer_table(basis, pi_divides)
     choose = first_reducer(table, pi_divides)
-    chained = _chain_criterion(table, pi_divides)
+    chained = _chain_criterion(table)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for gen in spair_generators(basis[i], basis[j], i, j):

@@ -187,14 +187,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the arguments that solve, reduce and member share
+    # the arguments that solve, reduce and member share: the basis computation
     basis = argparse.ArgumentParser(add_help=False)
     basis.add_argument("file")
+    basis.add_argument("--algorithm", choices=list(ENGINES), default=None)
     basis.add_argument("--max-width", type=int, default=None)
     basis.add_argument("--max-pairs", type=int, default=None)
 
     solve = sub.add_parser("solve", parents=[basis], help="compute an equivariant Groebner basis")
-    solve.add_argument("--algorithm", choices=list(ENGINES), default=None)
     solve.add_argument("--report", metavar="FILE", default=None)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)
@@ -205,7 +205,7 @@ def build_parser():
     ]:
         query = sub.add_parser(name, parents=[basis], help=help_text)
         query.add_argument("--poly", required=True)
-        query.set_defaults(func=func, algorithm=None)
+        query.set_defaults(func=func)
 
     orbit = sub.add_parser(
         "orbit",

@@ -4,8 +4,11 @@ A ``Polynomial`` holds ``fractions.Fraction`` coefficients only; there is no
 floating point anywhere.  Between its boundaries the reduction kernel keeps
 an integral coefficient as a Python ``int`` (exact, and cheaper than a
 ``Fraction`` of denominator 1); it turns kept terms back into Fractions on
-the way out.  A polynomial stores its terms strictly descending under the
-ring's order, so the lead term is ``terms[0]``.
+the way out.  Every entry hands it integral coefficients as ints
+(``kernel_terms``), and ``normal_form`` first clears f's denominators, so
+that reducing by monic integral reducers runs on ints alone.  A polynomial
+stores its terms strictly descending under the ring's order, so the lead
+term is ``terms[0]``.
 
 Reduction uses orbit divisibility: a reducer g applies to a term t whenever
 some increasing map sends the lead monomial of g onto a divisor of t.
@@ -16,7 +19,9 @@ choice for each step: ``first_reducer`` for orbit and plain reduction, or
 ``signature.regular_top_reduce``.  The kernel returns only the reduced
 polynomial; a caller that wants the steps wraps the choice.  A reducer table only grows,
 by appending rows.  Under plain reduction a row's support mask lets the
-choice skip it without a divisibility test.  Under either divisibility the
+choice skip it without a divisibility test.  Under orbit reduction a row
+holds its lead's witness-search preparation, built once with the row, and
+the choice profiles each term once per scan.  Under either divisibility the
 choice remembers each term's step, with the reducer's tail already moved
 by the witness and cofactor, or the rows it scanned in vain; so a run
 searches for the witness of a row and a term, and moves that tail, once.
@@ -32,9 +37,11 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 
 from .incmaps import IncMap
 from .rings import Monomial, Ring, m_act, m_mul, m_quotient, order_key, pi_divides, plain_divides
+from .rings import prepare_lead, prepared_witnesses, term_profile
 
 
 @dataclass(frozen=True)
@@ -146,10 +153,13 @@ def support_mask(m: Monomial) -> int:
 
 
 def reducer_row(gi, g: Polynomial, divides):
-    """The row (gi, g, lead, mask) of g != 0.  An increasing map moves
-    variables, so only plain divisibility gets a nonzero mask."""
+    """The row (gi, g, lead, key) of g != 0.  The key is what a reducer
+    choice needs of the lead: its support mask under plain divisibility,
+    its witness-search preparation (``prepare_lead``) under orbit
+    divisibility, where an increasing map moves variables and a mask would
+    filter nothing."""
     lead = g.terms[0][1]
-    return (gi, g, lead, support_mask(lead) if divides is plain_divides else 0)
+    return (gi, g, lead, support_mask(lead) if divides is plain_divides else prepare_lead(lead))
 
 
 def reducer_table(reducers, divides):
@@ -159,6 +169,11 @@ def reducer_table(reducers, divides):
 def integral(c):
     """c as an ``int`` when its denominator is 1, else c itself."""
     return c.numerator if c.denominator == 1 else c
+
+
+def kernel_terms(f: Polynomial):
+    """f as the kernel's coefficient dict, integral coefficients as ints."""
+    return {m: integral(c) for c, m in f.terms}
 
 
 def moved_tail(g: Polynomial, rho: IncMap, cof: Monomial):
@@ -172,9 +187,11 @@ def first_reducer(table, divides):
     whose lead ``divides`` the term.  Rows appended to the table later are
     seen; no row may be replaced or deleted while the choice is in use.
 
-    A row whose support mask has a bit outside the term's is skipped
-    unasked.  Orbit rows have mask 0, so under orbit divisibility the
-    term's mask is not computed and no row is skipped.
+    Under plain divisibility a row whose support mask has a bit outside the
+    term's is skipped unasked.  Under orbit divisibility the choice profiles
+    the term once (``term_profile``) and runs each row's witness search on
+    the row's preparation (``prepared_witnesses``); ``divides`` itself is
+    not called.
 
     A step is (gi, g, witness, cofactor, tail), the tail being
     ``moved_tail(g, witness, cofactor)``.  The choice remembers, for each
@@ -188,16 +205,22 @@ def first_reducer(table, divides):
     element.
     """
     memo = {}  # term -> (rows scanned, step or None)
-    masked = divides is plain_divides
+    plain = divides is plain_divides
 
     def choose(m):
         scanned, step = memo.get(m, (0, None))
-        if step is None:
-            outside = ~support_mask(m) if masked else 0
-            for gi, g, lead, mask in islice(table, scanned, None):
-                if mask & outside:
-                    continue
-                rho = divides(lead, m)
+        if step is None and scanned < len(table):
+            if plain:
+                outside = ~support_mask(m)
+            else:
+                term = term_profile(m)
+            for gi, g, lead, key in islice(table, scanned, None):
+                if plain:
+                    if key & outside:
+                        continue
+                    rho = divides(lead, m)
+                else:
+                    rho = next(prepared_witnesses(key, term), None)
                 if rho is not None:
                     # the action keeps coefficients and commutes with lm, and both
                     # it and multiplication by cof are injective on monomials
@@ -256,10 +279,16 @@ def normal_form(f: Polynomial, reducers):
 
     The first reducer in list order admitting a witness applies, with the
     witness ``pi_divides`` returns.  One reducer table, then the kernel
-    ``reduce_terms``.
+    ``reduce_terms`` on d * f, d the least common denominator of f's
+    coefficients, so that the work starts in ints; the kept terms are
+    divided by d.  That is exact: a step depends only on the popped
+    monomial and on whether its coefficient is 0, and scaling by d changes
+    neither, while every step is linear in the coefficients.
     """
     choose = first_reducer(reducer_table(reducers, pi_divides), pi_divides)
-    return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose)
+    d = lcm(*(c.denominator for c, _ in f.terms))
+    h = reduce_terms(f.ring, kernel_terms(f if d == 1 else scale(f, d)), choose)
+    return h if d == 1 else scale(h, Fraction(1, d))
 
 
 def sorted_basis(basis):

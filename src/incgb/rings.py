@@ -11,13 +11,19 @@ by precedence, then index tuples lexicographically, larger being greater.
 The shift action preserves this order, which makes the induced monomial
 orders usable here.  Factors are kept greatest-first, so they are the lex
 ``order_key`` as they stand, and monomial arithmetic merges factor tuples.
+
+Orbit divisibility asks for a witness, an increasing map sending a lead onto
+a divisor of a term.  A reducer row holds its lead's preparation
+(``prepare_lead``) and a scan profiles each term once (``term_profile``), so
+the search (``prepared_witnesses``) rebuilds neither, and it runs cheap
+necessary tests before any backtracking.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import add
+from operator import add, gt
 
 from .incmaps import IDENTITY, IncMap, extend_partial
 
@@ -198,47 +204,92 @@ def order_key(ring: Ring, m: Monomial):
     return m.factors
 
 
-def _match_witnesses(a: Monomial, b: Monomial):
-    """Yield the increasing maps sending a onto a divisor of b, by ascending
+def _shapes(m: Monomial):
+    """m's exponents grouped by what of a variable an increasing map keeps,
+    its shape: its family and, for two or more indices, their order pattern
+    (each index's rank among the distinct ones).  Each group is sorted
+    descending."""
+    groups = {}
+    for (rank, idx), e in m.factors:
+        if len(idx) == 1:
+            shape = rank
+        else:
+            distinct = sorted(set(idx))
+            shape = rank, tuple(map(distinct.index, idx))
+        groups.setdefault(shape, []).append(e)
+    for exps in groups.values():
+        exps.sort(reverse=True)
+    return groups
+
+
+def prepare_lead(a: Monomial):
+    """What a witness search needs of a lead a, built once per reducer row:
+    (a, its sorted distinct indices, the closing lists, its exponents by
+    shape).  closing[j] holds the factors (label, indices, exponent) whose
+    largest index is the j-th, checked once that index has its image."""
+    src = a.indices()
+    closing = [[] for _ in src]
+    for (label, idx), e in a.factors:
+        closing[bisect_left(src, max(idx))].append((label, idx, e))
+    return a, src, closing, tuple(_shapes(a).items())
+
+
+def term_profile(b: Monomial):
+    """What a witness search needs of a term b, built once per term and
+    scan: (b, its sorted distinct indices, its exponents by variable, its
+    exponents by shape)."""
+    return b, b.indices(), dict(b.factors), _shapes(b)
+
+
+def _admits(lead, term):
+    """The necessary tests of a witness search for a non-unit lead, tests 2
+    and 3 of ``prepared_witnesses``: False rules every witness out."""
+    _, src, _, shapes = lead
+    _, tgt, _, term_shapes = term
+    if len(src) > len(tgt) or tgt[-1] < src[-1] or tgt[-1] - tgt[0] < src[-1] - src[0]:
+        return False
+    for shape, need in shapes:
+        have = term_shapes.get(shape)
+        if have is None or len(have) < len(need) or any(map(gt, need, have)):
+            return False
+    return True
+
+
+def prepared_witnesses(lead, term):
+    """Yield the increasing maps sending a onto a divisor of b, a and b being
+    the monomials of ``prepare_lead`` and ``term_profile``, by ascending
     image sequence, so the first is the canonical one.  They map the indices
     of a into those of b, where divisibility forces the image, and are
     extended minimally elsewhere.
 
-    A backtracking search: the indices of a get their images one at a time,
-    smallest index first, each image tried in ascending order among the
-    indices of b.  A partial assignment is dropped as soon as its gaps admit
-    no increasing map (the image t_k of the k-th index s_k needs t_0 >= s_0
-    and t_k - t_{k-1} >= s_k - s_{k-1}) or a factor of a whose indices all
-    have images is missing from b, or has a smaller exponent there.  The map
-    itself is built only for a full match.  Cheap necessary conditions come
-    first: no more factors or indices than b, room for the index gaps, and
-    no larger degree in any family.
+    Necessary tests run first, in this order:
+
+    1. a unit a has the one witness, the identity;
+    2. b has at least as many distinct indices as a, a top index at least
+       a's, and an index span at least a's;
+    3. shape by shape (``_shapes``: family and index order pattern, which a
+       map keeps), a's exponents, sorted descending, are dominated entry by
+       entry by b's, since the map sends a's variables of a shape to
+       distinct variables of b of that shape.  This covers the factor count
+       and every family's degree.
+
+    Then a backtracking search: the indices of a get their images one at a
+    time, smallest index first, each image tried in ascending order among
+    the indices of b.  A partial assignment is dropped as soon as its gaps
+    admit no increasing map (the image t_k of the k-th index s_k needs
+    t_0 >= s_0 and t_k - t_{k-1} >= s_k - s_{k-1}) or a factor of a whose
+    indices all have images is missing from b, or has a smaller exponent
+    there.  The map itself is built only for a full match.
     """
-    if a.is_unit:
+    _, src, closing, _ = lead
+    _, tgt, exponents, _ = term
+    if not src:
         yield IDENTITY
         return
-    if len(a.factors) > len(b.factors):
+    if not _admits(lead, term):
         return
-    src = a.indices()
-    tgt = b.indices()
     k = len(src)
     n = len(tgt)
-    if k > n or tgt[-1] < src[-1] or tgt[-1] - tgt[0] < src[-1] - src[0]:
-        return
-    degree = {}
-    for (label, _), e in b.factors:
-        degree[label] = degree.get(label, 0) + e
-    for (label, _), e in a.factors:
-        left = degree.get(label, 0) - e
-        if left < 0:
-            return
-        degree[label] = left
-    # closing[j]: the factors of a checked once src[j] has its image, those
-    # whose largest index it is
-    closing = [[] for _ in src]
-    for (label, idx), e in a.factors:
-        closing[bisect_left(src, max(idx))].append((label, idx, e))
-    exponents = dict(b.factors)
     image = {}  # source index -> its image, filled in the order of src
     image_of = image.__getitem__
     at = [0] * k  # at[j]: position in tgt of the image of src[j]
@@ -268,6 +319,15 @@ def _match_witnesses(a: Monomial, b: Monomial):
                 nxt = src[j]
                 p = bisect_left(tgt, t + nxt - s, p + 1)
                 s = nxt
+
+
+def _match_witnesses(a: Monomial, b: Monomial):
+    """Every witness sending a onto a divisor of b, the canonical one first:
+    ``prepared_witnesses`` on a one-off preparation and profile.  Its
+    necessary tests run in this order: a unit a; then the count, top and
+    span of the indices; then the exponents shape by shape; and only then
+    the backtracking search."""
+    return prepared_witnesses(prepare_lead(a), term_profile(b))
 
 
 def pi_divides(a: Monomial, b: Monomial):

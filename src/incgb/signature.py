@@ -32,12 +32,11 @@ from functools import lru_cache
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
 from .poly import Polynomial, lm, monic, sorted_basis, support_mask
-from .poly import first_reducer, moved_tail, reduce_terms, reducer_row
+from .poly import first_reducer, kernel_terms, moved_tail, reduce_terms, reducer_row
 from .rings import (
     UNIT,
     Monomial,
     Ring,
-    _match_witnesses,
     m_act,
     m_divides,
     m_mul,
@@ -45,6 +44,9 @@ from .rings import (
     m_quotient,
     order_key,
     pi_divides,
+    prepare_lead,
+    prepared_witnesses,
+    term_profile,
 )
 from .spairs import spair_generators
 
@@ -128,7 +130,7 @@ class SigEngine:
     def __init__(self, ring: Ring):
         self.ring = ring
         self.module_leads = []  # lm of the generator attached to each unit vector
-        self.rows = []  # (gi, g, lm(g), Schreyer image of sig(g)), one per insertion
+        self.rows = []  # (gi, g, lm(g), its preparation, Schreyer image of sig(g))
         self.witnesses = {}  # term -> [rows scanned, candidates]: see candidates
 
     def new_index(self, lead: Monomial) -> int:
@@ -139,7 +141,8 @@ class SigEngine:
         """Append g's row for regular top-reduction, as the basis element
         ``len(self.rows)``."""
         image = tm_apply(g.sig.tm, self.module_leads[g.sig.index])
-        self.rows.append((len(self.rows), g, lm(g.poly), image))
+        lead = lm(g.poly)
+        self.rows.append((len(self.rows), g, lead, prepare_lead(lead), image))
 
     def candidates(self, term):
         """Yield term's candidate reducers, [row, witness, cofactor, step]:
@@ -152,14 +155,16 @@ class SigEngine:
         nothing behind.  A scanned row adds all its witnesses at once, since
         an open witness search would keep its backtracking state alive.
         That is exact because rows are only appended, and a row's witnesses
-        and cofactors for a term never change.  ``step`` is None until
+        and cofactors for a term never change.  The term is profiled once
+        per call that scans a row (``term_profile``), and each search runs
+        on the row's lead preparation.  ``step`` is None until
         ``regular_top_reduce`` chooses the candidate and stores its step
         there, moved tail and all.
         """
         entry = self.witnesses.get(term)
         if entry is None:
             entry = self.witnesses[term] = [0, []]  # rows scanned, candidates
-        found, i = entry[1], 0
+        found, i, profile = entry[1], 0, None
         while True:
             while i < len(found):
                 yield found[i]
@@ -168,8 +173,10 @@ class SigEngine:
                 return
             row = self.rows[entry[0]]
             entry[0] += 1
+            if profile is None:
+                profile = term_profile(term)
             lead = row[2]
-            for rho in _match_witnesses(lead, term):
+            for rho in prepared_witnesses(row[3], profile):
                 found.append([row, rho, m_quotient(term, m_act(rho, lead)), None])
 
     def sig_key(self, s: Signature):
@@ -285,7 +292,7 @@ def regular_top_reduce(p, engine: SigEngine):
             return None
         tied = False  # a reducer at exactly p's signature, for this term only
         for candidate in engine.candidates(target):
-            (gi, g, _, image), rho, cof, step = candidate
+            (gi, g, _, _, image), rho, cof, step = candidate
             # the Schreyer head of t * sig(g) decides unless it ties p's
             key = (order_key(ring, m_mul(cof, m_act(rho, image))), g.sig.index)
             if key == head:
@@ -301,7 +308,7 @@ def regular_top_reduce(p, engine: SigEngine):
         stopped, singular = True, tied
         return None
 
-    h = reduce_terms(ring, {m: c for c, m in p.poly.terms}, choose)  # builds a J-pair's poly
+    h = reduce_terms(ring, kernel_terms(p.poly), choose)  # builds a J-pair's poly
     return LabeledPoly(p.sig, h), singular, tied_used
 
 
@@ -363,7 +370,7 @@ def _signature_loop(polys, engine, limits):
             add_cover(C, h.sig)
             stats["syzygies"] += 1
             continue
-        h2 = reduce_terms(engine.ring, {m: c for c, m in h.poly.terms}, full_reducer)
+        h2 = reduce_terms(engine.ring, kernel_terms(h.poly), full_reducer)
         if h2.is_zero:
             continue
         if h2 != h.poly:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from incgb import buchberger
+from incgb import buchberger, rings
 from incgb.incmaps import IncMap
 from incgb.poly import (
     act,
@@ -21,6 +21,7 @@ from incgb.poly import (
 )
 from incgb.problems import parse, parse_polynomial
 from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_mul, order_key, pi_divides
+from incgb.rings import prepare_lead
 
 # A single arity-1 family under pure lex: the plain infinite polynomial ring.
 X_RING_TEXT = """
@@ -176,24 +177,36 @@ def checked_chain_update(monkeypatch):
     return returned
 
 
-def recorded_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records the positional
-    arguments of each call; returns the list it appends them to."""
-    calls = []
-    real = getattr(module, name)
+def recorded_searches(monkeypatch, *modules):
+    """Replace ``prepared_witnesses`` in each of ``modules`` by a wrapper
+    that records each witness search as (lead, term), the monomials of its
+    preparation and its profile; returns the list it appends them to."""
+    searches = []
+    real = rings.prepared_witnesses
 
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
+    def recorded(lead, term):
+        searches.append((lead[0], term[0]))
+        return real(lead, term)
 
-    monkeypatch.setattr(module, name, recorded)
-    return calls
+    for module in modules:
+        monkeypatch.setattr(module, "prepared_witnesses", recorded)
+    return searches
+
+
+def assert_current_preparations(rows):
+    """Every reducer row (gi, g, lead, preparation, ...) carries the lead
+    of g as it is now, and that lead's preparation: a stale one would make
+    the witness searches skip the row.  g is a polynomial or a labeled one."""
+    for row in rows:
+        g = getattr(row[1], "poly", row[1])
+        assert row[2] == lm(g)
+        assert row[3] == prepare_lead(row[2])
 
 
 def without_chain_criterion(monkeypatch):
     """Turn the strict orbit chain criterion off: ``is_egb`` and the direct
     engine then reduce every pair they draw."""
-    monkeypatch.setattr(buchberger, "_chain_criterion", lambda table, divides: lambda gen: False)
+    monkeypatch.setattr(buchberger, "_chain_criterion", lambda table: lambda gen: False)
 
 
 class RecordedChoice:

@@ -56,12 +56,13 @@ from conftest import (
     MEMBER_TEXT,
     MONOMIAL_MAP_TEXT,
     TORIC_TEXT,
+    assert_current_preparations,
     checked_chain_update,
     coprime,
     expr,
     ideal_equal,
     random_xmono,
-    recorded_calls,
+    recorded_searches,
     recorded_normal_form,
     without_chain_criterion,
     xmono,
@@ -573,7 +574,7 @@ class TestReducerTable:
         # 5,380 choices of one wide5 solve made 11,512 witness searches.  The
         # chain criterion leaves 2,748 choices; of the 118 searches, 22 are
         # its own lookups, memoized the same way
-        searches = recorded_calls(monkeypatch, buchberger, "pi_divides")
+        searches = recorded_searches(monkeypatch, poly_module, buchberger)
         choices, real_first = [], buchberger.first_reducer
 
         def counting_first(table, divides):
@@ -589,6 +590,50 @@ class TestReducerTable:
         res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
         assert res.status == COMPLETE
         assert (len(choices), len(searches)) == (2748, 118)
+
+
+class TestLeadPreparations:
+    """Orbit rows carry the preparation of their current lead wherever a
+    table changes: ``autoreduce`` replacing a row, and ``is_egb`` scanning
+    its monic copy."""
+
+    def test_autoreduce_replaced_row(self, monkeypatch):
+        # x1^2 + x0 reduces by x0^2 - x0 (0 -> 1) to x1 + x0, a new lead; the
+        # other element is then reduced against the replaced row
+        tables = []
+        real = buchberger.first_reducer
+
+        def checked(table, divides):
+            assert_current_preparations(table)
+            tables.append([row[1] for row in table])
+            return real(table, divides)
+
+        monkeypatch.setattr(buchberger, "first_reducer", checked)
+        replaced = p((1, xmono(1)), (1, xmono(0)))
+        out = autoreduce([p((1, xmono(0, 0)), (-1, xmono(0))), p((1, xmono(1, 1)), (1, xmono(0)))])
+        assert out == [p((1, xmono(0, 0)), (-1, xmono(0))), replaced]
+        assert [replaced] in tables
+
+    def test_is_egb_monic_copy(self, member_problem, monkeypatch):
+        basis = egb_buchberger(member_problem.generators).basis
+        scaled = [scale(g, (2, -3, Fraction(1, 5))[k % 3]) for k, g in enumerate(basis)]
+        tables = []
+        real_first, real_chain = buchberger.first_reducer, buchberger._chain_criterion
+
+        def checked_first(table, divides):
+            tables.append(table)
+            return real_first(table, divides)
+
+        def checked_chain(table):
+            tables.append(table)
+            return real_chain(table)
+
+        monkeypatch.setattr(buchberger, "first_reducer", checked_first)
+        monkeypatch.setattr(buchberger, "_chain_criterion", checked_chain)
+        assert is_egb(scaled)
+        assert len(tables) == 2 and tables[0] is tables[1]
+        assert [row[1] for row in tables[0]] == [monic(g) for g in scaled]
+        assert_current_preparations(tables[0])
 
 
 class TestIsEgb:
@@ -677,7 +722,7 @@ class TestOrbitChainCriterion:
                 for gen in spair_generators(basis[i], basis[j], i, j)
             ]
             table = reducer_table(basis[:1], pi_divides)
-            chained = buchberger._chain_criterion(table, pi_divides)
+            chained = buchberger._chain_criterion(table)
             assert [chained(gen) for gen in gens] == [chained_literally(gen, table) for gen in gens]
             table.extend(reducer_row(k, g, pi_divides) for k, g in enumerate(basis) if k)
             verdicts = [chained(gen) for gen in gens]

@@ -181,6 +181,19 @@ class TestReduce:
         assert capsys.readouterr().out == expected
         assert main(["member", str(f), "--poly", MEMBER_H]) == EXIT_OK
 
+    def test_algorithm_flag(self, toric_file, capsys):
+        # normal forms modulo an EGB are unique: every engine prints the same
+        # line, and the flag overrides the file's option as for solve
+        query = "3/2*x[3]*x[1] - 1/6*y[2,0] + 5*x[2]"
+        lines = set()
+        for algorithm in cli.ENGINES:
+            assert main(["reduce", toric_file, "--algorithm", algorithm, "--poly", query]) == EXIT_OK
+            lines.add(capsys.readouterr().out)
+        assert len(lines) == 1 and lines != {"0\n"}
+        member = "3/2*x[3]*x[2] - 3/2*y[3,2]"
+        assert main(["member", toric_file, "--algorithm", "signature", "--poly", member]) == EXIT_OK
+        assert main(["reduce", toric_file, "--algorithm", "nonsense", "--poly", query]) == EXIT_USAGE
+
 
 class TestMember:
     def test_positive(self, member_file):

@@ -256,6 +256,66 @@ class TestWitnessOracle:
             hits += bool(expected)
         assert hits >= 0.3 * len(pairs)
 
+    @pytest.mark.parametrize("y_constraint", ["none", "strictly_decreasing", "all_distinct"])
+    def test_prepared_search_over_three_families(self, y_constraint):
+        # x, y of arity 2 and z of arity 3 (no constraint, so repeated
+        # indices), exponents 1-3: the search on a lead preparation and a term
+        # profile yields exactly the brute-force witnesses, in order, and no
+        # pair its necessary tests reject has a witness
+        ring = Ring(
+            (FamilySpec("x"), FamilySpec("y", 2, y_constraint), FamilySpec("z", 3))
+        )
+        rng = random.Random(29)
+
+        def variable():
+            roll = rng.random()
+            if roll < 0.35:
+                return ring.variable("x", (rng.randrange(6),))
+            if roll < 0.75 and y_constraint != "none":
+                idx = rng.sample(range(6), 2)
+                if y_constraint == "strictly_decreasing":
+                    idx.sort(reverse=True)
+                return ring.variable("y", tuple(idx))
+            name, arity = ("y", 2) if roll < 0.75 else ("z", 3)
+            return ring.variable(name, tuple(rng.randrange(4) for _ in range(arity)))
+
+        def monomial(size):
+            return Monomial.from_dict(
+                {variable(): rng.randrange(1, 4) for _ in range(rng.randrange(size + 1))}
+            )
+
+        pairs = [(Monomial(), Monomial()), (Monomial(), monomial(4)), (monomial(3), Monomial())]
+        for _ in range(1000):
+            a = monomial(3)
+            roll = rng.random()
+            if roll < 0.1:
+                b = a
+            elif roll < 0.45:
+                b = m_mul(m_act(random_incmap(rng), a), monomial(3))
+            elif roll < 0.75:
+                # a's factors split in two and each part shifted on its own:
+                # the shapes match, a common map often does not exist
+                cut = rng.randrange(len(a.factors) + 1)
+                parts = Monomial(a.factors[:cut]), Monomial(a.factors[cut:])
+                b = m_mul(*(m_act(random_incmap(rng), part) for part in parts))
+            else:
+                b = monomial(5)
+            pairs.append((a, b))
+        seen = {"hit": 0, "rejected": 0, "searched in vain": 0}
+        for a, b in pairs:
+            lead, term = rings.prepare_lead(a), rings.term_profile(b)
+            expected = brute_pi_witnesses(a, b)
+            assert list(rings.prepared_witnesses(lead, term)) == expected
+            assert list(_match_witnesses(a, b)) == expected
+            if a.is_unit:
+                continue
+            if not rings._admits(lead, term):
+                assert expected == []
+                seen["rejected"] += 1
+            else:
+                seen["hit" if expected else "searched in vain"] += 1
+        assert min(seen.values()) >= 40
+
     def test_no_enumeration(self, monkeypatch):
         # one map is built per witness, none per rejected combination
         built = []

@@ -1,7 +1,9 @@
 """Polynomial arithmetic, orbit reduction steps, and normal forms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from incgb.rings import (
     m_quotient,
     pi_divides,
     plain_divides,
+    prepare_lead,
 )
 from incgb.spairs import spair_generators, spair_generators_classical
 
@@ -542,6 +545,46 @@ class TestMixedCoefficients:
         assert non_monic > 150 and fractional > 50 and integral_kept > 100
 
 
+class TestFractionFreeNormalForm:
+    """``normal_form`` reduces d * f with int coefficients, d the least
+    common denominator of f's, and divides the kept terms by d: the normal
+    form of the kernel run on f's Fractions, and of their replay."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    def test_matches_fraction_replay(self, order_kind, monkeypatch):
+        entries = []  # the coefficients normal_form hands the kernel
+        real = poly_module.reduce_terms
+
+        def recording(ring, acc, choose):
+            entries.append(list(acc.values()))
+            return real(ring, acc, choose)
+
+        monkeypatch.setattr(poly_module, "reduce_terms", recording)
+        ring = xy_ring("strictly_decreasing", order_kind)
+        rng = random.Random(67)
+        leads = (Fraction(2, 3), Fraction(-2), Fraction(1, 5))
+        denominators = Counter()
+        fractional = 0
+        for _ in range(160):
+            integral = [random_ring_poly(rng, ring, 3) for _ in range(rng.randrange(1, 4))]
+            integral = [g for g in integral if not g.is_zero]
+            # members and non-members with integer coefficients, then divided
+            f = random_ring_poly(rng, ring, 3)
+            for g in integral:
+                f = add(f, mul_term(g, rng.choice([-1, 2, 3]), random_ring_monomial(rng, ring)))
+            f = scale(f, Fraction(1, rng.choice([1, 2, 3, 5, 6])))
+            G = [scale(monic(g), rng.choice(leads)) for g in integral]
+            out = normal_form(f, G)
+            kernel, choice = recorded_normal_form(f, G)
+            assert out == kernel == choice.replay(f, G)
+            assert all(type(c) is Fraction for c, _ in out.terms)
+            assert all(type(c) is int for c in entries[-1])
+            denominators[lcm(*(c.denominator for c, _ in f.terms))] += 1
+            fractional += any(c.denominator != 1 for c, _ in out.terms)
+        assert all(denominators[d] > 10 for d in (1, 2, 3, 5, 6)) and fractional > 50
+        assert normal_form(zero(ring), G).is_zero and entries[-1] == []
+
+
 def _mask_monomials():
     """x-only and x + y monomials, indices up to 70, so that masks collide."""
     ring = xy_ring("strictly_decreasing", "lex")
@@ -570,7 +613,7 @@ class TestSupportMask:
         rng = random.Random(43)
         ring = xy_ring("all_distinct", "lex")
         G = [random_ring_poly(rng, ring, 3) for _ in range(30)] + [zero(ring)]
-        assert all(row[3] == 0 for row in reducer_table(G, pi_divides))
+        assert all(row[3] == prepare_lead(row[2]) for row in reducer_table(G, pi_divides))
         rows = reducer_table(G, plain_divides)
         assert [row[1] for row in rows] == [g for g in G if not g.is_zero]
         assert all(row[3] == support_mask(lm(row[1])) for row in rows)

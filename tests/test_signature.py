@@ -42,12 +42,13 @@ from incgb.signature import (
 )
 
 from conftest import (
+    assert_current_preparations,
     expr,
     ideal_equal,
     order_sign,
     random_incmap,
     random_xmono,
-    recorded_calls,
+    recorded_searches,
     word_map,
     xmono,
 )
@@ -451,7 +452,7 @@ class TestRegularTopReduce:
         # x0^2 misses row 0 (lead x1*x0) and is remembered so; row 1,
         # appended later, must still reduce it, and row 0 is not searched
         # against it again
-        searches = recorded_calls(monkeypatch, signature, "_match_witnesses")
+        searches = recorded_searches(monkeypatch, signature)
         engine = SigEngine(X)
         g0 = LabeledPoly(
             Signature(UNIT_TM, engine.new_index(xmono(0, 1))), p((1, xmono(0, 1)), (-1, xmono(0)))
@@ -594,7 +595,7 @@ def checked_against_oracles():
 
     def checked_reduce(p, engine):
         out = reduce_top(p, engine)
-        G = [g for _gi, g, _lead, _image in engine.rows]
+        G = [row[1] for row in engine.rows]
         assert out == reference_regular_top_reduce(LabeledPoly(p.sig, p.poly), G, engine)
         checks["regular_top_reduce"] += 1
         return out
@@ -724,10 +725,27 @@ class TestEgbSignature:
     def test_witness_searches_pinned(self, request, monkeypatch, problem, searches):
         # regular top-reduction searches each (row, term) once per run:
         # before its witness memo, toric made 15,696 searches and member 5,174
-        calls = recorded_calls(monkeypatch, signature, "_match_witnesses")
+        calls = recorded_searches(monkeypatch, signature)
         res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
         assert res.status == COMPLETE
         assert len(calls) == len(set(calls)) == searches
+
+    def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
+        # each row add_reducer appends holds the element's lead and that
+        # lead's preparation, which regular top-reduction searches on
+        appended = []
+        real = SigEngine.add_reducer
+
+        def checked(engine, g):
+            real(engine, g)
+            assert engine.rows[-1][1] is g
+            assert_current_preparations(engine.rows)
+            appended.append(g)
+
+        monkeypatch.setattr(SigEngine, "add_reducer", checked)
+        res = egb_signature(toric_problem.generators)
+        assert res.status == COMPLETE
+        assert len(appended) == res.stats["insertions"] > 1
 
     def test_trivial_input(self):
         res = egb_signature([p((1, xmono(0)))])
