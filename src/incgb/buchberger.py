@@ -2,18 +2,18 @@
 
 The direct and classical engines share one Buchberger loop: a priority
 queue keyed by (overlap width, overlap degree, insertion sequence), one
-reduction kernel and one interreduction routine.  They differ in their
-pair generator (orbit S-pairs via interlacings, or ordinary S-pairs) and
-their divisibility test (``pi_divides`` or ``plain_divides``).  Under plain
-divisibility the Gebauer–Möller criteria are exact, so the classical engine
-queues only the pairs they keep and drops the queued pairs a new lead makes
-redundant (``_chain_update``).  The direct engine queues every orbit pair
-and skips, as it pops them, those the strict orbit chain criterion proves
-redundant (``_chain_criterion``; ``is_egb`` applies it too and argues its
-soundness).  There is no termination theory for general inputs, so
-explicit budgets (pair count, width, basis size) bound every run;
-exhausting a budget returns the partial basis with a distinguished status
-instead of raising.
+reduction kernel and one interreduction routine.  One flag, ``orbit``,
+tells them apart: orbit divisibility and the orbit S-pairs of
+interlacings, or plain divisibility and one ordinary S-pair per pair of
+entries.  Under plain divisibility the Gebauer–Möller criteria are exact,
+so the classical engine queues only the pairs they keep and drops the
+queued pairs a new lead makes redundant (``_chain_update``).  The direct
+engine queues every orbit pair and skips, as it pops them, those the
+strict orbit chain criterion proves redundant (``_chain_criterion``;
+``is_egb`` applies it too and argues its soundness).  There is no
+termination theory for general inputs, so explicit budgets (pair count,
+width, basis size) bound every run; exhausting a budget returns the
+partial basis with a distinguished status instead of raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -26,13 +26,13 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .incmaps import increasing_maps
+from .incmaps import IDENTITY, increasing_maps
 from .poly import act, lm, monic, sorted_basis
 from .poly import first_reducer, integral, kernel_terms, reduce_terms, reducer_row, reducer_table
 from .poly import support_mask
-from .rings import Monomial, m_act, m_divides, m_lcm, m_mul, pi_divides, plain_divides
+from .rings import Monomial, m_act, m_divides, m_lcm, m_mul
 from .rings import prepared_witnesses, term_profile
-from .spairs import spair_generators, spair_generators_classical
+from .spairs import _spair_gen, spair_generators
 
 COMPLETE = "complete"
 BUDGET = "budget_exhausted"
@@ -158,12 +158,13 @@ def _chain_criterion(table):
     return chained
 
 
-def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
+def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     """Buchberger's loop, shared by the direct and classical engines.
 
-    ``pairs(f, g, i, j)`` yields the critical-pair generators of basis
-    entries i <= j, and ``divides`` is the reduction's divisibility test.
-    One reducer table serves the whole run, one row per insertion.
+    ``orbit`` chooses the mode.  Orbit divisibility pairs basis entries
+    i <= j by ``spair_generators``; plain divisibility pairs entries i < j
+    by their one ordinary S-pair, both maps the identity.  One reducer
+    table serves the whole run, one row per insertion.
 
     Each prepared generator and each insertion k, in that order, queues
     its pairs with entries 0..k as soon as it exists.  Under orbit
@@ -172,11 +173,11 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     skipped, neither processed nor counted: a COMPLETE run has queued every
     interlacing pair of its final basis, so ``is_egb``'s argument holds
     over that basis.  Under plain divisibility the Gebauer–Möller update
-    (``_chain_update``) chooses the partners: it asks ``pairs`` only for
-    the pairs the criteria keep, and it removes from the queue the queued
-    pairs the new lead makes redundant; a removed pair is neither processed
-    nor counted.  It removes queue entries, never table rows, so the
-    reducer table only grows.
+    (``_chain_update``) chooses the partners: only the pairs the criteria
+    keep are made (distinct entries whose leads share a variable), and it
+    removes from the queue the queued pairs the new lead makes redundant;
+    a removed pair is neither processed nor counted.  It removes queue
+    entries, never table rows, so the reducer table only grows.
 
     A pair wider than max_width is dropped where it is made, after the
     criteria; max_pairs and max_basis stop the run with the partial,
@@ -188,10 +189,9 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
     if not G:
         return EgbResult([], stats, COMPLETE)
     ring = G[0].ring
-    table = reducer_table(G, divides)
-    choose = first_reducer(table, divides)
-    plain = divides is plain_divides
-    chained = None if plain else _chain_criterion(table)
+    table = reducer_table(G, orbit)
+    choose = first_reducer(table, orbit)
+    chained = _chain_criterion(table) if orbit else None
     queue = []
     seq = 0
     over_width = False
@@ -201,7 +201,11 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
         # An increasing map never lowers an index, so no overlap is narrower
         # than a lead: past a wide lead, the first pair drops the whole set.
         wide_lead = max(lm(G[i]).width(), lm(G[j]).width()) > limits.max_width
-        for gen in pairs(G[i], G[j], i, j):
+        if orbit:
+            gens = spair_generators(G[i], G[j], i, j)
+        else:
+            gens = (_spair_gen(i, j, IDENTITY, IDENTITY, lm(G[i]), lm(G[j])),)
+        for gen in gens:
             width = gen.overlap.width()
             if width > limits.max_width:
                 over_width = True
@@ -213,7 +217,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
 
     def add_pairs(k):
         """Queue the pairs of entry k with itself and the entries before it."""
-        for i in _chain_update(table, k, queue) if plain else range(k + 1):
+        for i in range(k + 1) if orbit else _chain_update(table, k, queue):
             push_pairs(i, k)
 
     for k in range(len(G)):
@@ -231,7 +235,7 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
             stats["zero_reductions"] += 1
             continue
         G.append(monic(h))
-        table.append(reducer_row(len(G) - 1, G[-1], divides))
+        table.append(reducer_row(len(G) - 1, G[-1], orbit))
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
             return EgbResult(G, stats, BUDGET)
@@ -239,17 +243,17 @@ def _pair_loop(F, pairs, divides, limits: EngineLimits) -> EgbResult:
 
     if over_width:
         return EgbResult(G, stats, BUDGET)
-    return EgbResult(autoreduce(G, divides), stats, COMPLETE)
+    return EgbResult(autoreduce(G, orbit), stats, COMPLETE)
 
 
 def egb_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
-    return _pair_loop(F, spair_generators, pi_divides, limits)
+    return _pair_loop(F, True, limits)
 
 
 def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
-    return _pair_loop(F, spair_generators_classical, plain_divides, limits)
+    return _pair_loop(F, False, limits)
 
 
 def orbit_truncate(F, n):
@@ -265,17 +269,16 @@ def orbit_truncate(F, n):
     return list(out)
 
 
-def autoreduce(G, divides=None):
+def autoreduce(G, orbit=True):
     """Make every element monic and fully reduced against the others.
 
-    ``divides`` is the divisibility test of the reduction, orbit
-    divisibility by default.  One cyclic scan, restarted after a drop,
-    skips the elements flagged as reduced: whether a normal form changes an
-    element depends only on the other leads, so a lead change clears the flags.
+    ``orbit`` chooses the divisibility of the reduction: orbit by default,
+    plain when false.  One cyclic scan, restarted after a drop, skips the
+    elements flagged as reduced: whether a normal form changes an element
+    depends only on the other leads, so a lead change clears the flags.
     """
-    divides = divides or pi_divides
     basis = [monic(g) for g in G if not g.is_zero]
-    table = reducer_table(basis, divides)
+    table = reducer_table(basis, orbit)
     reduced = [False] * len(basis)
     i = 0
     while not all(reduced):
@@ -284,7 +287,7 @@ def autoreduce(G, divides=None):
             i += 1
             continue
         f = basis[i]
-        others = first_reducer(table[:i] + table[i + 1 :], divides)
+        others = first_reducer(table[:i] + table[i + 1 :], orbit)
         h = reduce_terms(f.ring, kernel_terms(f), others)
         if h.is_zero:
             del basis[i], reduced[i], table[i]
@@ -294,7 +297,7 @@ def autoreduce(G, divides=None):
         if lm(h) != lm(f):
             reduced = [False] * len(basis)
         if h != f:
-            table[i] = reducer_row(i, h, divides)
+            table[i] = reducer_row(i, h, orbit)
         basis[i], reduced[i] = h, True
         i += 1
     return sorted_basis(basis)
@@ -331,8 +334,8 @@ def is_egb(G) -> bool:
     or to an element it inserted) or chained through one of its leads.
     """
     basis = [monic(g) for g in G if not g.is_zero]
-    table = reducer_table(basis, pi_divides)
-    choose = first_reducer(table, pi_divides)
+    table = reducer_table(basis, True)
+    choose = first_reducer(table, True)
     chained = _chain_criterion(table)
     for i in range(len(basis)):
         for j in range(i, len(basis)):

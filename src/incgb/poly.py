@@ -39,8 +39,8 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .incmaps import IncMap
-from .rings import Monomial, Ring, m_act, m_mul, m_quotient, order_key, pi_divides, plain_divides
+from .incmaps import IDENTITY, IncMap
+from .rings import Monomial, Ring, m_act, m_divides, m_mul, m_quotient, order_key
 from .rings import prepare_lead, prepared_witnesses, term_profile
 
 
@@ -152,18 +152,18 @@ def support_mask(m: Monomial) -> int:
     return mask
 
 
-def reducer_row(gi, g: Polynomial, divides):
+def reducer_row(gi, g: Polynomial, orbit: bool):
     """The row (gi, g, lead, key) of g != 0.  The key is what a reducer
-    choice needs of the lead: its support mask under plain divisibility,
-    its witness-search preparation (``prepare_lead``) under orbit
-    divisibility, where an increasing map moves variables and a mask would
-    filter nothing."""
+    choice needs of the lead: its witness-search preparation
+    (``prepare_lead``) under orbit divisibility, where an increasing map
+    moves variables and a mask would filter nothing; its support mask under
+    plain divisibility (``orbit`` false)."""
     lead = g.terms[0][1]
-    return (gi, g, lead, support_mask(lead) if divides is plain_divides else prepare_lead(lead))
+    return (gi, g, lead, prepare_lead(lead) if orbit else support_mask(lead))
 
 
-def reducer_table(reducers, divides):
-    return [reducer_row(gi, g, divides) for gi, g in enumerate(reducers) if not g.is_zero]
+def reducer_table(reducers, orbit: bool):
+    return [reducer_row(gi, g, orbit) for gi, g in enumerate(reducers) if not g.is_zero]
 
 
 def integral(c):
@@ -182,16 +182,19 @@ def moved_tail(g: Polynomial, rho: IncMap, cof: Monomial):
     return tuple((integral(a), m_mul(m_act(rho, n), cof)) for a, n in g.terms[1:])
 
 
-def first_reducer(table, divides):
-    """The choice of plain and orbit reduction: the first row of ``table``
-    whose lead ``divides`` the term.  Rows appended to the table later are
-    seen; no row may be replaced or deleted while the choice is in use.
+def first_reducer(table, orbit: bool):
+    """The choice of orbit and plain reduction: the first row of ``table``
+    whose lead orbit-divides the term, or, with ``orbit`` false, divides it.
+    The table's rows must be built under the same flag.  Rows appended to
+    the table later are seen; no row may be replaced or deleted while the
+    choice is in use.
 
-    Under plain divisibility a row whose support mask has a bit outside the
-    term's is skipped unasked.  Under orbit divisibility the choice profiles
-    the term once (``term_profile``) and runs each row's witness search on
-    the row's preparation (``prepared_witnesses``); ``divides`` itself is
-    not called.
+    Under orbit divisibility the choice profiles the term once
+    (``term_profile``) and runs each row's witness search on the row's
+    preparation (``prepared_witnesses``); the first witness is the one
+    ``pi_divides`` returns.  Under plain divisibility a row whose support
+    mask has a bit outside the term's is skipped unasked, and the others
+    are asked ``m_divides``, with the identity as witness.
 
     A step is (gi, g, witness, cofactor, tail), the tail being
     ``moved_tail(g, witness, cofactor)``.  The choice remembers, for each
@@ -205,22 +208,21 @@ def first_reducer(table, divides):
     element.
     """
     memo = {}  # term -> (rows scanned, step or None)
-    plain = divides is plain_divides
 
     def choose(m):
         scanned, step = memo.get(m, (0, None))
         if step is None and scanned < len(table):
-            if plain:
-                outside = ~support_mask(m)
-            else:
+            if orbit:
                 term = term_profile(m)
+            else:
+                outside = ~support_mask(m)
             for gi, g, lead, key in islice(table, scanned, None):
-                if plain:
-                    if key & outside:
-                        continue
-                    rho = divides(lead, m)
-                else:
+                if orbit:
                     rho = next(prepared_witnesses(key, term), None)
+                elif key & outside:
+                    continue
+                else:
+                    rho = IDENTITY if m_divides(lead, m) else None
                 if rho is not None:
                     # the action keeps coefficients and commutes with lm, and both
                     # it and multiplication by cof are injective on monomials
@@ -285,7 +287,7 @@ def normal_form(f: Polynomial, reducers):
     monomial and on whether its coefficient is 0, and scaling by d changes
     neither, while every step is linear in the coefficients.
     """
-    choose = first_reducer(reducer_table(reducers, pi_divides), pi_divides)
+    choose = first_reducer(reducer_table(reducers, True), True)
     d = lcm(*(c.denominator for c, _ in f.terms))
     h = reduce_terms(f.ring, kernel_terms(f if d == 1 else scale(f, d)), choose)
     return h if d == 1 else scale(h, Fraction(1, d))

@@ -321,24 +321,7 @@ def prepared_witnesses(lead, term):
                 s = nxt
 
 
-def _match_witnesses(a: Monomial, b: Monomial):
-    """Every witness sending a onto a divisor of b, the canonical one first:
-    ``prepared_witnesses`` on a one-off preparation and profile.  Its
-    necessary tests run in this order: a unit a; then the count, top and
-    span of the indices; then the exponents shape by shape; and only then
-    the backtracking search."""
-    return prepared_witnesses(prepare_lead(a), term_profile(b))
-
-
 def pi_divides(a: Monomial, b: Monomial):
-    """The lexicographically smallest witness, or None."""
-    return next(_match_witnesses(a, b), None)
-
-
-def plain_divides(a: Monomial, b: Monomial):
-    """IDENTITY when a divides b, else None: divisibility without the action.
-
-    The classical counterpart of ``pi_divides``, with the same return shape,
-    so one reduction kernel serves both.
-    """
-    return IDENTITY if m_divides(a, b) else None
+    """The lexicographically smallest witness, or None: ``prepared_witnesses``
+    on a one-off preparation and profile."""
+    return next(prepared_witnesses(prepare_lead(a), term_profile(b)), None)

@@ -11,8 +11,9 @@ when that changes it, the element re-enters with a fresh unit signature.
 Zero reductions contribute syzygy signatures.  A J-pair stays unbuilt, a
 signature, a lead and a multiple of a basis element, until it is popped.
 Regular top-reduction is a reducer choice for the kernel
-``poly.reduce_terms``.  The engine keeps its reducer rows, one per
-insertion, and a memo of each term's candidate reducers, every witness of
+``poly.reduce_terms``.  The engine keeps one reducer table, one row per
+insertion, which regular top-reduction and the full normal form both
+read, and a memo of each term's candidate reducers, every witness of
 every row, searched once per run; a chosen candidate keeps its moved tail.
 What depends on the popped signature is judged per pop: a candidate's
 Schreyer head first, its full key on a head tie, and the tie and singular
@@ -43,8 +44,6 @@ from .rings import (
     m_pull_back,
     m_quotient,
     order_key,
-    pi_divides,
-    prepare_lead,
     prepared_witnesses,
     term_profile,
 )
@@ -124,13 +123,16 @@ class JPair:
 
 
 class SigEngine:
-    """State of one signature run: module leads, the signature order, and
-    regular top-reduction's reducer rows and witness memo."""
+    """State of one signature run: module leads, the signature order, the
+    run's one reducer table with each row's label, and the witness memo."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.module_leads = []  # lm of the generator attached to each unit vector
-        self.rows = []  # (gi, g, lm(g), its preparation, Schreyer image of sig(g))
+        # orbit reducer rows (``poly.reducer_row``) of the basis, one per
+        # insertion, read by regular top-reduction and the full normal form
+        self.rows = []
+        self.labels = []  # per row: (sig(g), Schreyer image of sig(g))
         self.witnesses = {}  # term -> [rows scanned, candidates]: see candidates
 
     def new_index(self, lead: Monomial) -> int:
@@ -138,11 +140,9 @@ class SigEngine:
         return len(self.module_leads) - 1
 
     def add_reducer(self, g: LabeledPoly):
-        """Append g's row for regular top-reduction, as the basis element
-        ``len(self.rows)``."""
-        image = tm_apply(g.sig.tm, self.module_leads[g.sig.index])
-        lead = lm(g.poly)
-        self.rows.append((len(self.rows), g, lead, prepare_lead(lead), image))
+        """Append g's row and label, as the basis element ``len(self.rows)``."""
+        self.labels.append((g.sig, tm_apply(g.sig.tm, self.module_leads[g.sig.index])))
+        self.rows.append(reducer_row(len(self.rows), g.poly, True))
 
     def candidates(self, term):
         """Yield term's candidate reducers, [row, witness, cofactor, step]:
@@ -212,17 +212,16 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
 
     Sides with equal multiplied signatures are singular and emit nothing.
     The coprime filter stays off here: cover and syzygy logic subsume it.
+    A generator, like the pair source it reads.
     """
-    out = []
     for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
         sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
         sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
         if key1 > key2:
-            out.append(JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1))
+            yield JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1)
         elif key1 < key2:
-            out.append(JPair(sig2, key2, gen.overlap, q, gen.map2, gen.cof2))
-    return out
+            yield JPair(sig2, key2, gen.overlap, q, gen.map2, gen.cof2)
 
 
 def add_cover(C, sig: Signature, lead=None):
@@ -261,8 +260,9 @@ def is_covered(j, C, engine: SigEngine) -> bool:
 
 
 def regular_top_reduce(p, engine: SigEngine):
-    """Top-reduce p by multiples of the engine's rows
-    (``SigEngine.add_reducer``) with strictly smaller signature.
+    """Top-reduce p by multiples of the engine's rows with strictly smaller
+    signature, each row's signature read from its label
+    (``SigEngine.add_reducer``).
 
     Returns (reduced pair, singular, tied_used).  singular means a reducer
     with exactly p's signature exists for the first term no smaller one
@@ -292,18 +292,19 @@ def regular_top_reduce(p, engine: SigEngine):
             return None
         tied = False  # a reducer at exactly p's signature, for this term only
         for candidate in engine.candidates(target):
-            (gi, g, _, _, image), rho, cof, step = candidate
+            (gi, g, _, _), rho, cof, step = candidate
+            sig, image = engine.labels[gi]
             # the Schreyer head of t * sig(g) decides unless it ties p's
-            key = (order_key(ring, m_mul(cof, m_act(rho, image))), g.sig.index)
+            key = (order_key(ring, m_mul(cof, m_act(rho, image))), sig.index)
             if key == head:
                 t = TwistedMonomial(cof, rho)
-                key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
+                key = engine.sig_key(Signature(twisted_mul(t, sig.tm), sig.index))
             if key == p_key:
                 tied = True
             elif key < p_key:
                 tied_used = tied_used or key[:2] == head
                 if step is None:
-                    step = candidate[3] = gi, g.poly, rho, cof, moved_tail(g.poly, rho, cof)
+                    step = candidate[3] = gi, g, rho, cof, moved_tail(g, rho, cof)
                 return step
         stopped, singular = True, tied
         return None
@@ -315,8 +316,7 @@ def regular_top_reduce(p, engine: SigEngine):
 def _signature_loop(polys, engine, limits):
     stats = dict.fromkeys(STAT_KEYS, 0)
     G, C = [], {}  # C: the cover index of ``add_cover``
-    table = []  # normal_form's reducer rows of G, one per insertion
-    full_reducer = first_reducer(table, pi_divides)
+    full_reducer = first_reducer(engine.rows, True)  # normal_form over G
     J, seq, done_sigs = [], 0, set()
     over_width = False
 
@@ -377,7 +377,6 @@ def _signature_loop(polys, engine, limits):
             h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
         G.append(LabeledPoly(h.sig, monic(h.poly)))
         add_cover(C, h.sig, lm(h.poly))
-        table.append(reducer_row(len(G) - 1, G[-1].poly, pi_divides))
         engine.add_reducer(G[-1])
         stats["insertions"] += 1
         if limits.max_basis is not None and len(G) > limits.max_basis:
@@ -421,8 +420,8 @@ def _minimalize(polys):
     included, the stable sort puts the earliest first.
     """
     table = []
-    choose = first_reducer(table, pi_divides)
+    choose = first_reducer(table, True)
     for f in sorted(polys, key=lambda f: order_key(f.ring, lm(f))):
         if choose(lm(f)) is None:
-            table.append(reducer_row(len(table), f, pi_divides))
+            table.append(reducer_row(len(table), f, True))
     return sorted_basis([row[1] for row in table])

@@ -5,8 +5,8 @@ g meet in many relative positions, but every position is an index shift of
 an "interlacing": a pair of increasing maps from the index ranges of f and g
 onto a common initial segment.  Enumerating interlacings therefore yields a
 finite generating set of critical pairs, one per interlacing.  The
-classical generator, for the finite-variable engine, has one S-pair per
-pair of polynomials, both maps the identity.
+classical loop builds its one S-pair per pair of polynomials itself, with
+``_spair_gen`` and both maps the identity.
 
 An interlacing is enumerated as its two image tuples, and the orbit
 generator decides each one on those tuples: the self-pair's mirror test and
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .incmaps import IDENTITY, IncMap
+from .incmaps import IncMap
 from .poly import Polynomial, lm
 from .rings import Monomial, m_lcm, m_quotient
 
@@ -122,10 +122,3 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
             if fa is None:
                 fa, lfa = IncMap(a), Monomial(fa_factors)
             yield _spair_gen(fi, gi, fa, IncMap(b), lfa, Monomial(_moved(lg, b)))
-
-
-def spair_generators_classical(f: Polynomial, g: Polynomial, fi, gi):
-    """Yield the ordinary S-pair of f and g.  The classical loop asks only
-    for the rows the Gebauer–Möller update keeps: distinct entries whose
-    leads share a variable."""
-    yield _spair_gen(fi, gi, IDENTITY, IDENTITY, lm(f), lm(g))

@@ -20,7 +20,7 @@ from incgb.poly import (
     subtract,
 )
 from incgb.problems import parse, parse_polynomial
-from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_mul, order_key, pi_divides
+from incgb.rings import FamilySpec, Monomial, Ring, m_act, m_mul, order_key
 from incgb.rings import prepare_lead
 
 # A single arity-1 family under pure lex: the plain infinite polynomial ring.
@@ -194,12 +194,11 @@ def recorded_searches(monkeypatch, *modules):
 
 
 def assert_current_preparations(rows):
-    """Every reducer row (gi, g, lead, preparation, ...) carries the lead
+    """Every orbit reducer row (gi, g, lead, preparation) carries the lead
     of g as it is now, and that lead's preparation: a stale one would make
-    the witness searches skip the row.  g is a polynomial or a labeled one."""
+    the witness searches skip the row."""
     for row in rows:
-        g = getattr(row[1], "poly", row[1])
-        assert row[2] == lm(g)
+        assert row[2] == lm(row[1])
         assert row[3] == prepare_lead(row[2])
 
 
@@ -239,10 +238,10 @@ class RecordedChoice:
         return out
 
 
-def recorded_normal_form(f, reducers, divides=pi_divides):
-    """Full reduction of f by the first reducer ``divides`` admits, through
-    a recorded choice: (normal form, the RecordedChoice).  Under
-    ``pi_divides`` this is ``normal_form``; ``plain_divides`` is classical
-    reduction."""
-    choose = RecordedChoice(first_reducer(reducer_table(reducers, divides), divides))
+def recorded_normal_form(f, reducers, orbit=True):
+    """Full reduction of f by the first reducer whose lead orbit-divides
+    (or, with ``orbit`` false, divides) the term, through a recorded choice:
+    (normal form, the RecordedChoice).  Under orbit divisibility this is
+    ``normal_form``; plain divisibility is classical reduction."""
+    choose = RecordedChoice(first_reducer(reducer_table(reducers, orbit), orbit))
     return reduce_terms(f.ring, {m: c for c, m in f.terms}, choose), choose

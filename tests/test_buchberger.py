@@ -25,7 +25,7 @@ from incgb.buchberger import (
     is_egb,
     orbit_truncate,
 )
-from incgb.incmaps import increasing_maps
+from incgb.incmaps import IDENTITY, increasing_maps
 from incgb.poly import (
     act,
     first_reducer,
@@ -43,14 +43,15 @@ from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
-    _match_witnesses,
     m_act,
     m_lcm,
     m_quotient,
     pi_divides,
-    plain_divides,
+    prepare_lead,
+    prepared_witnesses,
+    term_profile,
 )
-from incgb.spairs import spair_generators, spair_generators_classical
+from incgb.spairs import _spair_gen, spair_generators
 
 from conftest import (
     MEMBER_TEXT,
@@ -79,7 +80,7 @@ def p(*terms):
 
 def _cnf(f, G):
     """Classical normal form: reduction without the index action."""
-    return recorded_normal_form(f, G, plain_divides)[0]
+    return recorded_normal_form(f, G, False)[0]
 
 
 def all_pairs_classical(F, limits=EngineLimits()):
@@ -92,8 +93,8 @@ def all_pairs_classical(F, limits=EngineLimits()):
     if not G:
         return EgbResult([], stats, COMPLETE)
     ring = G[0].ring
-    table = reducer_table(G, plain_divides)
-    choose = first_reducer(table, plain_divides)
+    table = reducer_table(G, False)
+    choose = first_reducer(table, False)
     queue = []
     seq = itertools.count()
     over_width = False
@@ -102,12 +103,12 @@ def all_pairs_classical(F, limits=EngineLimits()):
         nonlocal over_width
         if i == j or coprime(lm(G[i]), lm(G[j])):
             return
-        for gen in spair_generators_classical(G[i], G[j], i, j):
-            width = gen.overlap.width()
-            if width > limits.max_width:
-                over_width = True
-                continue
-            heapq.heappush(queue, (width, gen.overlap.degree(ring), next(seq), gen))
+        gen = _spair_gen(i, j, IDENTITY, IDENTITY, lm(G[i]), lm(G[j]))
+        width = gen.overlap.width()
+        if width > limits.max_width:
+            over_width = True
+            return
+        heapq.heappush(queue, (width, gen.overlap.degree(ring), next(seq), gen))
 
     for i in range(len(G)):
         for j in range(i, len(G)):
@@ -122,13 +123,13 @@ def all_pairs_classical(F, limits=EngineLimits()):
             stats["zero_reductions"] += 1
             continue
         G.append(monic(h))
-        table.append(reducer_row(len(G) - 1, G[-1], plain_divides))
+        table.append(reducer_row(len(G) - 1, G[-1], False))
         stats["insertions"] += 1
         for i in range(len(G)):
             push_pairs(i, len(G) - 1)
     if over_width:
         return EgbResult(G, stats, BUDGET)
-    return EgbResult(autoreduce(G, plain_divides), stats, COMPLETE)
+    return EgbResult(autoreduce(G, False), stats, COMPLETE)
 
 
 TORIC_REFERENCE = [
@@ -554,9 +555,9 @@ class TestReducerTable:
             polys.append(args)
             return real_poly(*args)
 
-        def counting_autoreduce(G, divides=None):
+        def counting_autoreduce(G, orbit=True):
             loop_rows.append(len(rows))
-            out = real_autoreduce(G, divides)
+            out = real_autoreduce(G, orbit)
             assert len(rows) - loop_rows[0] <= 2 * len(G)
             return out
 
@@ -577,8 +578,8 @@ class TestReducerTable:
         searches = recorded_searches(monkeypatch, poly_module, buchberger)
         choices, real_first = [], buchberger.first_reducer
 
-        def counting_first(table, divides):
-            choose = real_first(table, divides)
+        def counting_first(table, orbit):
+            choose = real_first(table, orbit)
 
             def counted(m):
                 choices.append(m)
@@ -603,10 +604,10 @@ class TestLeadPreparations:
         tables = []
         real = buchberger.first_reducer
 
-        def checked(table, divides):
+        def checked(table, orbit):
             assert_current_preparations(table)
             tables.append([row[1] for row in table])
-            return real(table, divides)
+            return real(table, orbit)
 
         monkeypatch.setattr(buchberger, "first_reducer", checked)
         replaced = p((1, xmono(1)), (1, xmono(0)))
@@ -620,9 +621,9 @@ class TestLeadPreparations:
         tables = []
         real_first, real_chain = buchberger.first_reducer, buchberger._chain_criterion
 
-        def checked_first(table, divides):
+        def checked_first(table, orbit):
             tables.append(table)
-            return real_first(table, divides)
+            return real_first(table, orbit)
 
         def checked_chain(table):
             tables.append(table)
@@ -680,7 +681,7 @@ def chained_literally(gen, table):
     t = gen.overlap
     a, b = m_quotient(t, gen.cof1), m_quotient(t, gen.cof2)
     for _, _, lead, _ in table:
-        for rho in _match_witnesses(lead, t):
+        for rho in prepared_witnesses(prepare_lead(lead), term_profile(t)):
             u = m_act(rho, lead)
             if m_lcm(a, u) != t and m_lcm(b, u) != t:
                 return True
@@ -721,10 +722,10 @@ class TestOrbitChainCriterion:
                 for i, j in itertools.combinations_with_replacement(range(len(basis)), 2)
                 for gen in spair_generators(basis[i], basis[j], i, j)
             ]
-            table = reducer_table(basis[:1], pi_divides)
+            table = reducer_table(basis[:1], True)
             chained = buchberger._chain_criterion(table)
             assert [chained(gen) for gen in gens] == [chained_literally(gen, table) for gen in gens]
-            table.extend(reducer_row(k, g, pi_divides) for k, g in enumerate(basis) if k)
+            table.extend(reducer_row(k, g, True) for k, g in enumerate(basis) if k)
             verdicts = [chained(gen) for gen in gens]
             assert verdicts == [chained_literally(gen, table) for gen in gens]
             seen.update(verdicts)
@@ -780,8 +781,8 @@ class TestAutoreduce:
         basis = egb_buchberger(toric_problem.generators).basis
         assert autoreduce(basis) == basis
 
-    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
-    def test_agrees_with_restart_scan(self, divides):
+    @pytest.mark.parametrize("orbit", [True, False], ids=["pi", "plain"])
+    def test_agrees_with_restart_scan(self, orbit):
         rng = random.Random(21)
         lead_changes = 0
         for _ in range(150):
@@ -792,15 +793,15 @@ class TestAutoreduce:
                     for _t in range(rng.randrange(1, 4))
                 ]
                 G.append(p(*terms))
-            expected = _restart_autoreduce(G, divides)
-            assert autoreduce(G, divides) == expected
+            expected = _restart_autoreduce(G, orbit)
+            assert autoreduce(G, orbit) == expected
             leads = {lm(g) for g in G if not g.is_zero}
             lead_changes += any(lm(h) not in leads for h in expected)
         # the inputs exercise the flag reset: some reduce a lead away
         assert lead_changes > 0
 
 
-def _restart_autoreduce(G, divides):
+def _restart_autoreduce(G, orbit):
     """Reference interreduction: restart the scan after every change."""
     basis = [monic(g) for g in G if not g.is_zero]
     changed = True
@@ -808,7 +809,7 @@ def _restart_autoreduce(G, divides):
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1 :]
-            h = recorded_normal_form(basis[i], others, divides)[0]
+            h = recorded_normal_form(basis[i], others, orbit)[0]
             if h.is_zero:
                 basis.pop(i)
                 changed = True
@@ -869,10 +870,10 @@ class TestIncremental:
         orbit_calls = []
         real = buchberger.autoreduce
 
-        def counting(G, divides=None):
-            if divides is None:
+        def counting(G, orbit=True):
+            if orbit:
                 orbit_calls.append(len(G))
-            return real(G, divides)
+            return real(G, orbit)
 
         monkeypatch.setattr(buchberger, "autoreduce", counting)
         res = egb_incremental(toric_problem.generators, EngineLimits(max_width=3))

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import incgb
-from incgb import incmaps, spairs
+from incgb import incmaps, signature, spairs
 
 SRC = Path(incgb.__file__).resolve().parent
 
@@ -30,6 +30,38 @@ def test_no_function_local_imports():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _function_local_imports(tree)]
+    assert offenders == []
+
+
+def _unused_imports(tree):
+    """Names imported by a module-level ``from ... import`` that the module
+    never reads and does not export in ``__all__``, as (name, line)."""
+    imported = [
+        (alias.asname or alias.name, node.lineno)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [(name, line) for name, line in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # a deleted caller leaves its imports behind; an import nothing reads
+    # only hides which functions a module still depends on
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
     assert offenders == []
 
 
@@ -81,7 +113,7 @@ def test_pair_generators_are_lazy():
     sources = (
         spairs.interlacings,
         spairs.spair_generators,
-        spairs.spair_generators_classical,
+        signature.j_pairs,
         incmaps.increasing_maps,
     )
     assert [fn.__name__ for fn in sources if not inspect.isgeneratorfunction(fn)] == []

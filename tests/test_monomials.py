@@ -13,7 +13,6 @@ from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
-    _match_witnesses,
     m_act,
     m_divides,
     m_lcm,
@@ -21,6 +20,9 @@ from incgb.rings import (
     m_quotient,
     order_key,
     pi_divides,
+    prepare_lead,
+    prepared_witnesses,
+    term_profile,
 )
 
 from conftest import order_sign, random_incmap, random_xmono, xmono, xvar
@@ -176,7 +178,8 @@ class TestPiDivides:
         # both y-factors admit a witness; the lex-smallest image wins
         rho = pi_divides(ymono((1, 0)), ymono((3, 1), (2, 0)))
         assert rho is not None and (rho(0), rho(1)) == (0, 2)
-        witnesses = _match_witnesses(ymono((1, 0)), ymono((3, 1), (2, 0)))
+        lead, term = prepare_lead(ymono((1, 0))), term_profile(ymono((3, 1), (2, 0)))
+        witnesses = prepared_witnesses(lead, term)
         images = [(w(0), w(1)) for w in witnesses]
         assert images == [(0, 2), (1, 3)]
 
@@ -204,14 +207,15 @@ class TestPiDivides:
                     assert tuple(rho(i) for i in a.indices()) == images[0]
 
     def test_witnesses_enumeration(self):
-        ws = list(_match_witnesses(xmono(0), xmono(1, 4)))
+        ws = list(prepared_witnesses(prepare_lead(xmono(0)), term_profile(xmono(1, 4))))
         assert sorted(w(0) for w in ws) == [1, 4]
-        assert list(_match_witnesses(xmono(0, 0), xmono(3))) == []
-        assert list(_match_witnesses(Monomial(), Monomial())) == [IDENTITY]
+        assert list(prepared_witnesses(prepare_lead(xmono(0, 0)), term_profile(xmono(3)))) == []
+        unit = Monomial()
+        assert list(prepared_witnesses(prepare_lead(unit), term_profile(unit))) == [IDENTITY]
 
 
 class TestWitnessOracle:
-    """The witness order of ``_match_witnesses`` against the enumeration over
+    """The witness order of ``prepared_witnesses`` against the enumeration over
     index combinations.
 
     ``brute_pi_witnesses`` is the enumeration the witness search ran before
@@ -251,7 +255,7 @@ class TestWitnessOracle:
         hits = 0
         for a, b in pairs:
             expected = brute_pi_witnesses(a, b)
-            assert list(_match_witnesses(a, b)) == expected
+            assert list(prepared_witnesses(prepare_lead(a), term_profile(b))) == expected
             assert pi_divides(a, b) == (expected[0] if expected else None)
             hits += bool(expected)
         assert hits >= 0.3 * len(pairs)
@@ -306,7 +310,7 @@ class TestWitnessOracle:
             lead, term = rings.prepare_lead(a), rings.term_profile(b)
             expected = brute_pi_witnesses(a, b)
             assert list(rings.prepared_witnesses(lead, term)) == expected
-            assert list(_match_witnesses(a, b)) == expected
+            assert list(prepared_witnesses(prepare_lead(a), term_profile(b))) == expected
             if a.is_unit:
                 continue
             if not rings._admits(lead, term):
@@ -326,7 +330,7 @@ class TestWitnessOracle:
 
         monkeypatch.setattr(rings, "extend_partial", counting)
         a, b = ymono((1, 0)), ymono((3, 1), (2, 0), (5, 4))
-        ws = list(_match_witnesses(a, b))
+        ws = list(prepared_witnesses(prepare_lead(a), term_profile(b)))
         assert [(w(0), w(1)) for w in ws] == [(0, 2), (1, 3), (4, 5)]
         assert len(built) == len(ws)
         built.clear()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from incgb import poly as poly_module
 from incgb.buchberger import _spoly
-from incgb.incmaps import IncMap
+from incgb.incmaps import IDENTITY, IncMap
 from incgb.poly import (
     Polynomial,
     act,
@@ -42,10 +42,9 @@ from incgb.rings import (
     m_mul,
     m_quotient,
     pi_divides,
-    plain_divides,
     prepare_lead,
 )
-from incgb.spairs import spair_generators, spair_generators_classical
+from incgb.spairs import _spair_gen, spair_generators
 
 from conftest import (
     MEMBER_TEXT,
@@ -212,7 +211,15 @@ class TestNormalForm:
             assert normal_form(act(rho, f), basis).is_zero
 
 
-def reference_normal_form(f, reducers, divides):
+def oracle_divides(a, b, orbit):
+    """The oracles' divisibility test: ``pi_divides``, or with ``orbit``
+    false plain division, the identity as witness."""
+    if orbit:
+        return pi_divides(a, b)
+    return IDENTITY if m_divides(a, b) else None
+
+
+def reference_normal_form(f, reducers, orbit):
     """The subtract-based kernel: every step rebuilds the work polynomial.
     Returns the normal form and the steps (gi, witness, cofactor)."""
     steps = []
@@ -223,7 +230,7 @@ def reference_normal_form(f, reducers, divides):
         for gi, g in enumerate(reducers):
             if g.is_zero:
                 continue
-            rho = divides(lm(g), m)
+            rho = oracle_divides(lm(g), m, orbit)
             if rho is None:
                 continue
             g_img = act(rho, g)
@@ -273,10 +280,10 @@ def random_ring_poly(rng, ring, max_terms):
 class TestKernelOracle:
     """normal_form's term accumulator against the subtract-based kernel."""
 
-    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("orbit", [True, False], ids=["pi", "plain"])
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
-    def test_matches_reference(self, y_constraint, order_kind, divides):
+    def test_matches_reference(self, y_constraint, order_kind, orbit):
         ring = xy_ring(y_constraint, order_kind)
         rng = random.Random(31)
         steps = 0
@@ -285,12 +292,12 @@ class TestKernelOracle:
             G = [random_ring_poly(rng, ring, 3) for _ in range(rng.randrange(1, 4))]
             if rng.random() < 0.2:
                 G.insert(rng.randrange(len(G) + 1), zero(ring))
-            expected, expected_steps = reference_normal_form(f, G, divides)
-            out, choice = recorded_normal_form(f, G, divides)
+            expected, expected_steps = reference_normal_form(f, G, orbit)
+            out, choice = recorded_normal_form(f, G, orbit)
             assert out == expected
             assert choice.steps == expected_steps
             assert choice.replay(f, G) == out
-            if divides is pi_divides:
+            if orbit:
                 assert normal_form(f, G) == out
             steps += len(choice.steps)
         assert steps > 50
@@ -329,25 +336,25 @@ class TestSPairOracle:
     """The coefficient dict of ``_spoly``, fed to the kernel, against the
     subtract-built S-polynomial reduced by ``normal_form``."""
 
-    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("orbit", [True, False], ids=["pi", "plain"])
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
-    def test_matches_subtract_spoly(self, y_constraint, order_kind, divides):
+    def test_matches_subtract_spoly(self, y_constraint, order_kind, orbit):
         ring = xy_ring(y_constraint, order_kind)
         rng = random.Random(41)
         steps = nonzero = classical = 0
         for _ in range(25):
             G = [monic(random_ring_poly(rng, ring, 3)) for _ in range(rng.randrange(2, 6))]
             G = [g for g in G if not g.is_zero]
-            choose = first_reducer(reducer_table(G, divides), divides)
+            choose = first_reducer(reducer_table(G, orbit), orbit)
             k = len(G) - 1
-            gens = [gen for i in range(k) for gen in spair_generators_classical(G[i], G[k], i, k)]
+            gens = [_spair_gen(i, k, IDENTITY, IDENTITY, lm(G[i]), lm(G[k])) for i in range(k)]
             classical += len(gens)
             i, j = sorted(rng.randrange(len(G)) for _ in range(2))
-            orbit = list(spair_generators(G[i], G[j], i, j))
-            for gen in gens + rng.sample(orbit, min(4, len(orbit))):
+            orbit_gens = list(spair_generators(G[i], G[j], i, j))
+            for gen in gens + rng.sample(orbit_gens, min(4, len(orbit_gens))):
                 s = oracle_spoly(gen, G)
-                expected, expected_choice = recorded_normal_form(s, G, divides)
+                expected, expected_choice = recorded_normal_form(s, G, orbit)
                 choice = RecordedChoice(choose)
                 out = reduce_terms(ring, _spoly(gen, G), choice)
                 assert out == expected
@@ -375,9 +382,9 @@ class TestKernelContract:
             assert out == poly(ring, [(c, m) for m, c in acc.items()])
             assert seen == [m for _, m in out.terms]
 
-    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("orbit", [True, False], ids=["pi", "plain"])
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
-    def test_stopping_keeps_the_accumulated_tail(self, order_kind, divides):
+    def test_stopping_keeps_the_accumulated_tail(self, order_kind, orbit):
         # top reduction: after the first kept term the rest stays as it is
         ring = xy_ring("all_distinct", order_kind)
         rng = random.Random(53)
@@ -387,7 +394,7 @@ class TestKernelContract:
             f = random_ring_poly(rng, ring, 4)
             for g in G:  # reducible terms below the first kept one
                 f = add(f, mul_term(g, rng.choice([-1, 2]), random_ring_monomial(rng, ring)))
-            choose = first_reducer(reducer_table(G, divides), divides)
+            choose = first_reducer(reducer_table(G, orbit), orbit)
             stopped = False
 
             def top(m):
@@ -411,11 +418,11 @@ class TestKernelContract:
         assert steps > 200 and unreduced > 20
 
 
-def reference_choice(table, m, divides):
+def reference_choice(table, m, orbit):
     """The choice without a memo or masks: a fresh scan of every row, the
     reducer's tail moved afresh."""
     for gi, g, lead, _ in table:
-        rho = divides(lead, m)
+        rho = oracle_divides(lead, m, orbit)
         if rho is not None:
             cof = m_quotient(m, m_act(rho, lead))
             tail = tuple((a, m_mul(m_act(rho, n), cof)) for a, n in g.terms[1:])
@@ -423,7 +430,7 @@ def reference_choice(table, m, divides):
     return None
 
 
-def _memo_hits(ring, divides):
+def _memo_hits(ring, orbit):
     """One long-lived choice over a growing table, queried between appends
     and checked against a fresh scan per query.  Returns how often a term
     that missed later found a row appended since, and how often a term's
@@ -432,23 +439,23 @@ def _memo_hits(ring, divides):
     late_hits = kept_hits = 0
     for _ in range(30):
         table = []
-        choose = first_reducer(table, divides)
+        choose = first_reducer(table, orbit)
         terms = [random_ring_monomial(rng, ring) for _ in range(10)]
         terms = [m_mul(a, b) for a in terms[:5] for b in terms[5:]]
         missed, found = set(), {}  # found: term -> table length at its first step
         for _ in range(6):
             g = random_ring_poly(rng, ring, 2)
             if not g.is_zero:
-                table.append(reducer_row(len(table), g, divides))
+                table.append(reducer_row(len(table), g, orbit))
             for m in rng.sample(terms, 15):
                 step = choose(m)
-                assert step == reference_choice(table, m, divides)
+                assert step == reference_choice(table, m, orbit)
                 if step is None:
                     missed.add(m)
                 elif m not in found:
                     found[m] = len(table)
                     late_hits += m in missed  # a miss, then a row appended since
-                elif reference_choice(table[found[m] :], m, divides) is not None:
+                elif reference_choice(table[found[m] :], m, orbit) is not None:
                     kept_hits += 1  # a row appended since divides too
     return late_hits, kept_hits
 
@@ -460,31 +467,31 @@ class TestOrbitMemo:
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
     def test_matches_fresh_scan(self, y_constraint, order_kind):
-        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), pi_divides)
+        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), True)
         assert late_hits > 100 and kept_hits > 300
 
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
     def test_plain_matches_fresh_scan(self, y_constraint, order_kind):
-        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), plain_divides)
+        late_hits, kept_hits = _memo_hits(xy_ring(y_constraint, order_kind), False)
         assert late_hits > 100 and kept_hits > 200
 
     def test_plain_repeat_asks_no_divisibility(self, monkeypatch):
         # a repeated term is answered from the memo: a step found, or a
-        # miss over the same rows, costs no second plain_divides call
+        # miss over the same rows, costs no second m_divides call
         calls = []
 
         def counting(a, b):
             calls.append(b)
-            return plain_divides(a, b)
+            return m_divides(a, b)
 
-        monkeypatch.setattr(poly_module, "plain_divides", counting)
+        monkeypatch.setattr(poly_module, "m_divides", counting)
         ring = xy_ring("all_distinct", "lex")
         rng = random.Random(7)
         G = [random_ring_poly(rng, ring, 2) for _ in range(12)]
-        table = reducer_table([g for g in G if not g.is_zero and not lm(g).is_unit], counting)
+        table = reducer_table([g for g in G if not g.is_zero and not lm(g).is_unit], False)
         assert all(row[3] for row in table)  # plain rows: support masks
-        choose = first_reducer(table, counting)
+        choose = first_reducer(table, False)
         terms = [random_ring_monomial(rng, ring) for _ in range(40)]
         first = [choose(m) for m in terms]
         asked = len(calls)
@@ -493,12 +500,12 @@ class TestOrbitMemo:
         assert len(calls) == asked
 
 
-def replay_reduction(f, table, divides):
+def replay_reduction(f, table, orbit):
     """Full reduction by subtract and mul_term, one fresh scan per step."""
     work, kept = f, []
     while not work.is_zero:
         c, m = work.terms[0]
-        step = reference_choice(table, m, divides)
+        step = reference_choice(table, m, orbit)
         if step is None:
             kept.append((c, m))
             work = Polynomial(f.ring, work.terms[1:])
@@ -513,9 +520,9 @@ class TestMixedCoefficients:
     Fractions; what it returns holds Fractions only, checked by type (an int
     equals its Fraction, so ``==`` cannot tell them apart)."""
 
-    @pytest.mark.parametrize("divides", [pi_divides, plain_divides], ids=["pi", "plain"])
+    @pytest.mark.parametrize("orbit", [True, False], ids=["pi", "plain"])
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
-    def test_matches_subtract_replay(self, order_kind, divides):
+    def test_matches_subtract_replay(self, order_kind, orbit):
         # non-monic reducers (lead 2/3 or -2), fractional tails, and inputs
         # given partly as ints, partly as Fractions
         ring = xy_ring("strictly_decreasing", order_kind)
@@ -533,10 +540,10 @@ class TestMixedCoefficients:
                 m: c.numerator if c.denominator == 1 and rng.random() < 0.7 else c
                 for c, m in f.terms
             }
-            table = reducer_table(G, divides)
-            choice = RecordedChoice(first_reducer(table, divides))
+            table = reducer_table(G, orbit)
+            choice = RecordedChoice(first_reducer(table, orbit))
             out = reduce_terms(ring, acc, choice)
-            assert out == replay_reduction(f, table, divides)
+            assert out == replay_reduction(f, table, orbit)
             assert choice.replay(f, G) == out
             assert all(type(c) is Fraction for c, _ in out.terms)
             non_monic += sum(lc(G[gi]) != 1 for gi, _, _ in choice.steps)
@@ -613,8 +620,8 @@ class TestSupportMask:
         rng = random.Random(43)
         ring = xy_ring("all_distinct", "lex")
         G = [random_ring_poly(rng, ring, 3) for _ in range(30)] + [zero(ring)]
-        assert all(row[3] == prepare_lead(row[2]) for row in reducer_table(G, pi_divides))
-        rows = reducer_table(G, plain_divides)
+        assert all(row[3] == prepare_lead(row[2]) for row in reducer_table(G, True))
+        rows = reducer_table(G, False)
         assert [row[1] for row in rows] == [g for g in G if not g.is_zero]
         assert all(row[3] == support_mask(lm(row[1])) for row in rows)
         assert any(row[3] != 0 for row in rows)

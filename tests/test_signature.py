@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from incgb import signature
+from incgb import poly as poly_module
+from incgb import rings, signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
 from incgb.poly import act, add, lc, lm, monic, mul_term, normal_form, poly, sorted_basis, subtract
@@ -17,13 +18,15 @@ from incgb.rings import (
     FamilySpec,
     Monomial,
     Ring,
-    _match_witnesses,
     m_act,
     m_divides,
     m_mul,
     m_quotient,
     order_key,
     pi_divides,
+    prepare_lead,
+    prepared_witnesses,
+    term_profile,
 )
 from incgb.signature import (
     UNIT_TM,
@@ -313,7 +316,7 @@ class TestJPairs:
         engine.new_index(xmono(1, 1, 2))
         p_f = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(1, 1, 2))))
         p_g = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(1, 2, 2))))
-        out = j_pairs(p_f, p_g, 0, 1, engine)
+        out = list(j_pairs(p_f, p_g, 0, 1, engine))
         assert out
         jp = out[0]
         assert jp.sig.tm == tm(xmono(1, 2))
@@ -541,7 +544,7 @@ def reference_regular_top_reduce(p, G, engine):
             if g.poly.is_zero:
                 continue
             lead = lm(g.poly)
-            for rho in _match_witnesses(lead, target):
+            for rho in prepared_witnesses(prepare_lead(lead), term_profile(target)):
                 t = TwistedMonomial(m_quotient(target, m_act(rho, lead)), rho)
                 key = engine.sig_key(Signature(twisted_mul(t, g.sig.tm), g.sig.index))
                 if key == p_key:
@@ -575,12 +578,11 @@ def checked_against_oracles():
     checks = Counter()
 
     def checked_pairs(p, q, pi, qi, engine):
-        out = pairs(p, q, pi, qi, engine)
-        for jp in out:
+        for jp in pairs(p, q, pi, qi, engine):
             built = jp.poly
             assert (jp.lead, jp.width()) == (lm(built), built.width())
             checks["j_pairs"] += 1
-        return out
+            yield jp
 
     def checked_cover(j, C, engine):
         assert j.key == engine.sig_key(j.sig)  # queued pairs and fresh J-pairs alike
@@ -595,7 +597,7 @@ def checked_against_oracles():
 
     def checked_reduce(p, engine):
         out = reduce_top(p, engine)
-        G = [row[1] for row in engine.rows]
+        G = [LabeledPoly(sig, row[1]) for row, (sig, _) in zip(engine.rows, engine.labels)]
         assert out == reference_regular_top_reduce(LabeledPoly(p.sig, p.poly), G, engine)
         checks["regular_top_reduce"] += 1
         return out
@@ -730,6 +732,43 @@ class TestEgbSignature:
         assert res.status == COMPLETE
         assert len(calls) == len(set(calls)) == searches
 
+    @pytest.mark.parametrize("problem, preparations", [("toric", 12), ("member", 11)])
+    def test_one_preparation_per_inserted_lead(
+        self, request, monkeypatch, problem, preparations
+    ):
+        # one reducer table per run: the full normal form and regular
+        # top-reduction both read engine.rows, so each inserted lead is
+        # prepared once, and _minimalize prepares each kept lead once.  With
+        # a second table for the full normal form, toric prepared 18 leads
+        # and member 17
+        prepared, tables, scanned = [], [], []
+        real_prepare, real_first = rings.prepare_lead, signature.first_reducer
+        real_candidates = SigEngine.candidates
+
+        def counting_prepare(lead):
+            prepared.append(lead)
+            return real_prepare(lead)
+
+        def recording_first(table, orbit):
+            tables.append(table)
+            return real_first(table, orbit)
+
+        def recording_candidates(engine, term):
+            scanned.append(engine.rows)
+            return real_candidates(engine, term)
+
+        for module in (poly_module, rings, signature):
+            if hasattr(module, "prepare_lead"):
+                monkeypatch.setattr(module, "prepare_lead", counting_prepare)
+        monkeypatch.setattr(signature, "first_reducer", recording_first)
+        monkeypatch.setattr(SigEngine, "candidates", recording_candidates)
+        res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
+        assert res.status == COMPLETE
+        assert len(prepared) == res.stats["insertions"] + len(res.basis) == preparations
+        # the loop's full reducer, then _minimalize's own table of kept leads
+        assert len(tables) == 2 and scanned
+        assert all(rows is tables[0] for rows in scanned)
+
     def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
         # each row add_reducer appends holds the element's lead and that
         # lead's preparation, which regular top-reduction searches on
@@ -738,7 +777,7 @@ class TestEgbSignature:
 
         def checked(engine, g):
             real(engine, g)
-            assert engine.rows[-1][1] is g
+            assert engine.rows[-1][1] is g.poly and engine.labels[-1][0] is g.sig
             assert_current_preparations(engine.rows)
             appended.append(g)
 
