@@ -9,11 +9,13 @@ entries.  Under plain divisibility the Gebauer–Möller criteria are exact,
 so the classical engine queues only the pairs they keep and drops the
 queued pairs a new lead makes redundant (``_chain_update``).  The direct
 engine queues every orbit pair and skips, as it pops them, those the
-strict orbit chain criterion proves redundant (``_chain_criterion``;
-``is_egb`` applies it too and argues its soundness).  There is no
-termination theory for general inputs, so explicit budgets (pair count,
-width, basis size) bound every run; exhausting a budget returns the
-partial basis with a distinguished status instead of raising.
+strict orbit chain criterion proves redundant (``_chained``; ``is_egb``
+applies it too and argues its soundness).  The chain test asks the run's
+reducer choice, so the reductions and the chain test share one witness
+memo.  There is no termination theory for general inputs, so explicit
+budgets (pair count, width, basis size) bound every run; exhausting a
+budget returns the partial basis with a distinguished status instead of
+raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -24,14 +26,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .incmaps import IDENTITY, increasing_maps
 from .poly import act, lm, monic, sorted_basis
 from .poly import first_reducer, integral, kernel_terms, reduce_terms, reducer_row, reducer_table
 from .poly import support_mask
 from .rings import Monomial, m_act, m_divides, m_lcm, m_mul
-from .rings import prepared_witnesses, term_profile
 from .spairs import _spair_gen, spair_generators
 
 COMPLETE = "complete"
@@ -42,7 +42,7 @@ BUDGET = "budget_exhausted"
 class EngineLimits:
     max_width: int = 16
     max_pairs: int = 100_000
-    max_basis: int = None
+    max_basis: int | None = None
 
 
 @dataclass
@@ -118,10 +118,10 @@ def _chain_update(table, k, queue):
     return sorted(i for *_, i, coprime in minimal.values() if not coprime)
 
 
-def _chain_criterion(table):
-    """The strict orbit chain criterion over the leads of ``table``, an
-    orbit reducer table: a test that is true of a critical-pair generator
-    needing no reduction (the argument is at ``is_egb``).
+def _chained(gen, choose):
+    """The strict orbit chain criterion: true of a critical-pair generator
+    needing no reduction (the argument is at ``is_egb``), asked of
+    ``choose``, the run's orbit reducer choice (``first_reducer``).
 
     With overlap t = cof1 * σ(lm f) = cof2 * τ(lm g), the test asks whether
     some lead orbit-divides t / (v * w) for a variable v of cof2 and w of
@@ -129,33 +129,17 @@ def _chain_criterion(table):
     divides t, and lcm(σ lm f, u) and lcm(τ lm g, u) are both proper
     divisors of t.  For lcm(σ lm f, u) falls short of t exactly at a
     variable w of cof1 where u does, and likewise for v; cof1 and cof2 have
-    disjoint supports, so v != w.  A unit cofactor makes no test.
-
-    One memo for the run maps a monomial to (rows scanned, hit).  It is
-    exact while the table only grows by appending, as in ``first_reducer``.
-    A monomial is profiled once per scan, and each row's witness search
-    runs on the row's preparation.
+    disjoint supports, so v != w.  A unit cofactor makes no test.  The
+    choice's memo serves the reductions and this test alike; a step found
+    here moves no tail until a reduction applies it.
     """
-    memo = {}  # factors of t / (v * w) -> (rows scanned, hit)
-
-    def divisible(factors):
-        scanned, hit = memo.get(factors, (0, False))
-        if not hit and scanned < len(table):
-            term = term_profile(Monomial(factors))
-            rows = islice(table, scanned, None)
-            hit = any(next(prepared_witnesses(prep, term), None) is not None for *_, prep in rows)
-            memo[factors] = len(table), hit
-        return hit
-
-    def chained(gen):
-        t = gen.overlap.factors
-        return any(
-            divisible(tuple((u, d) for u, e in t if (d := e - (u == v or u == w))))
-            for v, _ in gen.cof2.factors
-            for w, _ in gen.cof1.factors
-        )
-
-    return chained
+    t = gen.overlap.factors
+    return any(
+        choose(Monomial(tuple((u, d) for u, e in t if (d := e - (u == v or u == w)))))
+        is not None
+        for v, _ in gen.cof2.factors
+        for w, _ in gen.cof1.factors
+    )
 
 
 def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
@@ -169,7 +153,7 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     Each prepared generator and each insertion k, in that order, queues
     its pairs with entries 0..k as soon as it exists.  Under orbit
     divisibility every pair set is queued, and a popped pair that the
-    strict chain criterion (``_chain_criterion``) proves redundant is
+    strict chain criterion (``_chained``) proves redundant is
     skipped, neither processed nor counted: a COMPLETE run has queued every
     interlacing pair of its final basis, so ``is_egb``'s argument holds
     over that basis.  Under plain divisibility the Gebauer–Möller update
@@ -191,7 +175,6 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     ring = G[0].ring
     table = reducer_table(G, orbit)
     choose = first_reducer(table, orbit)
-    chained = _chain_criterion(table) if orbit else None
     queue = []
     seq = 0
     over_width = False
@@ -225,7 +208,7 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
 
     while queue:
         gen = heapq.heappop(queue)[-1]
-        if chained is not None and chained(gen):
+        if orbit and _chained(gen, choose):
             continue
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)
@@ -305,8 +288,8 @@ def autoreduce(G, orbit=True):
 
 def is_egb(G) -> bool:
     """Equivariant Buchberger criterion: every orbit S-polynomial reduces to
-    0, except those the strict orbit chain criterion (``_chain_criterion``)
-    proves redundant.  The S-polynomials are built over a monic copy of G,
+    0, except those the strict orbit chain criterion (``_chained``) proves
+    redundant; one reducer choice serves the reductions and the chain test.  The S-polynomials are built over a monic copy of G,
     so the leads cancel whatever G's lead coefficients are.
 
     Why a chained pair needs no reduction.  A pair of orbit elements (a, b)
@@ -334,13 +317,11 @@ def is_egb(G) -> bool:
     or to an element it inserted) or chained through one of its leads.
     """
     basis = [monic(g) for g in G if not g.is_zero]
-    table = reducer_table(basis, True)
-    choose = first_reducer(table, True)
-    chained = _chain_criterion(table)
+    choose = first_reducer(reducer_table(basis, True), True)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             for gen in spair_generators(basis[i], basis[j], i, j):
-                if chained(gen):
+                if _chained(gen, choose):
                     continue
                 if not reduce_terms(basis[i].ring, _spoly(gen, basis), choose).is_zero:
                     return False

@@ -21,14 +21,15 @@ polynomial; a caller that wants the steps wraps the choice.  A reducer table onl
 by appending rows.  Under plain reduction a row's support mask lets the
 choice skip it without a divisibility test.  Under orbit reduction a row
 holds its lead's witness-search preparation, built once with the row, and
-the choice profiles each term once per scan.  Under either divisibility the
-choice remembers each term's step, with the reducer's tail already moved
-by the witness and cofactor, or the rows it scanned in vain; so a run
-searches for the witness of a row and a term, and moves that tail, once.
-Regular top-reduction keeps a memo of its own on the same grounds
-(``signature.SigEngine.candidates``): a term's witnesses in every row,
-not its step, because whether a candidate may reduce depends on the
-signature being reduced.
+a scan profiles each term once.  Each run keeps one memo per reducer
+table, of the kernel's steps [gi, g, witness, cofactor, tail]: the tail
+stays None until the kernel first applies the step, which then moves it
+(``moved_tail``) and keeps it.  ``first_reducer`` remembers each term's
+first step, or the rows it scanned in vain; ``candidates`` remembers every
+witness of every row, for regular top-reduction, where whether a step may
+reduce depends on the signature being reduced.  So a run searches a row
+for a term's witnesses once, and moves a tail once, whether a reduction,
+the chain test or both signature reductions asked.
 """
 
 from __future__ import annotations
@@ -196,21 +197,23 @@ def first_reducer(table, orbit: bool):
     mask has a bit outside the term's is skipped unasked, and the others
     are asked ``m_divides``, with the identity as witness.
 
-    A step is (gi, g, witness, cofactor, tail), the tail being
-    ``moved_tail(g, witness, cofactor)``.  The choice remembers, for each
-    term, how many rows it has scanned and the step it found: a step, tail
-    and all, is returned again as it is (rows appended later come after its
-    row), and a term that found none scans only the rows appended since.
-    That is exact while the table only grows by appending, as in
-    ``_pair_loop`` (its queue updates remove pairs, never rows), ``is_egb``,
-    ``normal_form`` and the signature engine; ``autoreduce``, which
-    replaces and deletes rows, builds a choice from a fresh slice for each
-    element.
+    A step is [gi, g, witness, cofactor, tail], the tail None until
+    ``reduce_terms`` first applies the step.  The choice remembers, for
+    each term, how many rows it has scanned and the step it found: a step
+    is returned again as it is, tail and all (rows appended later come
+    after its row), and a term that found none scans only the rows
+    appended since.  That is exact while the table only grows by
+    appending, as in ``_pair_loop`` (its queue updates remove pairs, never
+    rows) and ``is_egb``, whose chain test asks the same choice, and in
+    ``normal_form``; ``autoreduce``, which replaces and deletes rows,
+    builds a choice from a fresh slice for each element.
     """
-    memo = {}  # term -> (rows scanned, step or None)
+    # keyed by factors, which hash and compare in C: a term made only for
+    # the lookup, as the chain test makes them, is not kept alive
+    memo = {}  # term's factors -> (rows scanned, step or None)
 
     def choose(m):
-        scanned, step = memo.get(m, (0, None))
+        scanned, step = memo.get(m.factors, (0, None))
         if step is None and scanned < len(table):
             if orbit:
                 term = term_profile(m)
@@ -226,13 +229,49 @@ def first_reducer(table, orbit: bool):
                 if rho is not None:
                     # the action keeps coefficients and commutes with lm, and both
                     # it and multiplication by cof are injective on monomials
-                    cof = m_quotient(m, m_act(rho, lead))
-                    step = gi, g, rho, cof, moved_tail(g, rho, cof)
+                    step = [gi, g, rho, m_quotient(m, m_act(rho, lead)), None]
                     break
-            memo[m] = len(table), step
+            memo[m.factors] = len(table), step
         return step
 
     return choose
+
+
+def candidates(table):
+    """Every step of an orbit reducer ``table`` for a term: a generator
+    function that yields, per term, each row's lead moved by each of its
+    witnesses into the term, as ``first_reducer``'s steps, in row order and
+    then witness order.  So its first item is ``first_reducer``'s step.
+
+    The memo keeps, per term, the rows scanned and the steps found, and
+    scans a row only when a caller reads past them; so a run searches each
+    (row, term) once, and a row without a witness leaves nothing behind.
+    A scanned row adds all its witnesses at once, since an open witness
+    search would keep its backtracking state alive.  That is exact because
+    rows are only appended, and a row's witnesses and cofactors for a term
+    never change.  The term is profiled once per call that scans a row.
+    """
+    memo = {}  # term's factors, as in first_reducer -> [rows scanned, steps]
+
+    def scan(m):
+        entry = memo.get(m.factors)
+        if entry is None:
+            entry = memo[m.factors] = [0, []]
+        found, i, term = entry[1], 0, None
+        while True:
+            while i < len(found):
+                yield found[i]
+                i += 1
+            if entry[0] == len(table):
+                return
+            gi, g, lead, prep = table[entry[0]]
+            entry[0] += 1
+            if term is None:
+                term = term_profile(m)
+            for rho in prepared_witnesses(prep, term):
+                found.append([gi, g, rho, m_quotient(m, m_act(rho, lead)), None])
+
+    return scan
 
 
 def reduce_terms(ring: Ring, acc, choose):
@@ -241,13 +280,15 @@ def reduce_terms(ring: Ring, acc, choose):
 
     The work polynomial is the dict plus its monomials in ascending
     ``order_key`` order.  The greatest is popped and ``choose(m)`` returns
-    the step (gi, g, witness, cofactor, tail) that cancels it, or None to
-    keep it.  A step subtracts ratio * tail from the dict, ratio being the
-    popped coefficient over g's lead coefficient, and lists only monomials
-    new to it; the lead cancels exactly.  Zero entries stay until popped,
-    so each monomial is listed once and, order keys being injective, no two
-    monomials are compared.  New terms lie below the popped one, so the
-    kept terms come out in order.
+    the step [gi, g, witness, cofactor, tail] that cancels it, or None to
+    keep it.  A step's tail, None until a step is first applied, is then
+    moved (``moved_tail``) and kept in the step.  A step subtracts
+    ratio * tail from the dict, ratio being the popped coefficient over g's
+    lead coefficient, and lists only monomials new to it; the lead cancels
+    exactly.  Zero entries stay until popped, so each monomial is listed
+    once and, order keys being injective, no two monomials are compared.
+    New terms lie below the popped one, so the kept terms come out in
+    order.
 
     The dict's values may be ints or Fractions; a monic reducer's ratio is
     the coefficient itself, so integral work stays in ints.  The kept
@@ -264,7 +305,9 @@ def reduce_terms(ring: Ring, acc, choose):
         if step is None:
             done.append((Fraction(c) if type(c) is int else c, m))
             continue
-        _, g, _, _, tail = step
+        _, g, rho, cof, tail = step
+        if tail is None:
+            tail = step[4] = moved_tail(g, rho, cof)
         lead = g.terms[0][0]
         ratio = c if lead == 1 else c / lead
         for a, n in tail:

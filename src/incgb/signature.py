@@ -12,9 +12,10 @@ Zero reductions contribute syzygy signatures.  A J-pair stays unbuilt, a
 signature, a lead and a multiple of a basis element, until it is popped.
 Regular top-reduction is a reducer choice for the kernel
 ``poly.reduce_terms``.  The engine keeps one reducer table, one row per
-insertion, which regular top-reduction and the full normal form both
-read, and a memo of each term's candidate reducers, every witness of
-every row, searched once per run; a chosen candidate keeps its moved tail.
+insertion, and one memo of each term's candidate steps over it
+(``poly.candidates``), every witness of every row, searched once per run.
+Regular top-reduction and the full normal form both choose from it, the
+latter its first candidate, and a step keeps its tail once moved.
 What depends on the popped signature is judged per pop: a candidate's
 Schreyer head first, its full key on a head tie, and the tie and singular
 verdicts.  One cover index holds basis elements and syzygies by index and
@@ -33,7 +34,7 @@ from functools import lru_cache
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
 from .poly import Polynomial, lm, monic, sorted_basis, support_mask
-from .poly import first_reducer, kernel_terms, moved_tail, reduce_terms, reducer_row
+from .poly import candidates, first_reducer, kernel_terms, reduce_terms, reducer_row
 from .rings import (
     UNIT,
     Monomial,
@@ -44,8 +45,6 @@ from .rings import (
     m_pull_back,
     m_quotient,
     order_key,
-    prepared_witnesses,
-    term_profile,
 )
 from .spairs import spair_generators
 
@@ -124,7 +123,7 @@ class JPair:
 
 class SigEngine:
     """State of one signature run: module leads, the signature order, the
-    run's one reducer table with each row's label, and the witness memo."""
+    run's one reducer table with each row's label, and its candidate memo."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -133,7 +132,7 @@ class SigEngine:
         # insertion, read by regular top-reduction and the full normal form
         self.rows = []
         self.labels = []  # per row: (sig(g), Schreyer image of sig(g))
-        self.witnesses = {}  # term -> [rows scanned, candidates]: see candidates
+        self.candidates = candidates(self.rows)  # term -> its steps, memoized
 
     def new_index(self, lead: Monomial) -> int:
         self.module_leads.append(lead)
@@ -143,41 +142,6 @@ class SigEngine:
         """Append g's row and label, as the basis element ``len(self.rows)``."""
         self.labels.append((g.sig, tm_apply(g.sig.tm, self.module_leads[g.sig.index])))
         self.rows.append(reducer_row(len(self.rows), g.poly, True))
-
-    def candidates(self, term):
-        """Yield term's candidate reducers, [row, witness, cofactor, step]:
-        each row's lead moved by each of its witnesses into term, in row
-        order and then witness order.
-
-        The memo keeps, per term, the rows scanned and the candidates found,
-        and scans a row only when a caller reads past them; so a run
-        searches each (row, term) once, and a row without a witness leaves
-        nothing behind.  A scanned row adds all its witnesses at once, since
-        an open witness search would keep its backtracking state alive.
-        That is exact because rows are only appended, and a row's witnesses
-        and cofactors for a term never change.  The term is profiled once
-        per call that scans a row (``term_profile``), and each search runs
-        on the row's lead preparation.  ``step`` is None until
-        ``regular_top_reduce`` chooses the candidate and stores its step
-        there, moved tail and all.
-        """
-        entry = self.witnesses.get(term)
-        if entry is None:
-            entry = self.witnesses[term] = [0, []]  # rows scanned, candidates
-        found, i, profile = entry[1], 0, None
-        while True:
-            while i < len(found):
-                yield found[i]
-                i += 1
-            if entry[0] == len(self.rows):
-                return
-            row = self.rows[entry[0]]
-            entry[0] += 1
-            if profile is None:
-                profile = term_profile(term)
-            lead = row[2]
-            for rho in prepared_witnesses(row[3], profile):
-                found.append([row, rho, m_quotient(term, m_act(rho, lead)), None])
 
     def sig_key(self, s: Signature):
         """Sort key of the signature order; equal keys mean equal signatures.
@@ -192,7 +156,7 @@ class SigEngine:
         multiplication keeps the tie-break, which reduction and covering rely
         on.  Only a queued J-pair keeps its key; a cache of every signature's
         would cost more memory than recomputing them costs time.  The same
-        holds for the candidate reducers of ``candidates``: keeping each
+        holds for the candidate steps of ``candidates``: keeping each
         one's Schreyer head, and its full key once computed, raised the
         traced peak of a toric solve from 6.0 to 7.6 MiB.
         """
@@ -275,12 +239,12 @@ def regular_top_reduce(p, engine: SigEngine):
     signature itself never changes.  This is a reducer choice for
     ``reduce_terms``: once a term stays, every later term stays too.
 
-    Each term walks its candidates (``SigEngine.candidates``), searched
+    Each term walks its candidate steps (``poly.candidates``), searched
     once per run, in the same order on every pop.  What depends on p's
     signature is judged per pop: the candidate's Schreyer head, its full
     ``sig_key`` on a head tie, and the tie, singular and ``tied_used``
-    verdicts.  A chosen candidate's step, moved tail and all, is built once
-    and kept in the memo.
+    verdicts.  The chosen candidate is itself the step; the kernel moves
+    its tail once and the memo keeps it.
     """
     ring, p_key = engine.ring, engine.sig_key(p.sig)
     head = p_key[:2]
@@ -292,7 +256,7 @@ def regular_top_reduce(p, engine: SigEngine):
             return None
         tied = False  # a reducer at exactly p's signature, for this term only
         for candidate in engine.candidates(target):
-            (gi, g, _, _), rho, cof, step = candidate
+            gi, _, rho, cof, _ = candidate
             sig, image = engine.labels[gi]
             # the Schreyer head of t * sig(g) decides unless it ties p's
             key = (order_key(ring, m_mul(cof, m_act(rho, image))), sig.index)
@@ -303,9 +267,7 @@ def regular_top_reduce(p, engine: SigEngine):
                 tied = True
             elif key < p_key:
                 tied_used = tied_used or key[:2] == head
-                if step is None:
-                    step = candidate[3] = gi, g, rho, cof, moved_tail(g, rho, cof)
-                return step
+                return candidate
         stopped, singular = True, tied
         return None
 
@@ -316,9 +278,12 @@ def regular_top_reduce(p, engine: SigEngine):
 def _signature_loop(polys, engine, limits):
     stats = dict.fromkeys(STAT_KEYS, 0)
     G, C = [], {}  # C: the cover index of ``add_cover``
-    full_reducer = first_reducer(engine.rows, True)  # normal_form over G
     J, seq, done_sigs = [], 0, set()
     over_width = False
+
+    def full_reducer(m):
+        # normal_form over G: the first candidate is first_reducer's step
+        return next(engine.candidates(m), None)
 
     def push(pair):
         # The weighted degree of the Schreyer image comes first, so the queue

@@ -205,7 +205,7 @@ def assert_current_preparations(rows):
 def without_chain_criterion(monkeypatch):
     """Turn the strict orbit chain criterion off: ``is_egb`` and the direct
     engine then reduce every pair they draw."""
-    monkeypatch.setattr(buchberger, "_chain_criterion", lambda table: lambda gen: False)
+    monkeypatch.setattr(buchberger, "_chained", lambda gen, choose: False)
 
 
 class RecordedChoice:

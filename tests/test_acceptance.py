@@ -20,8 +20,8 @@ from incgb.buchberger import (
     egb_incremental,
     is_egb,
 )
-from incgb.incmaps import IncMap, compose, map_to_tau
-from incgb.poly import lm, monic, normal_form, poly
+from incgb.incmaps import compose, map_to_tau
+from incgb.poly import monic, normal_form, poly
 from incgb.problems import format_polynomial, parse
 from incgb.rings import Monomial, m_act, m_divides, m_mul, pi_divides
 from incgb.signature import egb_signature
@@ -39,7 +39,6 @@ from conftest import (
     random_xmono,
     recorded_normal_form,
     word_map,
-    xmono,
     xvar,
 )
 from test_buchberger import MEMBER_REFERENCE, TORIC_REFERENCE

@@ -573,9 +573,10 @@ class TestReducerTable:
     def test_orbit_witness_searches_pinned(self, x_problem, monkeypatch):
         # the orbit choice remembers each term's step: without the memo the
         # 5,380 choices of one wide5 solve made 11,512 witness searches.  The
-        # chain criterion leaves 2,748 choices; of the 118 searches, 22 are
-        # its own lookups, memoized the same way
-        searches = recorded_searches(monkeypatch, poly_module, buchberger)
+        # chain criterion leaves 2,748 reduction choices and asks the same
+        # choice 1,404 times; their memo makes 109 searches (118 with a
+        # second memo for the chain test)
+        searches = recorded_searches(monkeypatch, poly_module)
         choices, real_first = [], buchberger.first_reducer
 
         def counting_first(table, orbit):
@@ -590,7 +591,7 @@ class TestReducerTable:
         monkeypatch.setattr(buchberger, "first_reducer", counting_first)
         res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
         assert res.status == COMPLETE
-        assert (len(choices), len(searches)) == (2748, 118)
+        assert (len(choices), len(searches)) == (4152, 109)
 
 
 class TestLeadPreparations:
@@ -618,21 +619,23 @@ class TestLeadPreparations:
     def test_is_egb_monic_copy(self, member_problem, monkeypatch):
         basis = egb_buchberger(member_problem.generators).basis
         scaled = [scale(g, (2, -3, Fraction(1, 5))[k % 3]) for k, g in enumerate(basis)]
-        tables = []
-        real_first, real_chain = buchberger.first_reducer, buchberger._chain_criterion
+        tables, choices, asked = [], [], set()
+        real_first, real_chained = buchberger.first_reducer, buchberger._chained
 
         def checked_first(table, orbit):
             tables.append(table)
-            return real_first(table, orbit)
+            choices.append(real_first(table, orbit))
+            return choices[-1]
 
-        def checked_chain(table):
-            tables.append(table)
-            return real_chain(table)
+        def checked_chained(gen, choose):
+            asked.add(choose)
+            return real_chained(gen, choose)
 
         monkeypatch.setattr(buchberger, "first_reducer", checked_first)
-        monkeypatch.setattr(buchberger, "_chain_criterion", checked_chain)
+        monkeypatch.setattr(buchberger, "_chained", checked_chained)
         assert is_egb(scaled)
-        assert len(tables) == 2 and tables[0] is tables[1]
+        # one choice over one table serves the reductions and the chain test
+        assert len(tables) == 1 and asked == {choices[0]}
         assert [row[1] for row in tables[0]] == [monic(g) for g in scaled]
         assert_current_preparations(tables[0])
 
@@ -723,7 +726,11 @@ class TestOrbitChainCriterion:
                 for gen in spair_generators(basis[i], basis[j], i, j)
             ]
             table = reducer_table(basis[:1], True)
-            chained = buchberger._chain_criterion(table)
+            choose = first_reducer(table, True)
+
+            def chained(gen):
+                return buchberger._chained(gen, choose)
+
             assert [chained(gen) for gen in gens] == [chained_literally(gen, table) for gen in gens]
             table.extend(reducer_row(k, g, True) for k, g in enumerate(basis) if k)
             verdicts = [chained(gen) for gen in gens]

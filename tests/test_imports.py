@@ -8,6 +8,7 @@ import incgb
 from incgb import incmaps, signature, spairs
 
 SRC = Path(incgb.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _function_local_imports(tree):
@@ -57,9 +58,9 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     # a deleted caller leaves its imports behind; an import nothing reads
-    # only hides which functions a module still depends on
+    # only hides which functions a module, or a test module, still depends on
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line} {name}" for name, line in _unused_imports(tree)]
     assert offenders == []
@@ -107,6 +108,18 @@ def test_one_term_accumulator():
     assert offenders == []
 
 
+def test_one_witness_memo_per_table():
+    # poly keeps the one memo of witness searches per reducer table
+    # (first_reducer, candidates); an engine that calls the search itself
+    # keeps a second memo over the same rows
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("rings.py", "poly.py") and "prepared_witnesses" in path.read_text()
+    ]
+    assert offenders == []
+
+
 def test_pair_generators_are_lazy():
     # a caller that needs only to know whether a pair set is empty draws
     # one item; a pair source that builds a list would enumerate it all
@@ -122,10 +135,9 @@ def test_pair_generators_are_lazy():
 def test_parser_is_private():
     # problems.parse and problems.parse_polynomial are the entry points; a
     # caller that drives _Parser itself keeps its own copy of their checks
-    tests = Path(__file__).resolve().parent
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "problems.py"]
     offenders = []
-    for path in paths + sorted(tests.glob("*.py")):
+    for path in paths + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             names = []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incgb import rings
-from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial, increasing_maps
+from incgb.incmaps import IDENTITY, IncMap, compose, extend_partial
 from incgb.rings import (
     FamilySpec,
     Monomial,

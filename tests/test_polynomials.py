@@ -16,6 +16,7 @@ from incgb.poly import (
     Polynomial,
     act,
     add,
+    candidates,
     constant,
     first_reducer,
     lc,
@@ -47,7 +48,6 @@ from incgb.rings import (
 from incgb.spairs import _spair_gen, spair_generators
 
 from conftest import (
-    MEMBER_TEXT,
     RecordedChoice,
     expr,
     order_sign,
@@ -56,6 +56,7 @@ from conftest import (
     recorded_normal_form,
     xmono,
 )
+from test_monomials import brute_pi_witnesses
 
 X = Ring((FamilySpec("x"),))
 
@@ -420,7 +421,7 @@ class TestKernelContract:
 
 def reference_choice(table, m, orbit):
     """The choice without a memo or masks: a fresh scan of every row, the
-    reducer's tail moved afresh."""
+    reducer's tail moved afresh, as the step the kernel has applied."""
     for gi, g, lead, _ in table:
         rho = oracle_divides(lead, m, orbit)
         if rho is not None:
@@ -449,6 +450,14 @@ def _memo_hits(ring, orbit):
                 table.append(reducer_row(len(table), g, orbit))
             for m in rng.sample(terms, 15):
                 step = choose(m)
+                if step is not None:
+                    # the kernel moves a step's tail when it first applies
+                    # the step, and the memo keeps that tail
+                    tail = step[4]
+                    assert (tail is None) == (m not in found)
+                    reduce_terms(ring, {m: 1}, lambda t: step if t == m else None)
+                    assert tail is None or step[4] is tail
+                    step = tuple(step)
                 assert step == reference_choice(table, m, orbit)
                 if step is None:
                     missed.add(m)
@@ -498,6 +507,47 @@ class TestOrbitMemo:
         assert asked > 0 and any(first) and not all(first)
         assert [choose(m) for m in terms] == first
         assert len(calls) == asked
+
+
+class TestCandidates:
+    """``candidates``, every witness of every row for a term, memoized over
+    a growing table, against a fresh scan per query; its first item is
+    ``first_reducer``'s step."""
+
+    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
+    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing", "all_distinct"])
+    def test_matches_fresh_scan(self, y_constraint, order_kind):
+        ring = xy_ring(y_constraint, order_kind)
+        rng = random.Random(71)
+        firsts = late_rows = several = 0
+        for _ in range(30):
+            table = []
+            scan, choose = candidates(table), first_reducer(table, True)
+            terms = [random_ring_monomial(rng, ring) for _ in range(10)]
+            terms = [m_mul(a, b) for a in terms[:5] for b in terms[5:]]
+            for _ in range(6):
+                g = random_ring_poly(rng, ring, 2)
+                if not g.is_zero:
+                    table.append(reducer_row(len(table), g, True))
+                for m in rng.sample(terms, 15):
+                    expected = [
+                        (gi, g, rho, m_quotient(m, m_act(rho, lead)), None)
+                        for gi, g, lead, _ in table
+                        for rho in brute_pi_witnesses(lead, m)
+                    ]
+                    head = expected[0] if expected else None
+                    step = choose(m)
+                    assert (step if step is None else tuple(step[:4])) == (head and head[:4])
+                    if rng.random() < 0.5:  # a reader that stops at the first
+                        first = next(scan(m), None)
+                        assert (first if first is None else tuple(first)) == head
+                        firsts += first is not None
+                    else:
+                        steps = [tuple(step) for step in scan(m)]
+                        assert steps == expected
+                        late_rows += bool(steps) and steps[-1][0] == len(table) - 1
+                        several += len(steps) > len({step[0] for step in steps})
+        assert firsts > 100 and late_rows > 50 and several > 50
 
 
 def replay_reduction(f, table, orbit):

@@ -16,7 +16,7 @@ from incgb.problems import (
 )
 from incgb.rings import Monomial
 
-from conftest import MEMBER_TEXT, TORIC_TEXT, X_RING_TEXT, expr, xmono
+from conftest import TORIC_TEXT, X_RING_TEXT, expr, xmono
 
 
 class TestParse:

@@ -455,7 +455,7 @@ class TestRegularTopReduce:
         # x0^2 misses row 0 (lead x1*x0) and is remembered so; row 1,
         # appended later, must still reduce it, and row 0 is not searched
         # against it again
-        searches = recorded_searches(monkeypatch, signature)
+        searches = recorded_searches(monkeypatch, poly_module)
         engine = SigEngine(X)
         g0 = LabeledPoly(
             Signature(UNIT_TM, engine.new_index(xmono(0, 1))), p((1, xmono(0, 1)), (-1, xmono(0)))
@@ -723,27 +723,39 @@ class TestEgbSignature:
         assert res.stats == dict(zip(STAT_KEYS, counts))
         assert [format_polynomial(f) for f in res.basis] == basis
 
-    @pytest.mark.parametrize("problem, searches", [("toric", 5480), ("member", 762)])
+    @pytest.mark.parametrize("problem, searches", [("toric", 5879), ("member", 818)])
     def test_witness_searches_pinned(self, request, monkeypatch, problem, searches):
-        # regular top-reduction searches each (row, term) once per run:
-        # before its witness memo, toric made 15,696 searches and member 5,174
-        calls = recorded_searches(monkeypatch, signature)
+        # regular top-reduction and the full normal form share one memo of
+        # candidate steps, which searches each (row, term) once per run;
+        # _minimalize then searches its own table.  Before the memo toric
+        # made 15,696 searches in regular top-reduction alone and member
+        # 5,174; with a second memo for the full normal form, 7,334 and 1,158
+        calls = recorded_searches(monkeypatch, poly_module)
+        loop = []
+        real = signature._minimalize
+
+        def recording(polys):
+            loop.extend(calls)
+            return real(polys)
+
+        monkeypatch.setattr(signature, "_minimalize", recording)
         res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
         assert res.status == COMPLETE
-        assert len(calls) == len(set(calls)) == searches
+        assert len(loop) == len(set(loop)) and 0 < len(loop) < len(calls)
+        assert len(calls) == searches
 
     @pytest.mark.parametrize("problem, preparations", [("toric", 12), ("member", 11)])
     def test_one_preparation_per_inserted_lead(
         self, request, monkeypatch, problem, preparations
     ):
         # one reducer table per run: the full normal form and regular
-        # top-reduction both read engine.rows, so each inserted lead is
-        # prepared once, and _minimalize prepares each kept lead once.  With
-        # a second table for the full normal form, toric prepared 18 leads
-        # and member 17
+        # top-reduction both choose from the candidates of engine.rows, so
+        # each inserted lead is prepared once, and _minimalize prepares each
+        # kept lead once.  With a second table for the full normal form,
+        # toric prepared 18 leads and member 17
         prepared, tables, scanned = [], [], []
         real_prepare, real_first = rings.prepare_lead, signature.first_reducer
-        real_candidates = SigEngine.candidates
+        real_candidates = signature.candidates
 
         def counting_prepare(lead):
             prepared.append(lead)
@@ -753,21 +765,21 @@ class TestEgbSignature:
             tables.append(table)
             return real_first(table, orbit)
 
-        def recording_candidates(engine, term):
-            scanned.append(engine.rows)
-            return real_candidates(engine, term)
+        def recording_candidates(table):
+            scanned.append(table)
+            return real_candidates(table)
 
         for module in (poly_module, rings, signature):
             if hasattr(module, "prepare_lead"):
                 monkeypatch.setattr(module, "prepare_lead", counting_prepare)
         monkeypatch.setattr(signature, "first_reducer", recording_first)
-        monkeypatch.setattr(SigEngine, "candidates", recording_candidates)
+        monkeypatch.setattr(signature, "candidates", recording_candidates)
         res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
         assert res.status == COMPLETE
         assert len(prepared) == res.stats["insertions"] + len(res.basis) == preparations
-        # the loop's full reducer, then _minimalize's own table of kept leads
-        assert len(tables) == 2 and scanned
-        assert all(rows is tables[0] for rows in scanned)
+        # the loop's one memo over its rows, then _minimalize's own table
+        assert len(scanned) == len(tables) == 1
+        assert len(scanned[0]) == res.stats["insertions"] and tables[0] is not scanned[0]
 
     def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
         # each row add_reducer appends holds the element's lead and that
