@@ -5,17 +5,17 @@ queue keyed by (overlap width, overlap degree, insertion sequence), one
 reduction kernel and one interreduction routine.  One flag, ``orbit``,
 tells them apart: orbit divisibility and the orbit S-pairs of
 interlacings, or plain divisibility and one ordinary S-pair per pair of
-entries.  Under plain divisibility the Gebauer–Möller criteria are exact,
-so the classical engine queues only the pairs they keep and drops the
-queued pairs a new lead makes redundant (``_chain_update``).  The direct
-engine queues every orbit pair and skips, as it pops them, those the
-strict orbit chain criterion proves redundant (``_chained``; ``is_egb``
-applies it too and argues its soundness).  The chain test asks the run's
-reducer choice, so the reductions and the chain test share one witness
-memo.  There is no termination theory for general inputs, so explicit
-budgets (pair count, width, basis size) bound every run; exhausting a
-budget returns the partial basis with a distinguished status instead of
-raising.
+entries.  Under plain divisibility the classical engine queues only the
+pairs the Gebauer–Möller criteria M, F and coprime-B keep
+(``_chain_update``).  Both engines skip, as they pop them, the pairs the
+strict chain criterion proves redundant (``_chained``; ``is_egb`` applies
+it too and argues its soundness); under plain divisibility that test is
+Gebauer–Möller criterion B on queued pairs.  The chain test asks the
+run's reducer choice, so the reductions and the chain test share one
+witness memo.  There is no termination theory for general inputs, so
+explicit budgets (pair count, width, basis size) bound every run;
+exhausting a budget returns the partial basis with a distinguished status
+instead of raising.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -31,7 +31,7 @@ from .incmaps import IDENTITY, increasing_maps
 from .poly import act, lm, monic, sorted_basis
 from .poly import first_reducer, integral, kernel_terms, reduce_terms, reducer_row, reducer_table
 from .poly import support_mask
-from .rings import Monomial, m_act, m_divides, m_lcm, m_mul
+from .rings import Monomial, m_act, m_divides, m_mul
 from .spairs import _spair_gen, spair_generators
 
 COMPLETE = "complete"
@@ -69,36 +69,19 @@ def _spoly(gen, G):
     return acc
 
 
-def _chain_update(table, k, queue):
-    """The Gebauer–Möller update for row k of a plain-divisibility table
-    (``UPDATE`` in Becker–Weispfenning): drop from ``queue``, in place, the
-    pairs it makes redundant, and return the rows i < k whose pair with k
-    the criteria keep, ascending.
+def _chain_update(table, k):
+    """The Gebauer–Möller choice of partners for row k of a plain-divisibility
+    table (``UPDATE`` in Becker–Weispfenning): the rows i < k whose pair
+    with k the criteria keep, ascending.
 
-    With h the lead of row k, a queued pair {a, b} of lcm t is redundant
-    when h divides t and neither lcm(a, h) nor lcm(b, h) equals t: both are
-    proper divisors of t, so the chain a, h, b covers it.  A new pair
-    {g, h} has lcm h * q, q = g / gcd(g, h), so lcms divide as their q do.
-    Criterion M keeps the q minimal under divisibility, F one row per q
-    (the first), and B drops every q that a lead coprime to h has (q == g):
-    that pair reduces to 0, and the other pairs of its lcm follow from it.
+    With h the lead of row k, a new pair {g, h} has lcm h * q,
+    q = g / gcd(g, h), so lcms divide as their q do.  Criterion M keeps the
+    q minimal under divisibility, F one row per q (the first), and B drops
+    every q that a lead coprime to h has (q == g): that pair reduces to 0,
+    and the other pairs of its lcm follow from it.  Criterion B on queued
+    pairs is the pop-time chain test, ``_chained``, which both modes share.
     """
-    h, hmask = table[k][2], table[k][3]
-
-    def redundant(gen):
-        a, b, t = table[gen.fi], table[gen.gi], gen.overlap
-        return (
-            not hmask & ~(a[3] | b[3])  # t's support is a's and b's
-            and m_divides(h, t)
-            and m_lcm(a[2], h) != t
-            and m_lcm(b[2], h) != t
-        )
-
-    kept = [entry for entry in queue if not redundant(entry[-1])]
-    if len(kept) < len(queue):
-        queue[:] = kept
-        heapq.heapify(queue)
-
+    h = table[k][2]
     hexp = dict(h.factors)
     quotients = []
     for i in range(k):
@@ -119,9 +102,9 @@ def _chain_update(table, k, queue):
 
 
 def _chained(gen, choose):
-    """The strict orbit chain criterion: true of a critical-pair generator
-    needing no reduction (the argument is at ``is_egb``), asked of
-    ``choose``, the run's orbit reducer choice (``first_reducer``).
+    """The strict chain criterion: true of a critical-pair generator needing
+    no reduction (the argument is at ``is_egb``), asked of ``choose``, the
+    run's orbit or plain reducer choice (``first_reducer``).
 
     With overlap t = cof1 * σ(lm f) = cof2 * τ(lm g), the test asks whether
     some lead orbit-divides t / (v * w) for a variable v of cof2 and w of
@@ -129,9 +112,12 @@ def _chained(gen, choose):
     divides t, and lcm(σ lm f, u) and lcm(τ lm g, u) are both proper
     divisors of t.  For lcm(σ lm f, u) falls short of t exactly at a
     variable w of cof1 where u does, and likewise for v; cof1 and cof2 have
-    disjoint supports, so v != w.  A unit cofactor makes no test.  The
-    choice's memo serves the reductions and this test alike; a step found
-    here moves no tail until a reduction applies it.
+    disjoint supports, so v != w.  A unit cofactor makes no test.  Under
+    plain divisibility every map is the identity, and the test is
+    Gebauer–Möller criterion B: some lead u divides t, and lcm(a, u) and
+    lcm(b, u) both differ from t.  The choice's memo serves the reductions
+    and this test alike; a step found here moves no tail until a reduction
+    applies it.
     """
     t = gen.overlap.factors
     return any(
@@ -152,21 +138,21 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
 
     Each prepared generator and each insertion k, in that order, queues
     its pairs with entries 0..k as soon as it exists.  Under orbit
-    divisibility every pair set is queued, and a popped pair that the
-    strict chain criterion (``_chained``) proves redundant is
-    skipped, neither processed nor counted: a COMPLETE run has queued every
-    interlacing pair of its final basis, so ``is_egb``'s argument holds
-    over that basis.  Under plain divisibility the Gebauer–Möller update
-    (``_chain_update``) chooses the partners: only the pairs the criteria
-    keep are made (distinct entries whose leads share a variable), and it
-    removes from the queue the queued pairs the new lead makes redundant;
-    a removed pair is neither processed nor counted.  It removes queue
-    entries, never table rows, so the reducer table only grows.
+    divisibility every pair set is queued; under plain divisibility the
+    Gebauer–Möller update (``_chain_update``) chooses the partners, and
+    only the pairs its criteria keep are made (distinct entries whose
+    leads share a variable).  The queue is only pushed and popped.  In
+    both modes a popped pair that the strict chain criterion
+    (``_chained``) proves redundant is skipped, neither processed nor
+    counted: a COMPLETE orbit run has queued every interlacing pair of its
+    final basis, so ``is_egb``'s argument holds over that basis.
 
-    A pair wider than max_width is dropped where it is made, after the
-    criteria; max_pairs and max_basis stop the run with the partial,
-    unreduced basis and BUDGET.  A drained queue returns the interreduced
-    basis, or the unreduced one and BUDGET if a pair was dropped.
+    A pair set whose wider lead exceeds max_width is dropped before it is
+    drawn, as none of its pairs is narrower; any other pair wider than
+    max_width is dropped where it is made, after the criteria.  max_pairs
+    and max_basis stop the run with the partial, unreduced basis and
+    BUDGET.  A drained queue returns the interreduced basis, or the
+    unreduced one and BUDGET if a pair was dropped.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
@@ -182,8 +168,10 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     def push_pairs(i, j):
         nonlocal seq, over_width
         # An increasing map never lowers an index, so no overlap is narrower
-        # than a lead: past a wide lead, the first pair drops the whole set.
-        wide_lead = max(lm(G[i]).width(), lm(G[j]).width()) > limits.max_width
+        # than a lead: a wide lead drops the whole set before it is drawn.
+        if max(lm(G[i]).width(), lm(G[j]).width()) > limits.max_width:
+            over_width = True
+            return
         if orbit:
             gens = spair_generators(G[i], G[j], i, j)
         else:
@@ -192,15 +180,13 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
             width = gen.overlap.width()
             if width > limits.max_width:
                 over_width = True
-                if wide_lead:
-                    return
                 continue
             heapq.heappush(queue, (width, gen.overlap.degree(ring), seq, gen))
             seq += 1
 
     def add_pairs(k):
         """Queue the pairs of entry k with itself and the entries before it."""
-        for i in range(k + 1) if orbit else _chain_update(table, k, queue):
+        for i in range(k + 1) if orbit else _chain_update(table, k):
             push_pairs(i, k)
 
     for k in range(len(G)):
@@ -208,7 +194,7 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
 
     while queue:
         gen = heapq.heappop(queue)[-1]
-        if orbit and _chained(gen, choose):
+        if _chained(gen, choose):
             continue
         if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
             return EgbResult(G, stats, BUDGET)

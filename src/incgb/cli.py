@@ -47,6 +47,9 @@ ENGINES = {
     "signature": egb_signature,
 }
 
+# the keys an ``options`` block may hold
+OPTION_KEYS = ("algorithm", "max_width", "max_pairs", "max_basis")
+
 
 def _load(path):
     try:
@@ -83,6 +86,10 @@ def _limits(problem, args):
 
 def _solve(problem, args):
     """Run the selected engine; returns (algorithm, limits, result)."""
+    unknown = [key for key in problem.options if key not in OPTION_KEYS]
+    if unknown:
+        known = ", ".join(OPTION_KEYS)
+        raise SystemExit2(f"unknown option {unknown[0]!r}; the options are {known}")
     algorithm = args.algorithm or problem.options.get("algorithm", "buchberger")
     limits = _limits(problem, args)
     if algorithm not in ENGINES:

@@ -29,7 +29,10 @@ first step, or the rows it scanned in vain; ``candidates`` remembers every
 witness of every row, for regular top-reduction, where whether a step may
 reduce depends on the signature being reduced.  So a run searches a row
 for a term's witnesses once, and moves a tail once, whether a reduction,
-the chain test or both signature reductions asked.
+the chain test or both signature reductions asked.  The pair loop's chain
+test asks the same choice as its reductions, under orbit and plain
+divisibility alike; under plain divisibility it is Gebauer–Möller
+criterion B.
 """
 
 from __future__ import annotations
@@ -203,10 +206,9 @@ def first_reducer(table, orbit: bool):
     is returned again as it is, tail and all (rows appended later come
     after its row), and a term that found none scans only the rows
     appended since.  That is exact while the table only grows by
-    appending, as in ``_pair_loop`` (its queue updates remove pairs, never
-    rows) and ``is_egb``, whose chain test asks the same choice, and in
-    ``normal_form``; ``autoreduce``, which replaces and deletes rows,
-    builds a choice from a fresh slice for each element.
+    appending, as in ``_pair_loop`` and ``is_egb``, whose chain tests ask
+    the same choice, and in ``normal_form``; ``autoreduce``, which replaces
+    and deletes rows, builds a choice from a fresh slice for each element.
     """
     # keyed by factors, which hash and compare in C: a term made only for
     # the lookup, as the chain test makes them, is not kept alive

@@ -42,6 +42,17 @@ ring {
 generators { y[1,0] - x[1]*x[0]; }
 """
 
+# A grlex ring whose weights are off: y[1,0] has degree 1, not 3, so the
+# lead of the generator is x[1]^2 (y[1,0] when the weights count).
+UNWEIGHTED_TEXT = """
+ring {
+  family x { arity = 1, constraint = none, weight = 1 }
+  family y { arity = 2, constraint = strictly_decreasing, weight = 3 }
+  order { kind = grlex, precedence = [x, y], weights = false }
+}
+generators { y[1,0] - x[1]^2; }
+"""
+
 # The orbit membership input with its query polynomial.
 MEMBER_TEXT = """
 ring {
@@ -166,8 +177,8 @@ def checked_chain_update(monkeypatch):
     returned = [0]
     real = buchberger._chain_update
 
-    def checked(table, k, queue):
-        rows = real(table, k, queue)
+    def checked(table, k):
+        rows = real(table, k)
         h = table[k][2]
         assert all(i < k and not coprime(table[i][2], h) for i in rows)
         returned[0] += len(rows)
@@ -203,8 +214,9 @@ def assert_current_preparations(rows):
 
 
 def without_chain_criterion(monkeypatch):
-    """Turn the strict orbit chain criterion off: ``is_egb`` and the direct
-    engine then reduce every pair they draw."""
+    """Turn the strict chain criterion off: ``is_egb``, the direct engine and
+    the classical engine then reduce every pair they draw (the classical
+    engine still chooses its partners by criteria M, F and coprime-B)."""
     monkeypatch.setattr(buchberger, "_chained", lambda gen, choose: False)
 
 

@@ -262,8 +262,8 @@ class TestEgbBuchberger:
 
 
 class TestWidthSkip:
-    """A pair set whose leads are wider than max_width is decided by its
-    first generator: nothing else of it is enumerated."""
+    """A pair set whose wider lead exceeds max_width is dropped before any
+    of it is drawn, and the run returns BUDGET."""
 
     @pytest.mark.parametrize(
         "text, limits",
@@ -296,7 +296,7 @@ class TestWidthSkip:
         assert res.status == BUDGET
         assert res.basis == [f]
         assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
-        assert drawn == [1]  # one skipped pair set, one generator drawn
+        assert drawn == []  # the lead decides: no pair set is drawn
 
     def test_mixed_skip_pinned(self):
         # the self-pair of the first generator is skipped, the rest are
@@ -327,12 +327,14 @@ class TestWidthSkip:
         assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
 
     @pytest.mark.parametrize("text, width", [("y[1,0]", 1), ("x[0]", 0), ("x[0] - 1", 0)])
-    def test_wide_lead_without_pairs_completes(self, toric_problem, text, width):
-        # a self-pair set can be empty although the lead is too wide: then
-        # no pair is dropped, and the run completes
+    def test_wide_lead_without_pairs_is_budget(self, toric_problem, text, width):
+        # a self-pair set can be empty although the lead is too wide; it is
+        # dropped undrawn all the same, as the incremental and signature
+        # engines drop a generator wider than max_width
         f = expr(toric_problem, text)
         res = egb_buchberger([f], EngineLimits(max_width=width))
-        assert res.status == COMPLETE and res.basis == [f]
+        assert res.status == BUDGET and res.basis == [f]
+        assert res.stats == {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
 
     def test_classical_wide_leads_complete(self):
         # classical self-pairs are empty and these leads are coprime
@@ -462,8 +464,9 @@ class TestClassicalBuchberger:
 
 
 class TestChainCriteria:
-    """The Gebauer–Möller update against the all-pairs loop: the same
-    status and reduced basis, from no more processed pairs."""
+    """The Gebauer–Möller partner choice and the pop-time chain test
+    against the all-pairs loop: the same status and reduced basis, from no
+    more processed pairs."""
 
     @staticmethod
     def agrees(F, limits=EngineLimits()):
@@ -501,21 +504,32 @@ class TestChainCriteria:
         egb_incremental(problem.generators, limits)
         assert returned[0] > 10
 
+    def test_pop_test_drops_queued_pairs(self, monkeypatch):
+        # criterion B on queued pairs is the chain test at pop time: without
+        # it the width-4 level of monomial_map processes more pairs for the
+        # same basis
+        F = orbit_truncate(parse(MONOMIAL_MAP_TEXT).generators, 4)
+        with_test = classical_buchberger(F)
+        without_chain_criterion(monkeypatch)
+        without_test = classical_buchberger(F)
+        assert with_test.basis == without_test.basis
+        pairs = with_test.stats["pairs_processed"], without_test.stats["pairs_processed"]
+        assert pairs == (1357, 1392)
+
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
     def test_random_systems_that_kill_queued_pairs(self, order_kind, monkeypatch):
-        # 50 systems of 3-4 generators, each drawn until an insertion
-        # removes a queued pair from the queue
+        # 50 systems of 3-4 generators, each drawn until the chain test
+        # skips a queued pair of the classical run
         ring = Ring((FamilySpec("x"),), order_kind)
         killed = []
-        real = buchberger._chain_update
+        real = buchberger._chained
 
-        def counting(table, k, queue):
-            before = len(queue)
-            out = real(table, k, queue)
-            killed[-1] += before - len(queue)
+        def counting(gen, choose):
+            out = real(gen, choose)
+            killed[-1] += out
             return out
 
-        monkeypatch.setattr(buchberger, "_chain_update", counting)
+        monkeypatch.setattr(buchberger, "_chained", counting)
         rng = random.Random(29)
 
         def term():

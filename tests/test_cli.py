@@ -94,12 +94,19 @@ class TestSolve:
 
     @pytest.mark.parametrize("algorithm", ["buchberger", "incremental", "signature"])
     def test_budget_exit(self, tmp_path, capsys, algorithm):
+        # every stop comes at once; x[1000000] is wider than the default
+        # max_width, so no engine draws a pair of it (the direct engine's
+        # self-pair set walks combinations of a million indices when drawn)
         wide = X_RING_TEXT.replace("x[0];", "x[5]*x[0] - x[1];")
-        for text, limit in [(TORIC_TEXT, ["--max-pairs", "1"]), (wide, ["--max-width", "3"])]:
+        huge = X_RING_TEXT.replace("x[0];", "x[1000000] - x[0];")
+        cases = [(TORIC_TEXT, ["--max-pairs", "1"]), (wide, ["--max-width", "3"]), (huge, [])]
+        for text, limit in cases:
             f = tmp_path / "problem.egb"
             f.write_text(text)
             argv = ["solve", str(f), "--algorithm", algorithm, *limit, "--json"]
+            start = time.monotonic()
             assert main(argv) == EXIT_BUDGET
+            assert time.monotonic() - start < 2
             captured = capsys.readouterr()
             report = json.loads(captured.out)
             assert report["status"] == "budget_exhausted"
@@ -128,6 +135,17 @@ class TestSolve:
         f = tmp_path / "bad.egb"
         f.write_text(X_RING_TEXT + "\noptions { algorithm = nonsense; }\n")
         assert main(["solve", str(f)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["solve", "reduce", "member"])
+    def test_unknown_option_key(self, tmp_path, capsys, command):
+        # a misspelt budget would otherwise run at the default width
+        f = tmp_path / "bad.egb"
+        f.write_text(TORIC_TEXT + "\noptions { max_width = 3; max_widht = 1; }\n")
+        query = ["--poly", "y[1,0]"] if command != "solve" else []
+        assert main([command, str(f), *query]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_widht" in captured.err
 
 
     @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from incgb.signature import egb_signature
 
 from conftest import (
     MONOMIAL_MAP_TEXT,
+    UNWEIGHTED_TEXT,
     X_RING_TEXT,
     checked_chain_update,
     expr,
@@ -161,6 +162,23 @@ def test_corpus_bases_hold_fractions(problem, engine):
     file = parse((GOLDEN / f"{problem}.egb").read_text())
     res = engine(file.generators, EngineLimits(**file.options))
     assert res.basis and holds_fractions(res.basis)
+
+
+def test_unweighted_ring_engines_agree():
+    # weights = false moves the lead from y[1,0] to x[1]^2, and with it the
+    # pair-queue keys and the signature degree bands; every engine
+    # completes, on the same ideal, with a basis that passes is_egb
+    problem = parse(UNWEIGHTED_TEXT)
+    results = [engine(problem.generators, EngineLimits(max_width=6)) for engine in ENGINES]
+    assert [r.status for r in results] == [COMPLETE] * 3
+    assert [format_polynomial(f) for f in results[0].basis] == [
+        "x[1]^2 - y[1,0]",
+        "y[2,1] - y[2,0]",
+    ]
+    for r in results:
+        assert is_egb(r.basis)
+    for a, b in combinations([r.basis for r in results], 2):
+        assert ideal_equal(a, b)
 
 
 def test_monomial_map_basis_holds_fractions():

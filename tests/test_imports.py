@@ -108,6 +108,21 @@ def test_one_term_accumulator():
     assert offenders == []
 
 
+def test_no_heap_rebuilt():
+    # a pair queue is only pushed and popped: redundant pairs are skipped as
+    # they are popped (buchberger._chained), not swept out of the heap
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "heapify" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    assert offenders == []
+
+
 def test_one_witness_memo_per_table():
     # poly keeps the one memo of witness searches per reducer table
     # (first_reducer, candidates); an engine that calls the search itself

@@ -353,6 +353,20 @@ class TestCompare:
         # x precedes y, so any x-variable beats any y-variable under lex
         assert order_sign(XY, xmono(0), ymono((5, 2))) == 1
 
+    def test_grlex_weights_off(self):
+        # use_weights false: the degree, and so the grlex key, count each
+        # variable once, whatever its family's weight
+        y3 = FamilySpec("y", arity=2, constraint="strictly_decreasing", weight=3)
+        families = (XY.families[0], y3)
+        weighted = Ring(families, order_kind="grlex")
+        unweighted = Ring(families, order_kind="grlex", use_weights=False)
+        y, xx = ymono((1, 0)), xmono(1, 1)
+        assert (y.degree(weighted), xx.degree(weighted)) == (3, 2)
+        assert (y.degree(unweighted), xx.degree(unweighted)) == (1, 2)
+        assert order_key(unweighted, y) == (1, y.factors)
+        assert order_sign(weighted, y, xx) == 1
+        assert order_sign(unweighted, y, xx) == -1
+
 
 class TestOrderOracle:
     """order_key against a dense definition of lex and grlex."""

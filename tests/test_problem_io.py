@@ -16,7 +16,7 @@ from incgb.problems import (
 )
 from incgb.rings import Monomial
 
-from conftest import TORIC_TEXT, X_RING_TEXT, expr, xmono
+from conftest import TORIC_TEXT, UNWEIGHTED_TEXT, X_RING_TEXT, expr, xmono
 
 
 class TestParse:
@@ -242,6 +242,20 @@ class TestSerialize:
         a = serialize(toric_problem.generators, toric_problem.ring)
         b = serialize(toric_problem.generators, toric_problem.ring)
         assert a == b
+
+    def test_unweighted_round_trip(self):
+        # weights = false survives serialize and parse, and keeps the
+        # family weights it ignores
+        problem = parse(UNWEIGHTED_TEXT)
+        assert not problem.ring.use_weights
+        assert [f.weight for f in problem.ring.families] == [1, 3]
+        assert [format_polynomial(f) for f in problem.generators] == ["-x[1]^2 + y[1,0]"]
+        text = serialize(problem.generators, problem.ring)
+        assert "weights = false" in text
+        again = parse(text)
+        assert again.ring == problem.ring
+        assert again.generators == problem.generators
+        assert serialize(again.generators, again.ring) == text
 
     def test_ring_block_round_trip(self, toric_problem):
         text = serialize_ring(toric_problem.ring) + "\ngenerators { }\n"
