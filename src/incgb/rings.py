@@ -186,15 +186,14 @@ def m_act(rho: IncMap, m: Monomial) -> Monomial:
     return Monomial(tuple(((label, tuple(map(rho, idx))), e) for (label, idx), e in m.factors))
 
 
-def m_pull_back(rho: IncMap, m: Monomial) -> Monomial:
-    """The greatest n with m_act(rho, n) dividing m: m's factors whose indices
-    all lie in rho's image, moved back.  m_act(rho, k) divides m iff k divides n.
-    """
-    if rho.is_identity:
-        return m
-    pre = {j: rho.preimage(j) for j in m.indices()}
-    moved = (((label, tuple(map(pre.get, idx))), e) for (label, idx), e in m.factors)
-    return Monomial(tuple((v, e) for v, e in moved if None not in v[1]))
+def var_pull_back(rho: IncMap, var):
+    """The variable rho moves onto var, or None when some index of var lies
+    outside rho's image.  Pulling back each factor of a monomial m and
+    keeping the hits, in m's order, gives the greatest n with m_act(rho, n)
+    dividing m: m_act(rho, k) divides m iff k divides n."""
+    label, idx = var
+    back = tuple(map(rho.preimage, idx))
+    return None if None in back else (label, back)
 
 
 def order_key(ring: Ring, m: Monomial):

@@ -18,11 +18,15 @@ Regular top-reduction and the full normal form both choose from it, the
 latter its first candidate, and a step keeps its tail once moved.
 What depends on the popped signature is judged per pop: a candidate's
 Schreyer head first, its full key on a head tie, and the tie and singular
-verdicts.  One cover index holds basis elements and syzygies by index and
-shift, and the cover test pulls the target back once per group.  A J-pair at a known
-signature, wider than ``max_width`` or covered is dropped before it is
-queued; after a width drop the run drains its queue and reports BUDGET, as
-the direct engine does.
+verdicts.  The two sides of a J-pair are judged the same way, and only the
+winner gets a signature and key unless the heads tie.  One cover index
+holds basis elements and syzygies by index and shift.  Per target shift it
+remembers the groups whose shift that one factors through, with their
+shift quotients and per-variable pull-backs, so a cover test visits only
+those groups and pulls the target back without a lookup it made before.
+A J-pair at a known signature, wider than ``max_width`` or covered is
+dropped before it is queued; after a width drop the run drains its queue
+and reports BUDGET, as the direct engine does.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
@@ -42,9 +47,9 @@ from .rings import (
     m_act,
     m_divides,
     m_mul,
-    m_pull_back,
     m_quotient,
     order_key,
+    var_pull_back,
 )
 from .spairs import spair_generators
 
@@ -174,14 +179,29 @@ class SigEngine:
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     """The larger-signature sides of the S-polynomials of p and q, unbuilt.
 
-    Sides with equal multiplied signatures are singular and emit nothing.
-    The coprime filter stays off here: cover and syzygy logic subsume it.
-    A generator, like the pair source it reads.
+    p and q are the basis elements of rows pi and qi.  A side t * sig(g),
+    t = (cof, map), is judged by its Schreyer head first: (cof * map(image),
+    index), image being the row's Schreyer image (``SigEngine.labels``).
+    Only the winning side gets its signature and ``sig_key``; on a head
+    tie both sides get their full keys, and equal keys are singular and
+    emit nothing.  The coprime filter stays off here: cover and syzygy
+    logic subsume it.  A generator, like the pair source it reads.
     """
+    ring = engine.ring
+    image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
+
+    def side(cof, rho, g):
+        sig = Signature(twisted_mul(TwistedMonomial(cof, rho), g.sig.tm), g.sig.index)
+        return sig, engine.sig_key(sig)
+
     for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
-        sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
-        sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
-        key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
+        head1 = (order_key(ring, m_mul(gen.cof1, m_act(gen.map1, image_p))), p.sig.index)
+        head2 = (order_key(ring, m_mul(gen.cof2, m_act(gen.map2, image_q))), q.sig.index)
+        if head1 != head2:
+            cof, rho, g = (gen.cof1, gen.map1, p) if head1 > head2 else (gen.cof2, gen.map2, q)
+            yield JPair(*side(cof, rho, g), gen.overlap, g, rho, cof)
+            continue
+        (sig1, key1), (sig2, key2) = side(gen.cof1, gen.map1, p), side(gen.cof2, gen.map2, q)
         if key1 > key2:
             yield JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1)
         elif key1 < key2:
@@ -189,11 +209,13 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
 
 
 def add_cover(C, sig: Signature, lead=None):
-    """Record a known signature in the cover index C: index -> shift ->
-    [(support mask, monomial part, lead)], where lead is None for a syzygy
-    and lm of the element for a basis element."""
-    group = C.setdefault(sig.index, {}).setdefault(sig.tm.shift, [])
-    group.append((support_mask(sig.tm.mono), sig.tm.mono, lead))
+    """Record a known signature in the cover index C: index -> (groups,
+    memo).  groups maps a shift to its entries [(support mask, monomial
+    part, lead)], where lead is None for a syzygy and lm of the element for
+    a basis element.  memo belongs to ``is_covered``.  Groups are only
+    added and entries only appended, which keeps that memo exact."""
+    groups, _ = C.setdefault(sig.index, ({}, {}))
+    groups.setdefault(sig.tm.shift, []).append((support_mask(sig.tm.mono), sig.tm.mono, lead))
 
 
 def is_covered(j, C, engine: SigEngine) -> bool:
@@ -202,23 +224,55 @@ def is_covered(j, C, engine: SigEngine) -> bool:
     and a basis element's lead, moved by t, falls strictly below j's.  A
     merely tied or rearranged lead is no license: the discarded content
     would reappear at a signature the queue never visits.
+
+    t's shift st is forced (``_shift_quotient``), so the memo of j's index
+    keeps, per target shift, how many groups it has scanned and, for each
+    group whose shift factors through, (st, pull-back memo, group, moved
+    memo); a test first scans the groups added since.  j's monomial is
+    pulled back one variable at a time through the quotient's memo, whose
+    support bits make the mask that filters the entries; the pulled-back
+    monomial is built only for an entry that passes.  A basis element's
+    moved monomial and lead are kept per entry position.
     """
-    ring, target = engine.ring, j.sig.tm
+    slot = C.get(j.sig.index)
+    if slot is None:
+        return False
+    groups, memo = slot
+    target = j.sig.tm
+    seen = memo.setdefault(target.shift, [0, []])  # groups scanned, records
+    if seen[0] < len(groups):
+        for shift, group in islice(groups.items(), seen[0], None):
+            st = _shift_quotient(target.shift, shift)  # t's shift, forced if any
+            if st is not None:
+                seen[1].append((st, {}, group, {}))
+        seen[0] = len(groups)
+    ring = engine.ring
     jl = order_key(ring, j.lead)
-    for shift, group in C.get(j.sig.index, {}).items():
-        st = _shift_quotient(target.shift, shift)  # t's shift, forced if any
-        if st is None:
-            continue
+    for st, pull, group, moved in seen[1]:
         # m_act(st, n) divides target's monomial iff n divides it pulled back
-        back = m_pull_back(st, target.mono)
-        outside = ~support_mask(back)
-        for mask, n, lead in group:
-            if mask & outside or not m_divides(n, back):
+        factors, mask = [], 0
+        for v, e in target.mono.factors:
+            hit = pull.get(v)  # (variable, support bit), or () outside st's image
+            if hit is None:
+                w = var_pull_back(st, v)
+                hit = pull[v] = () if w is None else (w, support_mask(Monomial(((w, 1),))))
+            if hit:
+                factors.append((hit[0], e))
+                mask |= hit[1]
+        back, outside = None, ~mask
+        for at, (n_mask, n, lead) in enumerate(group):
+            if n_mask & outside:
+                continue
+            if back is None:
+                back = Monomial(tuple(factors))
+            if not m_divides(n, back):
                 continue
             if lead is None:
                 return True
-            cof = m_quotient(target.mono, m_act(st, n))
-            if order_key(ring, m_mul(cof, m_act(st, lead))) < jl:
+            pair = moved.get(at)
+            if pair is None:
+                pair = moved[at] = m_act(st, n), m_act(st, lead)
+            if order_key(ring, m_mul(m_quotient(target.mono, pair[0]), pair[1])) < jl:
                 return True
     return False
 

@@ -43,6 +43,7 @@ from incgb.signature import (
     tm_apply,
     twisted_mul,
 )
+from incgb.spairs import spair_generators
 
 from conftest import (
     assert_current_preparations,
@@ -316,6 +317,8 @@ class TestJPairs:
         engine.new_index(xmono(1, 1, 2))
         p_f = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(1, 1, 2))))
         p_g = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(1, 2, 2))))
+        engine.add_reducer(p_f)  # j_pairs reads the rows' Schreyer images
+        engine.add_reducer(p_g)
         out = list(j_pairs(p_f, p_g, 0, 1, engine))
         assert out
         jp = out[0]
@@ -329,6 +332,7 @@ class TestJPairs:
         engine.new_index(xmono(0, 1))
         f = p((1, xmono(0, 1)))
         q = LabeledPoly(Signature(UNIT_TM, 0), f)
+        engine.add_reducer(q)
         assert all(jp.sig != q.sig for jp in j_pairs(q, q, 0, 0, engine))
 
 
@@ -390,7 +394,7 @@ class TestIsCovered:
         # both signatures have the identity shift: one group, two entries
         g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0))))
         C = cover_index([g], [Signature(tm(xmono(5)), 0)])
-        assert [len(group) for group in C[0].values()] == [2]
+        assert [len(group) for group in C[0][0].values()] == [2]
 
         def j(mono, lead):
             return unit_multiple(LabeledPoly(Signature(tm(mono), 0), p((1, lead))))
@@ -415,6 +419,55 @@ class TestIsCovered:
         assert not self.agree(j, cover_index(syzygies=sigs))
         sigs.append(Signature(tm(xmono(2), 0), 0))
         assert self.agree(j, cover_index(syzygies=sigs))
+
+    def test_memo_follows_a_growing_index(self):
+        # Every target below has the shift t0 (i -> i + 1), so the first test
+        # builds that shift's memo and the later ones must see what the index
+        # gained since: a new group, and entries appended to a memoized group
+        def j(mono, lead):
+            return unit_multiple(LabeledPoly(Signature(tm(mono, 0), 0), p((1, lead))))
+
+        C = cover_index(syzygies=[Signature(tm(xmono(5)), 0)])
+        # st = t0 pulls x1 x3 back to x0 x2, which x5 does not divide
+        assert not self.agree(j(xmono(1, 3), xmono(0, 1)), C)
+        # x0 lies outside t0's image and is dropped; x6 pulls back to x5
+        assert self.agree(j(xmono(0, 6), xmono(0, 1)), C)
+        # a group added after the memo was built: (x3, t0), reached by the identity
+        add_cover(C, Signature(tm(xmono(3), 0), 0))
+        assert self.agree(j(xmono(1, 3), xmono(0, 1)), C)
+        # another monomial at the same shift, which neither entry covers ...
+        assert not self.agree(j(xmono(2, 4), xmono(0, 1)), C)
+        # ... until a syzygy is appended to the memoized identity group:
+        # x1 divides x2 x4 pulled back, x1 x3, so t0 moves it onto a divisor
+        add_cover(C, Signature(tm(xmono(1)), 0))
+        assert [len(group) for group in C[0][0].values()] == [2, 1]
+        assert self.agree(j(xmono(2, 4), xmono(0, 1)), C)
+        # a basis element appended to the memoized t0 group: x8 divides
+        # x8 x9 with cofactor x9, and its lead moves to x9 * x0, below a
+        # lead x0 x10 and tied with x0 x9
+        assert not self.agree(j(xmono(8, 9), xmono(0, 10)), C)
+        add_cover(C, Signature(tm(xmono(8), 0), 0), xmono(0))
+        assert self.agree(j(xmono(8, 9), xmono(0, 10)), C)
+        assert not self.agree(j(xmono(8, 9), xmono(0, 9)), C)  # a tie
+        # the element's moved monomial and lead serve another target
+        assert self.agree(j(xmono(8, 11), xmono(0, 12)), C)
+        assert not self.agree(j(xmono(8, 11), xmono(0, 11)), C)
+
+    def test_memo_against_linear_scan(self):
+        # one index grown at random between tests of recurring target shifts
+        rng = random.Random(37)
+        words = [(), (0,), (1,), (0, 0), (0, 2), (2,)]
+        C, verdicts = {}, Counter()
+        for _ in range(600):
+            mono = random_xmono(rng, 5, 3)
+            if rng.random() < 0.15:
+                lead = random_xmono(rng, 4, 2) if rng.random() < 0.5 else None
+                add_cover(C, Signature(tm(mono, *rng.choice(words)), 0), lead)
+                continue
+            target = Signature(tm(mono, *rng.choice(words)), 0)
+            lead = random_xmono(rng, 5, 3)
+            verdicts[self.agree(unit_multiple(LabeledPoly(target, p((1, lead)))), C)] += 1
+        assert min(verdicts.values()) > 50
 
 
 class TestRegularTopReduce:
@@ -494,6 +547,25 @@ class TestRegularTopReduce:
         assert verdicts == [(True, False), (False, True), (False, False)]
 
 
+def reference_j_pairs(p, q, pi, qi, engine):
+    """The J-pairs as they were built before the Schreyer-head test: both
+    sides' signatures and full keys for every generator."""
+    out = []
+    for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
+        sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
+        sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
+        key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
+        if key1 > key2:
+            out.append(JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1))
+        elif key1 < key2:
+            out.append(JPair(sig2, key2, gen.overlap, q, gen.map2, gen.cof2))
+    return out
+
+
+def j_pair_fields(jp):
+    return jp.sig, jp.key, jp.lead, jp.source, jp.map, jp.cof
+
+
 def reference_is_covered(j, G, S, engine):
     """The linear-scan cover test the cover index replaced, on the dense
     left quotient; S lists the syzygies as zero labeled polynomials."""
@@ -518,7 +590,7 @@ def cover_records(C, ring=X):
     """The basis elements and syzygies of a cover index, as the linear scan
     took them: an element as its lead alone, a syzygy as zero."""
     G, S = [], []
-    for index, groups in C.items():
+    for index, (groups, _memo) in C.items():
         for shift, group in groups.items():
             for _mask, mono, lead in group:
                 sig = Signature(TwistedMonomial(mono, shift), index)
@@ -569,16 +641,21 @@ def reference_regular_top_reduce(p, G, engine):
 @contextmanager
 def checked_against_oracles():
     """Run the engine with every J-pair list, cover test and top reduction
-    checked: a J-pair's lead and width against its built polynomial, its
-    carried key against its signature's, the cover verdict and the
-    reduction against the oracles above.  Yields the number of checks of
-    each kind, and of the basis elements and syzygies the cover index got."""
+    checked: the J-pair list against the oracle's, a J-pair's lead and
+    width against its built polynomial, its carried key against its
+    signature's, the cover verdict and the reduction against the oracles
+    above.  Yields the number of checks of each kind, and of the basis
+    elements and syzygies the cover index got."""
     cover, reduce_top, pairs = signature.is_covered, signature.regular_top_reduce, signature.j_pairs
     add = signature.add_cover
     checks = Counter()
 
     def checked_pairs(p, q, pi, qi, engine):
-        for jp in pairs(p, q, pi, qi, engine):
+        out = list(pairs(p, q, pi, qi, engine))
+        expected = reference_j_pairs(p, q, pi, qi, engine)
+        assert list(map(j_pair_fields, out)) == list(map(j_pair_fields, expected))
+        checks["j_pair lists"] += 1
+        for jp in out:
             built = jp.poly
             assert (jp.lead, jp.width()) == (lm(built), built.width())
             checks["j_pairs"] += 1
@@ -614,9 +691,10 @@ class TestEngineOracle:
     """The engine's J-pairs, cover tests and top reductions against the
     subtract-based reduction and linear-scan cover test they replaced."""
 
-    @pytest.mark.parametrize("problem", ["toric", "member"])
+    @pytest.mark.parametrize("problem", ["toric", "member", "wide5"])
     def test_corpus_runs(self, request, problem):
-        generators = request.getfixturevalue(f"{problem}_problem").generators
+        # wide5 ties at the Schreyer head on most J-pair generators
+        generators = corpus_generators(request, problem)
         with checked_against_oracles() as checks:
             res = egb_signature(generators)
         assert res.status == COMPLETE
@@ -628,7 +706,7 @@ class TestEngineOracle:
         assert checks["syzygy covers"] == stats["syzygies"]
         reduced = checks["regular_top_reduce"]
         assert stats["pairs_processed"] - stats["covered_pairs"] <= reduced < stats["pairs_processed"]
-        assert checks["j_pairs"] > 0
+        assert checks["j_pairs"] > 0 and checks["j_pair lists"] > 0
 
     def test_singular_is_judged_at_the_kept_term(self, x_problem):
         # the J-pair x1*G[0] meets a reducer at exactly its signature before
@@ -688,6 +766,13 @@ WIDE5 = "x[5]*x[0] - x[1]"
 
 WIDE5_BASIS = ["x[1]*x[0] - x[1]", "x[1]^2 - x[1]*x[0]", "x[2] - x[1]"]
 
+
+def corpus_generators(request, problem):
+    """The generators of perfbench's toric, member or wide5 problem."""
+    if problem == "wide5":
+        return [expr(request.getfixturevalue("x_problem"), WIDE5)]
+    return request.getfixturevalue(f"{problem}_problem").generators
+
 STAT_KEYS = (
     "pairs_processed",
     "zero_reductions",
@@ -711,13 +796,10 @@ class TestEgbSignature:
         ],
         ids=["toric", "member", "wide5", "wide5_budget"],
     )
-    def test_stats_pinned(self, request, x_problem, problem, limits, status, counts, basis):
+    def test_stats_pinned(self, request, problem, limits, status, counts, basis):
         # any change to the signature order moves these counters; wide5 and
         # its budget stop (max_width, max_pairs) are perfbench's corpus files
-        if problem == "wide5":
-            generators = [expr(x_problem, WIDE5)]
-        else:
-            generators = request.getfixturevalue(f"{problem}_problem").generators
+        generators = corpus_generators(request, problem)
         res = egb_signature(generators, EngineLimits(*limits) if limits else EngineLimits())
         assert res.status == status
         assert res.stats == dict(zip(STAT_KEYS, counts))
@@ -780,6 +862,48 @@ class TestEgbSignature:
         # the loop's one memo over its rows, then _minimalize's own table
         assert len(scanned) == len(tables) == 1
         assert len(scanned[0]) == res.stats["insertions"] and tables[0] is not scanned[0]
+
+    def test_bookkeeping_work_pinned(self, toric_problem, monkeypatch):
+        # The cover test looks each shift quotient up once per (index,
+        # target shift, group shift) and run, and j_pairs builds a signature
+        # and its key for the winning side only, both on a head tie.  With a
+        # quotient lookup per group and test and both keys per generator, a
+        # toric solve made 32,196 lookups, 4,711 sig_key and 3,927
+        # twisted_mul calls.  These counts may only fall
+        quotients, calls, verdicts = Counter(), Counter(), Counter()
+        real_quotient, real_cover = signature._shift_quotient, signature.is_covered
+        real_key, real_mul = SigEngine.sig_key, signature.twisted_mul
+        index = None
+
+        def cover(j, C, engine):
+            nonlocal index
+            index = j.sig.index
+            verdict = real_cover(j, C, engine)
+            verdicts[verdict] += 1
+            return verdict
+
+        def quotient(target, base):
+            quotients[index, target, base] += 1
+            return real_quotient(target, base)
+
+        def key(engine, s):
+            calls["sig_key"] += 1
+            return real_key(engine, s)
+
+        def mul(a, b):
+            calls["twisted_mul"] += 1
+            return real_mul(a, b)
+
+        monkeypatch.setattr(signature, "is_covered", cover)
+        monkeypatch.setattr(signature, "_shift_quotient", quotient)
+        monkeypatch.setattr(SigEngine, "sig_key", key)
+        monkeypatch.setattr(signature, "twisted_mul", mul)
+        res = egb_signature(toric_problem.generators)
+        assert res.status == COMPLETE
+        assert set(quotients.values()) == {1}
+        assert (sum(verdicts.values()), verdicts[True]) == (3460, 935)
+        assert len(quotients) == 1817
+        assert calls["sig_key"] <= 2863 and calls["twisted_mul"] <= 2079
 
     def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
         # each row add_reducer appends holds the element's lead and that
