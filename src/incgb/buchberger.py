@@ -144,8 +144,9 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     leads share a variable).  The queue is only pushed and popped.  In
     both modes a popped pair that the strict chain criterion
     (``_chained``) proves redundant is skipped, neither processed nor
-    counted: a COMPLETE orbit run has queued every interlacing pair of its
-    final basis, so ``is_egb``'s argument holds over that basis.
+    counted: a COMPLETE orbit run has queued every pair of orbit elements
+    that ``spair_generators`` yields for its final basis, each once, so
+    ``is_egb``'s argument holds over that basis.
 
     A pair set whose wider lead exceeds max_width is dropped before it is
     drawn, as none of its pairs is narrower; any other pair wider than
@@ -275,8 +276,9 @@ def autoreduce(G, orbit=True):
 def is_egb(G) -> bool:
     """Equivariant Buchberger criterion: every orbit S-polynomial reduces to
     0, except those the strict orbit chain criterion (``_chained``) proves
-    redundant; one reducer choice serves the reductions and the chain test.  The S-polynomials are built over a monic copy of G,
-    so the leads cancel whatever G's lead coefficients are.
+    redundant; one reducer choice serves the reductions and the chain test.
+    The S-polynomials are built over a monic copy of G, so the leads cancel
+    whatever G's lead coefficients are.
 
     Why a chained pair needs no reduction.  A pair of orbit elements (a, b)
     of overlap t has an lcm-representation when S(a, b) is a sum of terms
@@ -284,10 +286,12 @@ def is_egb(G) -> bool:
     every such pair has one.  By induction on the degree of t, over all
     pairs of orbit elements:
 
-    - Every such pair is a shift π of a pair that ``spair_generators``
-      enumerates from an interlacing, or of a coprime, diagonal or mirrored
-      one.  π respects the order and moves variables injectively, so it
-      commutes with lcm and carries lcm-representations to
+    - Every such pair is a shift π of the pair of shifted polynomials of
+      some interlacing.  ``spair_generators`` yields it, or it is coprime,
+      diagonal (two equal shifts), mirrored, or a repeat of a pair yielded
+      from an earlier interlacing: the same pair, with the same
+      S-polynomial.  π respects the order and moves variables injectively,
+      so it commutes with lcm and carries lcm-representations to
       lcm-representations.
     - A pair reduced to 0 has one, read off the reduction.  So has a
       coprime pair (Buchberger's first criterion), a diagonal pair (its
@@ -299,8 +303,9 @@ def is_egb(G) -> bool:
       then gives one below t.
 
     ``_pair_loop`` runs the same argument over its final basis: a COMPLETE
-    run has queued every interlacing pair of it, and each was reduced (to 0
-    or to an element it inserted) or chained through one of its leads.
+    run has queued every pair ``spair_generators`` yields of it, and each
+    was reduced (to 0 or to an element it inserted) or chained through one
+    of its leads.
     """
     basis = [monic(g) for g in G if not g.is_zero]
     choose = first_reducer(reducer_table(basis, True), True)

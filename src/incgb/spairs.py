@@ -4,14 +4,21 @@ Classically a pair of polynomials has one S-pair.  Here the orbits of f and
 g meet in many relative positions, but every position is an index shift of
 an "interlacing": a pair of increasing maps from the index ranges of f and g
 onto a common initial segment.  Enumerating interlacings therefore yields a
-finite generating set of critical pairs, one per interlacing.  The
-classical loop builds its one S-pair per pair of polynomials itself, with
-``_spair_gen`` and both maps the identity.
+finite generating set of critical pairs.  The classical loop builds its
+one S-pair per pair of polynomials itself, with ``_spair_gen`` and both
+maps the identity.
+
+An interlacing ranges over every index below a polynomial's width, also
+the indices it never uses, so when a polynomial skips indices many
+interlacings give the same pair of shifted polynomials.  The filtered mode,
+the S-pair source of the direct engine and of ``is_egb``, yields each pair
+of orbit elements once; the unfiltered mode yields every interlacing, for
+the signature engine's J-pairs, whose signatures carry the full shift.
 
 An interlacing is enumerated as its two image tuples, and the orbit
-generator decides each one on those tuples: the self-pair's mirror test and
-the coprime test read indices, not maps.  Maps, moved leads and S-pairs are
-built only for the interlacings it yields.
+generator decides each one on those tuples: the self-pair's mirror test,
+the coprime test and the repeat test read indices, not maps.  Maps, moved
+leads and S-pairs are built only for the interlacings it yields.
 
 Every pair source is a generator: a caller that needs only to know whether
 a pair set is empty draws one item, and nothing else is enumerated.
@@ -82,9 +89,16 @@ def _spair_gen(fi, gi, map1, map2, lf, lg):
     return SPairGen(fi, gi, map1, map2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
 
 
+def _used(f):
+    """The sorted indices that f's terms use."""
+    return sorted({i for _, m in f.terms for i in m.indices()})
+
+
 def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=True):
-    """Yield the critical-pair generators for (f, g), one per productive
-    interlacing, in interlacing order.
+    """Yield the critical-pair generators for (f, g) in interlacing order:
+    with the coprime filter, the S-pair source of the direct engine and
+    ``is_egb``, one per productive pair of orbit elements; without it, for
+    the signature engine's J-pairs, one per interlacing.
 
     Self-pairs skip the diagonal interlacing (zero S-polynomial) and keep
     one of each mirrored pair: the one whose f image is the smaller tuple,
@@ -93,23 +107,40 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
     are dropped, as in the classical first Buchberger criterion; the level
     k = wf + wg, where f and g share no index, is not enumerated, since
     every variable has an index, and leads with no family in common yield
-    nothing.  A zero input raises ValueError on the first draw.
+    nothing.
+
+    The filtered mode yields each pair of orbit elements once.  Two
+    interlacings (a, b) and (a', b') give the same shifted pair exactly
+    when a and a' agree on the indices f uses and b and b' on those g uses,
+    since a shifted polynomial uses the image of those indices; so the
+    first interlacing of each restriction is kept.  For a self-pair the two
+    restrictions are taken unordered, and one whose shifted copies are
+    equal is skipped.  When f and g use every index below their widths no
+    two interlacings repeat, and no restriction is built.  The unfiltered
+    mode yields every interlacing.  A zero input raises ValueError on the
+    first draw.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
     lf, lg = lm(f), lm(g)
+    wf, wg = f.width(), g.width()
+    seen = None  # the restrictions yielded, when a repeat can occur
     if coprime_filter:
         families = {label for (label, _), _ in lf.factors}
         if families.isdisjoint(label for (label, _), _ in lg.factors):
             return  # no lead variable can be shared, whatever the maps
-    wf, wg = f.width(), g.width()
+        uf = _used(f)
+        ug = uf if same else _used(g)
+        if len(uf) < wf or len(ug) < wg:
+            seen = set()  # an unused index: two interlacings can agree on the rest
     gvars = [v for v, _ in lg.factors]
     for a, bs in _images(wf, wg, wf + wg - 1 if coprime_filter else wf + wg):
         # the order respects the action, so lm commutes with it
         fa_factors = _moved(lf, a)
         fvars = {v for v, _ in fa_factors}
         fa = None  # IncMap(a) and f's moved lead, once a yields
+        ka = None if seen is None else tuple(map(a.__getitem__, uf))
         for b in bs:
             if same and a >= b:
                 continue  # the diagonal, or the mirror of a pair already listed
@@ -119,6 +150,14 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
                         break  # a lead variable of both
                 else:
                     continue  # coprime leads
+            if seen is not None:
+                kb = tuple(map(b.__getitem__, ug))
+                if same and ka == kb:
+                    continue  # equal shifted copies
+                key = (kb, ka) if same and kb < ka else (ka, kb)
+                if key in seen:
+                    continue  # the shifted pair of an earlier interlacing
+                seen.add(key)
             if fa is None:
                 fa, lfa = IncMap(a), Monomial(fa_factors)
             yield _spair_gen(fi, gi, fa, IncMap(b), lfa, Monomial(_moved(lg, b)))

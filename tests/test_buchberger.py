@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from incgb import buchberger
 from incgb import poly as poly_module
@@ -69,6 +71,7 @@ from conftest import (
     xmono,
     xvar,
 )
+from test_cross_engine import ENGINES, LIMITS, inputs
 
 X = Ring((FamilySpec("x"),))
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +222,14 @@ class TestEgbBuchberger:
         res = egb_buchberger([p((1, xmono(0)))])
         assert res.status == COMPLETE
         assert res.basis == [p((1, xmono(0)))]
+
+    def test_equal_shifted_copies_drop_nothing(self):
+        # x[2]'s self-interlacings that share index 2's image pair two equal
+        # copies, S = 0, with overlaps up to x[4]; they are not drawn, so
+        # max_width 3 drops no pair and the run completes
+        res = egb_buchberger([p((1, xmono(2)))], EngineLimits(max_width=3))
+        assert res.status == COMPLETE
+        assert res.basis == [p((1, xmono(2)))]
 
     def test_toric_matches_reference(self, toric_problem):
         res = egb_buchberger(toric_problem.generators)
@@ -587,9 +598,10 @@ class TestReducerTable:
     def test_orbit_witness_searches_pinned(self, x_problem, monkeypatch):
         # the orbit choice remembers each term's step: without the memo the
         # 5,380 choices of one wide5 solve made 11,512 witness searches.  The
-        # chain criterion leaves 2,748 reduction choices and asks the same
-        # choice 1,404 times; their memo makes 109 searches (118 with a
-        # second memo for the chain test)
+        # chain criterion left 2,748 reduction choices and asked the same
+        # choice 1,404 times; their memo made 109 searches (118 with a
+        # second memo for the chain test).  Drawing each shifted pair once,
+        # not once per interlacing, leaves 625 choices and the same searches
         searches = recorded_searches(monkeypatch, poly_module)
         choices, real_first = [], buchberger.first_reducer
 
@@ -605,7 +617,7 @@ class TestReducerTable:
         monkeypatch.setattr(buchberger, "first_reducer", counting_first)
         res = egb_buchberger([expr(x_problem, "x[5]*x[0] - x[1]")])
         assert res.status == COMPLETE
-        assert (len(choices), len(searches)) == (4152, 109)
+        assert (len(choices), len(searches)) == (625, 109)
 
 
 class TestLeadPreparations:
@@ -689,6 +701,54 @@ class TestIsEgb:
             assert is_egb(basis) == verdicts[-1]
         assert verdicts == [True] * len(egbs) + [False] * len(others)
         assert overlaps and not any(overlaps)
+
+
+def is_egb_every_interlacing(G):
+    """Reference criterion: ``is_egb`` over every interlacing of every pair
+    of entries, repeated shifted pairs included.  Only coprime leads (the
+    cofactor of f is the whole moved lead of g), the diagonal and mirrors
+    are skipped, and chained pairs."""
+    basis = [monic(g) for g in G if not g.is_zero]
+    choose = first_reducer(reducer_table(basis, True), True)
+    for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
+        for gen in spair_generators(basis[i], basis[j], i, j, coprime_filter=False):
+            if gen.cof1 == m_act(gen.map2, lm(basis[j])) or buchberger._chained(gen, choose):
+                continue
+            if not reduce_terms(basis[i].ring, _spoly(gen, basis), choose).is_zero:
+                return False
+    return True
+
+
+class TestIsEgbRepeatedPairs:
+    """``is_egb`` draws each shifted pair once; its verdicts are those of
+    the criterion over every interlacing."""
+
+    @pytest.mark.parametrize("name", ["toric", "member", "wide5", "wide5_budget"])
+    def test_golden_bases(self, name):
+        # every engine's recorded basis, the generators, and each element
+        # of the recorded direct basis left out in turn
+        problem = parse((GOLDEN / f"{name}.egb").read_text())
+        reports = [
+            json.loads((GOLDEN / f"{name}.{algorithm}.json").read_text())
+            for algorithm in ("buchberger", "incremental", "signature")
+        ]
+        bases = [[expr(problem, text) for text in report["basis"]] for report in reports]
+        complete = [report["status"] == COMPLETE for report in reports]
+        direct = bases[0]
+        variants = bases + [list(problem.generators)]
+        variants += [direct[:k] + direct[k + 1 :] for k in range(len(direct))]
+        verdicts = [is_egb(B) for B in variants]
+        assert verdicts == [is_egb_every_interlacing(B) for B in variants]
+        assert verdicts[: len(bases) + 1] == complete + [False]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inputs())
+    def test_cross_engine_bases(self, F):
+        # the complete bases of the cross-engine inputs, and the inputs
+        for result in (engine(F, LIMITS) for engine in ENGINES):
+            if result.status == COMPLETE:
+                assert is_egb(result.basis) and is_egb_every_interlacing(result.basis)
+        assert is_egb(F) == is_egb_every_interlacing(F)
 
 
 def chained_literally(gen, table):

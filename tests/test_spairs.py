@@ -11,7 +11,7 @@ import pytest
 from incgb import spairs
 from incgb.buchberger import EngineLimits, egb_buchberger, egb_incremental
 from incgb.incmaps import IDENTITY, IncMap, compose, increasing_maps, word_key
-from incgb.poly import lm, poly
+from incgb.poly import act, lm, poly
 from incgb.problems import parse
 from incgb.rings import CONSTRAINTS, FamilySpec, Monomial, Ring, m_act, m_lcm, m_mul, m_quotient
 from incgb.signature import egb_signature
@@ -53,6 +53,29 @@ def reference_spair_generators(f, g, fi=0, gi=1, coprime_filter=True):
             continue
         overlap = m_lcm(lf, lg)
         yield SPairGen(fi, gi, s1, s2, m_quotient(overlap, lf), m_quotient(overlap, lg), overlap)
+
+
+def distinct_pairs(gens, f, g):
+    """Reference: the first generator of each distinct pair of shifted
+    polynomials, built with ``act``; a self-pair's two shifts are taken
+    unordered, and a self-pair of equal shifts is dropped."""
+    seen = set()
+    for gen in gens:
+        pair = act(gen.map1, f), act(gen.map2, g)
+        if gen.fi == gen.gi:
+            if pair[0] == pair[1]:
+                continue
+            pair = frozenset(pair)
+        if pair not in seen:
+            seen.add(pair)
+            yield gen
+
+
+def reference_pair_source(f, g, fi, gi, coprime_filter):
+    """What ``spair_generators`` yields: every interlacing unfiltered, and
+    each distinct shifted pair once under the filter."""
+    gens = reference_spair_generators(f, g, fi, gi, coprime_filter)
+    return list(distinct_pairs(gens, f, g) if coprime_filter else gens)
 
 
 def random_monomial(rng, ring, width):
@@ -230,13 +253,14 @@ def level(gen, wf, wg):
 class TestIndexTupleDecisions:
     """``spair_generators`` decides each interlacing on its image tuples;
     the maps, moved leads and S-pairs it builds are those of the reference,
-    in the same order, for both filter values."""
+    in the same order, for both filter values: every interlacing
+    unfiltered, the first of each distinct shifted pair filtered."""
 
     @staticmethod
     def agrees(f, g, fi, gi):
         for coprime_filter in (True, False):
             mine = list(spair_generators(f, g, fi, gi, coprime_filter))
-            assert mine == list(reference_spair_generators(f, g, fi, gi, coprime_filter))
+            assert mine == reference_pair_source(f, g, fi, gi, coprime_filter)
         return len(mine)
 
     @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
@@ -279,6 +303,31 @@ class TestIndexTupleDecisions:
                 generated += self.agrees(f, basis[j], i, j)
         assert generated > 100
 
+    def test_no_repeated_shifted_pair(self, toric_problem):
+        # the filtered mode yields no shifted pair twice, and no self-pair of
+        # equal shifts; the unfiltered mode repeats pairs of the same inputs
+        rng = random.Random(29)
+        wide = expr(toric_problem, "x[5]*x[0] - x[1]")
+        cases = [(wide, wide, 0)]
+        for _ in range(40):
+            f, g = (random_polynomial(rng, X, rng.randrange(1, 6)) for _k in range(2))
+            cases += [(f, g, 1), (f, f, 0)]
+        yielded = repeats = 0
+        for f, g, gi in cases:
+            for coprime_filter in (True, False):
+                pairs = [
+                    (act(gen.map1, f), act(gen.map2, g))
+                    for gen in spair_generators(f, g, 0, gi, coprime_filter)
+                ]
+                keys = [frozenset(pair) if gi == 0 else pair for pair in pairs]
+                if coprime_filter:
+                    assert len(set(keys)) == len(keys), (f, g)
+                    assert gi or all(a != b for a, b in pairs), f
+                    yielded += len(keys)
+                else:
+                    repeats += len(keys) - len(set(keys))
+        assert yielded > 500 and repeats > 500
+
     @pytest.mark.parametrize(
         "f_text, g_text",
         [
@@ -311,7 +360,7 @@ class TestIndexTupleDecisions:
             drawn.append((len(pool) if isinstance(pool, range) else None, r))
             return real_comb(pool, r)
 
-        expected = {c: list(reference_spair_generators(f, g, 0, gi, c)) for c in (True, False)}
+        expected = {c: reference_pair_source(f, g, 0, gi, c) for c in (True, False)}
         monkeypatch.setattr(spairs, "IncMap", counting_map)
         monkeypatch.setattr(spairs, "_spair_gen", counting_gen)
         monkeypatch.setattr(spairs.itertools, "combinations", recording)
