@@ -19,8 +19,10 @@ latter its first candidate, and a step keeps its tail once moved.
 What depends on the popped signature is judged per pop: a candidate's
 Schreyer head first, its full key on a head tie, and the tie and singular
 verdicts.  The two sides of a J-pair are judged the same way, and only the
-winner gets a signature and key unless the heads tie.  One cover index
-holds basis elements and syzygies by index and shift.  Per target shift it
+winner gets a signature and key unless the heads tie.  A J-pair whose
+moved leads are coprime and whose heads differ is never built, since a
+principal syzygy has its signature (the Koszul criterion of ``j_pairs``).
+One cover index holds basis elements and syzygies by index and shift.  Per target shift it
 remembers the groups whose shift that one factors through, with their
 shift quotients and per-variable pull-backs, so a cover test visits only
 those groups and pulls the target back without a lookup it made before.
@@ -57,6 +59,7 @@ from .spairs import spair_generators
 STAT_KEYS = (
     "pairs_processed", "zero_reductions", "tied_zero_reductions", "covered_pairs",
     "singular_discards", "duplicate_signatures", "insertions", "syzygies",
+    "koszul_pairs", "full_zero_reductions",
 )
 
 
@@ -128,10 +131,12 @@ class JPair:
 
 class SigEngine:
     """State of one signature run: module leads, the signature order, the
-    run's one reducer table with each row's label, and its candidate memo."""
+    run's one reducer table with each row's label, its candidate memo and
+    its statistics."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.module_leads = []  # lm of the generator attached to each unit vector
         # orbit reducer rows (``poly.reducer_row``) of the basis, one per
         # insertion, read by regular top-reduction and the full normal form
@@ -184,11 +189,23 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     index), image being the row's Schreyer image (``SigEngine.labels``).
     Only the winning side gets its signature and ``sig_key``; on a head
     tie both sides get their full keys, and equal keys are singular and
-    emit nothing.  The coprime filter stays off here: cover and syzygy
-    logic subsume it.  A generator, like the pair source it reads.
+    emit nothing.  A generator, like the pair source it reads.
+
+    The Koszul criterion (Gao, Volny and Wang, Math. Comp. 2016): when a
+    generator's moved leads, of sigma(p) and tau(q) for its maps sigma and
+    tau, are coprime, tau(q) * sigma(u_p) - sigma(p) * tau(u_q) is a
+    syzygy, u_g being the module element sig(g) labels.  With distinct
+    heads its lead signature is the winning side's, so a syzygy covers the
+    J-pair: the generator is counted in ``koszul_pairs`` and dropped before
+    either side is built, and before any width test.  On a head tie the
+    syzygy's lead is settled by the tie-break alone, which licenses no
+    discard, so that generator stays.  The moved leads are coprime exactly
+    when their lcm, the overlap, has as many variables as both together: an
+    increasing map keeps distinct variables distinct.
     """
     ring = engine.ring
     image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
+    coprime = len(lm(p.poly).factors) + len(lm(q.poly).factors)
 
     def side(cof, rho, g):
         sig = Signature(twisted_mul(TwistedMonomial(cof, rho), g.sig.tm), g.sig.index)
@@ -198,6 +215,9 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
         head1 = (order_key(ring, m_mul(gen.cof1, m_act(gen.map1, image_p))), p.sig.index)
         head2 = (order_key(ring, m_mul(gen.cof2, m_act(gen.map2, image_q))), q.sig.index)
         if head1 != head2:
+            if len(gen.overlap.factors) == coprime:
+                engine.stats["koszul_pairs"] += 1
+                continue
             cof, rho, g = (gen.cof1, gen.map1, p) if head1 > head2 else (gen.cof2, gen.map2, q)
             yield JPair(*side(cof, rho, g), gen.overlap, g, rho, cof)
             continue
@@ -330,7 +350,7 @@ def regular_top_reduce(p, engine: SigEngine):
 
 
 def _signature_loop(polys, engine, limits):
-    stats = dict.fromkeys(STAT_KEYS, 0)
+    stats = engine.stats
     G, C = [], {}  # C: the cover index of ``add_cover``
     J, seq, done_sigs = [], 0, set()
     over_width = False
@@ -391,6 +411,7 @@ def _signature_loop(polys, engine, limits):
             continue
         h2 = reduce_terms(engine.ring, kernel_terms(h.poly), full_reducer)
         if h2.is_zero:
+            stats["full_zero_reductions"] += 1
             continue
         if h2 != h.poly:
             h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)

@@ -43,7 +43,7 @@ class TestGoldenReports:
     unmoved.  Re-record a file only for a deliberate change of output."""
 
     @pytest.mark.parametrize("algorithm", ["buchberger", "incremental", "signature"])
-    @pytest.mark.parametrize("problem", ["toric", "member", "wide5", "wide5_budget"])
+    @pytest.mark.parametrize("problem", ["toric", "member", "wide5", "wide5_budget", "segre"])
     def test_matches_recorded_report(self, problem, algorithm, capsys):
         code = main(["solve", str(GOLDEN / f"{problem}.egb"), "--algorithm", algorithm, "--json"])
         assert code == (EXIT_BUDGET if problem == "wide5_budget" else EXIT_OK)

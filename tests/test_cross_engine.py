@@ -35,7 +35,7 @@ from incgb.buchberger import (
     is_egb,
 )
 from incgb.poly import monic, normal_form, poly
-from incgb.problems import format_polynomial, parse
+from incgb.problems import format_polynomial, parse, parse_polynomial
 from incgb.rings import FamilySpec, Monomial, Ring
 from incgb.signature import egb_signature
 
@@ -215,7 +215,7 @@ def test_signature_budget_drains_narrow_pairs(order_kind):
     F = [expr(problem, "x[2]*x[0] + 3"), expr(problem, "x[2]*x[1]*x[0]")]
     res, direct = egb_signature(F, LIMITS), egb_buchberger(F, LIMITS)
     assert res.status == direct.status == BUDGET
-    assert res.stats["pairs_processed"] == 10
+    assert res.stats["pairs_processed"] == 5  # 10 before the Koszul rule
     assert [format_polynomial(f) for f in res.basis] == [
         "x[2]*x[0] + 3",
         "x[2]*x[1]*x[0]",
@@ -223,3 +223,21 @@ def test_signature_budget_drains_narrow_pairs(order_kind):
         "1",
     ]
     assert res.basis == direct.basis
+
+
+def test_coprime_over_width_pairs_stop_nothing():
+    # a derandomized input of inputs() at max_width=4: every J-pair wider
+    # than 4 had coprime moved leads and distinct Schreyer heads, so the
+    # signature engine dropped 35 of them for width and returned BUDGET
+    # after 27 pairs, with this basis.  The Koszul rule drops them first
+    ring = Ring((FamilySpec("x"), FamilySpec("y", arity=2, constraint="all_distinct")))
+    F = [parse_polynomial(ring, "-x[1]*y[1,0]*y[0,1] + 1")]
+    limits = EngineLimits(max_width=4)
+    res, direct = egb_signature(F, limits), egb_buchberger(F, limits)
+    assert res.status == direct.status == COMPLETE
+    assert [format_polynomial(f) for f in res.basis] == [
+        "x[1]*y[1,0]*y[0,1] - 1",
+        "y[2,1]*y[1,2] - y[2,0]*y[0,2]",
+    ]
+    assert res.stats["koszul_pairs"] > 0
+    assert is_egb(res.basis) and ideal_equal(res.basis, direct.basis)

@@ -47,6 +47,7 @@ from incgb.spairs import spair_generators
 
 from conftest import (
     assert_current_preparations,
+    coprime,
     expr,
     ideal_equal,
     order_sign,
@@ -547,14 +548,22 @@ class TestRegularTopReduce:
         assert verdicts == [(True, False), (False, True), (False, False)]
 
 
-def reference_j_pairs(p, q, pi, qi, engine):
-    """The J-pairs as they were built before the Schreyer-head test: both
-    sides' signatures and full keys for every generator."""
+def reference_j_pairs(p, q, pi, qi, engine, checks):
+    """The J-pairs as they were built before the Schreyer-head test, both
+    sides' signatures and full keys for every generator, less the Koszul
+    rule's: a generator whose moved leads share no variable and whose two
+    sides differ at the Schreyer level (``key[:2]``).  checks counts the
+    generators it drops and the coprime ones it keeps on a tie."""
     out = []
     for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
         sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
         sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
+        if coprime(m_act(gen.map1, lm(p.poly)), m_act(gen.map2, lm(q.poly))):
+            if key1[:2] != key2[:2]:
+                checks["koszul"] += 1
+                continue
+            checks["coprime ties"] += 1
         if key1 > key2:
             out.append(JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1))
         elif key1 < key2:
@@ -652,7 +661,7 @@ def checked_against_oracles():
 
     def checked_pairs(p, q, pi, qi, engine):
         out = list(pairs(p, q, pi, qi, engine))
-        expected = reference_j_pairs(p, q, pi, qi, engine)
+        expected = reference_j_pairs(p, q, pi, qi, engine, checks)
         assert list(map(j_pair_fields, out)) == list(map(j_pair_fields, expected))
         checks["j_pair lists"] += 1
         for jp in out:
@@ -707,6 +716,8 @@ class TestEngineOracle:
         reduced = checks["regular_top_reduce"]
         assert stats["pairs_processed"] - stats["covered_pairs"] <= reduced < stats["pairs_processed"]
         assert checks["j_pairs"] > 0 and checks["j_pair lists"] > 0
+        # the Koszul rule drops some generators and keeps coprime ones on a tie
+        assert checks["koszul"] == stats["koszul_pairs"] > 0 and checks["coprime ties"] > 0
 
     def test_singular_is_judged_at_the_kept_term(self, x_problem):
         # the J-pair x1*G[0] meets a reducer at exactly its signature before
@@ -782,6 +793,8 @@ STAT_KEYS = (
     "duplicate_signatures",
     "insertions",
     "syzygies",
+    "koszul_pairs",
+    "full_zero_reductions",
 )
 
 
@@ -789,10 +802,10 @@ class TestEgbSignature:
     @pytest.mark.parametrize(
         "problem, limits, status, counts, basis",
         [
-            ("toric", None, COMPLETE, (1600, 401, 14, 935, 2, 142, 6, 401), TORIC_BASIS),
-            ("member", None, COMPLETE, (499, 78, 7, 275, 0, 227, 6, 78), MEMBER_BASIS),
-            ("wide5", None, COMPLETE, (2361, 27, 10, 2329, 0, 2776, 4, 27), WIDE5_BASIS),
-            ("wide5", (3, 10), BUDGET, (0,) * 8, [WIDE5]),
+            ("toric", None, COMPLETE, (93, 33, 3, 22, 0, 22, 6, 33, 1739, 38), TORIC_BASIS),
+            ("member", None, COMPLETE, (204, 36, 7, 92, 0, 84, 6, 36, 438, 70), MEMBER_BASIS),
+            ("wide5", None, COMPLETE, (2149, 23, 10, 2112, 0, 2469, 4, 23, 528, 11), WIDE5_BASIS),
+            ("wide5", (3, 10), BUDGET, (0,) * 10, [WIDE5]),
         ],
         ids=["toric", "member", "wide5", "wide5_budget"],
     )
@@ -805,13 +818,16 @@ class TestEgbSignature:
         assert res.stats == dict(zip(STAT_KEYS, counts))
         assert [format_polynomial(f) for f in res.basis] == basis
 
-    @pytest.mark.parametrize("problem, searches", [("toric", 5879), ("member", 818)])
+    @pytest.mark.parametrize(
+        "problem, searches", [("toric", 478), ("member", 545)], ids=["toric", "member"]
+    )
     def test_witness_searches_pinned(self, request, monkeypatch, problem, searches):
         # regular top-reduction and the full normal form share one memo of
         # candidate steps, which searches each (row, term) once per run;
         # _minimalize then searches its own table.  Before the memo toric
         # made 15,696 searches in regular top-reduction alone and member
-        # 5,174; with a second memo for the full normal form, 7,334 and 1,158
+        # 5,174; with a second memo for the full normal form, 7,334 and
+        # 1,158; before the Koszul rule, 5,879 and 818.  These may only fall
         calls = recorded_searches(monkeypatch, poly_module)
         loop = []
         real = signature._minimalize
@@ -866,10 +882,12 @@ class TestEgbSignature:
     def test_bookkeeping_work_pinned(self, toric_problem, monkeypatch):
         # The cover test looks each shift quotient up once per (index,
         # target shift, group shift) and run, and j_pairs builds a signature
-        # and its key for the winning side only, both on a head tie.  With a
-        # quotient lookup per group and test and both keys per generator, a
-        # toric solve made 32,196 lookups, 4,711 sig_key and 3,927
-        # twisted_mul calls.  These counts may only fall
+        # and its key for the winning side only, both on a head tie, and
+        # neither for a Koszul pair.  With a quotient lookup per group and
+        # test and both keys per generator, a toric solve made 32,196
+        # lookups, 4,711 sig_key and 3,927 twisted_mul calls; before the
+        # Koszul rule, 3,460 cover tests (935 covered), 1,817 lookups, 2,863
+        # sig_key and 2,079 twisted_mul calls.  These counts may only fall
         quotients, calls, verdicts = Counter(), Counter(), Counter()
         real_quotient, real_cover = signature._shift_quotient, signature.is_covered
         real_key, real_mul = SigEngine.sig_key, signature.twisted_mul
@@ -901,9 +919,9 @@ class TestEgbSignature:
         res = egb_signature(toric_problem.generators)
         assert res.status == COMPLETE
         assert set(quotients.values()) == {1}
-        assert (sum(verdicts.values()), verdicts[True]) == (3460, 935)
-        assert len(quotients) == 1817
-        assert calls["sig_key"] <= 2863 and calls["twisted_mul"] <= 2079
+        assert (sum(verdicts.values()), verdicts[True]) == (214, 22)
+        assert len(quotients) == 125
+        assert calls["sig_key"] <= 234 and calls["twisted_mul"] <= 156
 
     def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
         # each row add_reducer appends holds the element's lead and that
