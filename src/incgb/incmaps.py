@@ -61,15 +61,6 @@ class IncMap:
     def is_identity(self):
         return not self.starts
 
-    def preimage(self, j):
-        """The i with self(i) == j, or None when j is not in the image."""
-        i = j  # below the first start the map is the identity
-        for s, d in zip(self.starts, self.shifts[1:]):
-            if s + d > j:  # self(s), where the image resumes past a gap
-                break
-            i = j - d
-        return i if self(i) == j else None
-
 
 IDENTITY = IncMap(())
 

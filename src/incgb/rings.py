@@ -186,16 +186,6 @@ def m_act(rho: IncMap, m: Monomial) -> Monomial:
     return Monomial(tuple(((label, tuple(map(rho, idx))), e) for (label, idx), e in m.factors))
 
 
-def var_pull_back(rho: IncMap, var):
-    """The variable rho moves onto var, or None when some index of var lies
-    outside rho's image.  Pulling back each factor of a monomial m and
-    keeping the hits, in m's order, gives the greatest n with m_act(rho, n)
-    dividing m: m_act(rho, k) divides m iff k divides n."""
-    label, idx = var
-    back = tuple(map(rho.preimage, idx))
-    return None if None in back else (label, back)
-
-
 def order_key(ring: Ring, m: Monomial):
     """Sort key of m: its greatest-first factors, after the degree under grlex."""
     if ring.order_kind == "grlex":

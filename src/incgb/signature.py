@@ -22,10 +22,8 @@ verdicts.  The two sides of a J-pair are judged the same way, and only the
 winner gets a signature and key unless the heads tie.  A J-pair whose
 moved leads are coprime and whose heads differ is never built, since a
 principal syzygy has its signature (the Koszul criterion of ``j_pairs``).
-One cover index holds basis elements and syzygies by index and shift.  Per target shift it
-remembers the groups whose shift that one factors through, with their
-shift quotients and per-variable pull-backs, so a cover test visits only
-those groups and pulls the target back without a lookup it made before.
+One cover index holds basis elements and syzygies by index and shift; a
+cover test scans it through the memoized shift quotient (``_shift_quotient``).
 A J-pair at a known signature, wider than ``max_width`` or covered is
 dropped before it is queued; after a width drop the run drains its queue
 and reports BUDGET, as the direct engine does.
@@ -36,11 +34,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
-from .poly import Polynomial, lm, monic, sorted_basis, support_mask
+from .poly import Polynomial, lm, monic, sorted_basis
 from .poly import candidates, first_reducer, kernel_terms, reduce_terms, reducer_row
 from .rings import (
     UNIT,
@@ -51,7 +48,6 @@ from .rings import (
     m_mul,
     m_quotient,
     order_key,
-    var_pull_back,
 )
 from .spairs import spair_generators
 
@@ -229,13 +225,9 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
 
 
 def add_cover(C, sig: Signature, lead=None):
-    """Record a known signature in the cover index C: index -> (groups,
-    memo).  groups maps a shift to its entries [(support mask, monomial
-    part, lead)], where lead is None for a syzygy and lm of the element for
-    a basis element.  memo belongs to ``is_covered``.  Groups are only
-    added and entries only appended, which keeps that memo exact."""
-    groups, _ = C.setdefault(sig.index, ({}, {}))
-    groups.setdefault(sig.tm.shift, []).append((support_mask(sig.tm.mono), sig.tm.mono, lead))
+    """Record a known signature in the cover index C: index -> shift ->
+    [(monomial part, lead)], lead being None for a syzygy."""
+    C.setdefault(sig.index, {}).setdefault(sig.tm.shift, []).append((sig.tm.mono, lead))
 
 
 def is_covered(j, C, engine: SigEngine) -> bool:
@@ -243,56 +235,23 @@ def is_covered(j, C, engine: SigEngine) -> bool:
     licenses discarding j: some twisted t gives t * sig == sig(j) exactly,
     and a basis element's lead, moved by t, falls strictly below j's.  A
     merely tied or rearranged lead is no license: the discarded content
-    would reappear at a signature the queue never visits.
-
-    t's shift st is forced (``_shift_quotient``), so the memo of j's index
-    keeps, per target shift, how many groups it has scanned and, for each
-    group whose shift factors through, (st, pull-back memo, group, moved
-    memo); a test first scans the groups added since.  j's monomial is
-    pulled back one variable at a time through the quotient's memo, whose
-    support bits make the mask that filters the entries; the pulled-back
-    monomial is built only for an entry that passes.  A basis element's
-    moved monomial and lead are kept per entry position.
+    would reappear at a signature the queue never visits.  A plain scan: per
+    group, t's shift st is forced (``_shift_quotient``), and per entry n,
+    st(n) must divide j's monomial, the quotient being t's monomial part.
     """
-    slot = C.get(j.sig.index)
-    if slot is None:
-        return False
-    groups, memo = slot
-    target = j.sig.tm
-    seen = memo.setdefault(target.shift, [0, []])  # groups scanned, records
-    if seen[0] < len(groups):
-        for shift, group in islice(groups.items(), seen[0], None):
-            st = _shift_quotient(target.shift, shift)  # t's shift, forced if any
-            if st is not None:
-                seen[1].append((st, {}, group, {}))
-        seen[0] = len(groups)
-    ring = engine.ring
+    ring, target = engine.ring, j.sig.tm
     jl = order_key(ring, j.lead)
-    for st, pull, group, moved in seen[1]:
-        # m_act(st, n) divides target's monomial iff n divides it pulled back
-        factors, mask = [], 0
-        for v, e in target.mono.factors:
-            hit = pull.get(v)  # (variable, support bit), or () outside st's image
-            if hit is None:
-                w = var_pull_back(st, v)
-                hit = pull[v] = () if w is None else (w, support_mask(Monomial(((w, 1),))))
-            if hit:
-                factors.append((hit[0], e))
-                mask |= hit[1]
-        back, outside = None, ~mask
-        for at, (n_mask, n, lead) in enumerate(group):
-            if n_mask & outside:
-                continue
-            if back is None:
-                back = Monomial(tuple(factors))
-            if not m_divides(n, back):
+    for shift, group in C.get(j.sig.index, {}).items():
+        st = _shift_quotient(target.shift, shift)
+        if st is None:
+            continue
+        for n, lead in group:
+            moved = m_act(st, n)
+            if not m_divides(moved, target.mono):
                 continue
             if lead is None:
                 return True
-            pair = moved.get(at)
-            if pair is None:
-                pair = moved[at] = m_act(st, n), m_act(st, lead)
-            if order_key(ring, m_mul(m_quotient(target.mono, pair[0]), pair[1])) < jl:
+            if order_key(ring, m_mul(m_quotient(target.mono, moved), m_act(st, lead))) < jl:
                 return True
     return False
 

@@ -15,10 +15,18 @@ from incgb.incmaps import (
     map_to_tau,
     word_key,
 )
-from incgb.rings import Monomial, m_act, pi_divides, var_pull_back
-from incgb.signature import _shift_quotient
+from incgb.rings import Monomial, m_act, pi_divides
+from incgb.signature import (
+    JPair,
+    SigEngine,
+    Signature,
+    TwistedMonomial,
+    _shift_quotient,
+    add_cover,
+    is_covered,
+)
 
-from conftest import random_incmap, tau, word_map, xmono
+from conftest import X_RING, random_incmap, tau, word_map, xmono
 
 incmaps = st.builds(
     lambda vals: IncMap(tuple(sorted(vals))),
@@ -284,17 +292,27 @@ class TestHostileIndices:
             for i in (0, 1, BIG - 1, BIG, BIG + 1, 3 * BIG):
                 assert c(i) == a(b(i))
 
-    def test_pull_back(self):
+    def test_cover(self):
+        # entries at the shift i -> i + BIG reach targets at i -> i + BIG + 1
+        # through the one-breakpoint quotient at BIG, which moves x[BIG] onto
+        # x[BIG + 1]; the test never walks the indices below
         far, jump = extend_partial((BIG,), (BIG + 1,)), extend_partial((0,), (BIG,))
-        assert len(far.starts) == len(jump.starts) == 1
-        m = xmono(BIG + 1, 3)
+        shift = compose(far, jump)
+        engine = SigEngine(X_RING)
+        engine.new_index(xmono(0))
 
-        def pull_back(rho):  # m's factors pulled back one variable at a time
-            moved = ((var_pull_back(rho, v), e) for v, e in m.factors)
-            return Monomial(tuple((w, e) for w, e in moved if w is not None))
+        def covered(mono, lead, C):
+            sig = Signature(TwistedMonomial(mono, shift), 0)
+            return is_covered(JPair(sig, None, lead, None, IDENTITY, Monomial()), C, engine)
 
-        assert pull_back(far) == xmono(BIG, 3)
-        assert pull_back(jump) == xmono(1)  # x[3] lies below the image
+        syzygy, element = {}, {}
+        add_cover(syzygy, Signature(TwistedMonomial(xmono(BIG), jump), 0))
+        add_cover(element, Signature(TwistedMonomial(xmono(BIG), jump), 0), xmono(BIG))
+        assert covered(xmono(3, BIG + 1), xmono(0), syzygy)
+        assert not covered(xmono(3, BIG), xmono(0), syzygy)  # x[BIG + 1] does not divide
+        # the element's lead moves to x[3] x[BIG + 1], below x[3] x[BIG + 2]; a tie covers nothing
+        assert covered(xmono(3, BIG + 1), xmono(3, BIG + 2), element)
+        assert not covered(xmono(3, BIG + 1), xmono(3, BIG + 1), element)
 
     def test_shift_quotient(self):
         base = extend_partial((0,), (BIG,))

@@ -395,7 +395,7 @@ class TestIsCovered:
         # both signatures have the identity shift: one group, two entries
         g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0))))
         C = cover_index([g], [Signature(tm(xmono(5)), 0)])
-        assert [len(group) for group in C[0][0].values()] == [2]
+        assert [len(group) for group in C[0].values()] == [2]
 
         def j(mono, lead):
             return unit_multiple(LabeledPoly(Signature(tm(mono), 0), p((1, lead))))
@@ -421,40 +421,40 @@ class TestIsCovered:
         sigs.append(Signature(tm(xmono(2), 0), 0))
         assert self.agree(j, cover_index(syzygies=sigs))
 
-    def test_memo_follows_a_growing_index(self):
-        # Every target below has the shift t0 (i -> i + 1), so the first test
-        # builds that shift's memo and the later ones must see what the index
-        # gained since: a new group, and entries appended to a memoized group
+    def test_verdicts_follow_a_growing_index(self):
+        # Every target below has the shift t0 (i -> i + 1); between tests the
+        # index gains a new group, and entries appended to an existing group,
+        # and each verdict reads the index as it stands
         def j(mono, lead):
             return unit_multiple(LabeledPoly(Signature(tm(mono, 0), 0), p((1, lead))))
 
         C = cover_index(syzygies=[Signature(tm(xmono(5)), 0)])
-        # st = t0 pulls x1 x3 back to x0 x2, which x5 does not divide
+        # st = t0 moves x5 to x6, which does not divide x1 x3
         assert not self.agree(j(xmono(1, 3), xmono(0, 1)), C)
-        # x0 lies outside t0's image and is dropped; x6 pulls back to x5
+        # ... but divides x0 x6
         assert self.agree(j(xmono(0, 6), xmono(0, 1)), C)
-        # a group added after the memo was built: (x3, t0), reached by the identity
+        # a group added after those tests: (x3, t0), reached by the identity
         add_cover(C, Signature(tm(xmono(3), 0), 0))
         assert self.agree(j(xmono(1, 3), xmono(0, 1)), C)
         # another monomial at the same shift, which neither entry covers ...
         assert not self.agree(j(xmono(2, 4), xmono(0, 1)), C)
-        # ... until a syzygy is appended to the memoized identity group:
-        # x1 divides x2 x4 pulled back, x1 x3, so t0 moves it onto a divisor
+        # ... until a syzygy is appended to the identity group: t0 moves x1
+        # to x2, which divides x2 x4
         add_cover(C, Signature(tm(xmono(1)), 0))
-        assert [len(group) for group in C[0][0].values()] == [2, 1]
+        assert [len(group) for group in C[0].values()] == [2, 1]
         assert self.agree(j(xmono(2, 4), xmono(0, 1)), C)
-        # a basis element appended to the memoized t0 group: x8 divides
-        # x8 x9 with cofactor x9, and its lead moves to x9 * x0, below a
-        # lead x0 x10 and tied with x0 x9
+        # a basis element appended to the t0 group: x8 divides x8 x9 with
+        # cofactor x9, and its lead moves to x9 * x0, below a lead x0 x10
+        # and tied with x0 x9
         assert not self.agree(j(xmono(8, 9), xmono(0, 10)), C)
         add_cover(C, Signature(tm(xmono(8), 0), 0), xmono(0))
         assert self.agree(j(xmono(8, 9), xmono(0, 10)), C)
         assert not self.agree(j(xmono(8, 9), xmono(0, 9)), C)  # a tie
-        # the element's moved monomial and lead serve another target
+        # the same element judged against another target
         assert self.agree(j(xmono(8, 11), xmono(0, 12)), C)
         assert not self.agree(j(xmono(8, 11), xmono(0, 11)), C)
 
-    def test_memo_against_linear_scan(self):
+    def test_growing_index_against_linear_scan(self):
         # one index grown at random between tests of recurring target shifts
         rng = random.Random(37)
         words = [(), (0,), (1,), (0, 0), (0, 2), (2,)]
@@ -599,9 +599,9 @@ def cover_records(C, ring=X):
     """The basis elements and syzygies of a cover index, as the linear scan
     took them: an element as its lead alone, a syzygy as zero."""
     G, S = [], []
-    for index, (groups, _memo) in C.items():
+    for index, groups in C.items():
         for shift, group in groups.items():
-            for _mask, mono, lead in group:
+            for mono, lead in group:
                 sig = Signature(TwistedMonomial(mono, shift), index)
                 if lead is None:
                     S.append(LabeledPoly(sig, poly(ring, [])))
@@ -880,14 +880,14 @@ class TestEgbSignature:
         assert len(scanned[0]) == res.stats["insertions"] and tables[0] is not scanned[0]
 
     def test_bookkeeping_work_pinned(self, toric_problem, monkeypatch):
-        # The cover test looks each shift quotient up once per (index,
-        # target shift, group shift) and run, and j_pairs builds a signature
-        # and its key for the winning side only, both on a head tie, and
-        # neither for a Koszul pair.  With a quotient lookup per group and
-        # test and both keys per generator, a toric solve made 32,196
-        # lookups, 4,711 sig_key and 3,927 twisted_mul calls; before the
-        # Koszul rule, 3,460 cover tests (935 covered), 1,817 lookups, 2,863
-        # sig_key and 2,079 twisted_mul calls.  These counts may only fall
+        # The cover test looks a shift quotient up once per group of the
+        # pair's index and test, from a cache on the maps, and j_pairs
+        # builds a signature and its key for the winning side only, both on
+        # a head tie, and neither for a Koszul pair.  Before the Koszul rule
+        # a toric solve made 3,460 cover tests (935 covered), 2,863 sig_key
+        # and 2,079 twisted_mul calls; with both keys per generator, 4,711
+        # and 3,927 calls, and 32,196 quotient lookups.  These counts may
+        # only fall
         quotients, calls, verdicts = Counter(), Counter(), Counter()
         real_quotient, real_cover = signature._shift_quotient, signature.is_covered
         real_key, real_mul = SigEngine.sig_key, signature.twisted_mul
@@ -918,9 +918,8 @@ class TestEgbSignature:
         monkeypatch.setattr(signature, "twisted_mul", mul)
         res = egb_signature(toric_problem.generators)
         assert res.status == COMPLETE
-        assert set(quotients.values()) == {1}
         assert (sum(verdicts.values()), verdicts[True]) == (214, 22)
-        assert len(quotients) == 125
+        assert len(quotients) == 125 and sum(quotients.values()) <= 895
         assert calls["sig_key"] <= 234 and calls["twisted_mul"] <= 156
 
     def test_appended_rows_carry_their_preparation(self, toric_problem, monkeypatch):
