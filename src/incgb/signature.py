@@ -49,7 +49,7 @@ from .rings import (
     m_quotient,
     order_key,
 )
-from .spairs import spair_generators
+from .spairs import _images, _lead_getters, _moved, _moved_vars, _shares, _spair_gen
 
 
 STAT_KEYS = (
@@ -180,48 +180,89 @@ class SigEngine:
 def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     """The larger-signature sides of the S-polynomials of p and q, unbuilt.
 
-    p and q are the basis elements of rows pi and qi.  A side t * sig(g),
+    p and q are the basis elements of rows pi and qi.  Their S-polynomials
+    are placed by every interlacing (a, b) of their widths, sigma =
+    IncMap(a) moving p and tau = IncMap(b) moving q (``spairs._images``),
+    the self-pair's diagonal and mirrors skipped.  A side t * sig(g),
     t = (cof, map), is judged by its Schreyer head first: (cof * map(image),
     index), image being the row's Schreyer image (``SigEngine.labels``).
     Only the winning side gets its signature and ``sig_key``; on a head
     tie both sides get their full keys, and equal keys are singular and
-    emit nothing.  A generator, like the pair source it reads.
+    emit nothing.  A generator, like the pair source it mirrors.
 
     The Koszul criterion (Gao, Volny and Wang, Math. Comp. 2016): when a
-    generator's moved leads, of sigma(p) and tau(q) for its maps sigma and
-    tau, are coprime, tau(q) * sigma(u_p) - sigma(p) * tau(u_q) is a
-    syzygy, u_g being the module element sig(g) labels.  With distinct
-    heads its lead signature is the winning side's, so a syzygy covers the
-    J-pair: the generator is counted in ``koszul_pairs`` and dropped before
-    either side is built, and before any width test.  On a head tie the
-    syzygy's lead is settled by the tie-break alone, which licenses no
-    discard, so that generator stays.  The moved leads are coprime exactly
-    when their lcm, the overlap, has as many variables as both together: an
-    increasing map keeps distinct variables distinct.
+    placement's moved leads sigma(lf) and tau(lg) are coprime,
+    tau(q) * sigma(u_p) - sigma(p) * tau(u_q) is a syzygy, u_g being the
+    module element sig(g) labels.  With distinct heads its lead signature
+    is the winning side's, so a syzygy covers the J-pair: the placement is
+    counted in ``koszul_pairs`` and dropped, before any width test.  On a
+    head tie the syzygy's lead is settled by the tie-break alone, which
+    licenses no discard, so that placement stays.
+
+    Coprimality is read on index tuples (``spairs._shares``), and whether
+    a coprime placement ties is read per pair, before any map or monomial
+    of the placement is built.  Lemma: with Ip, Iq the Schreyer images of p
+    and q, a placement whose moved leads are coprime has tied heads exactly
+    when p and q share their signature index, lf | Ip, lg | Iq and
+    sigma(Ip / lf) == tau(Iq / lg).  Proof: the overlap is sigma(lf) *
+    tau(lg), so the heads' monomials are tau(lg) * sigma(Ip) and sigma(lf)
+    * tau(Iq).  If the three conditions hold, both equal sigma(lf) * tau(lg)
+    * sigma(Ip / lf).  Conversely, if they are equal, sigma(lf) divides
+    tau(lg) * sigma(Ip) and is coprime to tau(lg), so sigma(lf) divides
+    sigma(Ip).  An increasing map sends distinct variables to distinct
+    variables, so a monomial moved by it keeps every exponent, and lf
+    divides Ip; likewise lg divides Iq.  Cancelling sigma(lf) * tau(lg)
+    leaves sigma(Ip / lf) == tau(Iq / lg).  So when the per-pair test fails
+    every coprime placement is dropped at once; otherwise sigma(Ip / lf) is
+    moved once per f image a and tau(Iq / lg) once per placement, and only
+    a tie builds the placement's maps and S-pair.  A placement whose leads
+    share a variable is built and judged by its heads as before.
     """
-    ring = engine.ring
+    ring, stats = engine.ring, engine.stats
+    lf, lg = lm(p.poly), lm(q.poly)
     image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
-    coprime = len(lm(p.poly).factors) + len(lm(q.poly).factors)
+    # the lemma's per-pair test: can any coprime placement tie?
+    ties = p.sig.index == q.sig.index and m_divides(lf, image_p) and m_divides(lg, image_q)
+    if ties:
+        rest_p, rest_q = m_quotient(image_p, lf), m_quotient(image_q, lg)
+    same = pi == qi
+    fget, gget = _lead_getters(lf), _lead_getters(lg)
 
     def side(cof, rho, g):
         sig = Signature(twisted_mul(TwistedMonomial(cof, rho), g.sig.tm), g.sig.index)
         return sig, engine.sig_key(sig)
 
-    for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
-        head1 = (order_key(ring, m_mul(gen.cof1, m_act(gen.map1, image_p))), p.sig.index)
-        head2 = (order_key(ring, m_mul(gen.cof2, m_act(gen.map2, image_q))), q.sig.index)
-        if head1 != head2:
-            if len(gen.overlap.factors) == coprime:
-                engine.stats["koszul_pairs"] += 1
+    wf, wg = p.poly.width(), q.poly.width()
+    for a, bs in _images(wf, wg, wf + wg):
+        fvars = _moved_vars(fget, a)
+        fa = None  # IncMap(a), f's moved lead and moved Schreyer rest, once needed
+        for b in bs:
+            if same and a >= b:
+                continue  # the diagonal, or the mirror of a placement already listed
+            coprime = not _shares(fvars, gget, b)
+            if coprime and not ties:
+                stats["koszul_pairs"] += 1
                 continue
-            cof, rho, g = (gen.cof1, gen.map1, p) if head1 > head2 else (gen.cof2, gen.map2, q)
-            yield JPair(*side(cof, rho, g), gen.overlap, g, rho, cof)
-            continue
-        (sig1, key1), (sig2, key2) = side(gen.cof1, gen.map1, p), side(gen.cof2, gen.map2, q)
-        if key1 > key2:
-            yield JPair(sig1, key1, gen.overlap, p, gen.map1, gen.cof1)
-        elif key1 < key2:
-            yield JPair(sig2, key2, gen.overlap, q, gen.map2, gen.cof2)
+            if fa is None:
+                fa, lfa = IncMap(a), Monomial(_moved(lf, a))
+                moved_rest = m_act(fa, rest_p) if ties else None
+            gb = IncMap(b)
+            if coprime and m_act(gb, rest_q) != moved_rest:
+                stats["koszul_pairs"] += 1
+                continue
+            gen = _spair_gen(pi, qi, fa, gb, lfa, Monomial(_moved(lg, b)))
+            if not coprime:
+                head1 = (order_key(ring, m_mul(gen.cof1, m_act(fa, image_p))), p.sig.index)
+                head2 = (order_key(ring, m_mul(gen.cof2, m_act(gb, image_q))), q.sig.index)
+                if head1 != head2:
+                    cof, rho, g = (gen.cof1, fa, p) if head1 > head2 else (gen.cof2, gb, q)
+                    yield JPair(*side(cof, rho, g), gen.overlap, g, rho, cof)
+                    continue
+            (sig1, key1), (sig2, key2) = side(gen.cof1, fa, p), side(gen.cof2, gb, q)
+            if key1 > key2:
+                yield JPair(sig1, key1, gen.overlap, p, fa, gen.cof1)
+            elif key1 < key2:
+                yield JPair(sig2, key2, gen.overlap, q, gb, gen.cof2)
 
 
 def add_cover(C, sig: Signature, lead=None):

@@ -10,15 +10,18 @@ maps the identity.
 
 An interlacing ranges over every index below a polynomial's width, also
 the indices it never uses, so when a polynomial skips indices many
-interlacings give the same pair of shifted polynomials.  The filtered mode,
-the S-pair source of the direct engine and of ``is_egb``, yields each pair
-of orbit elements once; the unfiltered mode yields every interlacing, for
-the signature engine's J-pairs, whose signatures carry the full shift.
+interlacings give the same pair of shifted polynomials.  There are two
+pair sources, and both read one enumerator of interlacings (``_images``)
+and one coprime test (``_shares``).  ``spair_generators``, the S-pair
+source of the direct engine and of ``is_egb``, yields each productive pair
+of orbit elements once.  ``signature.j_pairs`` places the signature
+engine's J-pairs by every interlacing, since their signatures carry the
+full shift, and drops the coprime placements the Koszul criterion covers.
 
-An interlacing is enumerated as its two image tuples, and the orbit
-generator decides each one on those tuples: the self-pair's mirror test,
-the coprime test and the repeat test read indices, not maps.  Maps, moved
-leads and S-pairs are built only for the interlacings it yields.
+An interlacing is enumerated as its two image tuples, and each source
+decides it on those tuples: the self-pair's mirror test, the coprime test
+and the repeat test read indices, not maps.  Maps, moved leads and S-pairs
+are built only for the interlacings a source keeps.
 
 Every pair source is a generator: a caller that needs only to know whether
 a pair set is empty draws one item, and nothing else is enumerated.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .incmaps import IncMap
 from .poly import Polynomial, lm
@@ -94,62 +98,80 @@ def _used(f):
     return sorted({i for _, m in f.terms for i in m.indices()})
 
 
-def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=True):
-    """Yield the critical-pair generators for (f, g) in interlacing order:
-    with the coprime filter, the S-pair source of the direct engine and
-    ``is_egb``, one per productive pair of orbit elements; without it, for
-    the signature engine's J-pairs, one per interlacing.
+def _lead_getters(m):
+    """Per variable of a lead m: its family label and an ``itemgetter`` of
+    its indices, so that ``(label, get(a))`` names the variable that
+    ``IncMap(a)`` moves it to, when m is narrower than a.  The index part is
+    a bare index at arity 1 and a tuple above; a family has one arity, so
+    two such names are equal exactly when the moved variables are."""
+    return tuple((label, itemgetter(*idx)) for (label, idx), _ in m.factors)
+
+
+def _moved_vars(getters, a):
+    """The variables of a lead moved by ``IncMap(a)``, named as by
+    ``_lead_getters``."""
+    return {(label, get(a)) for label, get in getters}
+
+
+def _shares(fvars, getters, b):
+    """Whether the lead of ``getters`` moved by ``IncMap(b)`` shares a
+    variable with the moved lead whose variables are fvars: the coprime test
+    of a placement, read on index tuples.  An increasing map keeps distinct
+    variables distinct, so no variable is shared exactly when the two moved
+    leads are coprime."""
+    for label, get in getters:
+        if (label, get(b)) in fvars:
+            return True
+    return False
+
+
+def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
+    """Yield the critical-pair generators for (f, g) in interlacing order,
+    one per productive pair of orbit elements: the S-pair source of the
+    direct engine and ``is_egb``.
 
     Self-pairs skip the diagonal interlacing (zero S-polynomial) and keep
     one of each mirrored pair: the one whose f image is the smaller tuple,
-    which for equal widths is the smaller map.  With the coprime filter
-    on, interlacings whose instantiated lead monomials share no variable
-    are dropped, as in the classical first Buchberger criterion; the level
+    which for equal widths is the smaller map.  Interlacings whose
+    instantiated lead monomials share no variable are dropped, as in the
+    classical first Buchberger criterion (``_shares``); the level
     k = wf + wg, where f and g share no index, is not enumerated, since
     every variable has an index, and leads with no family in common yield
     nothing.
 
-    The filtered mode yields each pair of orbit elements once.  Two
-    interlacings (a, b) and (a', b') give the same shifted pair exactly
-    when a and a' agree on the indices f uses and b and b' on those g uses,
-    since a shifted polynomial uses the image of those indices; so the
-    first interlacing of each restriction is kept.  For a self-pair the two
-    restrictions are taken unordered, and one whose shifted copies are
-    equal is skipped.  When f and g use every index below their widths no
-    two interlacings repeat, and no restriction is built.  The unfiltered
-    mode yields every interlacing.  A zero input raises ValueError on the
-    first draw.
+    Each pair of orbit elements is yielded once.  Two interlacings (a, b)
+    and (a', b') give the same shifted pair exactly when a and a' agree on
+    the indices f uses and b and b' on those g uses, since a shifted
+    polynomial uses the image of those indices; so the first interlacing of
+    each restriction is kept.  For a self-pair the two restrictions are
+    taken unordered, and one whose shifted copies are equal is skipped.
+    When f and g use every index below their widths no two interlacings
+    repeat, and no restriction is built.  A zero input raises ValueError on
+    the first draw.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
     lf, lg = lm(f), lm(g)
+    families = {label for (label, _), _ in lf.factors}
+    if families.isdisjoint(label for (label, _), _ in lg.factors):
+        return  # no lead variable can be shared, whatever the maps
     wf, wg = f.width(), g.width()
-    seen = None  # the restrictions yielded, when a repeat can occur
-    if coprime_filter:
-        families = {label for (label, _), _ in lf.factors}
-        if families.isdisjoint(label for (label, _), _ in lg.factors):
-            return  # no lead variable can be shared, whatever the maps
-        uf = _used(f)
-        ug = uf if same else _used(g)
-        if len(uf) < wf or len(ug) < wg:
-            seen = set()  # an unused index: two interlacings can agree on the rest
-    gvars = [v for v, _ in lg.factors]
-    for a, bs in _images(wf, wg, wf + wg - 1 if coprime_filter else wf + wg):
-        # the order respects the action, so lm commutes with it
-        fa_factors = _moved(lf, a)
-        fvars = {v for v, _ in fa_factors}
+    uf = _used(f)
+    ug = uf if same else _used(g)
+    # the restrictions yielded, when an unused index lets two interlacings
+    # agree on the rest
+    seen = set() if len(uf) < wf or len(ug) < wg else None
+    fget, gget = _lead_getters(lf), _lead_getters(lg)
+    for a, bs in _images(wf, wg, wf + wg - 1):
+        fvars = _moved_vars(fget, a)
         fa = None  # IncMap(a) and f's moved lead, once a yields
         ka = None if seen is None else tuple(map(a.__getitem__, uf))
         for b in bs:
             if same and a >= b:
                 continue  # the diagonal, or the mirror of a pair already listed
-            if coprime_filter:
-                for label, idx in gvars:
-                    if (label, tuple(map(b.__getitem__, idx))) in fvars:
-                        break  # a lead variable of both
-                else:
-                    continue  # coprime leads
+            if not _shares(fvars, gget, b):
+                continue  # coprime leads
             if seen is not None:
                 kb = tuple(map(b.__getitem__, ug))
                 if same and ka == kb:
@@ -159,5 +181,6 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1, coprime_filter=Tr
                     continue  # the shifted pair of an earlier interlacing
                 seen.add(key)
             if fa is None:
-                fa, lfa = IncMap(a), Monomial(fa_factors)
+                # the order respects the action, so lm commutes with it
+                fa, lfa = IncMap(a), Monomial(_moved(lf, a))
             yield _spair_gen(fi, gi, fa, IncMap(b), lfa, Monomial(_moved(lg, b)))

@@ -72,6 +72,7 @@ from conftest import (
     xvar,
 )
 from test_cross_engine import ENGINES, LIMITS, inputs
+from test_spairs import reference_spair_generators
 
 X = Ring((FamilySpec("x"),))
 GOLDEN = Path(__file__).parent / "golden"
@@ -711,7 +712,7 @@ def is_egb_every_interlacing(G):
     basis = [monic(g) for g in G if not g.is_zero]
     choose = first_reducer(reducer_table(basis, True), True)
     for i, j in itertools.combinations_with_replacement(range(len(basis)), 2):
-        for gen in spair_generators(basis[i], basis[j], i, j, coprime_filter=False):
+        for gen in reference_spair_generators(basis[i], basis[j], i, j, coprime_filter=False):
             if gen.cof1 == m_act(gen.map2, lm(basis[j])) or buchberger._chained(gen, choose):
                 continue
             if not reduce_terms(basis[i].ring, _spoly(gen, basis), choose).is_zero:

@@ -147,6 +147,19 @@ def test_pair_generators_are_lazy():
     assert [fn.__name__ for fn in sources if not inspect.isgeneratorfunction(fn)] == []
 
 
+def test_one_interlacing_enumerator():
+    # spairs._images is the one enumerator of interlacings, read by both
+    # pair sources (spair_generators, signature.j_pairs), and
+    # incmaps.increasing_maps the one of plain increasing maps; a module
+    # that walks index combinations itself keeps a second copy of them
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("spairs.py", "incmaps.py") and "combinations" in path.read_text()
+    ]
+    assert offenders == []
+
+
 def test_parser_is_private():
     # problems.parse and problems.parse_polynomial are the entry points; a
     # caller that drives _Parser itself keeps its own copy of their checks

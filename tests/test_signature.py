@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from incgb import rings, signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
 from incgb.poly import act, add, lc, lm, monic, mul_term, normal_form, poly, sorted_basis, subtract
-from incgb.problems import format_polynomial
+from incgb.problems import format_polynomial, parse
 from incgb.rings import (
     FamilySpec,
     Monomial,
@@ -43,9 +44,9 @@ from incgb.signature import (
     tm_apply,
     twisted_mul,
 )
-from incgb.spairs import spair_generators
 
 from conftest import (
+    UNWEIGHTED_TEXT,
     assert_current_preparations,
     coprime,
     expr,
@@ -59,8 +60,10 @@ from conftest import (
 )
 from test_cross_engine import LIMITS, inputs
 from test_polynomials import random_ring_monomial, random_ring_poly, xy_ring
+from test_spairs import reference_spair_generators
 
 X = Ring((FamilySpec("x"),))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def p(*terms):
@@ -555,7 +558,7 @@ def reference_j_pairs(p, q, pi, qi, engine, checks):
     sides differ at the Schreyer level (``key[:2]``).  checks counts the
     generators it drops and the coprime ones it keeps on a tie."""
     out = []
-    for gen in spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
+    for gen in reference_spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
         sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
         sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
@@ -696,6 +699,142 @@ def checked_against_oracles():
         yield checks
 
 
+def recorded_row_pairs(F, limits=EngineLimits()):
+    """Every call (p, q, pi, qi, engine) that a signature run of F makes to
+    ``j_pairs``.  Rows and module leads are only appended, so each call can
+    be replayed on the run's final engine."""
+    calls = []
+    real = signature.j_pairs
+
+    def recording(p, q, pi, qi, engine):
+        calls.append((p, q, pi, qi, engine))
+        return real(p, q, pi, qi, engine)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signature, "j_pairs", recording)
+        egb_signature(F, limits)
+    return calls
+
+
+def j_pairs_against_reference(calls):
+    """Replay each call of ``j_pairs`` against ``reference_j_pairs``: the
+    same JPair fields in the same order, and as many ``koszul_pairs`` as
+    the reference drops.  Returns the branches of the head-tie lemma the
+    calls met: the per-pair test failing on distinct indices or on a lead
+    that does not divide its Schreyer image, or passing, and then the
+    coprime placements whose Schreyer rests tie and those whose do not."""
+    branches = Counter()
+    for p, q, pi, qi, engine in calls:
+        checks = Counter()
+        before = engine.stats["koszul_pairs"]
+        out = list(j_pairs(p, q, pi, qi, engine))
+        expected = reference_j_pairs(p, q, pi, qi, engine, checks)
+        assert list(map(j_pair_fields, out)) == list(map(j_pair_fields, expected))
+        assert engine.stats["koszul_pairs"] - before == checks["koszul"]
+        image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
+        if p.sig.index != q.sig.index:
+            branches["distinct indices"] += 1
+        elif not m_divides(lm(p.poly), image_p):
+            branches["lf does not divide Ip"] += 1
+        elif not m_divides(lm(q.poly), image_q):
+            branches["lg does not divide Iq"] += 1
+        else:
+            branches["coprime ties"] += checks["coprime ties"]
+            branches["coprime rests differ"] += checks["koszul"]
+    return branches
+
+
+def labeled_rows(engine, *rows):
+    """Append each (signature, polynomial) as a row of the engine."""
+    out = [LabeledPoly(sig, f) for sig, f in rows]
+    for g in out:
+        engine.add_reducer(g)
+    return out
+
+
+def self_pair_call():
+    """The unit-signature self-pair of x[5]*x[0] - x[1]: every coprime
+    placement ties at the Schreyer head."""
+    engine = SigEngine(X)
+    f = p((1, xmono(5, 0)), (-1, xmono(1)))
+    (g,) = labeled_rows(engine, (Signature(UNIT_TM, engine.new_index(lm(f))), f))
+    return [(g, g, 0, 0, engine)]
+
+
+def schreyer_rest_call():
+    """Rows x[0] at x[0] * e0 and x[1] at x[1] * e0, e0 labelling x[0]:
+    both leads divide their Schreyer images, with rest x[0] each, so a
+    coprime placement (a, b) ties exactly when a and b agree at 0."""
+    engine = SigEngine(X)
+    index = engine.new_index(xmono(0))
+    rows = labeled_rows(
+        engine,
+        (Signature(tm(xmono(0)), index), p((1, xmono(0)))),
+        (Signature(tm(xmono(1)), index), p((1, xmono(1)))),
+    )
+    return [(rows[0], rows[1], 0, 1, engine)]
+
+
+GRLEX_TORIC_TEXT = """
+ring {
+  family x { arity = 1, constraint = none, weight = 1 }
+  family y { arity = 2, constraint = strictly_decreasing, weight = 3 }
+  order { kind = grlex, precedence = [x, y], weights = false }
+}
+generators { y[1,0] - x[1]*x[0]; }
+"""
+
+
+class TestJPairsHeadTieLemma:
+    """``j_pairs`` decides coprime placements on index tuples and the
+    per-pair head-tie test; its J-pairs and ``koszul_pairs`` are those of
+    the reference, which builds and keys every generator."""
+
+    def test_distinct_indices(self, member_problem):
+        branches = j_pairs_against_reference(recorded_row_pairs(member_problem.generators))
+        assert branches["distinct indices"] > 0
+
+    def test_lead_not_dividing_its_image(self, toric_problem):
+        branches = j_pairs_against_reference(recorded_row_pairs(toric_problem.generators))
+        assert branches["lf does not divide Ip"] > 0 and branches["lg does not divide Iq"] > 0
+
+    def test_unit_signature_self_pair_ties(self):
+        branches = j_pairs_against_reference(self_pair_call())
+        assert branches["coprime ties"] > 0 and branches["coprime rests differ"] == 0
+
+    def test_schreyer_rests_compared(self):
+        branches = j_pairs_against_reference(schreyer_rest_call())
+        assert branches["coprime ties"] > 0 and branches["coprime rests differ"] > 0
+
+    def test_grlex_ring(self):
+        calls = recorded_row_pairs(parse(UNWEIGHTED_TEXT).generators)
+        branches = j_pairs_against_reference(calls)
+        assert branches["coprime ties"] > 0
+
+    def test_every_row_pair_of_segre(self):
+        problem = parse((GOLDEN / "segre.egb").read_text())
+        calls = recorded_row_pairs(problem.generators)
+        branches = j_pairs_against_reference(calls)
+        assert len(calls) == 351 and branches["distinct indices"] > 0
+
+    @pytest.mark.parametrize(
+        "name, patch",
+        [
+            # the per-pair test always fails: a coprime head tie is dropped
+            ("drops a coprime head tie", ("m_divides", lambda a, b: False)),
+            # every placement shares a lead variable: a coprime non-tie is kept
+            ("keeps a coprime non-tie", ("_shares", lambda fvars, getters, b: True)),
+        ],
+    )
+    def test_mutations_are_caught(self, toric_problem, name, patch):
+        calls = self_pair_call() + schreyer_rest_call()
+        calls += recorded_row_pairs(toric_problem.generators)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signature, *patch)
+            with pytest.raises(AssertionError):
+                j_pairs_against_reference(calls)
+
+
 class TestEngineOracle:
     """The engine's J-pairs, cover tests and top reductions against the
     subtract-based reduction and linear-scan cover test they replaced."""
@@ -817,6 +956,26 @@ class TestEgbSignature:
         assert res.status == status
         assert res.stats == dict(zip(STAT_KEYS, counts))
         assert [format_polynomial(f) for f in res.basis] == basis
+
+    def test_grlex_toric_budget_pinned(self, monkeypatch):
+        # the toric kernel under grlex with the weights off stops on its
+        # width budget; its J-pair enumeration meets 138,030 placements, of
+        # which the Koszul rule drops 122,784 without building a map or a
+        # monomial.  Only the other 15,246 are built as pair generators;
+        # when every placement was built, this run took 5.8 s, and width 6
+        # built 566,259 generators.  The count may only fall
+        built = [0]
+        real = signature._spair_gen
+
+        def counting(*args):
+            built[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(signature, "_spair_gen", counting)
+        res = egb_signature(parse(GRLEX_TORIC_TEXT).generators, EngineLimits(max_width=5))
+        assert (res.status, len(res.basis)) == (BUDGET, 21)
+        assert (res.stats["pairs_processed"], res.stats["koszul_pairs"]) == (821, 122_784)
+        assert built[0] == 15_246
 
     @pytest.mark.parametrize(
         "problem, searches", [("toric", 478), ("member", 545)], ids=["toric", "member"]
