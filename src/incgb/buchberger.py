@@ -81,12 +81,11 @@ def _chain_update(table, k):
     and the other pairs of its lcm follow from it.  Criterion B on queued
     pairs is the pop-time chain test, ``_chained``, which both modes share.
     """
-    h = table[k][2]
-    hexp = dict(h.factors)
+    hexp = dict(table[k][2])
     quotients = []
     for i in range(k):
-        g = table[i][2].factors
-        q = tuple((v, d) for v, e in g if (d := e - hexp.get(v, 0)) > 0)
+        g = table[i][2]
+        q = Monomial((v, d) for v, e in g if (d := e - hexp.get(v, 0)) > 0)
         quotients.append((sum(d for _, d in q), i, q, q == g))
     quotients.sort()  # by degree: a proper divisor of q comes before q
     minimal = {}  # q -> [q's support mask, q, first row, any lead coprime to h]
@@ -94,10 +93,9 @@ def _chain_update(table, k):
         if q in minimal:
             minimal[q][3] |= coprime
             continue
-        q = Monomial(q)
         mask = support_mask(q)
         if not any(not r[0] & ~mask and m_divides(r[1], q) for r in minimal.values()):
-            minimal[q.factors] = [mask, q, i, coprime]
+            minimal[q] = [mask, q, i, coprime]
     return sorted(i for *_, i, coprime in minimal.values() if not coprime)
 
 
@@ -119,12 +117,11 @@ def _chained(gen, choose):
     and this test alike; a step found here moves no tail until a reduction
     applies it.
     """
-    t = gen.overlap.factors
+    t = gen.overlap
     return any(
-        choose(Monomial(tuple((u, d) for u, e in t if (d := e - (u == v or u == w)))))
-        is not None
-        for v, _ in gen.cof2.factors
-        for w, _ in gen.cof1.factors
+        choose(Monomial((u, d) for u, e in t if (d := e - (u == v or u == w)))) is not None
+        for v, _ in gen.cof2
+        for w, _ in gen.cof1
     )
 
 

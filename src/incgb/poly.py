@@ -151,7 +151,7 @@ def monic(f: Polynomial) -> Polynomial:
 def support_mask(m: Monomial) -> int:
     """A 64-bit set of m's variables, hashed; a divisor's lies inside it."""
     mask = 0
-    for v, _ in m.factors:
+    for v, _ in m:
         mask |= 1 << (hash(v) & 63)
     return mask
 
@@ -210,12 +210,10 @@ def first_reducer(table, orbit: bool):
     the same choice, and in ``normal_form``; ``autoreduce``, which replaces
     and deletes rows, builds a choice from a fresh slice for each element.
     """
-    # keyed by factors, which hash and compare in C: a term made only for
-    # the lookup, as the chain test makes them, is not kept alive
-    memo = {}  # term's factors -> (rows scanned, step or None)
+    memo = {}  # term -> (rows scanned, step or None); a monomial hashes in C
 
     def choose(m):
-        scanned, step = memo.get(m.factors, (0, None))
+        scanned, step = memo.get(m, (0, None))
         if step is None and scanned < len(table):
             if orbit:
                 term = term_profile(m)
@@ -233,7 +231,7 @@ def first_reducer(table, orbit: bool):
                     # it and multiplication by cof are injective on monomials
                     step = [gi, g, rho, m_quotient(m, m_act(rho, lead)), None]
                     break
-            memo[m.factors] = len(table), step
+            memo[m] = len(table), step
         return step
 
     return choose
@@ -253,12 +251,12 @@ def candidates(table):
     rows are only appended, and a row's witnesses and cofactors for a term
     never change.  The term is profiled once per call that scans a row.
     """
-    memo = {}  # term's factors, as in first_reducer -> [rows scanned, steps]
+    memo = {}  # term -> [rows scanned, steps]
 
     def scan(m):
-        entry = memo.get(m.factors)
+        entry = memo.get(m)
         if entry is None:
-            entry = memo[m.factors] = [0, []]
+            entry = memo[m] = [0, []]
         found, i, term = entry[1], 0, None
         while True:
             while i < len(found):

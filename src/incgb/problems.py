@@ -346,7 +346,7 @@ def format_monomial(ring: Ring, m: Monomial) -> str:
     if m.is_unit:
         return "1"
     parts = []
-    for var, e in m.factors:
+    for var, e in m:
         v = f"{ring.family_of(var).name}[{','.join(str(i) for i in var[1])}]"
         parts.append(v if e == 1 else f"{v}^{e}")
     return "*".join(parts)

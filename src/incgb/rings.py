@@ -9,8 +9,9 @@ A variable is stored as its own sort key ``(-rank, indices)``, rank being
 its family's position in the precedence list (``Ring.family_of``): families
 by precedence, then index tuples lexicographically, larger being greater.
 The shift action preserves this order, which makes the induced monomial
-orders usable here.  Factors are kept greatest-first, so they are the lex
-``order_key`` as they stand, and monomial arithmetic merges factor tuples.
+orders usable here.  A monomial is its greatest-first tuple of (variable,
+exponent) factors, so it is the lex ``order_key`` as it stands, builds,
+hashes and compares in C, and monomial arithmetic merges factor tuples.
 
 Orbit divisibility asks for a witness, an increasing map sending a lead onto
 a divisor of a term.  A reducer row holds its lead's preparation
@@ -93,33 +94,38 @@ class Ring:
         return self.families[-var[0]]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A finite product of variables, factors sorted greatest-first."""
+class Monomial(tuple):
+    """A finite product of variables, as the tuple of its factors ((var,
+    exponent), ...) sorted greatest-first, no zero exponents.  It compares
+    as that tuple, the lex key only: an order reads ``order_key``."""
 
-    factors: tuple = ()  # ((var, exponent), ...), no zero exponents
+    __slots__ = ()
 
     @staticmethod
     def from_dict(exps):
         if any(e < 0 for e in exps.values()):
             raise ValueError("negative exponent")
-        return Monomial(tuple(sorted(((v, e) for v, e in exps.items() if e), reverse=True)))
+        return Monomial(sorted(((v, e) for v, e in exps.items() if e), reverse=True))
+
+    @property
+    def factors(self):  # the monomial itself, as perfbench's kernel_image reads it
+        return self
 
     @property
     def is_unit(self):
-        return not self.factors
+        return not self
 
     def degree(self, ring: Ring):
         if not ring.use_weights:
-            return sum(e for _, e in self.factors)
-        return sum(e * ring.family_of(v).weight for v, e in self.factors)
+            return sum(e for _, e in self)
+        return sum(e * ring.family_of(v).weight for v, e in self)
 
     def indices(self):
         """Sorted distinct indices appearing in this monomial."""
-        return sorted({i for (_, idx), _e in self.factors for i in idx})
+        return sorted({i for (_, idx), _e in self for i in idx})
 
     def width(self):
-        return max((max(idx) + 1 for (_, idx), _e in self.factors), default=0)
+        return max((max(idx) + 1 for (_, idx), _e in self), default=0)
 
 
 UNIT = Monomial()
@@ -141,38 +147,38 @@ def _merge(fa, fb, shared):
 
 
 def m_mul(a: Monomial, b: Monomial) -> Monomial:
-    if a.is_unit or b.is_unit:  # the other factor, unchanged
-        return b if a.is_unit else a
-    return _merge(a.factors, b.factors, add)
+    if not a or not b:  # the other factor, unchanged
+        return a or b
+    return _merge(a, b, add)
 
 
 def m_divides(a: Monomial, b: Monomial) -> bool:
-    fa, i = a.factors, 0
-    for v, f in b.factors:
-        if i < len(fa) and fa[i][0] == v:
-            if fa[i][1] > f:
+    i = 0
+    for v, f in b:
+        if i < len(a) and a[i][0] == v:
+            if a[i][1] > f:
                 return False
             i += 1
-    return i == len(fa)
+    return i == len(a)
 
 
 def m_quotient(b: Monomial, a: Monomial) -> Monomial:
-    fa, i, out = a.factors, 0, []
-    for v, f in b.factors:
-        if i < len(fa) and fa[i][0] == v:
-            f -= fa[i][1]
+    i, out = 0, []
+    for v, f in b:
+        if i < len(a) and a[i][0] == v:
+            f -= a[i][1]
             i += 1
         if f > 0:
             out.append((v, f))
         elif f < 0:
             raise ValueError("quotient of non-divisor")
-    if i < len(fa):  # a variable of a is missing from b
+    if i < len(a):  # a variable of a is missing from b
         raise ValueError("quotient of non-divisor")
-    return Monomial(tuple(out))
+    return Monomial(out)
 
 
 def m_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return _merge(a.factors, b.factors, max)
+    return _merge(a, b, max)
 
 
 def m_act(rho: IncMap, m: Monomial) -> Monomial:
@@ -181,16 +187,16 @@ def m_act(rho: IncMap, m: Monomial) -> Monomial:
     An increasing map keeps the order of the variables of one family and
     never merges two of them, so the factors stay sorted.
     """
-    if rho.is_identity or m.is_unit:
+    if rho.is_identity or not m:
         return m
-    return Monomial(tuple(((label, tuple(map(rho, idx))), e) for (label, idx), e in m.factors))
+    return Monomial(((label, tuple(map(rho, idx))), e) for (label, idx), e in m)
 
 
 def order_key(ring: Ring, m: Monomial):
     """Sort key of m: its greatest-first factors, after the degree under grlex."""
     if ring.order_kind == "grlex":
-        return (m.degree(ring), m.factors)
-    return m.factors
+        return (m.degree(ring), m)
+    return m
 
 
 def _shapes(m: Monomial):
@@ -199,7 +205,7 @@ def _shapes(m: Monomial):
     (each index's rank among the distinct ones).  Each group is sorted
     descending."""
     groups = {}
-    for (rank, idx), e in m.factors:
+    for (rank, idx), e in m:
         if len(idx) == 1:
             shape = rank
         else:
@@ -218,7 +224,7 @@ def prepare_lead(a: Monomial):
     largest index is the j-th, checked once that index has its image."""
     src = a.indices()
     closing = [[] for _ in src]
-    for (label, idx), e in a.factors:
+    for (label, idx), e in a:
         closing[bisect_left(src, max(idx))].append((label, idx, e))
     return a, src, closing, tuple(_shapes(a).items())
 
@@ -227,7 +233,7 @@ def term_profile(b: Monomial):
     """What a witness search needs of a term b, built once per term and
     scan: (b, its sorted distinct indices, its exponents by variable, its
     exponents by shape)."""
-    return b, b.indices(), dict(b.factors), _shapes(b)
+    return b, b.indices(), dict(b), _shapes(b)
 
 
 def _admits(lead, term):

@@ -32,8 +32,8 @@ and reports BUDGET, as the direct engine does.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
@@ -59,8 +59,7 @@ STAT_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class TwistedMonomial:
+class TwistedMonomial(NamedTuple):
     """mono * shift: acts on a monomial m as mono * shift(m)."""
 
     mono: Monomial = UNIT
@@ -92,14 +91,12 @@ def _shift_quotient(target: IncMap, base: IncMap):
     return extend_partial([base(p) for p in points], [target(p) for p in points])
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     tm: TwistedMonomial
     index: int
 
 
-@dataclass(frozen=True)
-class LabeledPoly:
+class LabeledPoly(NamedTuple):
     sig: Signature
     poly: Polynomial
 
@@ -244,13 +241,13 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
                 stats["koszul_pairs"] += 1
                 continue
             if fa is None:
-                fa, lfa = IncMap(a), Monomial(_moved(lf, a))
+                fa, lfa = IncMap(a), _moved(lf, a)
                 moved_rest = m_act(fa, rest_p) if ties else None
             gb = IncMap(b)
             if coprime and m_act(gb, rest_q) != moved_rest:
                 stats["koszul_pairs"] += 1
                 continue
-            gen = _spair_gen(pi, qi, fa, gb, lfa, Monomial(_moved(lg, b)))
+            gen = _spair_gen(pi, qi, fa, gb, lfa, _moved(lg, b))
             if not coprime:
                 head1 = (order_key(ring, m_mul(gen.cof1, m_act(fa, image_p))), p.sig.index)
                 head2 = (order_key(ring, m_mul(gen.cof2, m_act(gb, image_q))), q.sig.index)

@@ -30,8 +30,8 @@ a pair set is empty draws one item, and nothing else is enumerated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .incmaps import IncMap
 from .poly import Polynomial, lm
@@ -67,13 +67,12 @@ def interlacings(wf, wg):
 
 
 def _moved(m, a):
-    """The factors of m with each index i replaced by a[i]: those of
-    ``m_act(IncMap(a), m)`` when m is narrower than a."""
-    return tuple(((label, tuple(map(a.__getitem__, idx))), e) for (label, idx), e in m.factors)
+    """m with each index i replaced by a[i]: ``m_act(IncMap(a), m)`` when m
+    is narrower than a."""
+    return Monomial(((label, tuple(map(a.__getitem__, idx))), e) for (label, idx), e in m)
 
 
-@dataclass(frozen=True)
-class SPairGen:
+class SPairGen(NamedTuple):
     """One generator of the critical-pair module of basis entries fi, gi.
 
     cof1 * act(map1, lm(f)) == overlap == cof2 * act(map2, lm(g)).
@@ -104,7 +103,7 @@ def _lead_getters(m):
     ``IncMap(a)`` moves it to, when m is narrower than a.  The index part is
     a bare index at arity 1 and a tuple above; a family has one arity, so
     two such names are equal exactly when the moved variables are."""
-    return tuple((label, itemgetter(*idx)) for (label, idx), _ in m.factors)
+    return tuple((label, itemgetter(*idx)) for (label, idx), _ in m)
 
 
 def _moved_vars(getters, a):
@@ -153,8 +152,8 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
         raise ValueError("S-pairs need nonzero polynomials")
     same = fi == gi
     lf, lg = lm(f), lm(g)
-    families = {label for (label, _), _ in lf.factors}
-    if families.isdisjoint(label for (label, _), _ in lg.factors):
+    families = {label for (label, _), _ in lf}
+    if families.isdisjoint(label for (label, _), _ in lg):
         return  # no lead variable can be shared, whatever the maps
     wf, wg = f.width(), g.width()
     uf = _used(f)
@@ -182,5 +181,5 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
                 seen.add(key)
             if fa is None:
                 # the order respects the action, so lm commutes with it
-                fa, lfa = IncMap(a), Monomial(_moved(lf, a))
-            yield _spair_gen(fi, gi, fa, IncMap(b), lfa, Monomial(_moved(lg, b)))
+                fa, lfa = IncMap(a), _moved(lf, a)
+            yield _spair_gen(fi, gi, fa, IncMap(b), lfa, _moved(lg, b))

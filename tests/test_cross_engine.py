@@ -22,6 +22,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from incgb.buchberger import (
     egb_buchberger,
     egb_incremental,
     is_egb,
+    orbit_truncate,
 )
 from incgb.poly import monic, normal_form, poly
 from incgb.problems import format_polynomial, parse, parse_polynomial
@@ -115,6 +117,42 @@ def test_engines_agree(F):
             assert spans_generators(r.basis, F)
             for basis in complete:
                 assert all(normal_form(f, basis).is_zero for f in r.basis)
+
+
+def monic_terms(polys):
+    """sympy polynomials, each made monic, as a sorted list of their sorted
+    (exponents, coefficient) items: equal bases give equal lists."""
+    return sorted(tuple(sorted(f.monic().terms())) for f in polys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs())
+def test_classical_agrees_with_sympy(F):
+    # an oracle that shares no code with incgb: the classical engine's
+    # reduced basis of the width-3 truncation against sympy's.  Every family
+    # of inputs() has weight 1, so grlex is sympy's grlex.  The variables
+    # become sympy's gens greatest first, as sympy orders them; x[0] is one
+    # always, so that a constant input has a gen too
+    ring = F[0].ring
+    assert all(family.weight == 1 for family in ring.families)
+    G = orbit_truncate(F, 3)
+    variables = {v for f in G for _, m in f.terms for v, _ in m} | {ring.variable("x", (0,))}
+    where = {v: k for k, v in enumerate(sorted(variables, reverse=True))}
+    gens = sympy.symbols(f"v:{len(where)}")
+
+    def to_sympy(f):
+        terms = {}
+        for c, m in f.terms:
+            exponents = [0] * len(gens)
+            for v, e in m:
+                exponents[where[v]] = e
+            terms[tuple(exponents)] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+    theirs = sympy.groebner([to_sympy(f) for f in G], *gens, order=ring.order_kind)
+    res = classical_buchberger(G)
+    assert res.status == COMPLETE
+    assert monic_terms(map(to_sympy, res.basis)) == monic_terms(theirs.polys)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import incgb
-from incgb import incmaps, signature, spairs
+from incgb import incmaps, rings, signature, spairs
 
 SRC = Path(incgb.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -90,6 +90,27 @@ def test_orders_are_keys():
                     if isinstance(item, ast.FunctionDef) and item.name in ordering
                 ]
     assert offenders == []
+
+
+def test_hot_values_are_tuples():
+    # a monomial is its factor tuple, and the pair and signature records are
+    # named tuples: built, hashed and compared in C, with no instance dict.
+    # A dataclass brings back a dict per instance and a Python-level hash
+    x = ((0, (1,)), 2), ((0, (0,)), 1)
+    m = rings.Monomial(x)
+    assert issubclass(rings.Monomial, tuple) and rings.Monomial.__slots__ == ()
+    assert not hasattr(m, "__dict__")
+    assert m.factors is m and m == x and hash(m) == hash(tuple(m))
+    tm = signature.TwistedMonomial(m, incmaps.IDENTITY)
+    sig = signature.Signature(tm, 0)
+    records = [
+        spairs.SPairGen(0, 1, incmaps.IDENTITY, incmaps.IDENTITY, m, m, m),
+        tm,
+        sig,
+        signature.LabeledPoly(sig, None),
+    ]
+    assert [type(r).__name__ for r in records if not isinstance(r, tuple)] == []
+    assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
 
 
 def test_exports_resolve():

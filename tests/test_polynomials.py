@@ -30,6 +30,7 @@ from incgb.poly import (
     reducer_row,
     reducer_table,
     scale,
+    sorted_basis,
     subtract,
     support_mask,
     zero,
@@ -105,6 +106,39 @@ class TestArithmetic:
             f = random_poly(rng)
             ms = [m for _, m in f.terms]
             assert all(order_sign(X, a, b) == 1 for a, b in zip(ms, ms[1:]))
+
+
+class TestOrderIsNotTupleOrder:
+    """A monomial compares as its factor tuple, the lex key only; under
+    grlex x[1] lies below x[0]^2 although its tuple is the greater.  Every
+    term order must come from ``order_key``."""
+
+    GRLEX = Ring((FamilySpec("x"),), order_kind="grlex")
+
+    def gp(self, *terms):
+        return poly(self.GRLEX, [(Fraction(c), m) for c, m in terms])
+
+    def test_witness_pair_disagrees(self):
+        low, high = xmono(1), xmono(0, 0)
+        assert low.factors > high.factors and order_sign(self.GRLEX, low, high) == -1
+
+    def test_poly_sorts_by_order_key(self):
+        f = self.gp((1, xmono(1)), (1, xmono(0, 0)))
+        assert [m for _, m in f.terms] == [xmono(0, 0), xmono(1)]
+
+    def test_normal_form_keeps_terms_by_order_key(self):
+        # x[3]*x[0] reduces to x[1], a term the kernel queues again; nothing
+        # reduces x[0]^2 or x[1]
+        f = self.gp((1, xmono(1)), (1, xmono(0, 0)), (1, xmono(3, 0)))
+        h = normal_form(f, [self.gp((1, xmono(3, 0)), (-1, xmono(1)))])
+        assert h == self.gp((1, xmono(0, 0)), (2, xmono(1)))
+        assert [m for _, m in h.terms] == [xmono(0, 0), xmono(1)]
+
+    def test_sorted_basis_compares_terms_by_order_key(self):
+        # equal width, degree and lead: the second terms decide
+        f = self.gp((1, xmono(2, 2)), (1, xmono(1)))
+        g = self.gp((1, xmono(2, 2)), (1, xmono(0, 0)))
+        assert sorted_basis([g, f]) == [f, g]
 
 
 class TestLeadData:
