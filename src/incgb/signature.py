@@ -35,10 +35,9 @@ import heapq
 from functools import lru_cache
 from typing import NamedTuple
 
-from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare
+from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare, autoreduce
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
-from .poly import Polynomial, lm, monic, sorted_basis
-from .poly import candidates, first_reducer, kernel_terms, reduce_terms, reducer_row
+from .poly import Polynomial, candidates, kernel_terms, lm, monic, reduce_terms, reducer_row
 from .rings import (
     UNIT,
     Monomial,
@@ -428,37 +427,15 @@ def _signature_loop(polys, engine, limits):
 def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Signature-based orbit engine.
 
-    A complete run returns an equivariant Groebner basis of the orbit ideal
-    of F, monic, without duplicates or orbit-redundant leads, not tail
-    reduced.  A budget stop returns the direct engine's form of partial
-    basis: the prepared generators, then the insertions, without duplicates.
+    A complete run returns the reduced equivariant Groebner basis of the
+    orbit ideal of F, interreduced by ``autoreduce`` as the other engines'
+    are, so every engine gives the same answer.  A budget stop returns the
+    direct engine's form of partial basis: the prepared generators, then the
+    insertions, without duplicates.
     """
     polys = _prepare(F)
     engine = SigEngine(polys[0].ring if polys else None)
     G, stats, status = _signature_loop(polys, engine, limits)
     if status == BUDGET:
-        basis = list(dict.fromkeys(polys + [g.poly for g in G]))
-    else:
-        basis = _minimalize([g.poly for g in G])
-    return EgbResult(basis, stats, status)
-
-
-def _minimalize(polys):
-    """Drop duplicates and elements whose lead another lead orbit-divides;
-    among equal leads the earliest element stays.
-
-    One pass in ascending lead order, a stable sort, keeps f when no lead
-    kept so far orbit-divides lm(f) (``first_reducer`` over the kept rows).
-    That keeps the set an all-pairs scan keeps: under these orders
-    m <= sigma(m) for every increasing map sigma, so an orbit divisor's
-    lead is never larger than the lead it divides and comes first; a
-    dropped divisor is itself orbit-divided by a kept lead, orbit
-    divisibility being transitive; and of equal leads, duplicates
-    included, the stable sort puts the earliest first.
-    """
-    table = []
-    choose = first_reducer(table, True)
-    for f in sorted(polys, key=lambda f: order_key(f.ring, lm(f))):
-        if choose(lm(f)) is None:
-            table.append(reducer_row(len(table), f, True))
-    return sorted_basis([row[1] for row in table])
+        return EgbResult(list(dict.fromkeys(polys + [g.poly for g in G])), stats, status)
+    return EgbResult(autoreduce([g.poly for g in G]), stats, status)

@@ -95,10 +95,12 @@ def test_criterion_3_signature_run():
     basis = {format_polynomial(monic(f)) for f in result.basis}
     for wanted in [
         "x[1]*x[0] - y[1,0]",
-        "y[3,2]*y[1,0] - y[3,1]*y[2,0]",
+        "y[3,2]*y[1,0] - y[3,0]*y[2,1]",
         "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
     ]:
         assert format_polynomial(monic(expr(problem, wanted))) in basis
+    # the reduced EGB, the same as the direct engine's
+    assert result.basis == egb_buchberger(problem.generators).basis
     assert result.stats["zero_reductions"] > 0
     assert result.stats["covered_pairs"] > 0
     _within(start, 300)

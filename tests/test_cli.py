@@ -51,6 +51,21 @@ class TestGoldenReports:
         assert out == (GOLDEN / f"{problem}.{algorithm}.json").read_bytes()
 
 
+def test_golden_complete_bases_agree():
+    # an ideal has one reduced EGB: the committed reports of every golden
+    # problem that all three engines complete hold the same basis
+    compared = []
+    for path in sorted(GOLDEN.glob("*.egb")):
+        reports = [
+            json.loads((GOLDEN / f"{path.stem}.{algorithm}.json").read_text())
+            for algorithm in ("buchberger", "incremental", "signature")
+        ]
+        if all(report["status"] == "complete" for report in reports):
+            assert reports[0]["basis"] == reports[1]["basis"] == reports[2]["basis"], path.stem
+            compared.append(path.stem)
+    assert compared == ["member", "segre", "toric", "wide5"]
+
+
 class TestSolveCheckRoundTrip:
     """Every engine's basis of every golden problem, written by ``solve``
     and read back by ``check``: a run that completes is an EGB."""

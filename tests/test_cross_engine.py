@@ -1,10 +1,11 @@
 """All three orbit engines on random small inputs, under one tight budget.
 
 A ``complete`` basis must pass the orbit Buchberger criterion, and any two
-complete bases must span the same ideal.  A ``budget_exhausted`` basis is
-partial, but it must span the input's ideal: every input generator lies
-in its ideal, and where an engine completed, every element reduces to
-zero against that complete basis.
+complete bases must span the same ideal and be equal, since every engine
+returns the reduced EGB.  A ``budget_exhausted`` basis is partial, but it
+must span the input's ideal: every input generator lies in its ideal, and
+where an engine completed, every element reduces to zero against that
+complete basis.
 
 Orbit reduction against the partial basis itself does not decide the
 first half.  The basis is no Groebner basis, so a generator can leave a
@@ -112,6 +113,7 @@ def test_engines_agree(F):
         assert is_egb(basis)
     for a, b in combinations(complete, 2):
         assert ideal_equal(a, b)
+        assert a == b  # one reduced EGB, in sorted_basis order
     for r in results:
         if r.status == BUDGET:
             assert spans_generators(r.basis, F)

@@ -13,7 +13,7 @@ from incgb import poly as poly_module
 from incgb import rings, signature
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
-from incgb.poly import act, add, lc, lm, monic, mul_term, normal_form, poly, sorted_basis, subtract
+from incgb.poly import act, lc, lm, monic, mul_term, normal_form, poly, subtract
 from incgb.problems import format_polynomial, parse
 from incgb.rings import (
     FamilySpec,
@@ -59,7 +59,6 @@ from conftest import (
     xmono,
 )
 from test_cross_engine import LIMITS, inputs
-from test_polynomials import random_ring_monomial, random_ring_poly, xy_ring
 from test_spairs import reference_spair_generators
 
 X = Ring((FamilySpec("x"),))
@@ -895,18 +894,20 @@ class TestEngineOracle:
         assert checks["is_covered"] >= res.stats["pairs_processed"]
 
 
+# the reduced EGBs, which every engine returns: the direct engine's
+# golden bases
 TORIC_BASIS = [
     "x[1]*x[0] - y[1,0]",
     "x[1]*y[2,0] - x[0]*y[2,1]",
-    "x[2]*y[1,0] - x[1]*y[2,0]",
+    "x[2]*y[1,0] - x[0]*y[2,1]",
     "x[0]^2*y[2,1] - y[2,0]*y[1,0]",
     "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
-    "y[3,2]*y[1,0] - y[3,1]*y[2,0]",
+    "y[3,2]*y[1,0] - y[3,0]*y[2,1]",
 ]
 
 MEMBER_BASIS = [
     "x[1]^2*x[0] - 2*x[1]^2 + x[1]*x[0]^2 - 2*x[1]*x[0]",
-    "x[1]^3 + x[1]^2*x[0] - 2*x[1]^2 - 2*x[1]*x[0]",
+    "x[1]^3 - x[1]*x[0]^2",
     "x[2]*x[1] - x[2]*x[0]",
     "x[2]^2 + x[2]*x[0] - x[1]^2 - x[1]*x[0]",
     "x[2]*x[0]^2 - x[1]^2 - x[1]*x[0]",
@@ -914,7 +915,7 @@ MEMBER_BASIS = [
 
 WIDE5 = "x[5]*x[0] - x[1]"
 
-WIDE5_BASIS = ["x[1]*x[0] - x[1]", "x[1]^2 - x[1]*x[0]", "x[2] - x[1]"]
+WIDE5_BASIS = ["x[1]*x[0] - x[1]", "x[1]^2 - x[1]", "x[2] - x[1]"]
 
 
 def corpus_generators(request, problem):
@@ -978,65 +979,73 @@ class TestEgbSignature:
         assert built[0] == 15_246
 
     @pytest.mark.parametrize(
-        "problem, searches", [("toric", 478), ("member", 545)], ids=["toric", "member"]
+        "problem, loop_searches, final_searches",
+        [("toric", 463, 67), ("member", 534, 75)],
+        ids=["toric", "member"],
     )
-    def test_witness_searches_pinned(self, request, monkeypatch, problem, searches):
+    def test_witness_searches_pinned(
+        self, request, monkeypatch, problem, loop_searches, final_searches
+    ):
         # regular top-reduction and the full normal form share one memo of
         # candidate steps, which searches each (row, term) once per run;
-        # _minimalize then searches its own table.  Before the memo toric
+        # autoreduce then searches its own tables.  Before the memo toric
         # made 15,696 searches in regular top-reduction alone and member
         # 5,174; with a second memo for the full normal form, 7,334 and
         # 1,158; before the Koszul rule, 5,879 and 818.  These may only fall
         calls = recorded_searches(monkeypatch, poly_module)
         loop = []
-        real = signature._minimalize
+        real = signature.autoreduce
 
         def recording(polys):
             loop.extend(calls)
             return real(polys)
 
-        monkeypatch.setattr(signature, "_minimalize", recording)
+        monkeypatch.setattr(signature, "autoreduce", recording)
         res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
         assert res.status == COMPLETE
-        assert len(loop) == len(set(loop)) and 0 < len(loop) < len(calls)
-        assert len(calls) == searches
+        assert len(loop) == len(set(loop)) == loop_searches
+        assert len(calls) - len(loop) == final_searches
 
-    @pytest.mark.parametrize("problem, preparations", [("toric", 12), ("member", 11)])
+    @pytest.mark.parametrize(
+        "problem, final_preparations", [("toric", 8), ("member", 7)], ids=["toric", "member"]
+    )
     def test_one_preparation_per_inserted_lead(
-        self, request, monkeypatch, problem, preparations
+        self, request, monkeypatch, problem, final_preparations
     ):
         # one reducer table per run: the full normal form and regular
         # top-reduction both choose from the candidates of engine.rows, so
-        # each inserted lead is prepared once, and _minimalize prepares each
-        # kept lead once.  With a second table for the full normal form,
-        # toric prepared 18 leads and member 17
-        prepared, tables, scanned = [], [], []
-        real_prepare, real_first = rings.prepare_lead, signature.first_reducer
-        real_candidates = signature.candidates
+        # the loop prepares each inserted lead once.  With a second table
+        # for the full normal form, toric prepared 18 leads and member 17.
+        # autoreduce then builds its own table: one preparation per element,
+        # and one more for each element whose reduction changes it
+        prepared, scanned = [], []
+        real_prepare, real_candidates = rings.prepare_lead, signature.candidates
+        real_autoreduce = signature.autoreduce
+        loop = []
 
         def counting_prepare(lead):
             prepared.append(lead)
             return real_prepare(lead)
 
-        def recording_first(table, orbit):
-            tables.append(table)
-            return real_first(table, orbit)
-
         def recording_candidates(table):
             scanned.append(table)
             return real_candidates(table)
 
+        def recording_autoreduce(polys):
+            loop.extend(prepared)
+            return real_autoreduce(polys)
+
         for module in (poly_module, rings, signature):
             if hasattr(module, "prepare_lead"):
                 monkeypatch.setattr(module, "prepare_lead", counting_prepare)
-        monkeypatch.setattr(signature, "first_reducer", recording_first)
         monkeypatch.setattr(signature, "candidates", recording_candidates)
+        monkeypatch.setattr(signature, "autoreduce", recording_autoreduce)
         res = egb_signature(request.getfixturevalue(f"{problem}_problem").generators)
         assert res.status == COMPLETE
-        assert len(prepared) == res.stats["insertions"] + len(res.basis) == preparations
-        # the loop's one memo over its rows, then _minimalize's own table
-        assert len(scanned) == len(tables) == 1
-        assert len(scanned[0]) == res.stats["insertions"] and tables[0] is not scanned[0]
+        assert len(loop) == res.stats["insertions"] == 6
+        assert len(prepared) - len(loop) == final_preparations
+        # the loop's one memo over its rows
+        assert len(scanned) == 1 and len(scanned[0]) == res.stats["insertions"]
 
     def test_bookkeeping_work_pinned(self, toric_problem, monkeypatch):
         # The cover test looks a shift quotient up once per group of the
@@ -1108,11 +1117,12 @@ class TestEgbSignature:
         rendered = sorted(map(format_polynomial, res.basis))
         for wanted in [
             "x[1]*x[0] - y[1,0]",
-            "y[3,2]*y[1,0] - y[3,1]*y[2,0]",
+            "y[3,2]*y[1,0] - y[3,0]*y[2,1]",
             "y[3,1]*y[2,0] - y[3,0]*y[2,1]",
         ]:
             assert format_polynomial(monic(expr(toric_problem, wanted))) in rendered
         assert is_egb(res.basis)
+        assert res.basis == egb_buchberger(toric_problem.generators).basis
         assert res.stats["zero_reductions"] > 0
         assert res.stats["covered_pairs"] > 0
 
@@ -1162,50 +1172,3 @@ class TestEgbSignature:
         for stats in (empty, egb_signature([p((1, xmono(0)))]).stats):
             assert stats.keys() == toric.stats.keys()
 
-
-def reference_minimalize(polys):
-    """The all-pairs scan: keep f unless it repeats a kept element, or
-    another lead orbit-divides lm(f) and is smaller or comes earlier."""
-    out = []
-    for i, f in enumerate(polys):
-        lead = lm(f)
-        if f not in out and not any(
-            j != i and pi_divides(lm(g), lead) is not None and (lm(g) != lead or j < i)
-            for j, g in enumerate(polys)
-        ):
-            out.append(f)
-    return sorted_basis(out)
-
-
-class TestMinimalize:
-    @pytest.mark.parametrize("order_kind", ["lex", "grlex"])
-    @pytest.mark.parametrize("y_constraint", [None, "strictly_decreasing"])
-    def test_matches_all_pairs_scan(self, y_constraint, order_kind):
-        ring = xy_ring(y_constraint, order_kind)
-        rng = random.Random(61)
-        seen = Counter()
-        for _ in range(150):
-            polys = []
-            for _k in range(rng.randrange(1, 5)):
-                f = random_ring_poly(rng, ring, 3)
-                if f.is_zero:
-                    continue
-                polys.append(monic(f))
-                # a duplicate, an equal lead with another tail, a shifted
-                # copy and a multiple of a shifted copy
-                polys.append(monic(f))
-                tail = poly(ring, [(rng.choice([-1, 2]), random_ring_monomial(rng, ring))])
-                g = add(f, tail)
-                if not g.is_zero and lm(g) == lm(f):
-                    polys.append(monic(g))
-                shifted = act(random_incmap(rng, max_len=3, max_value=6), f)
-                polys.append(monic(shifted))
-                polys.append(mul_term(shifted, 1, random_ring_monomial(rng, ring)))
-            rng.shuffle(polys)
-            expected = reference_minimalize(polys)
-            assert signature._minimalize(polys) == expected
-            leads = [lm(f) for f in polys]
-            seen["duplicates"] += len(set(polys)) < len(polys)
-            seen["equal leads"] += len(set(leads)) < len(set(polys))
-            seen["strict divisors"] += any(lm(f) not in {lm(g) for g in expected} for f in polys)
-        assert min(seen.values()) > 30, seen
