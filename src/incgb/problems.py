@@ -150,7 +150,7 @@ class _Parser:
         gens_at = None
         options = {}
         while self.peek()[0] != "eof":
-            section = self.expect_name()
+            at, section = self.peek(), self.expect_name()
             if section == "ring":
                 ring = self.parse_ring()
             elif section == "generators":
@@ -159,7 +159,7 @@ class _Parser:
             elif section == "options":
                 options = self.parse_fields(self.option_value)
             else:
-                self.error(f"unknown section {section!r}")
+                self.error(f"unknown section {section!r}", at)
         if ring is None:
             self.error("missing ring block")
         if gens_at is None:
@@ -207,15 +207,15 @@ class _Parser:
         families = []
         order = {}
         while self.peek()[1] != "}":
-            word = self.expect_name()
+            at, word = self.peek(), self.expect_name()
             if word == "family":
                 name = self.expect_name()
                 fields = self.parse_fields(self.family_value)
-                families.append(self.checked(FamilySpec, name, **fields))
+                families.append(self.checked(FamilySpec, name, **fields, tok=at))
             elif word == "order":
                 order = self.parse_fields(self.order_value)
             else:
-                self.error(f"expected 'family' or 'order', found {word!r}")
+                self.error(f"expected 'family' or 'order', found {word!r}", at)
         self.next()
         if not families:
             self.error("ring block declares no families")
@@ -232,7 +232,7 @@ class _Parser:
             return self.expect_nat()
         if key == "constraint":
             return self.expect_name()
-        self.error(f"unknown family field {key!r}")
+        self.error(f"unknown family field {key!r}", self.tokens[self.pos - 2])  # the key
 
     def order_value(self, key):
         if key == "kind":
@@ -240,11 +240,11 @@ class _Parser:
         if key == "precedence":
             return self.bracketed(self.expect_name)
         if key == "weights":
-            word = self.expect_name()
+            at, word = self.peek(), self.expect_name()
             if word not in ("true", "false"):
-                self.error("weights must be true or false")
+                self.error("weights must be true or false", at)
             return word == "true"
-        self.error(f"unknown order field {key!r}")
+        self.error(f"unknown order field {key!r}", self.tokens[self.pos - 2])  # the key
 
     def option_value(self, key):
         tok = self.next()

@@ -24,9 +24,9 @@ moved leads are coprime and whose heads differ is never built, since a
 principal syzygy has its signature (the Koszul criterion of ``j_pairs``).
 One cover index holds basis elements and syzygies by index and shift; a
 cover test scans it through the memoized shift quotient (``_shift_quotient``).
-A J-pair at a known signature, wider than ``max_width`` or covered is
-dropped before it is queued; after a width drop the run drains its queue
-and reports BUDGET, as the direct engine does.
+A J-pair at a known signature or past ``max_width`` is dropped when queued,
+a covered one when popped, uncounted by ``max_pairs``; after a width drop
+the run drains its queue and reports BUDGET, as the direct engine does.
 """
 
 from __future__ import annotations
@@ -362,16 +362,14 @@ def _signature_loop(polys, engine, limits):
         # grow.  Reduction and covering use the undegreed order, so discards
         # stay justified whatever the processing order.  Queued pairs are
         # multiples of a prepared generator or a basis element: never zero.
-        # Every pair passes one rule: a known signature is a duplicate; a
-        # pair past max_width is dropped, as in the direct engine, and the run
-        # goes on (degree bands do not run by width); then the cover test.
+        # A known signature is a duplicate; a pair past max_width is
+        # dropped, as in the direct engine, and the run goes on (degree
+        # bands do not run by width).  Cover is tested once, at the pop.
         nonlocal seq, over_width
         if pair.sig in done_sigs:
             stats["duplicate_signatures"] += 1
         elif pair.width() > limits.max_width:
             over_width = True
-        elif is_covered(pair, C, engine):
-            stats["covered_pairs"] += 1
         else:
             degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
             heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
@@ -382,8 +380,6 @@ def _signature_loop(polys, engine, limits):
         push(JPair(sig, engine.sig_key(sig), lm(f), LabeledPoly(sig, f), IDENTITY, UNIT))  # 1 * f
 
     while J:
-        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
-            return G, stats, BUDGET
         p = heapq.heappop(J)[-1]
         if p.sig in done_sigs:
             # one pair per exact signature: the minimal-lead representative
@@ -391,10 +387,12 @@ def _signature_loop(polys, engine, limits):
             stats["duplicate_signatures"] += 1
             continue
         done_sigs.add(p.sig)
-        stats["pairs_processed"] += 1
-        if is_covered(p, C, engine):  # C may have grown since p was queued
+        if is_covered(p, C, engine):
             stats["covered_pairs"] += 1
             continue
+        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
+            return G, stats, BUDGET
+        stats["pairs_processed"] += 1
         h, singular, tainted = regular_top_reduce(p, engine)
         if singular:
             stats["singular_discards"] += 1

@@ -259,6 +259,19 @@ class TestEgbBuchberger:
         res = egb_buchberger([])
         assert res.status == COMPLETE and res.basis == []
 
+    def test_max_basis_stops_after_an_insertion(self, toric_problem):
+        # the third insertion makes four entries, past max_basis: the run
+        # returns the prepared generator, then its insertions, unreduced
+        res = egb_buchberger(toric_problem.generators, EngineLimits(max_basis=3))
+        assert res.status == BUDGET
+        assert list(map(format_polynomial, res.basis)) == [
+            "x[1]*x[0] - y[1,0]",
+            "x[2]*y[1,0] - x[1]*y[2,0]",
+            "x[1]*y[2,0] - x[0]*y[2,1]",
+            "x[0]^2*y[2,1] - y[2,0]*y[1,0]",
+        ]
+        assert res.stats == {"pairs_processed": 6, "zero_reductions": 3, "insertions": 3}
+
     def test_stats_determinism(self, toric_problem):
         a = egb_buchberger(toric_problem.generators)
         b = egb_buchberger(toric_problem.generators)
@@ -415,6 +428,21 @@ class TestClassicalBuchberger:
         res = classical_buchberger(F, EngineLimits(max_pairs=0))
         assert res.status == BUDGET
         assert res.basis == [monic(f) for f in F]
+
+    def test_max_basis_stops_after_an_insertion(self, toric_problem):
+        # the width-4 truncation's six generators and three insertions make
+        # nine entries, past max_basis: the run returns them in that order,
+        # unreduced
+        F = orbit_truncate(toric_problem.generators, 4)
+        res = classical_buchberger(F, EngineLimits(max_basis=8))
+        assert res.status == BUDGET
+        assert res.basis[:6] == [monic(f) for f in F]
+        assert list(map(format_polynomial, res.basis[6:])) == [
+            "x[2]*y[1,0] - x[1]*y[2,0]",
+            "x[1]*y[2,0] - x[0]*y[2,1]",
+            "x[0]^2*y[2,1] - y[2,0]*y[1,0]",
+        ]
+        assert res.stats == {"pairs_processed": 5, "zero_reductions": 2, "insertions": 3}
 
     def test_agrees_with_sympy_on_random_systems(self):
         import sympy
@@ -904,6 +932,10 @@ def _restart_autoreduce(G, orbit):
 
 
 class TestIncremental:
+    def test_empty_input(self):
+        res = egb_incremental([])
+        assert (res.status, res.basis, res.stats) == (COMPLETE, [], {"levels": 0})
+
     def test_single_variable(self):
         res = egb_incremental([p((1, xmono(0)))])
         assert res.status == COMPLETE and res.basis == [p((1, xmono(0)))]

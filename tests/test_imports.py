@@ -197,3 +197,19 @@ def test_parser_is_private():
             if "_Parser" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_one_cover_test_call():
+    # the signature engine tests a J-pair for cover once, as it pops it; a
+    # second call site, such as a test when the pair is queued, spends the
+    # test twice on most pairs and lets covered pops count against max_pairs
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "is_covered" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+    assert len(offenders) == 1, offenders

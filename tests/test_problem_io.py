@@ -18,6 +18,9 @@ from incgb.rings import Monomial
 
 from conftest import TORIC_TEXT, UNWEIGHTED_TEXT, X_RING_TEXT, expr, xmono
 
+RING = "ring { family x { arity = 1 } }"
+GENS = "generators { x[0]; }"
+
 
 class TestParse:
     def test_x_ring(self, x_problem):
@@ -178,6 +181,72 @@ class TestSyntaxErrors:
         with pytest.raises(ProblemSyntaxError) as e:
             parse(f"ring {{ {ring} }}\ngenerators {{ x[0]; }}\n")
         assert str(e.value) == f"2:1: {message}"
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            (f"ring {{ family x {{ arity 1 }} }}\n{GENS}", "1:25: expected '=', found '1'"),
+            (f"{RING}\n{GENS}\noptions {{ max_width", "3:20: expected '=', found end of input"),
+            (f"ring {{ family 1 {{ arity = 1 }} }}\n{GENS}", "1:15: expected an identifier"),
+            (f"ring {{ family x {{ arity = one }} }}\n{GENS}", "1:27: expected a number"),
+            (f"{RING}\n{GENS}\nsolver {{ }}", "3:1: unknown section 'solver'"),
+            (RING, "1:32: missing generators block"),
+            (f"{RING}\ngenerators {{ x[0];", "2:19: unterminated generators block"),
+            (
+                f"ring {{ families x {{ }} }}\n{GENS}",
+                "1:8: expected 'family' or 'order', found 'families'",
+            ),
+            (f"ring {{ order {{ kind = lex }} }}\n{GENS}", "2:1: ring block declares no families"),
+            (
+                f"ring {{ family x {{ arity = 1, size = 2 }} }}\n{GENS}",
+                "1:30: unknown family field 'size'",
+            ),
+            (
+                f"ring {{ family x {{ arity = 1 }} order {{ direction = up }} }}\n{GENS}",
+                "1:39: unknown order field 'direction'",
+            ),
+            (
+                f"ring {{ family x {{ arity = 1 }} order {{ weights = yes }} }}\n{GENS}",
+                "1:49: weights must be true or false",
+            ),
+            (f"{RING}\n{GENS}\noptions {{ max_width = [3]; }}", "3:23: expected an option value"),
+            (f"ring {{ family x {{ arity = 0 }} }}\n{GENS}", "1:8: family x: arity must be >= 1"),
+            (
+                f"ring {{ family x {{ arity = 1, weight = 0 }} }}\n{GENS}",
+                "1:8: family x: weight must be >= 1",
+            ),
+            (
+                f"ring {{ family x {{ arity = 1, constraint = odd }} }}\n{GENS}",
+                "1:8: family x: unknown constraint 'odd'",
+            ),
+            (f"{RING}\ngenerators {{ x[1,2]; }}", "2:14: x[1, 2]: expects 1 indices, got 2"),
+        ],
+        ids=[
+            "expected-found",
+            "expected-end-of-input",
+            "missing-identifier",
+            "missing-number",
+            "unknown-section",
+            "missing-generators",
+            "unterminated-generators",
+            "unknown-ring-word",
+            "no-families",
+            "unknown-family-field",
+            "unknown-order-field",
+            "weights-not-boolean",
+            "bad-option-value",
+            "arity-zero",
+            "weight-zero",
+            "unknown-constraint",
+            "index-count",
+        ],
+    )
+    def test_malformed_file(self, text, diagnostic):
+        # each diagnostic points at the offending token: a misplaced word, a
+        # field's key or value, a family's declaration, a variable's name
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse(text)
+        assert str(e.value) == diagnostic
 
 
 class TestFormatting:
