@@ -1,21 +1,21 @@
 """Equivariant Buchberger engines: direct, truncated/incremental, classical.
 
-The direct and classical engines share one Buchberger loop: a priority
-queue keyed by (overlap width, overlap degree, insertion sequence), one
-reduction kernel and one interreduction routine.  One flag, ``orbit``,
-tells them apart: orbit divisibility and the orbit S-pairs of
-interlacings, or plain divisibility and one ordinary S-pair per pair of
-entries.  Under plain divisibility the classical engine queues only the
-pairs the Gebauer–Möller criteria M, F and coprime-B keep
-(``_chain_update``).  Both engines skip, as they pop them, the pairs the
-strict chain criterion proves redundant (``_chained``; ``is_egb`` applies
-it too and argues its soundness); under plain divisibility that test is
-Gebauer–Möller criterion B on queued pairs.  The chain test asks the
-run's reducer choice, so the reductions and the chain test share one
-witness memo.  There is no termination theory for general inputs, so
-explicit budgets (pair count, width, basis size) bound every run;
-exhausting a budget returns the partial basis with a distinguished status
-instead of raising.
+Every engine, the signature engine too, runs one Buchberger loop with one
+budget policy, ``_pair_loop``.  There is no termination theory for
+general inputs, so explicit budgets (pair count, width, basis size) bound
+every run; exhausting a budget returns the partial basis with a
+distinguished status instead of raising.
+
+The direct and classical engines (``_buchberger``) share one reduction
+kernel and one interreduction routine.  One flag, ``orbit``, tells them
+apart: orbit divisibility and the orbit S-pairs of interlacings, or plain
+divisibility and one ordinary S-pair per pair of entries, filtered by the
+Gebauer–Möller criteria M, F and coprime-B (``_chain_update``).  Both
+skip, as they pop them, the pairs the strict chain criterion proves
+redundant (``_chained``; ``is_egb`` applies it too and argues its
+soundness); under plain divisibility that test is Gebauer–Möller
+criterion B on queued pairs.  The chain test asks the run's reducer
+choice, so the reductions and the chain test share one witness memo.
 
 The incremental engine computes classical reduced bases of generator
 truncations at growing width and stops as soon as the equivariant
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 from .incmaps import IDENTITY, increasing_maps
 from .poly import act, lm, monic, sorted_basis
@@ -125,32 +127,63 @@ def _chained(gen, choose):
     )
 
 
-def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
-    """Buchberger's loop, shared by the direct and classical engines.
+def _pair_loop(first, pairs_of, skip, reduce, stats, limits: EngineLimits) -> str:
+    """Buchberger's loop, shared by every engine; returns the status.
 
-    ``orbit`` chooses the mode.  Orbit divisibility pairs basis entries
-    i <= j by ``spair_generators``; plain divisibility pairs entries i < j
-    by their one ordinary S-pair, both maps the identity.  One reducer
-    table serves the whole run, one row per insertion.
+    An item is (width, key, pair): ``first`` yields those queued at the
+    start, ``pairs_of(k)`` those of entry k once inserted.  Pairs pop by
+    key, a tuple, then in push order.  An item wider than max_width is
+    dropped, its pair (None for a whole pair set) never drawn, and a
+    drained run then returns BUDGET.  A popped pair that ``skip`` accepts
+    is neither processed nor counted; max_pairs bounds the pairs counted
+    and handed to ``reduce``, which returns the index of the entry it
+    inserted, or None.  An insertion that makes more than max_basis
+    entries stops the run with BUDGET.
+    """
+    queue, seq, over_width = [], 0, False
 
-    Each prepared generator and each insertion k, in that order, queues
-    its pairs with entries 0..k as soon as it exists.  Under orbit
-    divisibility every pair set is queued; under plain divisibility the
-    Gebauer–Möller update (``_chain_update``) chooses the partners, and
-    only the pairs its criteria keep are made (distinct entries whose
-    leads share a variable).  The queue is only pushed and popped.  In
-    both modes a popped pair that the strict chain criterion
-    (``_chained``) proves redundant is skipped, neither processed nor
-    counted: a COMPLETE orbit run has queued every pair of orbit elements
-    that ``spair_generators`` yields for its final basis, each once, so
-    ``is_egb``'s argument holds over that basis.
+    def push(items):
+        nonlocal seq, over_width
+        for width, key, pair in items:
+            if width > limits.max_width:
+                over_width = True
+                continue
+            heapq.heappush(queue, (*key, seq, pair))
+            seq += 1
 
-    A pair set whose wider lead exceeds max_width is dropped before it is
-    drawn, as none of its pairs is narrower; any other pair wider than
-    max_width is dropped where it is made, after the criteria.  max_pairs
-    and max_basis stop the run with the partial, unreduced basis and
-    BUDGET.  A drained queue returns the interreduced basis, or the
-    unreduced one and BUDGET if a pair was dropped.
+    push(first)
+    while queue:
+        pair = heapq.heappop(queue)[-1]
+        if skip(pair):
+            continue
+        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
+            return BUDGET
+        stats["pairs_processed"] += 1
+        k = reduce(pair)
+        if k is None:
+            continue
+        stats["insertions"] += 1
+        if limits.max_basis is not None and k >= limits.max_basis:
+            return BUDGET
+        push(pairs_of(k))
+    return BUDGET if over_width else COMPLETE
+
+
+def _buchberger(F, orbit: bool, limits: EngineLimits) -> EgbResult:
+    """The direct and classical engines: ``_pair_loop`` over S-pairs.
+
+    ``orbit`` chooses the mode.  Orbit divisibility pairs entries i <= j
+    by ``spair_generators``; plain divisibility pairs entries i < j by
+    their one ordinary S-pair, both maps the identity, and only those the
+    Gebauer–Möller update (``_chain_update``) keeps.  Each prepared
+    generator and each insertion k, in that order, queues its pairs with
+    entries 0..k by (overlap width, overlap degree); one reducer table
+    serves the run, one row per insertion.  No overlap is narrower than a
+    lead, so a pair set whose wider lead exceeds max_width is one dropped
+    item.  A popped pair that the strict chain criterion (``_chained``)
+    proves redundant is skipped: a COMPLETE orbit run has queued every
+    pair of orbit elements that ``spair_generators`` yields for its final
+    basis, each once, so ``is_egb``'s argument holds over that basis.
     """
     G = _prepare(F)
     stats = {"pairs_processed": 0, "zero_reductions": 0, "insertions": 0}
@@ -159,68 +192,43 @@ def _pair_loop(F, orbit: bool, limits: EngineLimits) -> EgbResult:
     ring = G[0].ring
     table = reducer_table(G, orbit)
     choose = first_reducer(table, orbit)
-    queue = []
-    seq = 0
-    over_width = False
 
-    def push_pairs(i, j):
-        nonlocal seq, over_width
-        # An increasing map never lowers an index, so no overlap is narrower
-        # than a lead: a wide lead drops the whole set before it is drawn.
-        if max(lm(G[i]).width(), lm(G[j]).width()) > limits.max_width:
-            over_width = True
-            return
-        if orbit:
-            gens = spair_generators(G[i], G[j], i, j)
-        else:
-            gens = (_spair_gen(i, j, IDENTITY, IDENTITY, lm(G[i]), lm(G[j])),)
-        for gen in gens:
-            width = gen.overlap.width()
-            if width > limits.max_width:
-                over_width = True
-                continue
-            heapq.heappush(queue, (width, gen.overlap.degree(ring), seq, gen))
-            seq += 1
-
-    def add_pairs(k):
-        """Queue the pairs of entry k with itself and the entries before it."""
+    def pairs_of(k):
         for i in range(k + 1) if orbit else _chain_update(table, k):
-            push_pairs(i, k)
+            width = max(lm(G[i]).width(), lm(G[k]).width())
+            if width > limits.max_width:
+                yield width, None, None
+                continue
+            if orbit:
+                gens = spair_generators(G[i], G[k], i, k)
+            else:
+                gens = (_spair_gen(i, k, IDENTITY, IDENTITY, lm(G[i]), lm(G[k])),)
+            for gen in gens:
+                width = gen.overlap.width()
+                yield width, (width, gen.overlap.degree(ring)), gen
 
-    for k in range(len(G)):
-        add_pairs(k)
-
-    while queue:
-        gen = heapq.heappop(queue)[-1]
-        if _chained(gen, choose):
-            continue
-        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
-            return EgbResult(G, stats, BUDGET)
-        stats["pairs_processed"] += 1
+    def reduce(gen):
         h = reduce_terms(ring, _spoly(gen, G), choose)
         if h.is_zero:
             stats["zero_reductions"] += 1
-            continue
+            return None
         G.append(monic(h))
         table.append(reducer_row(len(G) - 1, G[-1], orbit))
-        stats["insertions"] += 1
-        if limits.max_basis is not None and len(G) > limits.max_basis:
-            return EgbResult(G, stats, BUDGET)
-        add_pairs(len(G) - 1)
+        return len(G) - 1
 
-    if over_width:
-        return EgbResult(G, stats, BUDGET)
-    return EgbResult(autoreduce(G, orbit), stats, COMPLETE)
+    first = chain.from_iterable(map(pairs_of, range(len(G))))
+    status = _pair_loop(first, pairs_of, partial(_chained, choose=choose), reduce, stats, limits)
+    return EgbResult(autoreduce(G, orbit) if status == COMPLETE else G, stats, status)
 
 
 def egb_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Direct equivariant Buchberger loop (orbit S-pairs via interlacings)."""
-    return _pair_loop(F, True, limits)
+    return _buchberger(F, True, limits)
 
 
 def classical_buchberger(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """Reduced Groebner basis in finitely many variables (ordinary S-pairs)."""
-    return _pair_loop(F, False, limits)
+    return _buchberger(F, False, limits)
 
 
 def orbit_truncate(F, n):
@@ -299,7 +307,7 @@ def is_egb(G) -> bool:
       chain identity S(σf, τg) = (t / t1) S(σf, ρh) + (t / t2) S(ρh, τg)
       then gives one below t.
 
-    ``_pair_loop`` runs the same argument over its final basis: a COMPLETE
+    ``_buchberger`` runs the same argument over its final basis: a COMPLETE
     run has queued every pair ``spair_generators`` yields of it, and each
     was reduced (to 0 or to an element it inserted) or chained through one
     of its leads.

@@ -206,7 +206,7 @@ def first_reducer(table, orbit: bool):
     is returned again as it is, tail and all (rows appended later come
     after its row), and a term that found none scans only the rows
     appended since.  That is exact while the table only grows by
-    appending, as in ``_pair_loop`` and ``is_egb``, whose chain tests ask
+    appending, as in ``_buchberger`` and ``is_egb``, whose chain tests ask
     the same choice, and in ``normal_form``; ``autoreduce``, which replaces
     and deletes rows, builds a choice from a fresh slice for each element.
     """

@@ -152,7 +152,7 @@ class _Parser:
         while self.peek()[0] != "eof":
             at, section = self.peek(), self.expect_name()
             if section == "ring":
-                ring = self.parse_ring()
+                ring = self.parse_ring(at)
             elif section == "generators":
                 gens_at = self.pos
                 self.skip_block()
@@ -202,30 +202,31 @@ class _Parser:
         self.next()
         return fields
 
-    def parse_ring(self) -> Ring:
+    def parse_ring(self, at) -> Ring:
+        """The ring block; a ring-level error points at ``at``, its keyword."""
         self.expect("{")
         families = []
         order = {}
         while self.peek()[1] != "}":
-            at, word = self.peek(), self.expect_name()
+            tok, word = self.peek(), self.expect_name()
             if word == "family":
                 name = self.expect_name()
                 fields = self.parse_fields(self.family_value)
-                families.append(self.checked(FamilySpec, name, **fields, tok=at))
+                families.append(self.checked(FamilySpec, name, **fields, tok=tok))
             elif word == "order":
                 order = self.parse_fields(self.order_value)
             else:
-                self.error(f"expected 'family' or 'order', found {word!r}", at)
+                self.error(f"expected 'family' or 'order', found {word!r}", tok)
         self.next()
         if not families:
-            self.error("ring block declares no families")
+            self.error("ring block declares no families", at)
         if "precedence" in order:
             by_name = {f.name: f for f in families}
             if sorted(order["precedence"]) != sorted(f.name for f in families):
-                self.error("order precedence must list every family exactly once")
+                self.error("order precedence must list every family exactly once", at)
             families = [by_name[n] for n in order["precedence"]]
         kind, weights = order.get("kind", "lex"), order.get("weights", True)
-        return self.checked(Ring, tuple(families), kind, weights)
+        return self.checked(Ring, tuple(families), kind, weights, tok=at)
 
     def family_value(self, key):
         if key in ("arity", "weight"):

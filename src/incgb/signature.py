@@ -24,18 +24,18 @@ moved leads are coprime and whose heads differ is never built, since a
 principal syzygy has its signature (the Koszul criterion of ``j_pairs``).
 One cover index holds basis elements and syzygies by index and shift; a
 cover test scans it through the memoized shift quotient (``_shift_quotient``).
-A J-pair at a known signature or past ``max_width`` is dropped when queued,
-a covered one when popped, uncounted by ``max_pairs``; after a width drop
-the run drains its queue and reports BUDGET, as the direct engine does.
+The pair loop, its queue and its budgets are the direct engine's
+(``buchberger._pair_loop``): the engine keys J-pairs by degree band and
+signature, never queues one at a known signature, and skips a popped one
+at a known signature or covered.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from typing import NamedTuple
 
-from .buchberger import BUDGET, COMPLETE, EgbResult, EngineLimits, _prepare, autoreduce
+from .buchberger import BUDGET, EgbResult, EngineLimits, _pair_loop, _prepare, autoreduce
 from .incmaps import IDENTITY, IncMap, compose, extend_partial, word_key
 from .poly import Polynomial, candidates, kernel_terms, lm, monic, reduce_terms, reducer_row
 from .rings import (
@@ -345,85 +345,8 @@ def regular_top_reduce(p, engine: SigEngine):
     return LabeledPoly(p.sig, h), singular, tied_used
 
 
-def _signature_loop(polys, engine, limits):
-    stats = engine.stats
-    G, C = [], {}  # C: the cover index of ``add_cover``
-    J, seq, done_sigs = [], 0, set()
-    over_width = False
-
-    def full_reducer(m):
-        # normal_form over G: the first candidate is first_reducer's step
-        return next(engine.candidates(m), None)
-
-    def push(pair):
-        # The weighted degree of the Schreyer image comes first, so the queue
-        # runs in finite degree bands: under a non-graded order, infinitely
-        # many pairs can compare below a fixed signature as their degrees
-        # grow.  Reduction and covering use the undegreed order, so discards
-        # stay justified whatever the processing order.  Queued pairs are
-        # multiples of a prepared generator or a basis element: never zero.
-        # A known signature is a duplicate; a pair past max_width is
-        # dropped, as in the direct engine, and the run goes on (degree
-        # bands do not run by width).  Cover is tested once, at the pop.
-        nonlocal seq, over_width
-        if pair.sig in done_sigs:
-            stats["duplicate_signatures"] += 1
-        elif pair.width() > limits.max_width:
-            over_width = True
-        else:
-            degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(engine.ring)
-            heapq.heappush(J, (degree, pair.key, order_key(engine.ring, pair.lead), seq, pair))
-            seq += 1
-
-    for f in polys:
-        sig = Signature(UNIT_TM, engine.new_index(lm(f)))
-        push(JPair(sig, engine.sig_key(sig), lm(f), LabeledPoly(sig, f), IDENTITY, UNIT))  # 1 * f
-
-    while J:
-        p = heapq.heappop(J)[-1]
-        if p.sig in done_sigs:
-            # one pair per exact signature: the minimal-lead representative
-            # was already handled, later arrivals are singular against it
-            stats["duplicate_signatures"] += 1
-            continue
-        done_sigs.add(p.sig)
-        if is_covered(p, C, engine):
-            stats["covered_pairs"] += 1
-            continue
-        if limits.max_pairs is not None and stats["pairs_processed"] >= limits.max_pairs:
-            return G, stats, BUDGET
-        stats["pairs_processed"] += 1
-        h, singular, tainted = regular_top_reduce(p, engine)
-        if singular:
-            stats["singular_discards"] += 1
-            continue
-        if h.poly.is_zero:
-            stats["zero_reductions"] += 1
-            stats["tied_zero_reductions"] += tainted
-            add_cover(C, h.sig)
-            stats["syzygies"] += 1
-            continue
-        h2 = reduce_terms(engine.ring, kernel_terms(h.poly), full_reducer)
-        if h2.is_zero:
-            stats["full_zero_reductions"] += 1
-            continue
-        if h2 != h.poly:
-            h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
-        G.append(LabeledPoly(h.sig, monic(h.poly)))
-        add_cover(C, h.sig, lm(h.poly))
-        engine.add_reducer(G[-1])
-        stats["insertions"] += 1
-        if limits.max_basis is not None and len(G) > limits.max_basis:
-            return G, stats, BUDGET
-        k = len(G) - 1
-        for i in range(len(G)):
-            for jp in j_pairs(G[i], G[k], i, k, engine):
-                push(jp)
-    return G, stats, BUDGET if over_width else COMPLETE
-
-
 def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
-    """Signature-based orbit engine.
+    """Signature-based orbit engine: ``buchberger._pair_loop`` over J-pairs.
 
     A complete run returns the reduced equivariant Groebner basis of the
     orbit ideal of F, interreduced by ``autoreduce`` as the other engines'
@@ -433,7 +356,72 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     """
     polys = _prepare(F)
     engine = SigEngine(polys[0].ring if polys else None)
-    G, stats, status = _signature_loop(polys, engine, limits)
+    ring, stats = engine.ring, engine.stats
+    G, C, done_sigs = [], {}, set()  # C: the cover index of ``add_cover``
+
+    def item(pair):
+        # The weighted degree of the Schreyer image comes first, so the queue
+        # runs in finite degree bands: under a non-graded order, infinitely
+        # many pairs can compare below a fixed signature as their degrees
+        # grow.  Reduction and covering use the undegreed order, so discards
+        # stay justified whatever the processing order.  Queued pairs are
+        # multiples of a prepared generator or a basis element: never zero.
+        degree = tm_apply(pair.sig.tm, engine.module_leads[pair.sig.index]).degree(ring)
+        return pair.width(), (degree, pair.key, order_key(ring, pair.lead)), pair
+
+    def pairs_of(k):
+        # a J-pair at a known signature is a duplicate, never queued
+        for i in range(k + 1):
+            for jp in j_pairs(G[i], G[k], i, k, engine):
+                if jp.sig in done_sigs:
+                    stats["duplicate_signatures"] += 1
+                else:
+                    yield item(jp)
+
+    def skip(p):
+        if p.sig in done_sigs:
+            # one pair per exact signature: the minimal-lead representative
+            # was already handled, later arrivals are singular against it
+            stats["duplicate_signatures"] += 1
+            return True
+        done_sigs.add(p.sig)
+        if is_covered(p, C, engine):
+            stats["covered_pairs"] += 1
+            return True
+        return False
+
+    def full_reducer(m):
+        # normal_form over G: the first candidate is first_reducer's step
+        return next(engine.candidates(m), None)
+
+    def reduce(p):
+        h, singular, tainted = regular_top_reduce(p, engine)
+        if singular:
+            stats["singular_discards"] += 1
+            return None
+        if h.poly.is_zero:
+            stats["zero_reductions"] += 1
+            stats["tied_zero_reductions"] += tainted
+            add_cover(C, h.sig)
+            stats["syzygies"] += 1
+            return None
+        h2 = reduce_terms(ring, kernel_terms(h.poly), full_reducer)
+        if h2.is_zero:
+            stats["full_zero_reductions"] += 1
+            return None
+        if h2 != h.poly:
+            h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
+        G.append(LabeledPoly(h.sig, monic(h.poly)))
+        add_cover(C, h.sig, lm(h.poly))
+        engine.add_reducer(G[-1])
+        return len(G) - 1
+
+    first = []
+    for f in polys:
+        sig = Signature(UNIT_TM, engine.new_index(lm(f)))
+        pair = JPair(sig, engine.sig_key(sig), lm(f), LabeledPoly(sig, f), IDENTITY, UNIT)  # 1 * f
+        first.append(item(pair))
+    status = _pair_loop(first, pairs_of, skip, reduce, stats, limits)
     if status == BUDGET:
         return EgbResult(list(dict.fromkeys(polys + [g.poly for g in G])), stats, status)
     return EgbResult(autoreduce([g.poly for g in G]), stats, status)

@@ -286,6 +286,88 @@ class TestEgbBuchberger:
                     assert pi_divides(lm(g), lm(f)) is None
 
 
+def run_pair_loop(first, limits=EngineLimits(), pairs_of=None, skip=(), inserts=()):
+    """``_pair_loop`` on toy items (width, key tuple, integer pair).
+    ``pairs_of`` maps an entry to the items it queues, ``skip`` and
+    ``inserts`` list the pairs skipped and those whose reduction inserts
+    an entry, numbered from 0.  Returns the status, the pairs reduced, the
+    entries whose pairs were asked for, and the stats."""
+    reduced, asked, entries = [], [], itertools.count()
+    stats = {"pairs_processed": 0, "insertions": 0}
+
+    def reduce(pair):
+        reduced.append(pair)
+        return next(entries) if pair in inserts else None
+
+    def items_of(k):
+        asked.append(k)
+        return (pairs_of or {}).get(k, ())
+
+    status = buchberger._pair_loop(first, items_of, skip.__contains__, reduce, stats, limits)
+    return status, reduced, asked, stats
+
+
+class TestPairLoop:
+    """The one pair loop of every engine: its queue order, skip rule and
+    budget policy."""
+
+    def test_pops_by_key_then_push_order(self):
+        first = [(1, (2, "b"), 10), (1, (1, "z"), 11), (1, (2, "b"), 12), (1, (1, "a"), 13)]
+        # pair 13 inserts entry 0, whose item ties 10's and 12's keys
+        pairs_of = {0: [(1, (2, "b"), 20), (1, (0, "z"), 21)]}
+        status, reduced, asked, stats = run_pair_loop(first, pairs_of=pairs_of, inserts={13})
+        assert status == COMPLETE
+        assert reduced == [13, 21, 11, 10, 12, 20]
+        assert asked == [0]
+        assert stats == {"pairs_processed": 6, "insertions": 1}
+
+    def test_skipped_pair_is_neither_reduced_nor_counted(self):
+        first = [(0, (k,), k) for k in range(6)]
+        status, reduced, _, stats = run_pair_loop(first, skip={1, 2, 4})
+        assert status == COMPLETE
+        assert reduced == [0, 3, 5]
+        assert stats["pairs_processed"] == 3
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_max_pairs_stops_before_the_next_reduction(self, n):
+        # skipped pairs do not count against the budget
+        first = [(0, (k,), k) for k in range(6)]
+        limits = EngineLimits(max_pairs=n)
+        status, reduced, _, stats = run_pair_loop(first, limits, skip={0, 2})
+        assert status == BUDGET
+        assert reduced == [1, 3][:n]
+        assert stats["pairs_processed"] == n
+
+    def test_max_pairs_at_the_pair_count_completes(self):
+        first = [(0, (k,), k) for k in range(3)]
+        status, reduced, _, _ = run_pair_loop(first, EngineLimits(max_pairs=3))
+        assert status == COMPLETE and reduced == [0, 1, 2]
+
+    def test_insertion_past_max_basis_stops(self):
+        # entries 0 and 1 stay within max_basis=2; entry 2 makes three
+        first = [(0, (k,), k) for k in range(6)]
+        limits = EngineLimits(max_basis=2)
+        status, reduced, asked, stats = run_pair_loop(first, limits, inserts={1, 2, 4, 5})
+        assert status == BUDGET
+        assert reduced == [0, 1, 2, 3, 4]
+        assert asked == [0, 1]
+        assert stats == {"pairs_processed": 5, "insertions": 3}
+
+    def test_wide_items_are_never_popped(self):
+        # a wide item may stand for a whole pair set (pair None, no key)
+        first = [(3, None, None), (2, (1,), 1), (5, (0,), 0)]
+        pairs_of = {0: [(4, (0,), 7), (1, (5,), 8)]}
+        limits = EngineLimits(max_width=2)
+        status, reduced, _, _ = run_pair_loop(first, limits, pairs_of=pairs_of, inserts={1})
+        assert status == BUDGET
+        assert reduced == [1, 8]
+        status, reduced, _, _ = run_pair_loop(first[1:2], limits, pairs_of=pairs_of, inserts={1})
+        assert status == BUDGET
+        assert reduced == [1, 8]
+        status, reduced, _, _ = run_pair_loop([(2, (1,), 1), (2, (0,), 0)], limits)
+        assert status == COMPLETE and reduced == [0, 1]
+
+
 class TestWidthSkip:
     """A pair set whose wider lead exceeds max_width is dropped before any
     of it is drawn, and the run returns BUDGET."""

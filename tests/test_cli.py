@@ -368,7 +368,7 @@ class TestErrors:
         f = tmp_path / "ring.egb"
         f.write_text(f"ring {{ {ring} }}\ngenerators {{ x[0]; }}\n")
         assert main(["solve", str(f)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"{f}:2:1: ")
+        assert capsys.readouterr().err.startswith(f"{f}:1:1: ")
 
     def test_usage_error(self, capsys):
         assert main(["solve"]) == EXIT_USAGE

@@ -213,3 +213,30 @@ def test_one_cover_test_call():
             and "is_covered" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
         ]
     assert len(offenders) == 1, offenders
+
+
+def test_one_pair_queue():
+    # every engine runs buchberger._pair_loop, the one owner of the pair
+    # queue and of the budget policy; an engine that imports heapq or reads
+    # max_pairs or max_basis itself keeps a second pair loop
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported.update(
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+        )
+        if "heapq" in imported and path.name != "buchberger.py":
+            offenders.append(f"{path.name} imports heapq")
+        if path.name not in ("buchberger.py", "signature.py"):
+            continue
+        loops = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_pair_loop"]
+        inside = {id(n) for fn in loops for n in ast.walk(fn)}
+        offenders += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("max_pairs", "max_basis")
+            and id(node) not in inside
+        ]
+    assert offenders == []

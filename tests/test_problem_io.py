@@ -178,9 +178,10 @@ class TestSyntaxErrors:
         ids=["duplicate-family", "unknown-order-kind", "duplicate-family-in-precedence"],
     )
     def test_malformed_ring(self, ring, message):
+        # a ring-level error points at the ring keyword
         with pytest.raises(ProblemSyntaxError) as e:
             parse(f"ring {{ {ring} }}\ngenerators {{ x[0]; }}\n")
-        assert str(e.value) == f"2:1: {message}"
+        assert str(e.value) == f"1:1: {message}"
 
     @pytest.mark.parametrize(
         "text, diagnostic",
@@ -196,7 +197,8 @@ class TestSyntaxErrors:
                 f"ring {{ families x {{ }} }}\n{GENS}",
                 "1:8: expected 'family' or 'order', found 'families'",
             ),
-            (f"ring {{ order {{ kind = lex }} }}\n{GENS}", "2:1: ring block declares no families"),
+            (f"ring {{ order {{ kind = lex }} }}\n{GENS}", "1:1: ring block declares no families"),
+            (f"{GENS}\n  ring {{ order {{ kind = lex }} }}", "2:3: ring block declares no families"),
             (
                 f"ring {{ family x {{ arity = 1, size = 2 }} }}\n{GENS}",
                 "1:30: unknown family field 'size'",
@@ -231,6 +233,7 @@ class TestSyntaxErrors:
             "unterminated-generators",
             "unknown-ring-word",
             "no-families",
+            "no-families-after-generators",
             "unknown-family-field",
             "unknown-order-field",
             "weights-not-boolean",

@@ -1161,6 +1161,27 @@ class TestEgbSignature:
             assert res.basis[0] == monic(f)
             assert normal_form(f, res.basis).is_zero
 
+    def test_max_basis_stops_after_an_insertion(self, toric_problem):
+        # the fourth insertion is past max_basis: the run returns the direct
+        # engine's partial basis (test_buchberger.py), the prepared
+        # generator, then its insertions, unreduced
+        res = egb_signature(toric_problem.generators, EngineLimits(max_basis=3))
+        assert res.status == BUDGET
+        assert list(map(format_polynomial, res.basis)) == [
+            "x[1]*x[0] - y[1,0]",
+            "x[2]*y[1,0] - x[1]*y[2,0]",
+            "x[1]*y[2,0] - x[0]*y[2,1]",
+            "x[0]^2*y[2,1] - y[2,0]*y[1,0]",
+        ]
+        assert res.stats == dict.fromkeys(STAT_KEYS, 0) | {
+            "pairs_processed": 5,
+            "zero_reductions": 1,
+            "syzygies": 1,
+            "duplicate_signatures": 1,
+            "insertions": 4,
+            "koszul_pairs": 145,
+        }
+
     def test_stats_determinism(self, toric_problem):
         a = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
         b = egb_signature(toric_problem.generators, limits=EngineLimits(max_pairs=5000))
