@@ -118,9 +118,12 @@ def cmd_solve(args):
         text = serialize(result.basis, problem.ring)
     sys.stdout.write(text)
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(args.report, "w") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {args.report}: {exc}")
     if result.status == BUDGET:
         print("budget exhausted; basis is partial", file=sys.stderr)
         return EXIT_BUDGET

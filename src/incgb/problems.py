@@ -15,17 +15,20 @@ A problem file has three blocks::
       max_width = 16;
     }
 
-The blocks may come in any order.  Family declaration order doubles as the
-default precedence (first listed is greatest).  In the family, order and
-options blocks, ``,`` or ``;`` separates the ``key = value`` fields; the
-options are free-form and interpreted by the CLI.  Generator expressions use
-+ - * ^, integer and rational literals and parentheses, and are
-whitespace-insensitive; generators are separated by semicolons.  Variables
-are written ``x[3]`` or ``y[2,1]`` and are checked against their family's
-arity and index constraint at parse time.  A product or power that would
-multiply out more than ``MAX_TERM_PRODUCTS`` pairs of terms in one step is an
-error at its ``*`` or ``^``, so a hostile power of a sum fails fast; so is a
-power whose coefficients would pass ``MAX_COEFFICIENT_BITS``.  Every error is a ``ProblemSyntaxError`` with a line/column diagnostic.
+The blocks may come in any order.  A block, the ring's ``order`` block and a
+key within a block each appear at most once.  Family declaration order
+doubles as the default precedence (first listed is greatest).  In the
+family, order and options blocks, ``,`` or ``;`` separates the ``key =
+value`` fields; the options are free-form and interpreted by the CLI.
+Generator expressions use + - * ^, integer and rational literals and
+parentheses, and are whitespace-insensitive; generators are separated by
+semicolons.  Variables are written ``x[3]`` or ``y[2,1]`` and are checked
+against their family's arity and index constraint at parse time.  A product
+or power that would multiply out more than ``MAX_TERM_PRODUCTS`` pairs of
+terms in one step is an error at its ``*`` or ``^``, so a hostile power of a
+sum fails fast; so is a power whose coefficients would pass
+``MAX_COEFFICIENT_BITS``.  Every error is a ``ProblemSyntaxError`` with a
+line/column diagnostic.
 ``parse_polynomial`` reads one expression that must use the whole of its text.
 """
 
@@ -149,8 +152,12 @@ class _Parser:
         ring = None
         gens_at = None
         options = {}
+        seen = set()
         while self.peek()[0] != "eof":
             at, section = self.peek(), self.expect_name()
+            if section in seen:
+                self.error(f"repeated {section} section", at)
+            seen.add(section)
             if section == "ring":
                 ring = self.parse_ring(at)
             elif section == "generators":
@@ -194,7 +201,9 @@ class _Parser:
         self.expect("{")
         fields = {}
         while self.peek()[1] != "}":
-            key = self.expect_name()
+            at, key = self.peek(), self.expect_name()
+            if key in fields:
+                self.error(f"repeated field {key!r}", at)
             self.expect("=")
             fields[key] = read_value(key)
             if self.peek()[1] in (",", ";"):
@@ -206,7 +215,7 @@ class _Parser:
         """The ring block; a ring-level error points at ``at``, its keyword."""
         self.expect("{")
         families = []
-        order = {}
+        order = None
         while self.peek()[1] != "}":
             tok, word = self.peek(), self.expect_name()
             if word == "family":
@@ -214,12 +223,15 @@ class _Parser:
                 fields = self.parse_fields(self.family_value)
                 families.append(self.checked(FamilySpec, name, **fields, tok=tok))
             elif word == "order":
+                if order is not None:
+                    self.error("repeated order block", tok)
                 order = self.parse_fields(self.order_value)
             else:
                 self.error(f"expected 'family' or 'order', found {word!r}", tok)
         self.next()
         if not families:
             self.error("ring block declares no families", at)
+        order = order or {}
         if "precedence" in order:
             by_name = {f.name: f for f in families}
             if sorted(order["precedence"]) != sorted(f.name for f in families):

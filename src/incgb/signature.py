@@ -9,11 +9,13 @@ a fixed total order on twisted monomials: one sort key, ``SigEngine.sig_key``.
 ``egb_signature`` gives each new basis element a full orbit normal form;
 when that changes it, the element re-enters with a fresh unit signature.
 Zero reductions contribute syzygy signatures.  A J-pair stays unbuilt, a
-signature, a lead and a multiple of a basis element, until it is popped.
-Regular top-reduction is a reducer choice for the kernel
-``poly.reduce_terms``.  The engine keeps one reducer table, one row per
-insertion, and one memo of each term's candidate steps over it
-(``poly.candidates``), every witness of every row, searched once per run.
+signature, a lead and a multiple of a basis element, until it is popped;
+J-pairs are placed by the direct engine's walk of interlacings
+(``spairs._placements``).  Regular top-reduction is a reducer choice for the
+kernel ``poly.reduce_terms``.  The engine keeps the basis as one reducer
+table, one row and one label per insertion, and one memo of each term's
+candidate steps over it (``poly.candidates``), every witness of every row,
+searched once per run.
 Regular top-reduction and the full normal form both choose from it, the
 latter its first candidate, and a step keeps its tail once moved.
 What depends on the popped signature is judged per pop: a candidate's
@@ -48,7 +50,7 @@ from .rings import (
     m_quotient,
     order_key,
 )
-from .spairs import _images, _lead_getters, _moved, _moved_vars, _shares, _spair_gen
+from .spairs import _moved, _placements, _spair_gen
 
 
 STAT_KEYS = (
@@ -95,15 +97,12 @@ class Signature(NamedTuple):
     index: int
 
 
-class LabeledPoly(NamedTuple):
-    sig: Signature
-    poly: Polynomial
-
-
 class JPair:
-    """t * source for t = (cof, map), unbuilt: sig == t * sig(source), key ==
-    its sig_key and lead == cof * map(lm(source)); the polynomial is built on
-    demand.  A queue record, never compared: slots, and no dataclass."""
+    """t * source for t = (cof, map), source the polynomial of a basis
+    element or of a prepared generator, unbuilt: sig == t * sig(source), key
+    == its sig_key and lead == cof * map(lm(source)); the polynomial is
+    built on demand.  A queue record, never compared: slots, and no
+    dataclass."""
 
     __slots__ = ("sig", "key", "lead", "source", "map", "cof")
 
@@ -113,25 +112,26 @@ class JPair:
 
     @property
     def poly(self):
-        g = self.source.poly
+        g = self.source
         return Polynomial(g.ring, tuple((c, m_mul(m_act(self.map, n), self.cof)) for c, n in g.terms))
 
     def width(self):
-        w = self.source.poly.width()  # an increasing map: the top index goes widest
+        w = self.source.width()  # an increasing map: the top index goes widest
         return max(self.cof.width(), self.map(w - 1) + 1 if w else 0)
 
 
 class SigEngine:
     """State of one signature run: module leads, the signature order, the
-    run's one reducer table with each row's label, its candidate memo and
-    its statistics."""
+    basis as the run's one reducer table with each row's label, its
+    candidate memo and its statistics."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
         self.stats = dict.fromkeys(STAT_KEYS, 0)
         self.module_leads = []  # lm of the generator attached to each unit vector
-        # orbit reducer rows (``poly.reducer_row``) of the basis, one per
-        # insertion, read by regular top-reduction and the full normal form
+        # the basis: one orbit reducer row (``poly.reducer_row``) per
+        # insertion, read by the J-pairs, regular top-reduction and the full
+        # normal form
         self.rows = []
         self.labels = []  # per row: (sig(g), Schreyer image of sig(g))
         self.candidates = candidates(self.rows)  # term -> its steps, memoized
@@ -140,10 +140,11 @@ class SigEngine:
         self.module_leads.append(lead)
         return len(self.module_leads) - 1
 
-    def add_reducer(self, g: LabeledPoly):
-        """Append g's row and label, as the basis element ``len(self.rows)``."""
-        self.labels.append((g.sig, tm_apply(g.sig.tm, self.module_leads[g.sig.index])))
-        self.rows.append(reducer_row(len(self.rows), g.poly, True))
+    def add_reducer(self, sig: Signature, g: Polynomial):
+        """Append g's row and label, as the basis element ``len(self.rows)``
+        of signature sig."""
+        self.labels.append((sig, tm_apply(sig.tm, self.module_leads[sig.index])))
+        self.rows.append(reducer_row(len(self.rows), g, True))
 
     def sig_key(self, s: Signature):
         """Sort key of the signature order; equal keys mean equal signatures.
@@ -173,18 +174,20 @@ class SigEngine:
         )
 
 
-def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
-    """The larger-signature sides of the S-polynomials of p and q, unbuilt.
+def j_pairs(pi, qi, engine: SigEngine):
+    """The larger-signature sides of the S-polynomials of the basis
+    elements p and q of rows pi and qi, unbuilt.
 
-    p and q are the basis elements of rows pi and qi.  Their S-polynomials
-    are placed by every interlacing (a, b) of their widths, sigma =
-    IncMap(a) moving p and tau = IncMap(b) moving q (``spairs._images``),
-    the self-pair's diagonal and mirrors skipped.  A side t * sig(g),
-    t = (cof, map), is judged by its Schreyer head first: (cof * map(image),
-    index), image being the row's Schreyer image (``SigEngine.labels``).
-    Only the winning side gets its signature and ``sig_key``; on a head
-    tie both sides get their full keys, and equal keys are singular and
-    emit nothing.  A generator, like the pair source it mirrors.
+    Each row's polynomial, lead and label are read from the engine.  The
+    S-polynomials are placed by every interlacing (a, b) of their widths,
+    sigma = IncMap(a) moving p and tau = IncMap(b) moving q, the self-pair's
+    diagonal and mirrors skipped (``spairs._placements``).  A side t *
+    sig(g), t = (cof, map), is judged by its Schreyer head first: (cof *
+    map(image), index), image being the row's Schreyer image
+    (``SigEngine.labels``).  Only the winning side gets its signature and
+    ``sig_key``; on a head tie both sides get their full keys, and equal
+    keys are singular and emit nothing.  A generator, like the pair source
+    it mirrors.
 
     The Koszul criterion (Gao, Volny and Wang, Math. Comp. 2016): when a
     placement's moved leads sigma(lf) and tau(lg) are coprime,
@@ -195,7 +198,7 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     head tie the syzygy's lead is settled by the tie-break alone, which
     licenses no discard, so that placement stays.
 
-    Coprimality is read on index tuples (``spairs._shares``), and whether
+    Coprimality is read on index tuples (``spairs._placements``), and whether
     a coprime placement ties is read per pair, before any map or monomial
     of the placement is built.  Lemma: with Ip, Iq the Schreyer images of p
     and q, a placement whose moved leads are coprime has tied heads exactly
@@ -215,50 +218,44 @@ def j_pairs(p: LabeledPoly, q: LabeledPoly, pi, qi, engine: SigEngine):
     share a variable is built and judged by its heads as before.
     """
     ring, stats = engine.ring, engine.stats
-    lf, lg = lm(p.poly), lm(q.poly)
-    image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
+    (_, p, lf, _), (_, q, lg, _) = engine.rows[pi], engine.rows[qi]
+    (sig_p, image_p), (sig_q, image_q) = engine.labels[pi], engine.labels[qi]
     # the lemma's per-pair test: can any coprime placement tie?
-    ties = p.sig.index == q.sig.index and m_divides(lf, image_p) and m_divides(lg, image_q)
+    ties = sig_p.index == sig_q.index and m_divides(lf, image_p) and m_divides(lg, image_q)
     if ties:
         rest_p, rest_q = m_quotient(image_p, lf), m_quotient(image_q, lg)
-    same = pi == qi
-    fget, gget = _lead_getters(lf), _lead_getters(lg)
 
-    def side(cof, rho, g):
-        sig = Signature(twisted_mul(TwistedMonomial(cof, rho), g.sig.tm), g.sig.index)
+    def side(cof, rho, sig):
+        sig = Signature(twisted_mul(TwistedMonomial(cof, rho), sig.tm), sig.index)
         return sig, engine.sig_key(sig)
 
-    wf, wg = p.poly.width(), q.poly.width()
-    for a, bs in _images(wf, wg, wf + wg):
-        fvars = _moved_vars(fget, a)
-        fa = None  # IncMap(a), f's moved lead and moved Schreyer rest, once needed
-        for b in bs:
-            if same and a >= b:
-                continue  # the diagonal, or the mirror of a placement already listed
-            coprime = not _shares(fvars, gget, b)
-            if coprime and not ties:
-                stats["koszul_pairs"] += 1
+    wf, wg = p.width(), q.width()
+    cur = None  # the f image of the last kept placement, with its maps and moves
+    for a, b, coprime in _placements(lf, lg, wf, wg, pi == qi, wf + wg):
+        if coprime and not ties:
+            stats["koszul_pairs"] += 1
+            continue
+        if a is not cur:
+            cur, fa, lfa = a, IncMap(a), _moved(lf, a)
+            moved_rest = m_act(fa, rest_p) if ties else None
+        gb = IncMap(b)
+        if coprime and m_act(gb, rest_q) != moved_rest:
+            stats["koszul_pairs"] += 1
+            continue
+        gen = _spair_gen(pi, qi, fa, gb, lfa, _moved(lg, b))
+        if not coprime:
+            head1 = (order_key(ring, m_mul(gen.cof1, m_act(fa, image_p))), sig_p.index)
+            head2 = (order_key(ring, m_mul(gen.cof2, m_act(gb, image_q))), sig_q.index)
+            if head1 != head2:
+                winner = (gen.cof1, fa, sig_p, p) if head1 > head2 else (gen.cof2, gb, sig_q, q)
+                cof, rho, sig, g = winner
+                yield JPair(*side(cof, rho, sig), gen.overlap, g, rho, cof)
                 continue
-            if fa is None:
-                fa, lfa = IncMap(a), _moved(lf, a)
-                moved_rest = m_act(fa, rest_p) if ties else None
-            gb = IncMap(b)
-            if coprime and m_act(gb, rest_q) != moved_rest:
-                stats["koszul_pairs"] += 1
-                continue
-            gen = _spair_gen(pi, qi, fa, gb, lfa, _moved(lg, b))
-            if not coprime:
-                head1 = (order_key(ring, m_mul(gen.cof1, m_act(fa, image_p))), p.sig.index)
-                head2 = (order_key(ring, m_mul(gen.cof2, m_act(gb, image_q))), q.sig.index)
-                if head1 != head2:
-                    cof, rho, g = (gen.cof1, fa, p) if head1 > head2 else (gen.cof2, gb, q)
-                    yield JPair(*side(cof, rho, g), gen.overlap, g, rho, cof)
-                    continue
-            (sig1, key1), (sig2, key2) = side(gen.cof1, fa, p), side(gen.cof2, gb, q)
-            if key1 > key2:
-                yield JPair(sig1, key1, gen.overlap, p, fa, gen.cof1)
-            elif key1 < key2:
-                yield JPair(sig2, key2, gen.overlap, q, gb, gen.cof2)
+        (sig1, key1), (sig2, key2) = side(gen.cof1, fa, sig_p), side(gen.cof2, gb, sig_q)
+        if key1 > key2:
+            yield JPair(sig1, key1, gen.overlap, p, fa, gen.cof1)
+        elif key1 < key2:
+            yield JPair(sig2, key2, gen.overlap, q, gb, gen.cof2)
 
 
 def add_cover(C, sig: Signature, lead=None):
@@ -298,7 +295,7 @@ def regular_top_reduce(p, engine: SigEngine):
     signature, each row's signature read from its label
     (``SigEngine.add_reducer``).
 
-    Returns (reduced pair, singular, tied_used).  singular means a reducer
+    Returns (h, singular, tied_used), h the reduced polynomial.  singular means a reducer
     with exactly p's signature exists for the first term no smaller one
     reduces; such pairs are discarded by the caller.  tied_used records
     that some step used a reducer whose signature ties p's at the Schreyer
@@ -342,7 +339,7 @@ def regular_top_reduce(p, engine: SigEngine):
         return None
 
     h = reduce_terms(ring, kernel_terms(p.poly), choose)  # builds a J-pair's poly
-    return LabeledPoly(p.sig, h), singular, tied_used
+    return h, singular, tied_used
 
 
 def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
@@ -357,7 +354,7 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     polys = _prepare(F)
     engine = SigEngine(polys[0].ring if polys else None)
     ring, stats = engine.ring, engine.stats
-    G, C, done_sigs = [], {}, set()  # C: the cover index of ``add_cover``
+    C, done_sigs = {}, set()  # C: the cover index of ``add_cover``
 
     def item(pair):
         # The weighted degree of the Schreyer image comes first, so the queue
@@ -372,7 +369,7 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
     def pairs_of(k):
         # a J-pair at a known signature is a duplicate, never queued
         for i in range(k + 1):
-            for jp in j_pairs(G[i], G[k], i, k, engine):
+            for jp in j_pairs(i, k, engine):
                 if jp.sig in done_sigs:
                     stats["duplicate_signatures"] += 1
                 else:
@@ -391,7 +388,7 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
         return False
 
     def full_reducer(m):
-        # normal_form over G: the first candidate is first_reducer's step
+        # normal_form over the basis: the first candidate is first_reducer's step
         return next(engine.candidates(m), None)
 
     def reduce(p):
@@ -399,29 +396,29 @@ def egb_signature(F, limits: EngineLimits = EngineLimits()) -> EgbResult:
         if singular:
             stats["singular_discards"] += 1
             return None
-        if h.poly.is_zero:
+        if h.is_zero:
             stats["zero_reductions"] += 1
             stats["tied_zero_reductions"] += tainted
-            add_cover(C, h.sig)
+            add_cover(C, p.sig)
             stats["syzygies"] += 1
             return None
-        h2 = reduce_terms(ring, kernel_terms(h.poly), full_reducer)
+        h2 = reduce_terms(ring, kernel_terms(h), full_reducer)
         if h2.is_zero:
             stats["full_zero_reductions"] += 1
             return None
-        if h2 != h.poly:
-            h = LabeledPoly(Signature(UNIT_TM, engine.new_index(lm(h2))), h2)
-        G.append(LabeledPoly(h.sig, monic(h.poly)))
-        add_cover(C, h.sig, lm(h.poly))
-        engine.add_reducer(G[-1])
-        return len(G) - 1
+        sig = p.sig
+        if h2 != h:
+            sig, h = Signature(UNIT_TM, engine.new_index(lm(h2))), h2
+        add_cover(C, sig, lm(h))
+        engine.add_reducer(sig, monic(h))
+        return len(engine.rows) - 1
 
     first = []
     for f in polys:
         sig = Signature(UNIT_TM, engine.new_index(lm(f)))
-        pair = JPair(sig, engine.sig_key(sig), lm(f), LabeledPoly(sig, f), IDENTITY, UNIT)  # 1 * f
-        first.append(item(pair))
+        first.append(item(JPair(sig, engine.sig_key(sig), lm(f), f, IDENTITY, UNIT)))  # 1 * f
     status = _pair_loop(first, pairs_of, skip, reduce, stats, limits)
+    basis = [row[1] for row in engine.rows]
     if status == BUDGET:
-        return EgbResult(list(dict.fromkeys(polys + [g.poly for g in G])), stats, status)
-    return EgbResult(autoreduce([g.poly for g in G]), stats, status)
+        return EgbResult(list(dict.fromkeys(polys + basis)), stats, status)
+    return EgbResult(autoreduce(basis), stats, status)

@@ -11,17 +11,16 @@ maps the identity.
 An interlacing ranges over every index below a polynomial's width, also
 the indices it never uses, so when a polynomial skips indices many
 interlacings give the same pair of shifted polynomials.  There are two
-pair sources, and both read one enumerator of interlacings (``_images``)
-and one coprime test (``_shares``).  ``spair_generators``, the S-pair
-source of the direct engine and of ``is_egb``, yields each productive pair
-of orbit elements once.  ``signature.j_pairs`` places the signature
-engine's J-pairs by every interlacing, since their signatures carry the
-full shift, and drops the coprime placements the Koszul criterion covers.
-
-An interlacing is enumerated as its two image tuples, and each source
-decides it on those tuples: the self-pair's mirror test, the coprime test
-and the repeat test read indices, not maps.  Maps, moved leads and S-pairs
-are built only for the interlacings a source keeps.
+pair sources, and both walk one stream of placements (``_placements``):
+the interlacings of ``_images``, the self-pair's diagonal and mirrors
+skipped, each with its coprime test read on index tuples.
+``spair_generators``, the S-pair source of the direct engine and of
+``is_egb``, drops the coprime placements and yields each productive pair
+of orbit elements once; its repeat test also reads indices, not maps.
+``signature.j_pairs`` places the signature engine's J-pairs by every
+interlacing, since their signatures carry the full shift, and drops the
+coprime placements the Koszul criterion covers.  Maps, moved leads and
+S-pairs are built only for the placements a source keeps.
 
 Every pair source is a generator: a caller that needs only to know whether
 a pair set is empty draws one item, and nothing else is enumerated.
@@ -97,31 +96,32 @@ def _used(f):
     return sorted({i for _, m in f.terms for i in m.indices()})
 
 
-def _lead_getters(m):
-    """Per variable of a lead m: its family label and an ``itemgetter`` of
-    its indices, so that ``(label, get(a))`` names the variable that
-    ``IncMap(a)`` moves it to, when m is narrower than a.  The index part is
-    a bare index at arity 1 and a tuple above; a family has one arity, so
-    two such names are equal exactly when the moved variables are."""
-    return tuple((label, itemgetter(*idx)) for (label, idx), _ in m)
+def _placements(lf, lg, wf, wg, same, top):
+    """Yield ``(a, b, coprime)`` for each interlacing (a, b) of ``_images``
+    up to level top, for polynomials of widths wf, wg and leads lf, lg: the
+    placements both pair sources walk.  A self-pair (same) skips the diagonal and keeps one
+    of each mirrored pair, the one whose f image is the smaller tuple.
 
-
-def _moved_vars(getters, a):
-    """The variables of a lead moved by ``IncMap(a)``, named as by
-    ``_lead_getters``."""
-    return {(label, get(a)) for label, get in getters}
-
-
-def _shares(fvars, getters, b):
-    """Whether the lead of ``getters`` moved by ``IncMap(b)`` shares a
-    variable with the moved lead whose variables are fvars: the coprime test
-    of a placement, read on index tuples.  An increasing map keeps distinct
-    variables distinct, so no variable is shared exactly when the two moved
-    leads are coprime."""
-    for label, get in getters:
-        if (label, get(b)) in fvars:
-            return True
-    return False
+    coprime is read on index tuples: ``(label, get(a))`` names the variable
+    that ``IncMap(a)`` moves a lead variable to, its index part a bare index
+    at arity 1 and a tuple above; a family has one arity, so two names are
+    equal exactly when the variables are.  An increasing map keeps distinct
+    variables distinct, so the moved leads share no name exactly when they
+    are coprime.
+    """
+    fget = tuple((label, itemgetter(*idx)) for (label, idx), _ in lf)
+    gget = tuple((label, itemgetter(*idx)) for (label, idx), _ in lg)
+    for a, bs in _images(wf, wg, top):
+        fvars = {(label, get(a)) for label, get in fget}
+        for b in bs:
+            if same and a >= b:
+                continue  # the diagonal, or the mirror of a placement already listed
+            for label, get in gget:
+                if (label, get(b)) in fvars:
+                    yield a, b, False
+                    break
+            else:
+                yield a, b, True
 
 
 def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
@@ -133,7 +133,7 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
     one of each mirrored pair: the one whose f image is the smaller tuple,
     which for equal widths is the smaller map.  Interlacings whose
     instantiated lead monomials share no variable are dropped, as in the
-    classical first Buchberger criterion (``_shares``); the level
+    classical first Buchberger criterion (``_placements``); the level
     k = wf + wg, where f and g share no index, is not enumerated, since
     every variable has an index, and leads with no family in common yield
     nothing.
@@ -161,25 +161,20 @@ def spair_generators(f: Polynomial, g: Polynomial, fi=0, gi=1):
     # the restrictions yielded, when an unused index lets two interlacings
     # agree on the rest
     seen = set() if len(uf) < wf or len(ug) < wg else None
-    fget, gget = _lead_getters(lf), _lead_getters(lg)
-    for a, bs in _images(wf, wg, wf + wg - 1):
-        fvars = _moved_vars(fget, a)
-        fa = None  # IncMap(a) and f's moved lead, once a yields
-        ka = None if seen is None else tuple(map(a.__getitem__, uf))
-        for b in bs:
-            if same and a >= b:
-                continue  # the diagonal, or the mirror of a pair already listed
-            if not _shares(fvars, gget, b):
-                continue  # coprime leads
-            if seen is not None:
-                kb = tuple(map(b.__getitem__, ug))
-                if same and ka == kb:
-                    continue  # equal shifted copies
-                key = (kb, ka) if same and kb < ka else (ka, kb)
-                if key in seen:
-                    continue  # the shifted pair of an earlier interlacing
-                seen.add(key)
-            if fa is None:
-                # the order respects the action, so lm commutes with it
-                fa, lfa = IncMap(a), _moved(lf, a)
-            yield _spair_gen(fi, gi, fa, IncMap(b), lfa, _moved(lg, b))
+    cur = None  # the f image of the last kept item, with IncMap(a) and f's moved lead
+    for a, b, coprime in _placements(lf, lg, wf, wg, same, wf + wg - 1):
+        if coprime:
+            continue
+        if seen is not None:
+            ka = tuple(map(a.__getitem__, uf))
+            kb = tuple(map(b.__getitem__, ug))
+            if same and ka == kb:
+                continue  # equal shifted copies
+            key = (kb, ka) if same and kb < ka else (ka, kb)
+            if key in seen:
+                continue  # the shifted pair of an earlier interlacing
+            seen.add(key)
+        if a is not cur:
+            # the order respects the action, so lm commutes with it
+            cur, fa, lfa = a, IncMap(a), _moved(lf, a)
+        yield _spair_gen(fi, gi, fa, IncMap(b), lfa, _moved(lg, b))

@@ -370,6 +370,24 @@ class TestErrors:
         assert main(["solve", str(f)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"{f}:1:1: ")
 
+    def test_repeated_block(self, tmp_path, capsys):
+        # a second generators block is an error at its keyword, not a
+        # silent replacement of the first
+        f = tmp_path / "twice.egb"
+        f.write_text(X_RING_TEXT + "generators { x[2]; }\n")
+        assert main(["solve", str(f)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"{f}:7:1: repeated generators section"
+
+    def test_unwritable_report(self, toric_file, tmp_path, capsys):
+        # exit 2 with the reason, not a traceback and exit 1
+        report = tmp_path / "missing" / "r.json"
+        assert main(["solve", toric_file, "--report", str(report)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {report}: ") and "No such file" in err
+        assert not report.exists()
+
     def test_usage_error(self, capsys):
         assert main(["solve"]) == EXIT_USAGE
 

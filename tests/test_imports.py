@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import incgb
@@ -107,7 +108,6 @@ def test_hot_values_are_tuples():
         spairs.SPairGen(0, 1, incmaps.IDENTITY, incmaps.IDENTITY, m, m, m),
         tm,
         sig,
-        signature.LabeledPoly(sig, None),
     ]
     assert [type(r).__name__ for r in records if not isinstance(r, tuple)] == []
     assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
@@ -161,6 +161,7 @@ def test_pair_generators_are_lazy():
     # one item; a pair source that builds a list would enumerate it all
     sources = (
         spairs.interlacings,
+        spairs._placements,
         spairs.spair_generators,
         signature.j_pairs,
         incmaps.increasing_maps,
@@ -169,14 +170,25 @@ def test_pair_generators_are_lazy():
 
 
 def test_one_interlacing_enumerator():
-    # spairs._images is the one enumerator of interlacings, read by both
-    # pair sources (spair_generators, signature.j_pairs), and
+    # spairs._images is the one enumerator of interlacings and
     # incmaps.increasing_maps the one of plain increasing maps; a module
-    # that walks index combinations itself keeps a second copy of them
+    # that walks index combinations itself keeps a second copy of them.
+    # Both pair sources (spair_generators, signature.j_pairs) walk the one
+    # stream spairs._placements, which also reads lead coprimality; a
+    # module that reads _images, or a coprime test beside it, walks a
+    # second copy of that stream
     offenders = [
         path.name
         for path in sorted(SRC.glob("*.py"))
         if path.name not in ("spairs.py", "incmaps.py") and "combinations" in path.read_text()
+    ]
+    offenders += [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spairs.py" and "_images" in path.read_text()
+    ]
+    offenders += [
+        name for name in ("_lead_getters", "_moved_vars", "_shares") if hasattr(spairs, name)
     ]
     assert offenders == []
 
@@ -239,4 +251,29 @@ def test_one_pair_queue():
             and node.attr in ("max_pairs", "max_basis")
             and id(node) not in inside
         ]
+    assert offenders == []
+
+
+def test_completeness_oracle_is_independent():
+    # the completeness oracle counts standard monomials without the engines:
+    # of incgb it reads only the parser and lm, and otherwise the standard
+    # library and the test runner; an import of engine code, or of conftest,
+    # which imports the engines, would share what it checks
+    allowed = {"incgb.problems": {"parse", "parse_polynomial"}, "incgb.poly": {"lm"}}
+    tree = ast.parse((TESTS / "test_completeness.py").read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [(node.module, {alias.name for alias in node.names})]
+        else:
+            continue
+        for module, names in modules:
+            if module in allowed and names is not None and names <= allowed[module]:
+                continue
+            top = module.split(".")[0]
+            if top in sys.stdlib_module_names or top == "pytest":
+                continue
+            offenders.append(f"{node.lineno} {module}")
     assert offenders == []

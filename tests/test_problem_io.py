@@ -222,6 +222,25 @@ class TestSyntaxErrors:
                 "1:8: family x: unknown constraint 'odd'",
             ),
             (f"{RING}\ngenerators {{ x[1,2]; }}", "2:14: x[1, 2]: expects 1 indices, got 2"),
+            (f"{RING}\n{GENS}\ngenerators {{ x[2]; }}", "3:1: repeated generators section"),
+            (f"{RING}\n{GENS}\n{RING}", "3:1: repeated ring section"),
+            (f"{RING}\n{GENS}\noptions {{ }}\noptions {{ }}", "4:1: repeated options section"),
+            (
+                f"ring {{ family x {{ arity = 1 }} order {{ }} order {{ kind = lex }} }}\n{GENS}",
+                "1:41: repeated order block",
+            ),
+            (
+                f"ring {{ family x {{ arity = 1, arity = 2 }} }}\n{GENS}",
+                "1:30: repeated field 'arity'",
+            ),
+            (
+                f"ring {{ family x {{ arity = 1 }} order {{ kind = lex; kind = grlex }} }}\n{GENS}",
+                "1:51: repeated field 'kind'",
+            ),
+            (
+                f"{RING}\n{GENS}\noptions {{ max_width = 3; max_width = 5; }}",
+                "3:26: repeated field 'max_width'",
+            ),
         ],
         ids=[
             "expected-found",
@@ -242,6 +261,13 @@ class TestSyntaxErrors:
             "weight-zero",
             "unknown-constraint",
             "index-count",
+            "repeated-generators",
+            "repeated-ring",
+            "repeated-options",
+            "repeated-order",
+            "repeated-family-field",
+            "repeated-order-field",
+            "repeated-option",
         ],
     )
     def test_malformed_file(self, text, diagnostic):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from incgb import poly as poly_module
-from incgb import rings, signature
+from incgb import rings, signature, spairs
 from incgb.buchberger import BUDGET, COMPLETE, EngineLimits, egb_buchberger, is_egb
 from incgb.incmaps import IDENTITY, compose, extend_partial, map_to_tau
 from incgb.poly import act, lc, lm, monic, mul_term, normal_form, poly, subtract
@@ -32,7 +32,6 @@ from incgb.rings import (
 from incgb.signature import (
     UNIT_TM,
     JPair,
-    LabeledPoly,
     SigEngine,
     Signature,
     TwistedMonomial,
@@ -181,7 +180,7 @@ class TestShiftQuotientMemo:
             # a syzygy at base covers exactly the signatures it left-divides
             C = {}
             add_cover(C, Signature(base, 0))
-            j = unit_multiple(LabeledPoly(Signature(target, 0), p((1, xmono(0)))))
+            j = unit_multiple(Signature(target, 0), p((1, xmono(0))))
             assert is_covered(j, C, engine) == bool(expected)
             found += bool(expected)
         assert found > 300
@@ -318,11 +317,9 @@ class TestJPairs:
         # identity interlacing, the first one listed, the J-pair is x1 * p_g
         engine = SigEngine(X)
         engine.new_index(xmono(1, 1, 2))
-        p_f = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(1, 1, 2))))
-        p_g = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(1, 2, 2))))
-        engine.add_reducer(p_f)  # j_pairs reads the rows' Schreyer images
-        engine.add_reducer(p_g)
-        out = list(j_pairs(p_f, p_g, 0, 1, engine))
+        engine.add_reducer(Signature(UNIT_TM, 0), p((1, xmono(1, 1, 2))))  # p_f, row 0
+        engine.add_reducer(Signature(tm(xmono(2)), 0), p((1, xmono(1, 2, 2))))  # p_g, row 1
+        out = list(j_pairs(0, 1, engine))
         assert out
         jp = out[0]
         assert jp.sig.tm == tm(xmono(1, 2))
@@ -333,21 +330,20 @@ class TestJPairs:
         # may come back at q's own signature
         engine = SigEngine(X)
         engine.new_index(xmono(0, 1))
-        f = p((1, xmono(0, 1)))
-        q = LabeledPoly(Signature(UNIT_TM, 0), f)
-        engine.add_reducer(q)
-        assert all(jp.sig != q.sig for jp in j_pairs(q, q, 0, 0, engine))
+        sig = Signature(UNIT_TM, 0)
+        engine.add_reducer(sig, p((1, xmono(0, 1))))
+        assert all(jp.sig != sig for jp in j_pairs(0, 0, engine))
 
 
-def unit_multiple(lp):
-    """The J-pair 1 * lp, as the engine queues a generator; the cover test
-    reads no signature key."""
-    return JPair(lp.sig, None, lm(lp.poly), lp, IDENTITY, Monomial())
+def unit_multiple(sig, f):
+    """The J-pair 1 * f at signature sig, as the engine queues a generator;
+    the cover test reads no signature key."""
+    return JPair(sig, None, lm(f), f, IDENTITY, Monomial())
 
 
 def cover_index(basis=(), syzygies=()):
-    """The cover index of basis elements, given as labeled polynomials, and
-    of syzygy signatures."""
+    """The cover index of basis elements, given as J-pairs 1 * g, and of
+    syzygy signatures."""
     C = {}
     for g in basis:
         add_cover(C, g.sig, lm(g.poly))
@@ -368,39 +364,39 @@ class TestIsCovered:
         return verdict
 
     def test_not_covered_by_itself(self):
-        g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
-        j = LabeledPoly(
+        g = unit_multiple(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        j = unit_multiple(
             Signature(tm(xmono(2)), 0),
             p((1, xmono(0, 1, 2)), (-1, xmono(0, 2))),
         )
         # the only quotient moves g's lead exactly onto j's lead: no license
-        assert not self.agree(unit_multiple(j), cover_index([g, j]))
+        assert not self.agree(j, cover_index([g, j]))
 
     def test_empty_sets(self):
-        j = LabeledPoly(Signature(tm(xmono(2)), 0), p((1, xmono(0, 1))))
-        assert not self.agree(unit_multiple(j), {})
+        j = unit_multiple(Signature(tm(xmono(2)), 0), p((1, xmono(0, 1))))
+        assert not self.agree(j, {})
 
     def test_syzygy_signature_divides(self):
         C = cover_index(syzygies=[Signature(tm(xmono(2)), 0)])
-        j = LabeledPoly(Signature(tm(xmono(2, 3)), 0), p((1, xmono(0, 1))))
-        assert self.agree(unit_multiple(j), C)
+        j = unit_multiple(Signature(tm(xmono(2, 3)), 0), p((1, xmono(0, 1))))
+        assert self.agree(j, C)
 
     def test_smaller_moved_lead_covers(self):
-        g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0)), (-1, Monomial())))
-        j = LabeledPoly(
+        g = unit_multiple(Signature(tm(xmono(1)), 0), p((1, xmono(0)), (-1, Monomial())))
+        j = unit_multiple(
             Signature(tm(xmono(1, 2)), 0), p((1, xmono(0, 3)), (-1, xmono(3)))
         )
         # t = x2: t * sig(g) == sig(j) and x2 * lm(g) = x0 x2 < x0 x3
-        assert self.agree(unit_multiple(j), cover_index([g]))
+        assert self.agree(j, cover_index([g]))
 
     def test_basis_element_and_syzygy_in_one_group(self):
         # both signatures have the identity shift: one group, two entries
-        g = LabeledPoly(Signature(tm(xmono(1)), 0), p((1, xmono(0))))
+        g = unit_multiple(Signature(tm(xmono(1)), 0), p((1, xmono(0))))
         C = cover_index([g], [Signature(tm(xmono(5)), 0)])
         assert [len(group) for group in C[0].values()] == [2]
 
         def j(mono, lead):
-            return unit_multiple(LabeledPoly(Signature(tm(mono), 0), p((1, lead))))
+            return unit_multiple(Signature(tm(mono), 0), p((1, lead)))
 
         assert self.agree(j(xmono(1, 2), xmono(0, 3)), C)  # g: x2 * x0 < x0 x3
         assert not self.agree(j(xmono(1, 2), xmono(0, 2)), C)  # g ties the lead
@@ -418,7 +414,7 @@ class TestIsCovered:
         ]
         target = Signature(twisted_mul(tm(xmono(3), 0), tm(xmono(3), 0)), 0)
         assert target.tm == tm(xmono(3, 4), 0, 0)
-        j = unit_multiple(LabeledPoly(target, p((1, xmono(0, 1)))))
+        j = unit_multiple(target, p((1, xmono(0, 1))))
         assert not self.agree(j, cover_index(syzygies=sigs))
         sigs.append(Signature(tm(xmono(2), 0), 0))
         assert self.agree(j, cover_index(syzygies=sigs))
@@ -428,7 +424,7 @@ class TestIsCovered:
         # index gains a new group, and entries appended to an existing group,
         # and each verdict reads the index as it stands
         def j(mono, lead):
-            return unit_multiple(LabeledPoly(Signature(tm(mono, 0), 0), p((1, lead))))
+            return unit_multiple(Signature(tm(mono, 0), 0), p((1, lead)))
 
         C = cover_index(syzygies=[Signature(tm(xmono(5)), 0)])
         # st = t0 moves x5 to x6, which does not divide x1 x3
@@ -469,7 +465,7 @@ class TestIsCovered:
                 continue
             target = Signature(tm(mono, *rng.choice(words)), 0)
             lead = random_xmono(rng, 5, 3)
-            verdicts[self.agree(unit_multiple(LabeledPoly(target, p((1, lead)))), C)] += 1
+            verdicts[self.agree(unit_multiple(target, p((1, lead))), C)] += 1
         assert min(verdicts.values()) > 50
 
 
@@ -477,35 +473,34 @@ class TestRegularTopReduce:
     def test_irreducible_unchanged(self):
         engine = SigEngine(X)
         engine.new_index(xmono(0, 1))
-        g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
-        engine.add_reducer(g)
-        target = LabeledPoly(Signature(tm(xmono(5)), 0), p((1, xmono(0, 0))))
+        g = unit_multiple(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        engine.add_reducer(g.sig, g.poly)
+        target = unit_multiple(Signature(tm(xmono(5)), 0), p((1, xmono(0, 0))))
         out, singular, _tied = regular_top_reduce(target, engine)
-        assert out.poly == target.poly and not singular
+        assert out == target.poly and not singular
 
     def test_orbit_cancellation_to_zero(self):
         engine = SigEngine(X)
         engine.new_index(xmono(0))
-        g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0))))
-        engine.add_reducer(g)
-        target = LabeledPoly(Signature(tm(xmono(9)), 0), p((1, xmono(3))))
+        g = unit_multiple(Signature(UNIT_TM, 0), p((1, xmono(0))))
+        engine.add_reducer(g.sig, g.poly)
+        target = unit_multiple(Signature(tm(xmono(9)), 0), p((1, xmono(3))))
         out, singular, _tied = regular_top_reduce(target, engine)
-        assert out.poly.is_zero and not singular
-        assert out.sig == target.sig  # the signature never changes
+        assert out.is_zero and not singular
 
     def test_tail_kept_below_an_irreducible_lead(self):
         # x1*x0 - x0 reduces the lead of x1*x0 + 2*x0^2 + x0 at a smaller
         # signature; no shift of x1*x0 divides x0^2, so 2*x0^2 + 2*x0 is left
         engine = SigEngine(X)
         engine.new_index(xmono(0, 1))
-        g = LabeledPoly(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
-        engine.add_reducer(g)
-        target = LabeledPoly(
+        g = unit_multiple(Signature(UNIT_TM, 0), p((1, xmono(0, 1)), (-1, xmono(0))))
+        engine.add_reducer(g.sig, g.poly)
+        target = unit_multiple(
             Signature(tm(xmono(9)), 0), p((1, xmono(0, 1)), (2, xmono(0, 0)), (1, xmono(0)))
         )
         out = regular_top_reduce(target, engine)
         assert out == reference_regular_top_reduce(target, [g], engine)
-        assert out[0].poly == p((2, xmono(0, 0)), (2, xmono(0))) and not out[1]
+        assert out[0] == p((2, xmono(0, 0)), (2, xmono(0))) and not out[1]
 
     def test_memoized_miss_sees_an_appended_row(self, monkeypatch):
         # x0^2 misses row 0 (lead x1*x0) and is remembered so; row 1,
@@ -513,18 +508,18 @@ class TestRegularTopReduce:
         # against it again
         searches = recorded_searches(monkeypatch, poly_module)
         engine = SigEngine(X)
-        g0 = LabeledPoly(
+        g0 = unit_multiple(
             Signature(UNIT_TM, engine.new_index(xmono(0, 1))), p((1, xmono(0, 1)), (-1, xmono(0)))
         )
-        engine.add_reducer(g0)
-        first = LabeledPoly(Signature(tm(xmono(9)), 0), p((1, xmono(0, 0))))
-        assert regular_top_reduce(first, engine) == (first, False, False)
-        g1 = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0, 0))), p((1, xmono(0, 0))))
-        engine.add_reducer(g1)
-        again = LabeledPoly(Signature(tm(xmono(9)), 1), p((1, xmono(0, 0)), (1, xmono(0))))
+        engine.add_reducer(g0.sig, g0.poly)
+        first = unit_multiple(Signature(tm(xmono(9)), 0), p((1, xmono(0, 0))))
+        assert regular_top_reduce(first, engine) == (first.poly, False, False)
+        g1 = unit_multiple(Signature(UNIT_TM, engine.new_index(xmono(0, 0))), p((1, xmono(0, 0))))
+        engine.add_reducer(g1.sig, g1.poly)
+        again = unit_multiple(Signature(tm(xmono(9)), 1), p((1, xmono(0, 0)), (1, xmono(0))))
         out = regular_top_reduce(again, engine)
         assert out == reference_regular_top_reduce(again, [g0, g1], engine)
-        assert out[0].poly == p((1, xmono(0))) and not out[1]
+        assert out[0] == p((1, xmono(0))) and not out[1]
         x0x1, x0x0, x0 = xmono(0, 1), xmono(0, 0), xmono(0)
         assert searches == [(x0x1, x0x0), (x0x0, x0x0), (x0x1, x0), (x0x0, x0)]
 
@@ -534,8 +529,8 @@ class TestRegularTopReduce:
         # verdict: popped at a larger signature x3 reduces, at exactly the
         # candidate's it is singular, at a smaller one it stays
         engine = SigEngine(X)
-        g = LabeledPoly(Signature(UNIT_TM, engine.new_index(xmono(0))), p((1, xmono(0))))
-        engine.add_reducer(g)
+        g = unit_multiple(Signature(UNIT_TM, engine.new_index(xmono(0))), p((1, xmono(0))))
+        engine.add_reducer(g.sig, g.poly)
         rho = pi_divides(xmono(0), xmono(3))
         verdicts = []
         for sig in [
@@ -543,25 +538,31 @@ class TestRegularTopReduce:
             Signature(TwistedMonomial(Monomial(), rho), 0),
             Signature(UNIT_TM, 0),
         ]:
-            target = LabeledPoly(sig, p((1, xmono(3))))
+            target = unit_multiple(sig, p((1, xmono(3))))
             out = regular_top_reduce(target, engine)
             assert out == reference_regular_top_reduce(target, [g], engine)
-            verdicts.append((out[0].poly.is_zero, out[1]))
+            verdicts.append((out[0].is_zero, out[1]))
         assert verdicts == [(True, False), (False, True), (False, False)]
 
 
-def reference_j_pairs(p, q, pi, qi, engine, checks):
+def row(engine, i):
+    """The signature and polynomial of the engine's basis element i."""
+    return engine.labels[i][0], engine.rows[i][1]
+
+
+def reference_j_pairs(pi, qi, engine, checks):
     """The J-pairs as they were built before the Schreyer-head test, both
     sides' signatures and full keys for every generator, less the Koszul
     rule's: a generator whose moved leads share no variable and whose two
     sides differ at the Schreyer level (``key[:2]``).  checks counts the
     generators it drops and the coprime ones it keeps on a tie."""
+    (sig_p, p), (sig_q, q) = row(engine, pi), row(engine, qi)
     out = []
-    for gen in reference_spair_generators(p.poly, q.poly, pi, qi, coprime_filter=False):
-        sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), p.sig.tm), p.sig.index)
-        sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), q.sig.tm), q.sig.index)
+    for gen in reference_spair_generators(p, q, pi, qi, coprime_filter=False):
+        sig1 = Signature(twisted_mul(TwistedMonomial(gen.cof1, gen.map1), sig_p.tm), sig_p.index)
+        sig2 = Signature(twisted_mul(TwistedMonomial(gen.cof2, gen.map2), sig_q.tm), sig_q.index)
         key1, key2 = engine.sig_key(sig1), engine.sig_key(sig2)
-        if coprime(m_act(gen.map1, lm(p.poly)), m_act(gen.map2, lm(q.poly))):
+        if coprime(m_act(gen.map1, lm(p)), m_act(gen.map2, lm(q))):
             if key1[:2] != key2[:2]:
                 checks["koszul"] += 1
                 continue
@@ -579,7 +580,8 @@ def j_pair_fields(jp):
 
 def reference_is_covered(j, G, S, engine):
     """The linear-scan cover test the cover index replaced, on the dense
-    left quotient; S lists the syzygies as zero labeled polynomials."""
+    left quotient; G lists the basis elements as J-pairs 1 * g, S the
+    syzygies' signatures."""
     if j.poly.is_zero:
         return False
     jl = order_key(engine.ring, lm(j.poly))
@@ -590,25 +592,26 @@ def reference_is_covered(j, G, S, engine):
             if order_key(engine.ring, tm_apply(t, lm(g.poly))) < jl:
                 return True
     for s in S:
-        if s.sig.index != j.sig.index:
+        if s.index != j.sig.index:
             continue
-        if _reference_left_quotients(j.sig.tm, s.sig.tm):
+        if _reference_left_quotients(j.sig.tm, s.tm):
             return True
     return False
 
 
 def cover_records(C, ring=X):
     """The basis elements and syzygies of a cover index, as the linear scan
-    took them: an element as its lead alone, a syzygy as zero."""
+    takes them: an element as the J-pair 1 * its lead, a syzygy as its
+    signature."""
     G, S = [], []
     for index, groups in C.items():
         for shift, group in groups.items():
             for mono, lead in group:
                 sig = Signature(TwistedMonomial(mono, shift), index)
                 if lead is None:
-                    S.append(LabeledPoly(sig, poly(ring, [])))
+                    S.append(sig)
                 else:
-                    G.append(LabeledPoly(sig, poly(ring, [(Fraction(1), lead)])))
+                    G.append(unit_multiple(sig, poly(ring, [(Fraction(1), lead)])))
     return G, S
 
 
@@ -639,14 +642,14 @@ def reference_regular_top_reduce(p, G, engine):
                 break
         if step is None:
             if singular:
-                return LabeledPoly(p.sig, work), True, tied_used
+                return work, True, tied_used
             break
         g, t, tied = step
         tied_used = tied_used or tied
         g_img = act(t.shift, g.poly)
         ratio = lc(work) / lc(g_img)
         work = subtract(work, mul_term(g_img, ratio, t.mono))
-    return LabeledPoly(p.sig, work), False, tied_used
+    return work, False, tied_used
 
 
 @contextmanager
@@ -661,9 +664,9 @@ def checked_against_oracles():
     add = signature.add_cover
     checks = Counter()
 
-    def checked_pairs(p, q, pi, qi, engine):
-        out = list(pairs(p, q, pi, qi, engine))
-        expected = reference_j_pairs(p, q, pi, qi, engine, checks)
+    def checked_pairs(pi, qi, engine):
+        out = list(pairs(pi, qi, engine))
+        expected = reference_j_pairs(pi, qi, engine, checks)
         assert list(map(j_pair_fields, out)) == list(map(j_pair_fields, expected))
         checks["j_pair lists"] += 1
         for jp in out:
@@ -685,8 +688,8 @@ def checked_against_oracles():
 
     def checked_reduce(p, engine):
         out = reduce_top(p, engine)
-        G = [LabeledPoly(sig, row[1]) for row, (sig, _) in zip(engine.rows, engine.labels)]
-        assert out == reference_regular_top_reduce(LabeledPoly(p.sig, p.poly), G, engine)
+        G = [unit_multiple(*row(engine, i)) for i in range(len(engine.rows))]
+        assert out == reference_regular_top_reduce(unit_multiple(p.sig, p.poly), G, engine)
         checks["regular_top_reduce"] += 1
         return out
 
@@ -699,15 +702,15 @@ def checked_against_oracles():
 
 
 def recorded_row_pairs(F, limits=EngineLimits()):
-    """Every call (p, q, pi, qi, engine) that a signature run of F makes to
+    """Every call (pi, qi, engine) that a signature run of F makes to
     ``j_pairs``.  Rows and module leads are only appended, so each call can
     be replayed on the run's final engine."""
     calls = []
     real = signature.j_pairs
 
-    def recording(p, q, pi, qi, engine):
-        calls.append((p, q, pi, qi, engine))
-        return real(p, q, pi, qi, engine)
+    def recording(pi, qi, engine):
+        calls.append((pi, qi, engine))
+        return real(pi, qi, engine)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signature, "j_pairs", recording)
@@ -723,19 +726,19 @@ def j_pairs_against_reference(calls):
     that does not divide its Schreyer image, or passing, and then the
     coprime placements whose Schreyer rests tie and those whose do not."""
     branches = Counter()
-    for p, q, pi, qi, engine in calls:
+    for pi, qi, engine in calls:
         checks = Counter()
         before = engine.stats["koszul_pairs"]
-        out = list(j_pairs(p, q, pi, qi, engine))
-        expected = reference_j_pairs(p, q, pi, qi, engine, checks)
+        out = list(j_pairs(pi, qi, engine))
+        expected = reference_j_pairs(pi, qi, engine, checks)
         assert list(map(j_pair_fields, out)) == list(map(j_pair_fields, expected))
         assert engine.stats["koszul_pairs"] - before == checks["koszul"]
-        image_p, image_q = engine.labels[pi][1], engine.labels[qi][1]
-        if p.sig.index != q.sig.index:
+        (sig_p, image_p), (sig_q, image_q) = engine.labels[pi], engine.labels[qi]
+        if sig_p.index != sig_q.index:
             branches["distinct indices"] += 1
-        elif not m_divides(lm(p.poly), image_p):
+        elif not m_divides(lm(engine.rows[pi][1]), image_p):
             branches["lf does not divide Ip"] += 1
-        elif not m_divides(lm(q.poly), image_q):
+        elif not m_divides(lm(engine.rows[qi][1]), image_q):
             branches["lg does not divide Iq"] += 1
         else:
             branches["coprime ties"] += checks["coprime ties"]
@@ -743,21 +746,13 @@ def j_pairs_against_reference(calls):
     return branches
 
 
-def labeled_rows(engine, *rows):
-    """Append each (signature, polynomial) as a row of the engine."""
-    out = [LabeledPoly(sig, f) for sig, f in rows]
-    for g in out:
-        engine.add_reducer(g)
-    return out
-
-
 def self_pair_call():
     """The unit-signature self-pair of x[5]*x[0] - x[1]: every coprime
     placement ties at the Schreyer head."""
     engine = SigEngine(X)
     f = p((1, xmono(5, 0)), (-1, xmono(1)))
-    (g,) = labeled_rows(engine, (Signature(UNIT_TM, engine.new_index(lm(f))), f))
-    return [(g, g, 0, 0, engine)]
+    engine.add_reducer(Signature(UNIT_TM, engine.new_index(lm(f))), f)
+    return [(0, 0, engine)]
 
 
 def schreyer_rest_call():
@@ -766,12 +761,9 @@ def schreyer_rest_call():
     coprime placement (a, b) ties exactly when a and b agree at 0."""
     engine = SigEngine(X)
     index = engine.new_index(xmono(0))
-    rows = labeled_rows(
-        engine,
-        (Signature(tm(xmono(0)), index), p((1, xmono(0)))),
-        (Signature(tm(xmono(1)), index), p((1, xmono(1)))),
-    )
-    return [(rows[0], rows[1], 0, 1, engine)]
+    engine.add_reducer(Signature(tm(xmono(0)), index), p((1, xmono(0))))
+    engine.add_reducer(Signature(tm(xmono(1)), index), p((1, xmono(1))))
+    return [(0, 1, engine)]
 
 
 GRLEX_TORIC_TEXT = """
@@ -782,6 +774,11 @@ ring {
 }
 generators { y[1,0] - x[1]*x[0]; }
 """
+
+
+def no_coprime_placements(*args):
+    """The placement walk with every coprime flag forced false."""
+    return ((a, b, False) for a, b, _ in spairs._placements(*args))
 
 
 class TestJPairsHeadTieLemma:
@@ -822,7 +819,7 @@ class TestJPairsHeadTieLemma:
             # the per-pair test always fails: a coprime head tie is dropped
             ("drops a coprime head tie", ("m_divides", lambda a, b: False)),
             # every placement shares a lead variable: a coprime non-tie is kept
-            ("keeps a coprime non-tie", ("_shares", lambda fvars, getters, b: True)),
+            ("keeps a coprime non-tie", ("_placements", no_coprime_placements)),
         ],
     )
     def test_mutations_are_caught(self, toric_problem, name, patch):
@@ -1099,9 +1096,9 @@ class TestEgbSignature:
         appended = []
         real = SigEngine.add_reducer
 
-        def checked(engine, g):
-            real(engine, g)
-            assert engine.rows[-1][1] is g.poly and engine.labels[-1][0] is g.sig
+        def checked(engine, sig, g):
+            real(engine, sig, g)
+            assert engine.rows[-1][1] is g and engine.labels[-1][0] is sig
             assert_current_preparations(engine.rows)
             appended.append(g)
 
